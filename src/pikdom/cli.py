@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import reduction
-from .errors import ParseError, PikdomError
+from .errors import ParamError, ParseError, PikdomError
 from .fast import solve_fast
 from .model import (
     derive_graph,
@@ -60,9 +60,12 @@ class RunConfig:
 
 def _env_seed(seed: int) -> int:
     raw = os.environ.get("PIKDOM_SEED")
-    if raw is not None:
+    if raw is None:
+        return seed
+    try:
         return int(raw)
-    return seed
+    except ValueError:
+        raise ParamError(f"PIKDOM_SEED must be an integer, got {raw!r}") from None
 
 
 def _cost_payload(cost: Fraction | None):

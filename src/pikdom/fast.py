@@ -5,8 +5,17 @@ arcs between internal nodes.  Whether ``(t, s)`` is a jump arc depends on
 ``t`` only through its last ``k`` interval indices and its tail-eligibility,
 both shared by every member of a suffix class.  So the DP keeps one running
 minimum per class and, when processing a node, probes a single
-representative of each already-finalized class instead of every potential
-tail.  Jump arcs incident to the dummy source and sink are still tested
+representative per class instead of every potential tail.
+
+Only classes whose shared last index ``key[-1]`` (the ``hi`` of every
+member) lies in a window set by the node's ``lo`` are probed.  A jump arc
+``t -> s`` needs ``t.hi`` disjoint from ``s.lo``, and every gap vertex must
+meet one of the two end sets; the last position that misses ``s.lo`` would
+otherwise be a gap vertex no end set meets.  Together these pin ``t.hi`` to
+about one clique's width (``reduction._e0_window`` gives the bounds and
+their derivation), so the probes per node are bounded by the classes ending
+in one clique rather than by all classes.  Every probe still runs the full
+jump-arc test.  Jump arcs incident to the dummy source and sink are tested
 explicitly, as are all slide (E1) arcs.
 
 Per node the DP tracks the best path ending in a jump arc and the best path
@@ -40,6 +49,7 @@ from .reduction import (
     _check_budget,
     _Ctx,
     _e0_arc,
+    _e0_window,
     _effective_costs,
     _enumerate_with_ctx,
     _seq_cost,
@@ -64,7 +74,6 @@ class SuffixClass:
     members: tuple[int, ...]
     best: Fraction | None = None
     best_node: int | None = None
-    finalized: bool = False
 
 
 def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
@@ -150,6 +159,10 @@ def solve_fast_with_path(
     eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
     classes = suffix_partition(middle, k, eligible)
     class_of_key = {cl.key: cl for cl in classes}
+    # Class positions (key order) by the shared hi of their members.
+    by_hi: list[list[int]] = [[] for _ in range(model.n + 2)]
+    for pos, cl in enumerate(classes):
+        by_hi[cl.key[-1]].append(pos)
 
     # Slide arcs, grouped by head
     heads_by_prefix: dict[tuple[int, ...], list[DagNode]] = {}
@@ -173,7 +186,6 @@ def solve_fast_with_path(
     dist: dict[int, Fraction | None] = {source.id: Fraction(0)}
     dist_jump: dict[int, Fraction | None] = {}
     pred: dict[int, tuple] = {}
-    finalized: list[SuffixClass] = []
     repr_tests = 0
 
     def node_weight(nd: DagNode) -> Fraction:
@@ -200,18 +212,25 @@ def solve_fast_with_path(
                 dj = w
                 pj: tuple | None = (_PRED_SOURCE,)
             else:
+                # Every class in the window ends before nd.lo, so its key
+                # sorts before nd's and it was finalized in an earlier run.
                 dj = None
                 pj = None
-                for cl in finalized:
-                    if cl.best is None:
-                        continue
-                    repr_tests += 1
-                    rep = nodes[cl.members[0]]
-                    if _e0_arc(ctx, rep, nd):
-                        cand = cl.best + w
-                        if dj is None or cand < dj:
-                            dj = cand
-                            pj = (_PRED_CLASS, cl.best_node)
+                dj_pos = -1
+                hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
+                for hi in range(hi_min, hi_max + 1):
+                    for pos in by_hi[hi]:
+                        cl = classes[pos]
+                        if cl.best is None:
+                            continue
+                        repr_tests += 1
+                        if _e0_arc(ctx, nodes[cl.members[0]], nd):
+                            cand = cl.best + w
+                            # equal costs go to the first class in key order
+                            if dj is None or (cand, pos) < (dj, dj_pos):
+                                dj = cand
+                                dj_pos = pos
+                                pj = (_PRED_CLASS, cl.best_node)
             dist_jump[nd.id] = dj
             best = dj
             best_pred = pj
@@ -233,8 +252,6 @@ def solve_fast_with_path(
                 if d is not None and (cl.best is None or d < cl.best):
                     cl.best = d
                     cl.best_node = mid
-            cl.finalized = True
-            finalized.append(cl)
         idx = run_end
 
     # Sink: its incoming jump arcs are the one place they are materialized.

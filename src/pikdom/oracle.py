@@ -28,7 +28,7 @@ def check_variant(variant: str) -> None:
 
 
 def check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ParamError(f"k must be a positive integer, got {k!r}")
 
 

@@ -312,6 +312,43 @@ def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
     return True
 
 
+def _e0_window(
+    ctx: _Ctx, *, head_lo: int | None = None, tail_hi: int | None = None
+) -> tuple[int, int]:
+    """Inclusive bounds on the far end of any jump arc with one end fixed.
+
+    Given ``head_lo`` (``s.lo`` of a head ``s``) return the range of every
+    ``t.hi`` with ``t -> s`` a jump arc; given ``tail_hi`` (``t.hi``) return
+    the range of every ``s.lo``.  The fixed end must be one a jump arc can
+    have: never the source as a head, nor the sink as a tail.  The arc's two
+    conditions pin the window:
+
+    * the ends are disjoint, so ``t.hi <= g`` with ``g = reach_l[s.lo] - 1``,
+      the last position that misses ``s.lo``;
+    * every gap vertex hits ``k >= 1`` members of the two end sets.  If
+      ``t.hi < g`` then ``g`` is a gap vertex that misses all of ``s`` (it
+      misses ``s.lo`` and the rest of ``s`` lies further right), so it must
+      hit ``t``, which needs ``t.hi >= reach_l[g]``.
+
+    Hence ``reach_l[g] <= t.hi <= g``, and mirrored, with
+    ``g = reach_r[t.hi] + 1``, ``g <= s.lo <= reach_r[g]``.  Probing only
+    inside the window never skips an arc, and the window is about one clique
+    wide.
+
+    The lower bound relies on a gap vertex needing at least one hit.  The
+    selftest fault ``e0-relax`` asks for ``k - 1`` hits, which is none at
+    k=1, so at k=1 the window hides that fault: every pair inside the window
+    already meets the k=1 gap condition, and the extra arcs the fault admits
+    all lie outside it and are never probed.  The fault is still caught
+    through the k=2 cases.
+    """
+    if tail_hi is None:
+        g = ctx.reach_l[head_lo] - 1
+        return ctx.reach_l[g], g
+    g = ctx.reach_r[tail_hi] + 1
+    return g, ctx.reach_r[g]
+
+
 def _kdom_tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
     k = ctx.k
     sset = set(seq)
@@ -468,15 +505,19 @@ def build_digraph(
                        arc_length(nd, head, ARC_E1, costs, e1_rule=e1_rule))
             )
 
-    # Jump arcs: candidate heads have lo strictly past the tail's reach
+    # Jump arcs: a head's lo lies past the tail's reach, and no further than
+    # the reach of the first position past it, or that position would be a
+    # gap vertex no end set hits (see _e0_window).
     by_lo = sorted((nd for nd in nodes if nd.kind != KIND_SOURCE),
                    key=lambda nd: (nd.lo, nd.id))
     los = [nd.lo for nd in by_lo]
     for tail in nodes:
         if tail.kind == KIND_SINK:
             continue
-        first = bisect.bisect_left(los, ctx.reach_r[tail.hi] + 1)
-        for head in by_lo[first:]:
+        lo_min, lo_max = _e0_window(ctx, tail_hi=tail.hi)
+        first = bisect.bisect_left(los, lo_min)
+        last = bisect.bisect_right(los, lo_max, first)
+        for head in by_lo[first:last]:
             if _e0_arc(ctx, tail, head):
                 arcs.append(
                     DagArc(tail.id, head.id, ARC_E0,

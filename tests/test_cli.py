@@ -208,6 +208,14 @@ def test_gen_env_seed_override(capsys, monkeypatch):
     assert forced == alt and forced != base
 
 
+def test_bad_env_seed_is_coded_error(capsys, monkeypatch):
+    monkeypatch.setenv("PIKDOM_SEED", "abc")
+    code, out, err = run(capsys, "selftest", "--quick")
+    assert code == 1 and out == ""
+    assert err.startswith("error[E_PARAM]:") and "PIKDOM_SEED" in err
+    assert err.count("\n") == 1
+
+
 def test_gen_to_file(capsys, tmp_path):
     out = tmp_path / "inst.txt"
     code, stdout, _ = run(capsys, "gen", "--n", "4", "--seed", "2", "--out", str(out))

@@ -237,6 +237,19 @@ def test_fast_work_counter_bound():
             assert st["representative_tests"] <= (middle + 2) * st["suffix_classes"]
 
 
+@pytest.mark.parametrize(
+    "n, seed, stretch, k, variant, cost, probes",
+    [
+        (30, 5, 6, 2, "total", 15, 1099),
+        (40, 7, 3, 1, "kdom", 11, 218),
+    ],
+)
+def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, probes):
+    sol = solve_fast(generate_random(n, seed, stretch), k, variant)
+    assert sol.cost == cost
+    assert sol.stats["representative_tests"] == probes
+
+
 def test_fast_e1_count_matches_naive_digraph():
     for seed in range(8):
         m = generate_random(5 + seed % 6, 27 + seed, [4, 8][seed % 2])

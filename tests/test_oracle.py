@@ -10,6 +10,7 @@ from pikdom.model import derive_graph, generate_random, min_degree, with_costs
 from pikdom.oracle import (
     VertexSet,
     brute_force_min,
+    check_k,
     check_lemma_components,
     find_violation,
     is_k_dominating,
@@ -57,6 +58,12 @@ def test_predicate_validation():
 
     with pytest.raises(VertexIndexError):
         is_k_dominating(g, vs(9), 1)
+
+
+@pytest.mark.parametrize("k", [True, False])
+def test_check_k_rejects_bool(k):
+    with pytest.raises(ParamError):
+        check_k(k)
 
 
 # --------------------------------------------------------------- brute force

@@ -16,6 +16,8 @@ from pikdom.reduction import (
     ARC_E0,
     ARC_E1,
     DagNode,
+    _Ctx,
+    _e0_window,
     arc_length,
     build_digraph,
     dump_digraph,
@@ -132,6 +134,28 @@ def test_e0_variant_mismatch():
     nodes = enumerate_nodes(m, 1, "kdom")
     with pytest.raises(VariantMismatchError):
         is_e0_arc(m, 1, "total", nodes[0], nodes[1])
+
+
+def test_e0_arcs_lie_in_windows():
+    # every jump arc t -> s, dummies included, has t.hi in the window set by
+    # s.lo and s.lo in the window set by t.hi
+    arcs = 0
+    for seed in range(24):
+        n = 4 + seed % 9
+        m = generate_random(n, 606 + seed, [1, 2, 3, 5, Fraction(3, 2), 8][seed % 6])
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                ctx = _Ctx(m, k, variant)
+                nodes = enumerate_nodes(m, k, variant)
+                for t, s in itertools.product(nodes, repeat=2):
+                    if not is_e0_arc(m, k, variant, t, s, _ctx=ctx):
+                        continue
+                    arcs += 1
+                    lo_min, lo_max = _e0_window(ctx, tail_hi=t.hi)
+                    hi_min, hi_max = _e0_window(ctx, head_lo=s.lo)
+                    assert hi_min <= t.hi <= hi_max, (seed, k, variant, t, s)
+                    assert lo_min <= s.lo <= lo_max, (seed, k, variant, t, s)
+    assert arcs > 1000
 
 
 def test_e1_arc_shift():
