@@ -2,7 +2,7 @@
 
 Reports on stdout are byte-stable for identical (instance, config, seed);
 wall-clock timings therefore go to stderr.  Exit codes: 0 solved/valid/pass,
-2 infeasible/invalid, 1 error.
+2 infeasible/invalid, 1 error (usage errors included).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class RunConfig:
     dump_dag: str | None = None
     stats: bool = False
     quick: bool = False
-    e1_rule: str = reduction.E1_COST_NEW
 
 
 def _env_seed(seed: int) -> int:
@@ -79,13 +78,11 @@ def _cost_payload(cost: Fraction | None):
 def _solve_with(cfg: RunConfig, model):
     if cfg.algo == "fast":
         return solve_fast(
-            model, cfg.k, cfg.variant, model.weighted,
-            cap_nodes=cfg.cap_nodes, e1_rule=cfg.e1_rule,
+            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
         )
     if cfg.algo == "naive":
         return solve_naive(
-            model, cfg.k, cfg.variant, model.weighted,
-            cap_nodes=cfg.cap_nodes, e1_rule=cfg.e1_rule,
+            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
         )
     return brute_force_min(model, cfg.k, cfg.variant, model.weighted, cap=cfg.cap_brute)
 
@@ -98,8 +95,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if cfg.dump_dag:
         dg = build_digraph(
-            model, cfg.k, cfg.variant, model.weighted,
-            cap_nodes=cfg.cap_nodes, e1_rule=cfg.e1_rule,
+            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
         )
         Path(cfg.dump_dag).write_text(dump_digraph(dg))
     report = {
@@ -197,7 +193,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
         for engine in engines:
             sub = RunConfig(
                 command="solve", variant=cfg.variant, k=cfg.k, algo=engine,
-                cap_nodes=cfg.cap_nodes, cap_brute=cfg.cap_brute, e1_rule=cfg.e1_rule,
+                cap_nodes=cfg.cap_nodes, cap_brute=cfg.cap_brute,
             )
             t0 = time.perf_counter()
             sol = _solve_with(sub, model)
@@ -232,8 +228,15 @@ def cmd_selftest(cfg: RunConfig, inject_fault: bool) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as ``E_PARAM`` (exit 1); exit 2 means infeasible."""
+
+    def error(self, message):
+        raise ParamError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pikdom",
         description="Exact k-domination and total k-domination on proper interval models",
     )
@@ -252,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--stats", action="store_true")
     p_solve.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
     p_solve.add_argument("--cap-brute", type=int, default=20)
-    p_solve.add_argument(
-        "--e1-rule", choices=reduction.E1_COST_RULES, default=reduction.E1_COST_NEW,
-        help="weighted slide-arc charge (diagnostic; 'min' is known bad)",
-    )
 
     p_verify = sub.add_parser("verify", help="check a candidate set file")
     p_verify.add_argument("instance")
@@ -280,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--stretch", default="3")
     p_bench.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
     p_bench.add_argument("--cap-brute", type=int, default=20)
-    p_bench.add_argument(
-        "--e1-rule", choices=reduction.E1_COST_RULES, default=reduction.E1_COST_NEW
-    )
 
     p_self = sub.add_parser("selftest", help="run the built-in agreement suite")
     p_self.add_argument("--quick", action="store_true")
@@ -294,15 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             cfg = RunConfig(
                 command="solve", variant=args.variant, k=args.k, algo=args.algo,
                 input_path=args.instance, fmt=args.format,
                 cap_nodes=args.cap_nodes, cap_brute=args.cap_brute,
-                dump_dag=args.dump_dag, stats=args.stats, e1_rule=args.e1_rule,
+                dump_dag=args.dump_dag, stats=args.stats,
             )
             return cmd_solve(cfg)
         if args.command == "verify":
@@ -322,7 +317,6 @@ def main(argv=None) -> int:
                 command="bench", variant=args.variant, k=args.k,
                 seed=_env_seed(args.seed), stretch=parse_rational(args.stretch),
                 cap_nodes=args.cap_nodes, cap_brute=args.cap_brute,
-                e1_rule=args.e1_rule,
             )
             return cmd_bench(cfg, args)
         cfg = RunConfig(

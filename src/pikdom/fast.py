@@ -22,6 +22,9 @@ Per node the DP tracks the best path ending in a jump arc and the best path
 overall; per slide arc the best path ending with exactly that arc; per class
 the best path ending anywhere in the class.  Unreachable states are ``None``
 rather than a sentinel value because costs are exact rationals.
+
+The nodes, costs and slide-arc index come from the same ``reduction._Plan``
+the naive engine builds; the two engines differ only in the search.
 """
 
 from __future__ import annotations
@@ -41,18 +44,15 @@ from .oracle import (
 from .reduction import (
     DEFAULT_NODE_CAP,
     DagNode,
-    E1_COST_NEW,
     KIND_BIG,
     KIND_SINK,
     KIND_SMALL,
     KIND_SOURCE,
-    _check_budget,
-    _Ctx,
     _e0_arc,
     _e0_window,
-    _effective_costs,
-    _enumerate_with_ctx,
-    _seq_cost,
+    _jump_length,
+    _Plan,
+    _slide_length,
     eligible_tail_bigs,
     path_to_vertex_set,
 )
@@ -120,12 +120,9 @@ def solve_fast(
     weighted: bool = False,
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
-    e1_rule: str = E1_COST_NEW,
 ) -> Solution:
     """Optimal (total) k-domination via the class-partitioned DP sweep."""
-    sol, _ = solve_fast_with_path(
-        model, k, variant, weighted, cap_nodes=cap_nodes, e1_rule=e1_rule
-    )
+    sol, _ = solve_fast_with_path(model, k, variant, weighted, cap_nodes=cap_nodes)
     return sol
 
 
@@ -136,7 +133,6 @@ def solve_fast_with_path(
     weighted: bool = False,
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
-    e1_rule: str = E1_COST_NEW,
     _trace: dict | None = None,
 ) -> tuple[Solution, list[DagNode] | None]:
     """As solve_fast, but also return the reconstructed node path.
@@ -148,13 +144,11 @@ def solve_fast_with_path(
     check_variant(variant)
     if variant == VARIANT_TOTAL and model.n > 0 and model_min_degree(model) < k:
         return infeasible_solution("fast"), None
-    _check_budget(model.n, k, variant, cap_nodes)
-    ctx = _Ctx(model, k, variant)
-    nodes = _enumerate_with_ctx(ctx)
-    costs = _effective_costs(model, weighted)
+    plan = _Plan(model, k, variant, weighted, cap_nodes)
+    ctx, nodes, costs = plan.ctx, plan.nodes, plan.costs
     source = nodes[0]
     sink = nodes[-1]
-    middle = [nd for nd in nodes if nd.kind in (KIND_SMALL, KIND_BIG)]
+    middle = nodes[1:-1]
 
     eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
     classes = suffix_partition(middle, k, eligible)
@@ -164,22 +158,6 @@ def solve_fast_with_path(
     for pos, cl in enumerate(classes):
         by_hi[cl.key[-1]].append(pos)
 
-    # Slide arcs, grouped by head
-    heads_by_prefix: dict[tuple[int, ...], list[DagNode]] = {}
-    for nd in middle:
-        if nd.kind == KIND_BIG:
-            heads_by_prefix.setdefault(nd.seq[:-1], []).append(nd)
-    slide_tails: dict[int, list[int]] = {nd.id: [] for nd in middle}
-    e1_arcs = 0
-    for nd in middle:
-        if nd.kind != KIND_BIG:
-            continue
-        for head in heads_by_prefix.get(nd.seq[1:], ()):
-            slide_tails[head.id].append(nd.id)
-            e1_arcs += 1
-    for tails in slide_tails.values():
-        tails.sort()
-
     order = [nodes[i] for i in topo_order(nodes, k)]
     sweep = order[1:-1]
 
@@ -187,17 +165,6 @@ def solve_fast_with_path(
     dist_jump: dict[int, Fraction | None] = {}
     pred: dict[int, tuple] = {}
     repr_tests = 0
-
-    def node_weight(nd: DagNode) -> Fraction:
-        if costs is None:
-            return Fraction(len(nd.seq))
-        return _seq_cost(nd.seq, costs)
-
-    def slide_weight(head: DagNode) -> Fraction:
-        if costs is None:
-            return Fraction(1)
-        charged = head.seq[-1] if e1_rule == E1_COST_NEW else head.seq[0]
-        return costs[charged - 1]
 
     idx = 0
     while idx < len(sweep):
@@ -207,7 +174,7 @@ def solve_fast_with_path(
         while run_end < len(sweep) and suffix_key(sweep[run_end].seq, k) == key:
             run_end += 1
         for nd in sweep[idx:run_end]:
-            w = node_weight(nd)
+            w = _jump_length(nd, costs)
             if _e0_arc(ctx, source, nd):
                 dj = w
                 pj: tuple | None = (_PRED_SOURCE,)
@@ -234,11 +201,11 @@ def solve_fast_with_path(
             dist_jump[nd.id] = dj
             best = dj
             best_pred = pj
-            for tail_id in slide_tails[nd.id]:
+            for tail_id in plan.slide_tails.get(nd.id, ()):
                 dt = dist.get(tail_id)
                 if dt is None:
                     continue
-                cand = dt + slide_weight(nd)
+                cand = dt + _slide_length(nd, costs)
                 if best is None or cand < best:
                     best = cand
                     best_pred = (_PRED_SLIDE, tail_id)
@@ -274,7 +241,7 @@ def solve_fast_with_path(
         "tail_eligible_bigs": len(eligible),
         "suffix_classes": len(classes),
         "representative_tests": repr_tests,
-        "e1_arcs": e1_arcs,
+        "e1_arcs": sum(len(tails) for tails in plan.slide_tails.values()),
     }
     if _trace is not None:
         _trace["dist"] = dict(dist)
@@ -315,16 +282,14 @@ def representative_independence_check(
     check_variant(variant)
     if model.n > cap:
         raise TooLargeError(f"diagnostic capped at n <= {cap}, got {model.n}")
-    ctx = _Ctx(model, k, variant)
-    nodes = _enumerate_with_ctx(ctx)
-    middle = [nd for nd in nodes if nd.kind in (KIND_SMALL, KIND_BIG)]
-    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
+    plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
+    middle = plan.nodes[1:-1]
+    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=plan.ctx)
     classes = suffix_partition(middle, k, eligible)
-    targets = middle + [nodes[-1]]
     for cl in classes:
-        members = [nodes[i] for i in cl.members]
-        for s in targets:
-            answers = {_e0_arc(ctx, m, s) for m in members}
+        members = [plan.nodes[i] for i in cl.members]
+        for s in plan.nodes[1:]:  # every possible head: the middle and the sink
+            answers = {_e0_arc(plan.ctx, m, s) for m in members}
             if len(answers) > 1:
                 return False
     return True

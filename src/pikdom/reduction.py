@@ -17,6 +17,10 @@ increasing, consecutively-intersecting index sequences:
 All index arithmetic runs in the model's sorted numbering extended by the
 two dummies: position 0 is the source interval, 1..n the model, n+1 the
 sink interval.
+
+Both DAG engines build one ``_Plan`` (budget check, context, nodes, costs
+and slide-arc index) and differ only in the search: ``naive`` materializes
+every arc and relaxes them, ``fast`` runs the suffix-class DP.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import (
     BudgetError,
     NotArcError,
     NotPathError,
-    ParamError,
     VariantMismatchError,
 )
 from .model import Interval, ProperIntervalModel, format_rational, model_min_degree
@@ -51,11 +54,6 @@ KIND_BIG = "big"
 
 ARC_E0 = "E0"
 ARC_E1 = "E1"
-
-E1_COST_NEW = "max"      # charge the newly appended rightmost vertex
-E1_COST_PRINTED = "min"  # charge the head's leftmost vertex (known-bad, kept
-                         # as a diagnostic toggle; see tests)
-E1_COST_RULES = (E1_COST_NEW, E1_COST_PRINTED)
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -246,9 +244,7 @@ def enumerate_nodes(
     are evaluated.  Lexicographic order is topological here: every arc
     strictly increases the leftmost index.
     """
-    _check_budget(model.n, k, variant, cap_nodes)
-    ctx = _Ctx(model, k, variant)
-    return _enumerate_with_ctx(ctx)
+    return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
 def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
@@ -426,53 +422,73 @@ def eligible_tail_bigs(
     return frozenset(out)
 
 
-def _seq_cost(seq, costs) -> Fraction:
-    return sum((costs[i - 1] for i in seq), Fraction(0))
+def _jump_length(head: DagNode, costs) -> Fraction:
+    """A jump arc pays for every vertex of its head; arcs into the sink are free."""
+    if head.kind == KIND_SINK:
+        return Fraction(0)
+    if costs is None:
+        return Fraction(len(head.seq))
+    return sum((costs[i - 1] for i in head.seq), Fraction(0))
 
 
-def arc_length(
-    s: DagNode,
-    s2: DagNode,
-    cls: str,
-    costs=None,
-    *,
-    e1_rule: str = E1_COST_NEW,
-) -> Fraction:
+def _slide_length(head: DagNode, costs) -> Fraction:
+    """A slide arc pays for the one vertex its head appends."""
+    if costs is None:
+        return Fraction(1)
+    return costs[head.seq[-1] - 1]
+
+
+def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
     """Length of an arc of the stated class.
 
     Unweighted: a jump arc pays the full head sequence, a slide arc pays 1
     for the single new vertex, and arcs into the sink are free.  Weighted:
     the same shape with per-vertex costs; the slide arc pays the cost of the
-    vertex it appends (``e1_rule`` switches to the head's leftmost vertex
-    for the documented-bad diagnostic variant).
+    vertex it appends.
     """
-    if e1_rule not in E1_COST_RULES:
-        raise ParamError(f"e1_rule must be one of {E1_COST_RULES}")
     if cls == ARC_E1:
         k2 = len(s.seq)
         if k2 % 2 or not is_e1_arc(k2 // 2, s, s2):
             raise NotArcError("not a slide arc")
-        if costs is None:
-            return Fraction(1)
-        charged = s2.seq[-1] if e1_rule == E1_COST_NEW else s2.seq[0]
-        return costs[charged - 1]
+        return _slide_length(s2, costs)
     if cls == ARC_E0:
         if s.kind == KIND_SINK or s2.kind == KIND_SOURCE or not s.hi < s2.lo:
             raise NotArcError("not a jump arc")
-        if s2.kind == KIND_SINK:
-            return Fraction(0)
-        if costs is None:
-            return Fraction(len(s2.seq))
-        return _seq_cost(s2.seq, costs)
+        return _jump_length(s2, costs)
     raise NotArcError(f"unknown arc class {cls!r}")
 
 
-def _effective_costs(model: ProperIntervalModel, weighted: bool):
-    if not weighted:
-        return None
-    if model.costs is not None:
-        return model.costs
-    return (Fraction(1),) * model.n
+class _Plan:
+    """What both DAG engines build once per solve, after the budget check.
+
+    ``slide_tails`` maps each big node's id to the sorted ids of the big
+    nodes with a slide arc into it: the tail's last ``2k-1`` indices are the
+    head's first ``2k-1``.
+    """
+
+    __slots__ = ("ctx", "nodes", "costs", "slide_tails")
+
+    def __init__(
+        self,
+        model: ProperIntervalModel,
+        k: int,
+        variant: str,
+        weighted: bool,
+        cap_nodes: int,
+    ):
+        _check_budget(model.n, k, variant, cap_nodes)
+        self.ctx = _Ctx(model, k, variant)
+        self.nodes = _enumerate_with_ctx(self.ctx)
+        self.costs = model.costs if weighted else None
+        if weighted and self.costs is None:
+            self.costs = (Fraction(1),) * model.n
+        bigs = [nd for nd in self.nodes if nd.kind == KIND_BIG]
+        tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
+        for nd in bigs:
+            tails_by_overlap.setdefault(nd.seq[1:], []).append(nd.id)
+        self.slide_tails: dict[int, list[int]] = {
+            nd.id: tails_by_overlap.get(nd.seq[:-1], []) for nd in bigs
+        }
 
 
 def build_digraph(
@@ -482,28 +498,16 @@ def build_digraph(
     weighted: bool = False,
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
-    e1_rule: str = E1_COST_NEW,
 ) -> DerivedDigraph:
     """Materialize every node and every arc (the naive engine's input)."""
-    _check_budget(model.n, k, variant, cap_nodes)
-    ctx = _Ctx(model, k, variant)
-    nodes = _enumerate_with_ctx(ctx)
-    costs = _effective_costs(model, weighted)
+    plan = _Plan(model, k, variant, weighted, cap_nodes)
+    ctx, nodes, costs = plan.ctx, plan.nodes, plan.costs
     arcs: list[DagArc] = []
 
-    # Slide arcs via the shared (2k-1)-overlap
-    heads_by_prefix: dict[tuple[int, ...], list[DagNode]] = {}
-    for nd in nodes:
-        if nd.kind == KIND_BIG:
-            heads_by_prefix.setdefault(nd.seq[:-1], []).append(nd)
-    for nd in nodes:
-        if nd.kind != KIND_BIG:
-            continue
-        for head in heads_by_prefix.get(nd.seq[1:], ()):
-            arcs.append(
-                DagArc(nd.id, head.id, ARC_E1,
-                       arc_length(nd, head, ARC_E1, costs, e1_rule=e1_rule))
-            )
+    for head_id, tails in plan.slide_tails.items():
+        length = _slide_length(nodes[head_id], costs)
+        for tail_id in tails:
+            arcs.append(DagArc(tail_id, head_id, ARC_E1, length))
 
     # Jump arcs: a head's lo lies past the tail's reach, and no further than
     # the reach of the first position past it, or that position would be a
@@ -520,8 +524,7 @@ def build_digraph(
         for head in by_lo[first:last]:
             if _e0_arc(ctx, tail, head):
                 arcs.append(
-                    DagArc(tail.id, head.id, ARC_E0,
-                           arc_length(tail, head, ARC_E0, costs, e1_rule=e1_rule))
+                    DagArc(tail.id, head.id, ARC_E0, _jump_length(head, costs))
                 )
     arcs.sort(key=lambda a: (a.tail, a.head))
     return DerivedDigraph(tuple(nodes), tuple(arcs), variant, k, weighted, model.n)
@@ -562,7 +565,6 @@ def solve_naive(
     weighted: bool = False,
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
-    e1_rule: str = E1_COST_NEW,
 ) -> Solution:
     """Shortest path over the fully materialized digraph.
 
@@ -574,9 +576,7 @@ def solve_naive(
     if variant == VARIANT_TOTAL and model.n > 0 and model_min_degree(model) < k:
         # A total k-dominating set exists iff every vertex has >= k neighbors.
         return infeasible_solution("naive")
-    dg = build_digraph(
-        model, k, variant, weighted, cap_nodes=cap_nodes, e1_rule=e1_rule
-    )
+    dg = build_digraph(model, k, variant, weighted, cap_nodes=cap_nodes)
     n_nodes = len(dg.nodes)
     in_arcs: list[list[DagArc]] = [[] for _ in range(n_nodes)]
     for arc in dg.arcs:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pikdom.model import Interval, ProperIntervalModel
+from pikdom.reduction import ARC_E1, build_digraph
 
 
 def make_model(pairs, costs=None):
@@ -30,6 +31,28 @@ def complete_model(n, costs=None):
 
 def disjoint_model(n):
     return make_model([(3 * i, 3 * i + 1) for i in range(n)])
+
+
+def printed_rule_cost(model, k, variant):
+    """Weighted optimum under the paper's printed slide charge, which is wrong.
+
+    Every slide arc is re-lengthened to the cost of its head's leftmost
+    vertex instead of the vertex it appends; one sweep over the arcs then
+    finds the shortest path, since arcs come sorted by tail and node ids are
+    topological.  ``None`` when the sink is unreachable.
+    """
+    dg = build_digraph(model, k, variant, weighted=True)
+    dist = [None] * len(dg.nodes)
+    dist[0] = Fraction(0)
+    for arc in dg.arcs:
+        if dist[arc.tail] is None:
+            continue
+        length = arc.length
+        if arc.cls == ARC_E1:
+            length = model.costs[dg.nodes[arc.head].lo - 1]
+        if dist[arc.head] is None or dist[arc.tail] + length < dist[arc.head]:
+            dist[arc.head] = dist[arc.tail] + length
+    return dist[-1]
 
 
 # Reconstruction of an 8-interval instance consistent with the worked

@@ -30,7 +30,7 @@ from pikdom.oracle import (
 )
 from pikdom.reduction import build_digraph, solve_naive
 
-from conftest import EXAMPLE8_PAIRS, complete_model, make_model
+from conftest import EXAMPLE8_PAIRS, complete_model, make_model, printed_rule_cost
 
 CORPUS_SIZE = 300
 
@@ -325,8 +325,8 @@ def test_criterion_9_weighted_slide_charge_regression():
                     b.feasible and b.cost != good.cost
                 ):
                     amended_mismatch += 1
-                bad = solve_fast(mw, k, variant, weighted=True, e1_rule="min")
-                if b.feasible != bad.feasible or (b.feasible and b.cost != bad.cost):
+                bad = printed_rule_cost(mw, k, variant)
+                if b.feasible != (bad is not None) or (b.feasible and b.cost != bad):
                     printed_disagreements += 1
     assert amended_mismatch == 0
     assert printed_disagreements >= 1

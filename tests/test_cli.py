@@ -89,6 +89,22 @@ def test_solve_parse_error_exit_1(capsys, tmp_path):
     assert "E_NOT_PROPER" in err
 
 
+@pytest.mark.parametrize("extra", [("--k", "1", "--e1-rule", "max"), ("--k", "x")])
+def test_solve_usage_error_exit_1(capsys, p6_file, extra):
+    # argparse would exit 2, which reads as "infeasible"
+    code, out, err = run(capsys, "solve", p6_file, "--variant", "total", *extra)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[E_PARAM]: ")
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--variant" in capsys.readouterr().out
+
+
 def test_solve_budget_exit_1(capsys, tmp_path):
     inst = tmp_path / "dense.txt"
     inst.write_text("6\n1 7\n2 8\n3 9\n4 10\n5 11\n6 12\n")

@@ -186,7 +186,6 @@ def test_arc_length_weighted():
     tail = DagNode(0, "big", (1, 2, 3, 4), "total")
     head = DagNode(1, "big", (2, 3, 4, 5), "total")
     assert arc_length(tail, head, ARC_E1, costs) == 3           # new vertex 5
-    assert arc_length(tail, head, ARC_E1, costs, e1_rule="min") == 1
     unit = (Fraction(1),) * 5
     assert arc_length(tail, head, ARC_E1, unit) == 1
     src = DagNode(2, "source", (0,), "total")
@@ -257,18 +256,31 @@ def test_digraph_acyclic_and_monotone_random():
 
 
 def test_e0_arcs_match_exhaustive_pair_scan():
+    # Slide arcs too: both arc sets against every ordered node pair, and
+    # every arc length against arc_length on a weighted copy.
     for seed in range(8):
-        m = generate_random(4 + seed % 4, 99 + seed, [2, 4][seed % 2])
+        n = 4 + seed % 4
+        m = generate_random(n, 99 + seed, [2, 4][seed % 2])
+        rng = random.Random(seed)
+        mw = with_costs(m, [rng.randint(0, 10) for _ in range(n)])
         for k in (1, 2):
             for variant in ("kdom", "total"):
                 dg = build_digraph(m, k, variant)
-                got = {(a.tail, a.head) for a in dg.arcs if a.cls == ARC_E0}
-                want = set()
-                for t in dg.nodes:
-                    for h in dg.nodes:
-                        if t.id != h.id and is_e0_arc(m, k, variant, t, h):
-                            want.add((t.id, h.id))
-                assert got == want
+                for cls, is_arc in (
+                    (ARC_E0, lambda t, h: is_e0_arc(m, k, variant, t, h)),
+                    (ARC_E1, lambda t, h: is_e1_arc(k, t, h)),
+                ):
+                    got = {(a.tail, a.head) for a in dg.arcs if a.cls == cls}
+                    want = set()
+                    for t in dg.nodes:
+                        for h in dg.nodes:
+                            if t.id != h.id and is_arc(t, h):
+                                want.add((t.id, h.id))
+                    assert got == want
+                dgw = build_digraph(mw, k, variant, weighted=True)
+                for a in dgw.arcs:
+                    t, h = dgw.nodes[a.tail], dgw.nodes[a.head]
+                    assert a.length == arc_length(t, h, a.cls, mw.costs)
 
 
 # -------------------------------------------------------------- solve_naive
