@@ -13,7 +13,6 @@ from .errors import (
     PikdomError,
     PreconditionError,
     TooLargeError,
-    VariantMismatchError,
     VertexIndexError,
 )
 from .fast import (

@@ -12,11 +12,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import reduction
 from .errors import ParamError, ParseError, PikdomError
 from .fast import solve_fast
 from .model import (
@@ -38,25 +36,6 @@ EXIT_INFEASIBLE = 2
 ENGINES = ("fast", "naive", "brute")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    variant: str = "total"
-    k: int = 1
-    algo: str = "fast"
-    input_path: str | None = None
-    set_path: str | None = None
-    fmt: str = "text"
-    seed: int = 0
-    n: int = 0
-    stretch: Fraction = Fraction(3)
-    cap_nodes: int = DEFAULT_NODE_CAP
-    cap_brute: int = 20
-    dump_dag: str | None = None
-    stats: bool = False
-    quick: bool = False
-
-
 def _env_seed(seed: int) -> int:
     raw = os.environ.get("PIKDOM_SEED")
     if raw is None:
@@ -75,41 +54,38 @@ def _cost_payload(cost: Fraction | None):
     return f"{cost.numerator}/{cost.denominator}"
 
 
-def _solve_with(cfg: RunConfig, model):
-    if cfg.algo == "fast":
-        return solve_fast(
-            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
-        )
-    if cfg.algo == "naive":
-        return solve_naive(
-            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
-        )
-    return brute_force_min(model, cfg.k, cfg.variant, model.weighted, cap=cfg.cap_brute)
+def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brute: int):
+    if algo == "fast":
+        return solve_fast(model, k, variant, model.weighted, cap_nodes=cap_nodes)
+    if algo == "naive":
+        return solve_naive(model, k, variant, model.weighted, cap_nodes=cap_nodes)
+    return brute_force_min(model, k, variant, model.weighted, cap=cap_brute)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    text = Path(cfg.input_path).read_text()
-    model = parse_model(text)
+def cmd_solve(args) -> int:
+    model = parse_model(Path(args.instance).read_text())
     t0 = time.perf_counter()
-    sol = _solve_with(cfg, model)
+    sol = _solve_with(
+        args.algo, model, args.k, args.variant, args.cap_nodes, args.cap_brute
+    )
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if cfg.dump_dag:
+    if args.dump_dag:
         dg = build_digraph(
-            model, cfg.k, cfg.variant, model.weighted, cap_nodes=cfg.cap_nodes
+            model, args.k, args.variant, model.weighted, cap_nodes=args.cap_nodes
         )
-        Path(cfg.dump_dag).write_text(dump_digraph(dg))
+        Path(args.dump_dag).write_text(dump_digraph(dg))
     report = {
         "feasible": sol.feasible,
         "cost": _cost_payload(sol.cost),
         "set": list(sol.vertices),
         "engine": sol.engine,
-        "k": cfg.k,
-        "variant": cfg.variant,
+        "k": args.k,
+        "variant": args.variant,
         "n": model.n,
     }
-    if cfg.stats and sol.stats is not None:
+    if args.stats and sol.stats is not None:
         report["stats"] = sol.stats
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         print(f"feasible: {'yes' if sol.feasible else 'no'}")
@@ -117,10 +93,10 @@ def cmd_solve(cfg: RunConfig) -> int:
             print(f"cost: {format_rational(sol.cost)}")
             print("set: " + " ".join(str(v) for v in sol.vertices))
         print(f"engine: {sol.engine}")
-        print(f"k: {cfg.k}")
-        print(f"variant: {cfg.variant}")
+        print(f"k: {args.k}")
+        print(f"variant: {args.variant}")
         print(f"n: {model.n}")
-        if cfg.stats and sol.stats is not None:
+        if args.stats and sol.stats is not None:
             for key in sorted(sol.stats):
                 print(f"stats.{key}: {sol.stats[key]}")
     print(f"time: {elapsed_ms:.1f} ms", file=sys.stderr)
@@ -140,12 +116,12 @@ def _parse_set_file(text: str) -> VertexSet:
     return VertexSet.of(ids)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    model = parse_model(Path(cfg.input_path).read_text())
-    vset = _parse_set_file(Path(cfg.set_path).read_text())
+def cmd_verify(args) -> int:
+    model = parse_model(Path(args.instance).read_text())
+    vset = _parse_set_file(Path(args.setfile).read_text())
     graph = derive_graph(model)
-    violation = find_violation(graph, vset, cfg.k, cfg.variant)
-    if cfg.fmt == "json":
+    violation = find_violation(graph, vset, args.k, args.variant)
+    if args.format == "json":
         report = {"valid": violation is None}
         if violation is not None:
             report["vertex"], report["neighbors_inside"] = violation
@@ -154,21 +130,21 @@ def cmd_verify(cfg: RunConfig) -> int:
         print("valid")
     else:
         v, cnt = violation
-        print(f"invalid: vertex {v} has {cnt} neighbors in the set, needs {cfg.k}")
+        print(f"invalid: vertex {v} has {cnt} neighbors in the set, needs {args.k}")
     return EXIT_OK if violation is None else EXIT_INFEASIBLE
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    model = generate_random(cfg.n, cfg.seed, cfg.stretch)
+def cmd_gen(args) -> int:
+    model = generate_random(args.n, args.seed, parse_rational(args.stretch))
     text = serialize_model(model)
-    if cfg.input_path:
-        Path(cfg.input_path).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _bench_instances(cfg: RunConfig, args):
+def _bench_instances(args, stretch: Fraction):
     if args.dir is not None:
         paths = sorted(Path(args.dir).glob("*.txt"))
         if not paths:
@@ -179,24 +155,30 @@ def _bench_instances(cfg: RunConfig, args):
     for n in range(args.n_min, args.n_max + 1):
         for rep in range(args.reps):
             label = f"gen-n{n}-r{rep}"
-            yield label, generate_random(n, cfg.seed + 977 * n + rep, cfg.stretch)
+            yield label, generate_random(n, args.seed + 977 * n + rep, stretch)
 
 
-def cmd_bench(cfg: RunConfig, args) -> int:
+def cmd_bench(args) -> int:
+    stretch = parse_rational(args.stretch)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
         if e not in ENGINES:
             raise ParseError(f"unknown engine {e!r}")
+    if not engines:
+        raise ParamError("bench: --engines names no engine")
+    if args.dir is None and (args.n_min > args.n_max or args.reps < 1):
+        raise ParamError(
+            f"bench: empty instance matrix (--n-min {args.n_min} "
+            f"--n-max {args.n_max} --reps {args.reps})"
+        )
     rows = ["n,k,variant,engine,nodes,arcs_or_tests,wall_ms,cost"]
-    for label, model in _bench_instances(cfg, args):
+    for label, model in _bench_instances(args, stretch):
         seen: dict[str, object] = {}
         for engine in engines:
-            sub = RunConfig(
-                command="solve", variant=cfg.variant, k=cfg.k, algo=engine,
-                cap_nodes=cfg.cap_nodes, cap_brute=cfg.cap_brute,
-            )
             t0 = time.perf_counter()
-            sol = _solve_with(sub, model)
+            sol = _solve_with(
+                engine, model, args.k, args.variant, args.cap_nodes, args.cap_brute
+            )
             wall_ms = (time.perf_counter() - t0) * 1000.0
             stats = sol.stats or {}
             nodes = stats.get("nodes", 0)
@@ -206,7 +188,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
             cost = format_rational(sol.cost) if sol.feasible else "-"
             seen[engine] = (sol.feasible, sol.cost)
             rows.append(
-                f"{model.n},{cfg.k},{cfg.variant},{engine},{nodes},{work},"
+                f"{model.n},{args.k},{args.variant},{engine},{nodes},{work},"
                 f"{wall_ms:.2f},{cost}"
             )
         if len(set(seen.values())) > 1:
@@ -218,13 +200,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig, inject_fault: bool) -> int:
-    if inject_fault:
-        reduction._FAULTS.add("e0-relax")
-    try:
-        ok = run_selftest(seed=cfg.seed, quick=cfg.quick)
-    finally:
-        reduction._FAULTS.discard("e0-relax")
+def cmd_selftest(args) -> int:
+    ok = run_selftest(seed=args.seed, quick=args.quick)
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -248,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("instance")
     add_problem_flags(p_solve)
     p_solve.add_argument("--algo", choices=ENGINES, default="fast")
@@ -257,17 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cap-brute", type=int, default=20)
 
     p_verify = sub.add_parser("verify", help="check a candidate set file")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("instance")
     p_verify.add_argument("setfile")
     add_problem_flags(p_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
+    p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--stretch", default="3")
     p_gen.add_argument("--out", metavar="PATH", default=None)
 
     p_bench = sub.add_parser("bench", help="CSV benchmark over instances")
+    p_bench.set_defaults(run=cmd_bench)
     p_bench.add_argument("--dir", default=None, help="directory of *.txt instances")
     p_bench.add_argument("--n-min", type=int, default=8)
     p_bench.add_argument("--n-max", type=int, default=12)
@@ -281,48 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cap-brute", type=int, default=20)
 
     p_self = sub.add_parser("selftest", help="run the built-in agreement suite")
+    p_self.set_defaults(run=cmd_selftest)
     p_self.add_argument("--quick", action="store_true")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
-    )
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "solve":
-            cfg = RunConfig(
-                command="solve", variant=args.variant, k=args.k, algo=args.algo,
-                input_path=args.instance, fmt=args.format,
-                cap_nodes=args.cap_nodes, cap_brute=args.cap_brute,
-                dump_dag=args.dump_dag, stats=args.stats,
-            )
-            return cmd_solve(cfg)
-        if args.command == "verify":
-            cfg = RunConfig(
-                command="verify", variant=args.variant, k=args.k,
-                input_path=args.instance, set_path=args.setfile, fmt=args.format,
-            )
-            return cmd_verify(cfg)
-        if args.command == "gen":
-            cfg = RunConfig(
-                command="gen", n=args.n, seed=_env_seed(args.seed),
-                stretch=parse_rational(args.stretch), input_path=args.out,
-            )
-            return cmd_gen(cfg)
-        if args.command == "bench":
-            cfg = RunConfig(
-                command="bench", variant=args.variant, k=args.k,
-                seed=_env_seed(args.seed), stretch=parse_rational(args.stretch),
-                cap_nodes=args.cap_nodes, cap_brute=args.cap_brute,
-            )
-            return cmd_bench(cfg, args)
-        cfg = RunConfig(
-            command="selftest", seed=_env_seed(args.seed), quick=args.quick
-        )
-        return cmd_selftest(cfg, args.inject_fault)
+        if "seed" in args:
+            args.seed = _env_seed(args.seed)
+        return args.run(args)
     except PikdomError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -45,10 +45,6 @@ class PreconditionError(PikdomError):
     code = "E_PRECONDITION"
 
 
-class VariantMismatchError(PikdomError):
-    code = "E_VARIANT_MISMATCH"
-
-
 class NotArcError(PikdomError):
     code = "E_NOT_ARC"
 

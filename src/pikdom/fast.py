@@ -33,14 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLargeError
-from .model import ProperIntervalModel, model_min_degree
-from .oracle import (
-    Solution,
-    VARIANT_TOTAL,
-    check_k,
-    check_variant,
-    infeasible_solution,
-)
+from .model import ProperIntervalModel
+from .oracle import Solution, check_k, check_variant, infeasible_solution
 from .reduction import (
     DEFAULT_NODE_CAP,
     DagNode,
@@ -48,8 +42,10 @@ from .reduction import (
     KIND_SINK,
     KIND_SMALL,
     KIND_SOURCE,
+    _Ctx,
     _e0_arc,
     _e0_window,
+    _engine_plan,
     _jump_length,
     _Plan,
     _slide_length,
@@ -140,11 +136,9 @@ def solve_fast_with_path(
     ``_trace``, when given a dict, receives DP internals (per-node values,
     sweep order, class minima) for the invariant tests.
     """
-    check_k(k)
-    check_variant(variant)
-    if variant == VARIANT_TOTAL and model.n > 0 and model_min_degree(model) < k:
+    plan = _engine_plan(model, k, variant, weighted, cap_nodes)
+    if plan is None:
         return infeasible_solution("fast"), None
-    plan = _Plan(model, k, variant, weighted, cap_nodes)
     ctx, nodes, costs = plan.ctx, plan.nodes, plan.costs
     source = nodes[0]
     sink = nodes[-1]
@@ -282,7 +276,7 @@ def representative_independence_check(
     check_variant(variant)
     if model.n > cap:
         raise TooLargeError(f"diagnostic capped at n <= {cap}, got {model.n}")
-    plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
+    plan = _Plan(_Ctx(model, k, variant), model, False, DEFAULT_NODE_CAP)
     middle = plan.nodes[1:-1]
     eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=plan.ctx)
     classes = suffix_partition(middle, k, eligible)

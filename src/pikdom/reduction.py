@@ -18,9 +18,10 @@ All index arithmetic runs in the model's sorted numbering extended by the
 two dummies: position 0 is the source interval, 1..n the model, n+1 the
 sink interval.
 
-Both DAG engines build one ``_Plan`` (budget check, context, nodes, costs
-and slide-arc index) and differ only in the search: ``naive`` materializes
-every arc and relaxes them, ``fast`` runs the suffix-class DP.
+Both DAG engines get one ``_Plan`` (budget check, context, nodes, costs
+and slide-arc index) from ``_engine_plan``, which first answers the total
+variant's min-degree shortcut, and differ only in the search: ``naive``
+materializes every arc and relaxes them, ``fast`` runs the suffix-class DP.
 """
 
 from __future__ import annotations
@@ -30,16 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import (
-    BudgetError,
-    NotArcError,
-    NotPathError,
-    VariantMismatchError,
-)
-from .model import Interval, ProperIntervalModel, format_rational, model_min_degree
+from .errors import BudgetError, NotArcError, NotPathError
+from .model import Interval, ProperIntervalModel, format_rational
 from .oracle import (
     Solution,
-    VARIANT_KDOM,
     VARIANT_TOTAL,
     VertexSet,
     check_k,
@@ -57,16 +52,12 @@ ARC_E1 = "E1"
 
 DEFAULT_NODE_CAP = 10**8
 
-# Test hook: selftest mutation checks flip one arc condition through here.
-_FAULTS: set[str] = set()
-
 
 @dataclass(frozen=True)
 class DagNode:
     id: int
     kind: str
     seq: tuple[int, ...]
-    variant: str
 
     @property
     def lo(self) -> int:
@@ -116,7 +107,7 @@ class _Ctx:
     intersection test reduces to a range check.
     """
 
-    __slots__ = ("n", "k", "variant", "reach_l", "reach_r", "weighted_costs")
+    __slots__ = ("n", "k", "variant", "reach_l", "reach_r")
 
     def __init__(self, model: ProperIntervalModel, k: int, variant: str):
         check_k(k)
@@ -152,11 +143,6 @@ class _Ctx:
             rl[i] = j
         self.reach_r = rr
         self.reach_l = rl
-
-    def inter(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return j <= self.reach_r[i]
 
     def hits_at_least(self, m: int, seqs, need: int, exclude_self: bool) -> bool:
         """Does interval m intersect >= need members of the given sequences?
@@ -197,36 +183,39 @@ def _check_budget(n: int, k: int, variant: str, cap_nodes: int) -> None:
         )
 
 
-def _small_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
-    k = ctx.k
-    if ctx.variant == VARIANT_TOTAL:
-        for m in range(seq[0], seq[-1] + 1):
-            if not ctx.hits_at_least(m, (seq,), k, exclude_self=True):
-                return False
-        return True
-    sset = set(seq)
-    for m in range(seq[0] + 1, seq[-1]):
-        if m in sset:
+def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> bool:
+    """Does every position in ``first..last`` that needs cover meet at least
+    k members of ``seq``?
+
+    Total variant: every position does, and a member does not count itself.
+    Plain k-domination: members dominate themselves and are skipped.
+    """
+    total = ctx.variant == VARIANT_TOTAL
+    skip = () if total else set(seq)
+    for m in range(first, last + 1):
+        if m in skip:
             continue
-        if not ctx.hits_at_least(m, (seq,), k, exclude_self=False):
+        if not ctx.hits_at_least(m, (seq,), ctx.k, exclude_self=total):
             return False
     return True
 
 
-def _big_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
+def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
+    """Condition (3): can big node ``seq`` end a component, i.e. be the tail
+    of a jump arc?  The answer depends on the node alone."""
     k = ctx.k
     if ctx.variant == VARIANT_TOTAL:
-        for m in range(seq[k - 1], seq[k] + 1):
-            if not ctx.hits_at_least(m, (seq,), k, exclude_self=True):
-                return False
-        return True
-    sset = set(seq)
-    for m in range(seq[k - 1] + 1, seq[k]):
-        if m in sset:
-            continue
-        if not ctx.hits_at_least(m, (seq,), k, exclude_self=False):
-            return False
-    return True
+        return seq[-1] <= ctx.reach_r[seq[-k - 1]]
+    return _dominated(ctx, seq, seq[k], seq[-1])
+
+
+def _head_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
+    """Condition (4): can big node ``seq`` start a component, i.e. be the
+    head of a jump arc?"""
+    k = ctx.k
+    if ctx.variant == VARIANT_TOTAL:
+        return seq[k] <= ctx.reach_r[seq[0]]
+    return _dominated(ctx, seq, seq[0], seq[k - 1])
 
 
 def enumerate_nodes(
@@ -244,7 +233,7 @@ def enumerate_nodes(
     are evaluated.  Lexicographic order is topological here: every arc
     strictly increases the leftmost index.
     """
-    return _Plan(model, k, variant, False, cap_nodes).nodes
+    return _Plan(_Ctx(model, k, variant), model, False, cap_nodes).nodes
 
 
 def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
@@ -256,10 +245,10 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
     def grow(seq: list[int]) -> None:
         q = len(seq)
         t = tuple(seq)
-        if q in smalls and _small_ok(ctx, t):
+        if q in smalls and _dominated(ctx, t, t[0], t[-1]):
             seqs.append((t, KIND_SMALL))
         if q == big_len:
-            if _big_ok(ctx, t):
+            if _dominated(ctx, t, t[k - 1], t[k]):
                 seqs.append((t, KIND_BIG))
             return
         last = seq[-1]
@@ -273,10 +262,10 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
     for start in range(1, n + 1):
         grow([start])
 
-    nodes = [DagNode(0, KIND_SOURCE, (0,), variant)]
+    nodes = [DagNode(0, KIND_SOURCE, (0,))]
     for i, (t, kind) in enumerate(seqs, start=1):
-        nodes.append(DagNode(i, kind, t, variant))
-    nodes.append(DagNode(len(nodes), KIND_SINK, (n + 1,), variant))
+        nodes.append(DagNode(i, kind, t))
+    nodes.append(DagNode(len(nodes), KIND_SINK, (n + 1,)))
     return nodes
 
 
@@ -290,22 +279,13 @@ def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
         return False
     # (2) everything in the gap is covered by the two end sets
     rs, rs2 = s.real_seq, s2.real_seq
-    need = k - 1 if "e0-relax" in _FAULTS else k
     for m in range(hi + 1, lo2):
-        if not ctx.hits_at_least(m, (rs, rs2), need, exclude_self=False):
+        if not ctx.hits_at_least(m, (rs, rs2), k, exclude_self=False):
             return False
     # (3)/(4) window conditions on big endpoints
-    if ctx.variant == VARIANT_TOTAL:
-        if s.kind == KIND_BIG and not ctx.inter(s.seq[-(k + 1)], s.seq[-1]):
-            return False
-        if s2.kind == KIND_BIG and not ctx.inter(s2.seq[0], s2.seq[k]):
-            return False
-    else:
-        if s.kind == KIND_BIG and not _kdom_tail_ok(ctx, s.seq):
-            return False
-        if s2.kind == KIND_BIG and not _kdom_head_ok(ctx, s2.seq):
-            return False
-    return True
+    if s.kind == KIND_BIG and not _tail_ok(ctx, s.seq):
+        return False
+    return s2.kind != KIND_BIG or _head_ok(ctx, s2.seq)
 
 
 def _e0_window(
@@ -330,41 +310,12 @@ def _e0_window(
     ``g = reach_r[t.hi] + 1``, ``g <= s.lo <= reach_r[g]``.  Probing only
     inside the window never skips an arc, and the window is about one clique
     wide.
-
-    The lower bound relies on a gap vertex needing at least one hit.  The
-    selftest fault ``e0-relax`` asks for ``k - 1`` hits, which is none at
-    k=1, so at k=1 the window hides that fault: every pair inside the window
-    already meets the k=1 gap condition, and the extra arcs the fault admits
-    all lie outside it and are never probed.  The fault is still caught
-    through the k=2 cases.
     """
     if tail_hi is None:
         g = ctx.reach_l[head_lo] - 1
         return ctx.reach_l[g], g
     g = ctx.reach_r[tail_hi] + 1
     return g, ctx.reach_r[g]
-
-
-def _kdom_tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
-    k = ctx.k
-    sset = set(seq)
-    for m in range(seq[k] + 1, seq[-1]):
-        if m in sset:
-            continue
-        if not ctx.hits_at_least(m, (seq,), k, exclude_self=False):
-            return False
-    return True
-
-
-def _kdom_head_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
-    k = ctx.k
-    sset = set(seq)
-    for m in range(seq[0] + 1, seq[k - 1]):
-        if m in sset:
-            continue
-        if not ctx.hits_at_least(m, (seq,), k, exclude_self=False):
-            return False
-    return True
 
 
 def is_e0_arc(
@@ -377,10 +328,6 @@ def is_e0_arc(
     _ctx: _Ctx | None = None,
 ) -> bool:
     """Jump-arc predicate between two nodes of the same derived digraph."""
-    if s.variant != variant or s2.variant != variant:
-        raise VariantMismatchError(
-            f"nodes built for {s.variant!r}/{s2.variant!r}, queried for {variant!r}"
-        )
     ctx = _ctx if _ctx is not None else _Ctx(model, k, variant)
     return _e0_arc(ctx, s, s2)
 
@@ -409,17 +356,9 @@ def eligible_tail_bigs(
     engine treat one member of a suffix class as a representative for all.
     """
     ctx = _ctx if _ctx is not None else _Ctx(model, k, variant)
-    out = []
-    for nd in nodes:
-        if nd.kind != KIND_BIG:
-            continue
-        if variant == VARIANT_TOTAL:
-            ok = ctx.inter(nd.seq[-(k + 1)], nd.seq[-1])
-        else:
-            ok = _kdom_tail_ok(ctx, nd.seq)
-        if ok:
-            out.append(nd.id)
-    return frozenset(out)
+    return frozenset(
+        nd.id for nd in nodes if nd.kind == KIND_BIG and _tail_ok(ctx, nd.seq)
+    )
 
 
 def _jump_length(head: DagNode, costs) -> Fraction:
@@ -469,16 +408,11 @@ class _Plan:
     __slots__ = ("ctx", "nodes", "costs", "slide_tails")
 
     def __init__(
-        self,
-        model: ProperIntervalModel,
-        k: int,
-        variant: str,
-        weighted: bool,
-        cap_nodes: int,
+        self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
     ):
-        _check_budget(model.n, k, variant, cap_nodes)
-        self.ctx = _Ctx(model, k, variant)
-        self.nodes = _enumerate_with_ctx(self.ctx)
+        _check_budget(ctx.n, ctx.k, ctx.variant, cap_nodes)
+        self.ctx = ctx
+        self.nodes = _enumerate_with_ctx(ctx)
         self.costs = model.costs if weighted else None
         if weighted and self.costs is None:
             self.costs = (Fraction(1),) * model.n
@@ -490,6 +424,49 @@ class _Plan:
             nd.id: tails_by_overlap.get(nd.seq[:-1], []) for nd in bigs
         }
 
+    def arcs(self) -> list[DagArc]:
+        """Every arc of the digraph, sorted by (tail, head)."""
+        ctx, nodes, costs = self.ctx, self.nodes, self.costs
+        arcs: list[DagArc] = []
+        for head_id, tails in self.slide_tails.items():
+            length = _slide_length(nodes[head_id], costs)
+            for tail_id in tails:
+                arcs.append(DagArc(tail_id, head_id, ARC_E1, length))
+
+        # Jump arcs: a head's lo lies past the tail's reach, and no further
+        # than the reach of the first position past it, or that position
+        # would be a gap vertex no end set hits (see _e0_window).
+        by_lo = sorted((nd for nd in nodes if nd.kind != KIND_SOURCE),
+                       key=lambda nd: (nd.lo, nd.id))
+        los = [nd.lo for nd in by_lo]
+        for tail in nodes:
+            if tail.kind == KIND_SINK:
+                continue
+            lo_min, lo_max = _e0_window(ctx, tail_hi=tail.hi)
+            first = bisect.bisect_left(los, lo_min)
+            last = bisect.bisect_right(los, lo_max, first)
+            for head in by_lo[first:last]:
+                if _e0_arc(ctx, tail, head):
+                    arcs.append(
+                        DagArc(tail.id, head.id, ARC_E0, _jump_length(head, costs))
+                    )
+        arcs.sort(key=lambda a: (a.tail, a.head))
+        return arcs
+
+
+def _engine_plan(
+    model: ProperIntervalModel, k: int, variant: str, weighted: bool, cap_nodes: int
+) -> _Plan | None:
+    """The plan an engine searches, or None when the instance is infeasible
+    outright: a total k-dominating set exists iff every vertex has at least
+    k neighbors.  That test reads the context's reach arrays and runs before
+    the budget check, so such an instance is answered at any size."""
+    ctx = _Ctx(model, k, variant)
+    degrees = (ctx.reach_r[i] - ctx.reach_l[i] for i in range(1, model.n + 1))
+    if variant == VARIANT_TOTAL and min(degrees, default=k) < k:
+        return None
+    return _Plan(ctx, model, weighted, cap_nodes)
+
 
 def build_digraph(
     model: ProperIntervalModel,
@@ -500,34 +477,10 @@ def build_digraph(
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> DerivedDigraph:
     """Materialize every node and every arc (the naive engine's input)."""
-    plan = _Plan(model, k, variant, weighted, cap_nodes)
-    ctx, nodes, costs = plan.ctx, plan.nodes, plan.costs
-    arcs: list[DagArc] = []
-
-    for head_id, tails in plan.slide_tails.items():
-        length = _slide_length(nodes[head_id], costs)
-        for tail_id in tails:
-            arcs.append(DagArc(tail_id, head_id, ARC_E1, length))
-
-    # Jump arcs: a head's lo lies past the tail's reach, and no further than
-    # the reach of the first position past it, or that position would be a
-    # gap vertex no end set hits (see _e0_window).
-    by_lo = sorted((nd for nd in nodes if nd.kind != KIND_SOURCE),
-                   key=lambda nd: (nd.lo, nd.id))
-    los = [nd.lo for nd in by_lo]
-    for tail in nodes:
-        if tail.kind == KIND_SINK:
-            continue
-        lo_min, lo_max = _e0_window(ctx, tail_hi=tail.hi)
-        first = bisect.bisect_left(los, lo_min)
-        last = bisect.bisect_right(los, lo_max, first)
-        for head in by_lo[first:last]:
-            if _e0_arc(ctx, tail, head):
-                arcs.append(
-                    DagArc(tail.id, head.id, ARC_E0, _jump_length(head, costs))
-                )
-    arcs.sort(key=lambda a: (a.tail, a.head))
-    return DerivedDigraph(tuple(nodes), tuple(arcs), variant, k, weighted, model.n)
+    plan = _Plan(_Ctx(model, k, variant), model, weighted, cap_nodes)
+    return DerivedDigraph(
+        tuple(plan.nodes), tuple(plan.arcs()), variant, k, weighted, model.n
+    )
 
 
 def path_to_vertex_set(path, model: ProperIntervalModel | None = None) -> VertexSet:
@@ -571,15 +524,13 @@ def solve_naive(
     Among equal-cost paths the lexicographically smallest node-id sequence
     wins, making the reported set deterministic.
     """
-    check_k(k)
-    check_variant(variant)
-    if variant == VARIANT_TOTAL and model.n > 0 and model_min_degree(model) < k:
-        # A total k-dominating set exists iff every vertex has >= k neighbors.
+    plan = _engine_plan(model, k, variant, weighted, cap_nodes)
+    if plan is None:
         return infeasible_solution("naive")
-    dg = build_digraph(model, k, variant, weighted, cap_nodes=cap_nodes)
-    n_nodes = len(dg.nodes)
+    arcs = plan.arcs()
+    n_nodes = len(plan.nodes)
     in_arcs: list[list[DagArc]] = [[] for _ in range(n_nodes)]
-    for arc in dg.arcs:
+    for arc in arcs:
         in_arcs[arc.head].append(arc)
     dist: list[Fraction | None] = [None] * n_nodes
     path: list[tuple[int, ...] | None] = [None] * n_nodes
@@ -597,10 +548,10 @@ def solve_naive(
                 dist[v] = cand
                 path[v] = cand_path
     sink = n_nodes - 1
-    stats = {"nodes": n_nodes, "arcs": len(dg.arcs)}
+    stats = {"nodes": n_nodes, "arcs": len(arcs)}
     if dist[sink] is None:
         return infeasible_solution("naive", stats)
-    node_path = [dg.nodes[i] for i in path[sink]]
+    node_path = [plan.nodes[i] for i in path[sink]]
     vset = path_to_vertex_set(node_path, model)
     return Solution(vset, dist[sink], True, "naive", stats)
 

@@ -4,12 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from pikdom.errors import (
-    BudgetError,
-    NotArcError,
-    NotPathError,
-    VariantMismatchError,
-)
+from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
+from pikdom.fast import solve_fast
 from pikdom.model import derive_graph, generate_random, min_degree, parse_model, with_costs
 from pikdom.oracle import brute_force_min, find_violation
 from pikdom.reduction import (
@@ -101,6 +97,25 @@ def test_projected_count_budget():
         build_digraph(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
 
 
+def test_min_degree_shortcut_runs_before_budget():
+    # Every vertex needs k neighbors for a total k-dominating set to exist;
+    # both engines answer that without nodes, so the cap never applies.
+    m = generate_random(40, 1, 1)
+    for solve in (solve_fast, solve_naive):
+        sol = solve(m, 3, "total", cap_nodes=100)
+        assert not sol.feasible and sol.stats is None
+        with pytest.raises(BudgetError):
+            solve(m, 3, "kdom", cap_nodes=100)
+
+
+def test_bad_k_is_param_error_before_budget():
+    # the budget projection would otherwise fail on comb(n, 2k) with k < 0
+    m = generate_random(8, 1, 3)
+    for build in (enumerate_nodes, build_digraph):
+        with pytest.raises(ParamError):
+            build(m, -1, "total")
+
+
 # ---------------------------------------------------------------- E0 / E1
 
 def test_source_to_sink_never_an_arc_on_nonempty():
@@ -129,13 +144,6 @@ def test_p6_kdom_small_to_small_arc():
     assert not is_e0_arc(m, 1, "kdom", s2, s6)
 
 
-def test_e0_variant_mismatch():
-    m = chain_model(4)
-    nodes = enumerate_nodes(m, 1, "kdom")
-    with pytest.raises(VariantMismatchError):
-        is_e0_arc(m, 1, "total", nodes[0], nodes[1])
-
-
 def test_e0_arcs_lie_in_windows():
     # every jump arc t -> s, dummies included, has t.hi in the window set by
     # s.lo and s.lo in the window set by t.hi
@@ -159,10 +167,10 @@ def test_e0_arcs_lie_in_windows():
 
 
 def test_e1_arc_shift():
-    mk = lambda seq: DagNode(0, "big", seq, "total")
+    mk = lambda seq: DagNode(0, "big", seq)
     assert is_e1_arc(1, mk((1, 2)), mk((2, 3)))
     assert not is_e1_arc(1, mk((1, 2)), mk((3, 4)))
-    small = DagNode(0, "small", (2, 3), "total")
+    small = DagNode(0, "small", (2, 3))
     assert not is_e1_arc(1, small, mk((3, 4)))
     assert is_e1_arc(2, mk((1, 3, 4, 6)), mk((3, 4, 6, 7)))
     assert not is_e1_arc(2, mk((1, 3, 4, 6)), mk((4, 6, 7, 8)))
@@ -171,33 +179,33 @@ def test_e1_arc_shift():
 # -------------------------------------------------------------- arc_length
 
 def test_arc_length_unweighted():
-    tail = DagNode(0, "small", (1, 2, 3), "total")
-    head = DagNode(1, "big", (5, 6, 7, 8), "total")  # k = 2
-    sink = DagNode(2, "sink", (9,), "total")
+    tail = DagNode(0, "small", (1, 2, 3))
+    head = DagNode(1, "big", (5, 6, 7, 8))  # k = 2
+    sink = DagNode(2, "sink", (9,))
     assert arc_length(tail, head, ARC_E0) == 4
     assert arc_length(head, sink, ARC_E0) == 0
-    b1 = DagNode(3, "big", (5, 6, 7, 9), "total")
-    b2 = DagNode(4, "big", (6, 7, 9, 10), "total")
+    b1 = DagNode(3, "big", (5, 6, 7, 9))
+    b2 = DagNode(4, "big", (6, 7, 9, 10))
     assert arc_length(b1, b2, ARC_E1) == 1
 
 
 def test_arc_length_weighted():
     costs = tuple(Fraction(c) for c in (5, 1, 2, 7, 3))
-    tail = DagNode(0, "big", (1, 2, 3, 4), "total")
-    head = DagNode(1, "big", (2, 3, 4, 5), "total")
+    tail = DagNode(0, "big", (1, 2, 3, 4))
+    head = DagNode(1, "big", (2, 3, 4, 5))
     assert arc_length(tail, head, ARC_E1, costs) == 3           # new vertex 5
     unit = (Fraction(1),) * 5
     assert arc_length(tail, head, ARC_E1, unit) == 1
-    src = DagNode(2, "source", (0,), "total")
+    src = DagNode(2, "source", (0,))
     assert arc_length(src, tail, ARC_E0, costs) == 5 + 1 + 2 + 7
 
 
 def test_arc_length_not_arc():
-    a = DagNode(0, "big", (1, 2), "total")
-    b = DagNode(1, "big", (3, 4), "total")
+    a = DagNode(0, "big", (1, 2))
+    b = DagNode(1, "big", (3, 4))
     with pytest.raises(NotArcError):
         arc_length(a, b, ARC_E1)
-    sink = DagNode(2, "sink", (5,), "total")
+    sink = DagNode(2, "sink", (5,))
     with pytest.raises(NotArcError):
         arc_length(sink, a, ARC_E0)
     with pytest.raises(NotArcError):
@@ -361,28 +369,28 @@ def test_naive_reports_original_numbering():
 # ------------------------------------------------------ path_to_vertex_set
 
 def test_path_to_vertex_set_examples():
-    src = DagNode(0, "source", (0,), "total")
-    sink = DagNode(3, "sink", (9,), "total")
-    big1 = DagNode(1, "big", (2, 3, 5, 6), "total")
-    big2 = DagNode(2, "big", (3, 5, 6, 7), "total")
+    src = DagNode(0, "source", (0,))
+    sink = DagNode(3, "sink", (9,))
+    big1 = DagNode(1, "big", (2, 3, 5, 6))
+    big2 = DagNode(2, "big", (3, 5, 6, 7))
     got = path_to_vertex_set([src, big1, big2, sink])
     assert got.members == (2, 3, 5, 6, 7)
 
-    s1 = DagNode(1, "small", (3,), "kdom")
-    s2 = DagNode(2, "small", (7,), "kdom")
-    src_k = DagNode(0, "source", (0,), "kdom")
-    sink_k = DagNode(3, "sink", (9,), "kdom")
+    s1 = DagNode(1, "small", (3,))
+    s2 = DagNode(2, "small", (7,))
+    src_k = DagNode(0, "source", (0,))
+    sink_k = DagNode(3, "sink", (9,))
     assert path_to_vertex_set([src_k, s1, s2, sink_k]).members == (3, 7)
 
-    pair = DagNode(1, "big", (1, 2), "total")
-    assert path_to_vertex_set([src, pair, DagNode(2, "sink", (3,), "total")]).members == (1, 2)
+    pair = DagNode(1, "big", (1, 2))
+    assert path_to_vertex_set([src, pair, DagNode(2, "sink", (3,))]).members == (1, 2)
 
 
 def test_path_to_vertex_set_rejects_non_paths():
-    src = DagNode(0, "source", (0,), "total")
-    sink = DagNode(3, "sink", (9,), "total")
-    b1 = DagNode(1, "big", (2, 3), "total")
-    b2 = DagNode(2, "big", (3, 4), "total")
+    src = DagNode(0, "source", (0,))
+    sink = DagNode(3, "sink", (9,))
+    b1 = DagNode(1, "big", (2, 3))
+    b2 = DagNode(2, "big", (3, 4))
     with pytest.raises(NotPathError):
         path_to_vertex_set([src])
     with pytest.raises(NotPathError):
