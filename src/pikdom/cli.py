@@ -163,7 +163,7 @@ def cmd_bench(args) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
         if e not in ENGINES:
-            raise ParseError(f"unknown engine {e!r}")
+            raise ParamError(f"bench: unknown engine {e!r}")
     if not engines:
         raise ParamError("bench: --engines names no engine")
     if args.dir is None and (args.n_min > args.n_max or args.reps < 1):

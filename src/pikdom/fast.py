@@ -4,8 +4,8 @@ The speedup over the naive engine comes from never materializing jump (E0)
 arcs between internal nodes.  Whether ``(t, s)`` is a jump arc depends on
 ``t`` only through its last ``k`` interval indices and its tail-eligibility,
 both shared by every member of a suffix class.  So the DP keeps one running
-minimum per class and, when processing a node, probes a single
-representative per class instead of every potential tail.
+minimum per class and, when processing a node, probes each class once
+instead of every potential tail.
 
 Only classes whose shared last index ``key[-1]`` (the ``hi`` of every
 member) lies in a window set by the node's ``lo`` are probed.  A jump arc
@@ -14,21 +14,51 @@ meet one of the two end sets; the last position that misses ``s.lo`` would
 otherwise be a gap vertex no end set meets.  Together these pin ``t.hi`` to
 about one clique's width (``reduction._e0_window`` gives the bounds and
 their derivation), so the probes per node are bounded by the classes ending
-in one clique rather than by all classes.  Every probe still runs the full
-jump-arc test.  Jump arcs incident to the dummy source and sink are tested
-explicitly, as are all slide (E1) arcs.
+in one clique rather than by all classes.
+
+A probe compares the class key against per-head thresholds instead of
+running the literal jump-arc test (``_probe_floors`` and ``_clears``).  Of
+the test's four conditions:
+
+* (1), disjoint ends, holds for every ``hi`` inside the window;
+* (3), the tail condition, holds for every class member, because only
+  tail-eligible big nodes are partitioned;
+* (4), the head condition, depends on the head alone and is evaluated once
+  per node;
+* (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
+  (``t.hi < m < s.lo``) meets the head members ``<= reach_r[m]`` and the
+  tail members ``>= reach_l[m]``.  So it needs
+  ``r(m) = k - bisect_right(s.seq, reach_r[m])`` tail members
+  ``>= reach_l[m]``, which holds iff ``len(key) >= r(m)`` and
+  ``key[-r(m)] >= reach_l[m]``: only the last ``k`` members can count.
+  With ``T_r`` the largest ``reach_l[m]`` over the gap vertices with
+  ``r(m) >= r``, the gap is covered iff ``len(key) >= r`` and
+  ``key[-r] >= T_r`` for every set ``T_r``, because ``key[-r]`` falls as
+  ``r`` grows.
+
+The window is walked from its top ``hi`` down, so each step adds one gap
+vertex.  ``reach_l`` and ``reach_r`` never decrease along the line, so going
+down ``r(m)`` only grows and ``reach_l[m]`` only falls: the first gap vertex
+with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
+and a probe is ``O(k)`` integer compares.  The naive engine keeps the
+literal test, so the differential tests check this derivation.  Jump arcs
+incident to the dummy source and sink are tested explicitly, only for the
+nodes whose window admits them, as are all slide (E1) arcs.
 
 Per node the DP tracks the best path ending in a jump arc and the best path
 overall; per slide arc the best path ending with exactly that arc; per class
-the best path ending anywhere in the class.  Unreachable states are ``None``
-rather than a sentinel value because costs are exact rationals.
+the best path ending anywhere in the class.  Path lengths are plain ints in
+the plan's units (see ``reduction._Plan``) and the optimum is divided by the
+plan's ``scale`` once; unreachable states are ``None``.
 
-The nodes, costs and slide-arc index come from the same ``reduction._Plan``
-the naive engine builds; the two engines differ only in the search.
+The nodes, charges and slide-arc index come from the same
+``reduction._Plan`` the naive engine builds; the two engines differ only in
+the search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,9 +76,8 @@ from .reduction import (
     _e0_arc,
     _e0_window,
     _engine_plan,
-    _jump_length,
+    _head_ok,
     _Plan,
-    _slide_length,
     eligible_tail_bigs,
     path_to_vertex_set,
 )
@@ -68,7 +97,7 @@ def suffix_key(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
 class SuffixClass:
     key: tuple[int, ...]
     members: tuple[int, ...]
-    best: Fraction | None = None
+    best: int | None = None
     best_node: int | None = None
 
 
@@ -104,6 +133,46 @@ def topo_order(nodes, k: int) -> list[int]:
     return order
 
 
+def _probe_floors(ctx: _Ctx, head: DagNode):
+    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the middle
+    node ``head`` can have, from the top of its window down.
+
+    A suffix class whose members end at ``hi`` has a jump arc into ``head``
+    iff ``_clears(key, floors)``.  ``floors[r-1]`` is the least value
+    ``key[-r]`` may take; ``floors`` is None when ``head`` fails condition
+    (4), so that no class clears it.  The module docstring derives the rule.
+    """
+    hi_min, hi_max = _e0_window(ctx, head_lo=head.lo)
+    his = range(hi_max, hi_min - 1, -1)
+    if head.kind == KIND_BIG and not _head_ok(ctx, head.seq):
+        for hi in his:
+            yield hi, None
+        return
+    k, seq = ctx.k, head.seq
+    reach_l, reach_r = ctx.reach_l, ctx.reach_r
+    floors: tuple[int, ...] = ()
+    m = head.lo - 1  # the next gap vertex to fold in
+    for hi in his:
+        # Once k floors are set, no lower gap vertex can raise one.
+        while m > hi and len(floors) < k:
+            need = k - bisect_right(seq, reach_r[m])
+            if need > len(floors):
+                floors += (reach_l[m],) * (need - len(floors))
+            m -= 1
+        yield hi, floors
+
+
+def _clears(key: tuple[int, ...], floors: tuple[int, ...] | None) -> bool:
+    """The key-threshold probe: does a class with suffix key ``key`` meet
+    the floors ``_probe_floors`` gave for its ``hi``?"""
+    if floors is None or len(key) < len(floors):
+        return False
+    for r, floor in enumerate(floors, 1):
+        if key[-r] < floor:
+            return False
+    return True
+
+
 _PRED_SOURCE = "src"
 _PRED_CLASS = "cls"
 _PRED_SLIDE = "e1"
@@ -133,13 +202,14 @@ def solve_fast_with_path(
 ) -> tuple[Solution, list[DagNode] | None]:
     """As solve_fast, but also return the reconstructed node path.
 
-    ``_trace``, when given a dict, receives DP internals (per-node values,
-    sweep order, class minima) for the invariant tests.
+    ``_trace``, when given a dict, receives DP internals (per-node values
+    in the plan's integer units, sweep order, class minima) for the
+    invariant tests.
     """
     plan = _engine_plan(model, k, variant, weighted, cap_nodes)
     if plan is None:
         return infeasible_solution("fast"), None
-    ctx, nodes, costs = plan.ctx, plan.nodes, plan.costs
+    ctx, nodes, jump = plan.ctx, plan.nodes, plan.jump
     source = nodes[0]
     sink = nodes[-1]
     middle = nodes[1:-1]
@@ -155,8 +225,9 @@ def solve_fast_with_path(
     order = [nodes[i] for i in topo_order(nodes, k)]
     sweep = order[1:-1]
 
-    dist: dict[int, Fraction | None] = {source.id: Fraction(0)}
-    dist_jump: dict[int, Fraction | None] = {}
+    # Path lengths are plain ints in the plan's units.
+    dist: dict[int, int | None] = {source.id: 0}
+    dist_jump: dict[int, int | None] = {}
     pred: dict[int, tuple] = {}
     repr_tests = 0
 
@@ -168,8 +239,10 @@ def solve_fast_with_path(
         while run_end < len(sweep) and suffix_key(sweep[run_end].seq, k) == key:
             run_end += 1
         for nd in sweep[idx:run_end]:
-            w = _jump_length(nd, costs)
-            if _e0_arc(ctx, source, nd):
+            w = jump[nd.id]
+            # A jump arc from the source needs its hi, 0, in nd's window.
+            hi_min, _ = _e0_window(ctx, head_lo=nd.lo)
+            if hi_min == 0 and _e0_arc(ctx, source, nd):
                 dj = w
                 pj: tuple | None = (_PRED_SOURCE,)
             else:
@@ -178,14 +251,13 @@ def solve_fast_with_path(
                 dj = None
                 pj = None
                 dj_pos = -1
-                hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
-                for hi in range(hi_min, hi_max + 1):
+                for hi, floors in _probe_floors(ctx, nd):
                     for pos in by_hi[hi]:
                         cl = classes[pos]
                         if cl.best is None:
                             continue
                         repr_tests += 1
-                        if _e0_arc(ctx, nodes[cl.members[0]], nd):
+                        if _clears(cl.key, floors):
                             cand = cl.best + w
                             # equal costs go to the first class in key order
                             if dj is None or (cand, pos) < (dj, dj_pos):
@@ -199,7 +271,7 @@ def solve_fast_with_path(
                 dt = dist.get(tail_id)
                 if dt is None:
                     continue
-                cand = dt + _slide_length(nd, costs)
+                cand = dt + plan.slide[nd.id]
                 if best is None or cand < best:
                     best = cand
                     best_pred = (_PRED_SLIDE, tail_id)
@@ -215,12 +287,14 @@ def solve_fast_with_path(
                     cl.best_node = mid
         idx = run_end
 
-    # Sink: its incoming jump arcs are the one place they are materialized.
-    sink_dist: Fraction | None = None
+    # Sink: its incoming jump arcs are the one place they are materialized;
+    # only tails whose hi lies in the sink's window can have one.
+    sink_dist: int | None = None
     sink_pred: int | None = None
+    sink_hi_min, _ = _e0_window(ctx, head_lo=sink.lo)
     for nd in [source] + sweep:
         d = dist.get(nd.id)
-        if d is None:
+        if d is None or nd.hi < sink_hi_min:
             continue
         if sink_dist is not None and d >= sink_dist:
             continue
@@ -259,7 +333,8 @@ def solve_fast_with_path(
         rev.append(cur)
     node_path = [nodes[i] for i in reversed(rev)]
     vset = path_to_vertex_set(node_path, model)
-    return Solution(vset, sink_dist, True, "fast", stats), node_path
+    cost = Fraction(sink_dist, plan.scale)
+    return Solution(vset, cost, True, "fast", stats), node_path
 
 
 def representative_independence_check(

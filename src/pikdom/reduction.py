@@ -18,10 +18,11 @@ All index arithmetic runs in the model's sorted numbering extended by the
 two dummies: position 0 is the source interval, 1..n the model, n+1 the
 sink interval.
 
-Both DAG engines get one ``_Plan`` (budget check, context, nodes, costs
-and slide-arc index) from ``_engine_plan``, which first answers the total
-variant's min-degree shortcut, and differ only in the search: ``naive``
-materializes every arc and relaxes them, ``fast`` runs the suffix-class DP.
+Both DAG engines get one ``_Plan`` (budget check, context, nodes, integer
+arc charges and slide-arc index) from ``_engine_plan``, which first answers
+the total variant's min-degree shortcut, and differ only in the search:
+``naive`` materializes every arc and relaxes them, ``fast`` runs the
+suffix-class DP.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
 from .model import Interval, ProperIntervalModel, format_rational
@@ -233,7 +234,9 @@ def enumerate_nodes(
     are evaluated.  Lexicographic order is topological here: every arc
     strictly increases the leftmost index.
     """
-    return _Plan(_Ctx(model, k, variant), model, False, cap_nodes).nodes
+    ctx = _Ctx(model, k, variant)
+    _check_budget(ctx.n, k, variant, cap_nodes)
+    return _enumerate_with_ctx(ctx)
 
 
 def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
@@ -361,19 +364,24 @@ def eligible_tail_bigs(
     )
 
 
-def _jump_length(head: DagNode, costs) -> Fraction:
-    """A jump arc pays for every vertex of its head; arcs into the sink are free."""
+def _jump_length(head: DagNode, costs):
+    """A jump arc pays for every vertex of its head; arcs into the sink are free.
+
+    ``costs`` is a per-vertex sequence (exact rationals or integer units) or
+    None for unit costs; the charge has the costs' number type, ``int`` when
+    unweighted.
+    """
     if head.kind == KIND_SINK:
-        return Fraction(0)
+        return 0
     if costs is None:
-        return Fraction(len(head.seq))
-    return sum((costs[i - 1] for i in head.seq), Fraction(0))
+        return len(head.seq)
+    return sum(costs[i - 1] for i in head.seq)
 
 
-def _slide_length(head: DagNode, costs) -> Fraction:
+def _slide_length(head: DagNode, costs):
     """A slide arc pays for the one vertex its head appends."""
     if costs is None:
-        return Fraction(1)
+        return 1
     return costs[head.seq[-1] - 1]
 
 
@@ -389,23 +397,31 @@ def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
         k2 = len(s.seq)
         if k2 % 2 or not is_e1_arc(k2 // 2, s, s2):
             raise NotArcError("not a slide arc")
-        return _slide_length(s2, costs)
+        return Fraction(_slide_length(s2, costs))
     if cls == ARC_E0:
         if s.kind == KIND_SINK or s2.kind == KIND_SOURCE or not s.hi < s2.lo:
             raise NotArcError("not a jump arc")
-        return _jump_length(s2, costs)
+        return Fraction(_jump_length(s2, costs))
     raise NotArcError(f"unknown arc class {cls!r}")
 
 
 class _Plan:
     """What both DAG engines build once per solve, after the budget check.
 
+    The searches run in integer units: ``scale`` is the least common
+    multiple of the cost denominators (1 when unweighted), a cost ``c`` is
+    the integer ``c * scale``, and a path length in units divided by
+    ``scale`` is its exact rational length.  ``jump[i]`` is node i's charge
+    as the head of a jump arc and ``slide[i]`` big node i's charge as the
+    head of a slide arc, both in units and both defined by
+    ``_jump_length``/``_slide_length``.
+
     ``slide_tails`` maps each big node's id to the sorted ids of the big
     nodes with a slide arc into it: the tail's last ``2k-1`` indices are the
     head's first ``2k-1``.
     """
 
-    __slots__ = ("ctx", "nodes", "costs", "slide_tails")
+    __slots__ = ("ctx", "nodes", "scale", "jump", "slide", "slide_tails")
 
     def __init__(
         self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
@@ -413,10 +429,15 @@ class _Plan:
         _check_budget(ctx.n, ctx.k, ctx.variant, cap_nodes)
         self.ctx = ctx
         self.nodes = _enumerate_with_ctx(ctx)
-        self.costs = model.costs if weighted else None
-        if weighted and self.costs is None:
-            self.costs = (Fraction(1),) * model.n
+        units = None
+        self.scale = 1
+        if weighted:
+            costs = model.costs if model.costs is not None else (1,) * model.n
+            self.scale = lcm(*(c.denominator for c in costs))
+            units = [c.numerator * (self.scale // c.denominator) for c in costs]
+        self.jump = [_jump_length(nd, units) for nd in self.nodes]
         bigs = [nd for nd in self.nodes if nd.kind == KIND_BIG]
+        self.slide = {nd.id: _slide_length(nd, units) for nd in bigs}
         tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
         for nd in bigs:
             tails_by_overlap.setdefault(nd.seq[1:], []).append(nd.id)
@@ -424,14 +445,15 @@ class _Plan:
             nd.id: tails_by_overlap.get(nd.seq[:-1], []) for nd in bigs
         }
 
-    def arcs(self) -> list[DagArc]:
-        """Every arc of the digraph, sorted by (tail, head)."""
-        ctx, nodes, costs = self.ctx, self.nodes, self.costs
-        arcs: list[DagArc] = []
+    def arcs(self) -> list[tuple[int, int, str, int]]:
+        """Every arc as ``(tail, head, class, length in units)``, sorted by
+        (tail, head)."""
+        ctx, nodes = self.ctx, self.nodes
+        arcs = []
         for head_id, tails in self.slide_tails.items():
-            length = _slide_length(nodes[head_id], costs)
+            length = self.slide[head_id]
             for tail_id in tails:
-                arcs.append(DagArc(tail_id, head_id, ARC_E1, length))
+                arcs.append((tail_id, head_id, ARC_E1, length))
 
         # Jump arcs: a head's lo lies past the tail's reach, and no further
         # than the reach of the first position past it, or that position
@@ -447,10 +469,8 @@ class _Plan:
             last = bisect.bisect_right(los, lo_max, first)
             for head in by_lo[first:last]:
                 if _e0_arc(ctx, tail, head):
-                    arcs.append(
-                        DagArc(tail.id, head.id, ARC_E0, _jump_length(head, costs))
-                    )
-        arcs.sort(key=lambda a: (a.tail, a.head))
+                    arcs.append((tail.id, head.id, ARC_E0, self.jump[head.id]))
+        arcs.sort()
         return arcs
 
 
@@ -478,9 +498,11 @@ def build_digraph(
 ) -> DerivedDigraph:
     """Materialize every node and every arc (the naive engine's input)."""
     plan = _Plan(_Ctx(model, k, variant), model, weighted, cap_nodes)
-    return DerivedDigraph(
-        tuple(plan.nodes), tuple(plan.arcs()), variant, k, weighted, model.n
+    arcs = tuple(
+        DagArc(tail, head, cls, Fraction(length, plan.scale))
+        for tail, head, cls, length in plan.arcs()
     )
+    return DerivedDigraph(tuple(plan.nodes), arcs, variant, k, weighted, model.n)
 
 
 def path_to_vertex_set(path, model: ProperIntervalModel | None = None) -> VertexSet:
@@ -529,19 +551,20 @@ def solve_naive(
         return infeasible_solution("naive")
     arcs = plan.arcs()
     n_nodes = len(plan.nodes)
-    in_arcs: list[list[DagArc]] = [[] for _ in range(n_nodes)]
-    for arc in arcs:
-        in_arcs[arc.head].append(arc)
-    dist: list[Fraction | None] = [None] * n_nodes
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for tail, head, _, length in arcs:
+        in_arcs[head].append((tail, length))
+    # Path lengths are plain ints in the plan's units.
+    dist: list[int | None] = [None] * n_nodes
     path: list[tuple[int, ...] | None] = [None] * n_nodes
-    dist[0] = Fraction(0)
+    dist[0] = 0
     path[0] = (0,)
     for v in range(1, n_nodes):
-        for arc in in_arcs[v]:
-            if dist[arc.tail] is None:
+        for tail, length in in_arcs[v]:
+            if dist[tail] is None:
                 continue
-            cand = dist[arc.tail] + arc.length
-            cand_path = path[arc.tail] + (v,)
+            cand = dist[tail] + length
+            cand_path = path[tail] + (v,)
             if dist[v] is None or cand < dist[v] or (
                 cand == dist[v] and cand_path < path[v]
             ):
@@ -553,7 +576,7 @@ def solve_naive(
         return infeasible_solution("naive", stats)
     node_path = [plan.nodes[i] for i in path[sink]]
     vset = path_to_vertex_set(node_path, model)
-    return Solution(vset, dist[sink], True, "naive", stats)
+    return Solution(vset, Fraction(dist[sink], plan.scale), True, "naive", stats)
 
 
 def dump_digraph(dg: DerivedDigraph) -> str:

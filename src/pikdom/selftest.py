@@ -39,7 +39,12 @@ def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
     for i, n, k, stretch in _case_stream(seed, quick):
         model = generate_random(n, seed * 100003 + i, stretch)
         rng = random.Random(seed * 7919 + i)
-        weighted_model = with_costs(model, [rng.randint(0, 10) for _ in range(n)])
+        # Mixed denominators, so the DAG engines search with a scale above 1.
+        costs = [
+            Fraction(rng.randint(0, 20), rng.choice((1, 2, 3, 5, 7)))
+            for _ in range(n)
+        ]
+        weighted_model = with_costs(model, costs)
         graph = derive_graph(model)
         for variant in (VARIANT_KDOM, VARIANT_TOTAL):
             for m, weighted in ((model, False), (weighted_model, True)):

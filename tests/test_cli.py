@@ -283,6 +283,14 @@ def test_bench_empty_matrix_exit_1(capsys, argv):
     assert err.startswith("error[E_PARAM]: ") and err.count("\n") == 1
 
 
+def test_bench_unknown_engine_exit_1(capsys):
+    code, out, err = run(capsys, "bench", "--engines", "fast,bogus")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[E_PARAM]: ") and err.count("\n") == 1
+    assert "bogus" in err
+
+
 # --------------------------------------------------------------- selftest
 
 def test_selftest_quick_pass(capsys):

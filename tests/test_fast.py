@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pikdom.errors import TooLargeError
 from pikdom.fast import (
+    _clears,
+    _probe_floors,
     representative_independence_check,
     solve_fast,
     solve_fast_with_path,
@@ -12,9 +16,13 @@ from pikdom.fast import (
     suffix_partition,
     topo_order,
 )
-from pikdom.model import derive_graph, generate_random, with_costs
+from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
+    _Ctx,
+    _e0_arc,
+    _e0_window,
+    arc_length,
     build_digraph,
     eligible_tail_bigs,
     enumerate_nodes,
@@ -248,6 +256,116 @@ def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, pr
     sol = solve_fast(generate_random(n, seed, stretch), k, variant)
     assert sol.cost == cost
     assert sol.stats["representative_tests"] == probes
+
+
+def test_threshold_probe_matches_jump_arc_test():
+    # For every middle node and every class whose hi lies in its window, the
+    # key-threshold probe answers as the literal jump-arc test does on the
+    # class representative.
+    checked = {True: 0, False: 0}
+    short_keys = 0
+    for n in range(4, 15):
+        for seed, stretch in ((0, 3), (1, Fraction(9, 2)), (2, 7)):
+            m = generate_random(n, 3300 + 10 * n + seed, stretch)
+            for k in (1, 2, 3):
+                for variant in ("kdom", "total"):
+                    ctx = _Ctx(m, k, variant)
+                    nodes = enumerate_nodes(m, k, variant)
+                    middle = nodes[1:-1]
+                    eligible = eligible_tail_bigs(middle, m, k, variant)
+                    by_hi = {}
+                    for cl in suffix_partition(middle, k, eligible):
+                        by_hi.setdefault(cl.key[-1], []).append(cl)
+                    for nd in middle:
+                        hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
+                        walk = list(_probe_floors(ctx, nd))
+                        his = [hi for hi, _ in walk]
+                        assert his == list(range(hi_max, hi_min - 1, -1))
+                        for hi, floors in walk:
+                            for cl in by_hi.get(hi, ()):
+                                want = _e0_arc(ctx, nodes[cl.members[0]], nd)
+                                assert _clears(cl.key, floors) == want, (
+                                    n, seed, k, variant, cl.key, nd.seq
+                                )
+                                checked[want] += 1
+                                short_keys += len(cl.key) < k
+    assert min(checked.values()) > 1000
+    assert short_keys > 100
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _prime_denominator_costs(n, rng):
+    """Zero costs plus rationals whose denominators split the primes up to
+    47 among them, so the denominators' LCM is their product (~6.1e17)."""
+    nonzero = sorted(rng.sample(range(n), max(1, n - n // 4)))
+    costs = [Fraction(0)] * n
+    for i, pos in enumerate(nonzero):
+        den = 1
+        for p in _PRIMES[i::len(nonzero)]:
+            den *= p
+        costs[pos] = Fraction(den * rng.randint(0, 2) + 1, den)
+    return costs
+
+
+def test_exact_costs_with_huge_denominator_lcm():
+    rng = random.Random(47)
+    for n in range(4, 13):
+        m = generate_random(n, 4700 + n, [2, 3, Fraction(7, 2)][n % 3])
+        mw = with_costs(m, _prime_denominator_costs(n, rng))
+        assert lcm(*(c.denominator for c in mw.costs)) > 10**17
+        for k in (1, 2):
+            for variant in ("kdom", "total"):
+                for model, weighted in ((m, False), (mw, True)):
+                    sols = [
+                        brute_force_min(model, k, variant, weighted),
+                        solve_naive(model, k, variant, weighted),
+                        solve_fast(model, k, variant, weighted),
+                    ]
+                    assert len({s.feasible for s in sols}) == 1
+                    if sols[0].feasible:
+                        assert len({s.cost for s in sols}) == 1
+                        assert all(type(s.cost) is Fraction for s in sols)
+                dg = build_digraph(mw, k, variant, weighted=True)
+                for a in dg.arcs:
+                    t, h = dg.nodes[a.tail], dg.nodes[a.head]
+                    assert type(a.length) is Fraction
+                    assert a.length == arc_length(t, h, a.cls, mw.costs)
+
+
+@pytest.mark.parametrize(
+    "k, n_min, n_max, stretch_max", [(1, 30, 80, 10), (2, 20, 40, 6)]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fast_matches_naive_mid_scale(k, n_min, n_max, stretch_max, data):
+    # Past brute force's range, with a rational stretch and mixed-denominator
+    # costs; the stretch cap keeps naive's arc count small for k=2.
+    seed = data.draw(st.integers(min_value=0, max_value=2**32), label="seed")
+    n = data.draw(st.integers(min_value=n_min, max_value=n_max), label="n")
+    stretch = data.draw(
+        st.fractions(min_value=1, max_value=stretch_max, max_denominator=4),
+        label="stretch",
+    )
+    m = generate_random(n, seed, stretch)
+    rng = random.Random(seed)
+    costs = [
+        Fraction(rng.randint(0, 20), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)
+    ]
+    mw = with_costs(m, costs)
+    g = derive_graph(mw)
+    for variant in ("kdom", "total"):
+        fs = solve_fast(mw, k, variant, weighted=True)
+        nv = solve_naive(mw, k, variant, weighted=True)
+        where = (
+            f"seed={seed} n={n} k={k} stretch={stretch} variant={variant}\n"
+            + serialize_model(mw)
+        )
+        assert (fs.feasible, fs.cost) == (nv.feasible, nv.cost), where
+        if fs.feasible:
+            assert find_violation(g, fs.vertices, k, variant) is None, where
+            assert fs.cost == sum(costs[v - 1] for v in fs.vertices), where
 
 
 def test_fast_e1_count_matches_naive_digraph():
