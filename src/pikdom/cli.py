@@ -135,7 +135,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    model = generate_random(args.n, args.seed, parse_rational(args.stretch))
+    model = generate_random(args.n, args.seed, args.stretch)
     text = serialize_model(model)
     if args.out:
         Path(args.out).write_text(text)
@@ -144,7 +144,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_instances(args, stretch: Fraction):
+def _bench_instances(args):
     if args.dir is not None:
         paths = sorted(Path(args.dir).glob("*.txt"))
         if not paths:
@@ -155,11 +155,10 @@ def _bench_instances(args, stretch: Fraction):
     for n in range(args.n_min, args.n_max + 1):
         for rep in range(args.reps):
             label = f"gen-n{n}-r{rep}"
-            yield label, generate_random(n, args.seed + 977 * n + rep, stretch)
+            yield label, generate_random(n, args.seed + 977 * n + rep, args.stretch)
 
 
 def cmd_bench(args) -> int:
-    stretch = parse_rational(args.stretch)
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
         if e not in ENGINES:
@@ -172,7 +171,7 @@ def cmd_bench(args) -> int:
             f"--n-max {args.n_max} --reps {args.reps})"
         )
     rows = ["n,k,variant,engine,nodes,arcs_or_tests,wall_ms,cost"]
-    for label, model in _bench_instances(args, stretch):
+    for label, model in _bench_instances(args):
         seen: dict[str, object] = {}
         for engine in engines:
             t0 = time.perf_counter()
@@ -203,6 +202,14 @@ def cmd_bench(args) -> int:
 def cmd_selftest(args) -> int:
     ok = run_selftest(seed=args.seed, quick=args.quick)
     return EXIT_OK if ok else EXIT_ERROR
+
+
+def _rational_arg(token: str) -> Fraction:
+    """A rational flag value; a bad literal is a usage error."""
+    try:
+        return parse_rational(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--stretch", default="3")
+    p_gen.add_argument("--stretch", type=_rational_arg, default="3")
     p_gen.add_argument("--out", metavar="PATH", default=None)
 
     p_bench = sub.add_parser("bench", help="CSV benchmark over instances")
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=int, default=1)
     p_bench.add_argument("--engines", default="fast,naive")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--stretch", default="3")
+    p_bench.add_argument("--stretch", type=_rational_arg, default="3")
     p_bench.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
     p_bench.add_argument("--cap-brute", type=int, default=20)
 

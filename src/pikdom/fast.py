@@ -26,9 +26,10 @@ the test's four conditions:
 * (4), the head condition, depends on the head alone and is evaluated once
   per node;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
-  (``t.hi < m < s.lo``) meets the head members ``<= reach_r[m]`` and the
-  tail members ``>= reach_l[m]``.  So it needs
-  ``r(m) = k - bisect_right(s.seq, reach_r[m])`` tail members
+  (``t.hi < m < s.lo``) meets the members of each end set inside its reach
+  range ``reach_l[m]..reach_r[m]``, which ``reduction._hits`` counts: the
+  head members ``<= reach_r[m]`` and the tail members ``>= reach_l[m]``.
+  So it needs ``r(m) = k - _hits(ctx, s.seq, m)`` tail members
   ``>= reach_l[m]``, which holds iff ``len(key) >= r(m)`` and
   ``key[-r(m)] >= reach_l[m]``: only the last ``k`` members can count.
   With ``T_r`` the largest ``reach_l[m]`` over the gap vertices with
@@ -58,9 +59,9 @@ the search.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import TooLargeError
 from .model import ProperIntervalModel
@@ -77,6 +78,7 @@ from .reduction import (
     _e0_window,
     _engine_plan,
     _head_ok,
+    _hits,
     _Plan,
     eligible_tail_bigs,
     path_to_vertex_set,
@@ -148,14 +150,13 @@ def _probe_floors(ctx: _Ctx, head: DagNode):
         for hi in his:
             yield hi, None
         return
-    k, seq = ctx.k, head.seq
-    reach_l, reach_r = ctx.reach_l, ctx.reach_r
+    k, seq, reach_l = ctx.k, head.seq, ctx.reach_l
     floors: tuple[int, ...] = ()
     m = head.lo - 1  # the next gap vertex to fold in
     for hi in his:
         # Once k floors are set, no lower gap vertex can raise one.
         while m > hi and len(floors) < k:
-            need = k - bisect_right(seq, reach_r[m])
+            need = k - _hits(ctx, seq, m)
             if need > len(floors):
                 floors += (reach_l[m],) * (need - len(floors))
             m -= 1
@@ -171,11 +172,6 @@ def _clears(key: tuple[int, ...], floors: tuple[int, ...] | None) -> bool:
         if key[-r] < floor:
             return False
     return True
-
-
-_PRED_SOURCE = "src"
-_PRED_CLASS = "cls"
-_PRED_SLIDE = "e1"
 
 
 def solve_fast(
@@ -225,26 +221,22 @@ def solve_fast_with_path(
     order = [nodes[i] for i in topo_order(nodes, k)]
     sweep = order[1:-1]
 
-    # Path lengths are plain ints in the plan's units.
+    # Path lengths are plain ints in the plan's units; pred maps a node id
+    # to the id of the node before it on its best path.
     dist: dict[int, int | None] = {source.id: 0}
     dist_jump: dict[int, int | None] = {}
-    pred: dict[int, tuple] = {}
+    pred: dict[int, int] = {}
     repr_tests = 0
 
-    idx = 0
-    while idx < len(sweep):
-        # one contiguous run of equal suffix keys
-        key = suffix_key(sweep[idx].seq, k)
-        run_end = idx
-        while run_end < len(sweep) and suffix_key(sweep[run_end].seq, k) == key:
-            run_end += 1
-        for nd in sweep[idx:run_end]:
+    # one contiguous run of equal suffix keys at a time
+    for key, run in groupby(sweep, key=lambda nd: suffix_key(nd.seq, k)):
+        for nd in run:
             w = jump[nd.id]
             # A jump arc from the source needs its hi, 0, in nd's window.
             hi_min, _ = _e0_window(ctx, head_lo=nd.lo)
             if hi_min == 0 and _e0_arc(ctx, source, nd):
                 dj = w
-                pj: tuple | None = (_PRED_SOURCE,)
+                pj: int | None = source.id
             else:
                 # Every class in the window ends before nd.lo, so its key
                 # sorts before nd's and it was finalized in an earlier run.
@@ -263,7 +255,7 @@ def solve_fast_with_path(
                             if dj is None or (cand, pos) < (dj, dj_pos):
                                 dj = cand
                                 dj_pos = pos
-                                pj = (_PRED_CLASS, cl.best_node)
+                                pj = cl.best_node
             dist_jump[nd.id] = dj
             best = dj
             best_pred = pj
@@ -274,7 +266,7 @@ def solve_fast_with_path(
                 cand = dt + plan.slide[nd.id]
                 if best is None or cand < best:
                     best = cand
-                    best_pred = (_PRED_SLIDE, tail_id)
+                    best_pred = tail_id
             dist[nd.id] = best
             if best is not None:
                 pred[nd.id] = best_pred
@@ -285,7 +277,6 @@ def solve_fast_with_path(
                 if d is not None and (cl.best is None or d < cl.best):
                     cl.best = d
                     cl.best_node = mid
-        idx = run_end
 
     # Sink: its incoming jump arcs are the one place they are materialized;
     # only tails whose hi lies in the sink's window can have one.
@@ -323,14 +314,8 @@ def solve_fast_with_path(
 
     # Reconstruction follows the recorded predecessors back to the source.
     rev = [sink.id, sink_pred]
-    cur = sink_pred
-    while cur != source.id:
-        tag = pred[cur]
-        if tag[0] == _PRED_SOURCE:
-            cur = source.id
-        else:
-            cur = tag[1]
-        rev.append(cur)
+    while rev[-1] != source.id:
+        rev.append(pred[rev[-1]])
     node_path = [nodes[i] for i in reversed(rev)]
     vset = path_to_vertex_set(node_path, model)
     cost = Fraction(sink_dist, plan.scale)

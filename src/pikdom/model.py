@@ -239,20 +239,30 @@ def intersects(model: ProperIntervalModel, i: int, j: int) -> bool:
     return model.intervals[j - 1].left <= model.intervals[i - 1].right
 
 
-def _reach_sorted(model: ProperIntervalModel) -> list[int]:
-    """reach[i] (0-based) = largest j with interval j intersecting interval i."""
-    n = model.n
-    lefts = [iv.left for iv in model.intervals]
-    rights = [iv.right for iv in model.intervals]
-    reach = [0] * n
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j + 1 < n and lefts[j + 1] <= rights[i]:
-            j += 1
-        reach[i] = j
-    return reach
+def _reach_ranges(intervals) -> tuple[list[int], list[int]]:
+    """``reach_l[i]``/``reach_r[i]``: the first and last position (0-based)
+    whose interval meets ``intervals[i]``.
+
+    In a family sorted by left endpoint with no interval containing another,
+    the intervals meeting i form one contiguous block, and both ends of the
+    block only move right as i grows, so one two-pointer sweep finds them:
+    ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the first interval
+    whose walk reaches position j is ``reach_l[j]``.
+    """
+    lefts = [iv.left for iv in intervals]
+    rights = [iv.right for iv in intervals]
+    m = len(intervals)
+    reach_l = list(range(m))  # a position no earlier walk reaches
+    reach_r = [0] * m
+    hi = 0
+    for i in range(m):
+        if hi < i:
+            hi = i
+        while hi + 1 < m and lefts[hi + 1] <= rights[i]:
+            hi += 1
+            reach_l[hi] = i
+        reach_r[i] = hi
+    return reach_l, reach_r
 
 
 @dataclass(frozen=True)
@@ -274,11 +284,11 @@ class DerivedGraph:
 def derive_graph(model: ProperIntervalModel) -> DerivedGraph:
     """Build the intersection graph; adjacency matches pairwise intersects."""
     n = model.n
-    reach = _reach_sorted(model)
+    _, reach_r = _reach_ranges(model.intervals)
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         oi = model.original_ids[i]
-        for j in range(i + 1, reach[i] + 1):
+        for j in range(i + 1, reach_r[i] + 1):
             oj = model.original_ids[j]
             adj[oi - 1].append(oj)
             adj[oj - 1].append(oi)
@@ -295,17 +305,8 @@ def model_min_degree(model: ProperIntervalModel) -> int:
     """Minimum vertex degree straight from the sorted model, O(n)."""
     if model.n == 0:
         raise EmptyGraphError("min_degree undefined on the empty model")
-    reach = _reach_sorted(model)
-    n = model.n
-    left_reach = [0] * n
-    j = n - 1
-    for i in range(n - 1, -1, -1):
-        if j > i:
-            j = i
-        while j - 1 >= 0 and reach[j - 1] >= i:
-            j -= 1
-        left_reach[i] = j
-    return min(reach[i] - left_reach[i] for i in range(n))
+    reach_l, reach_r = _reach_ranges(model.intervals)
+    return min(r - l for l, r in zip(reach_l, reach_r))
 
 
 _GAP_MAX = 4  # integer gap between consecutive left endpoints

@@ -16,7 +16,9 @@ increasing, consecutively-intersecting index sequences:
 
 All index arithmetic runs in the model's sorted numbering extended by the
 two dummies: position 0 is the source interval, 1..n the model, n+1 the
-sink interval.
+sink interval.  Every intersection count reads reach ranges: the members of
+a sorted sequence that meet position m are the ones inside
+``reach_l[m]..reach_r[m]``, found by two binary searches (``_hits``).
 
 Both DAG engines get one ``_Plan`` (budget check, context, nodes, integer
 arc charges and slide-arc index) from ``_engine_plan``, which first answers
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
-from .model import Interval, ProperIntervalModel, format_rational
+from .model import Interval, ProperIntervalModel, _reach_ranges, format_rational
 from .oracle import (
     Solution,
     VARIANT_TOTAL,
@@ -123,45 +125,7 @@ class _Ctx:
             + list(model.intervals)
             + [Interval(bn + 1, bn + 2)]
         )
-        m = len(ext)
-        lefts = [iv.left for iv in ext]
-        rights = [iv.right for iv in ext]
-        rr = [0] * m
-        j = 0
-        for i in range(m):
-            if j < i:
-                j = i
-            while j + 1 < m and lefts[j + 1] <= rights[i]:
-                j += 1
-            rr[i] = j
-        rl = [0] * m
-        j = m - 1
-        for i in range(m - 1, -1, -1):
-            if j > i:
-                j = i
-            while j - 1 >= 0 and rr[j - 1] >= i:
-                j -= 1
-            rl[i] = j
-        self.reach_r = rr
-        self.reach_l = rl
-
-    def hits_at_least(self, m: int, seqs, need: int, exclude_self: bool) -> bool:
-        """Does interval m intersect >= need members of the given sequences?
-
-        ``exclude_self`` drops m from the count when it appears in a
-        sequence (the total variant counts against the set minus itself).
-        """
-        lo, hi = self.reach_l[m], self.reach_r[m]
-        cnt = 0
-        for seq in seqs:
-            for t in seq:
-                if exclude_self and t == m:
-                    continue
-                if lo <= t <= hi:
-                    cnt += 1
-                    if cnt >= need:
-                        return True
-        return need <= 0
+        self.reach_l, self.reach_r = _reach_ranges(ext)
 
 
 def _small_lengths(k: int, variant: str) -> range:
@@ -184,19 +148,28 @@ def _check_budget(n: int, k: int, variant: str, cap_nodes: int) -> None:
         )
 
 
+def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
+    """How many members of the sorted sequence ``seq`` meet position m, m
+    itself included when it is a member: they are the members inside m's
+    reach range."""
+    lo, hi = ctx.reach_l[m], ctx.reach_r[m]
+    return bisect.bisect_right(seq, hi) - bisect.bisect_left(seq, lo)
+
+
 def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> bool:
     """Does every position in ``first..last`` that needs cover meet at least
     k members of ``seq``?
 
-    Total variant: every position does, and a member does not count itself.
-    Plain k-domination: members dominate themselves and are skipped.
+    Total variant: every position does, and a member, which meets itself,
+    needs k + 1 hits.  Plain k-domination: members dominate themselves and
+    are skipped.
     """
-    total = ctx.variant == VARIANT_TOTAL
-    skip = () if total else set(seq)
+    k, total = ctx.k, ctx.variant == VARIANT_TOTAL
     for m in range(first, last + 1):
-        if m in skip:
+        member = m in seq
+        if member and not total:
             continue
-        if not ctx.hits_at_least(m, (seq,), ctx.k, exclude_self=total):
+        if _hits(ctx, seq, m) < k + member:
             return False
     return True
 
@@ -283,7 +256,7 @@ def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
     # (2) everything in the gap is covered by the two end sets
     rs, rs2 = s.real_seq, s2.real_seq
     for m in range(hi + 1, lo2):
-        if not ctx.hits_at_least(m, (rs, rs2), k, exclude_self=False):
+        if _hits(ctx, rs, m) + _hits(ctx, rs2, m) < k:
             return False
     # (3)/(4) window conditions on big endpoints
     if s.kind == KIND_BIG and not _tail_ok(ctx, s.seq):

@@ -239,6 +239,18 @@ def test_gen_to_file(capsys, tmp_path):
     assert parse_model(out.read_text()).n == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--n", "5", "--stretch", "abc"),
+    ("gen", "--n", "5", "--stretch", "1/0"),
+    ("bench", "--stretch", "abc"),
+])
+def test_bad_stretch_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[E_PARAM]: ") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ bench
 
 def test_bench_generated_sweep(capsys):

@@ -15,6 +15,7 @@ from pikdom.errors import (
 from pikdom.model import (
     DerivedGraph,
     Interval,
+    _reach_ranges,
     derive_graph,
     format_rational,
     generate_random,
@@ -193,6 +194,17 @@ def test_derive_graph_contiguous_for_sorted_models():
             if nb:
                 full = set(range(min(nb), max(nb) + 1)) - {v}
                 assert set(nb) == full
+
+
+def test_reach_ranges_match_pairwise_intersects():
+    # each interval's neighbours and itself are exactly reach_l..reach_r
+    for seed in range(12):
+        n = 1 + seed * 2
+        m = generate_random(n, 80 + seed, [1, Fraction(5, 2), 4, 9][seed % 4])
+        reach_l, reach_r = _reach_ranges(m.intervals)
+        for i in range(1, n + 1):
+            meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
+            assert (reach_l[i - 1] + 1, reach_r[i - 1] + 1) == (meets[0], meets[-1])
 
 
 # -------------------------------------------------------------- min_degree

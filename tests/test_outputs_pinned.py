@@ -1,0 +1,64 @@
+"""Pinned digest of solver outputs over a fixed seeded corpus.
+
+A refactor of the reduction or of either DAG engine must leave every answer
+byte-identical: fast and naive feasibility, cost and vertex set, plus the
+``dump_digraph`` text, unweighted and with mixed-denominator costs.  The
+corpus is ``generate_random`` at n 5-12, k 1-3, both variants.  Stats stay
+out of the hash: the probe counts have their own pinned test.
+
+When an intended change moves an answer, re-pin ``PINNED`` and say why in
+the change's notes.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from pikdom.fast import solve_fast
+from pikdom.model import format_rational, generate_random, with_costs
+from pikdom.reduction import build_digraph, dump_digraph, solve_naive
+
+PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
+
+_STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
+
+
+def _corpus():
+    for n in range(5, 13):
+        for k in (1, 2, 3):
+            for rep in range(3):
+                yield from _cases(n, k, 1000 + 100 * n + 10 * k + rep, rep)
+
+
+def _cases(n, k, seed, rep):
+    m = generate_random(n, seed, _STRETCHES[(n + k + rep) % len(_STRETCHES)])
+    rng = random.Random(seed)
+    mw = with_costs(m, [Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7)))
+                        for _ in range(n)])
+    for variant in ("kdom", "total"):
+        yield f"{n} {seed} {k} {variant}", m, mw, k, variant
+
+
+def _answer(sol) -> str:
+    cost = "-" if sol.cost is None else format_rational(sol.cost)
+    members = " ".join(str(v) for v in sol.vertices)
+    return f"{sol.engine} {sol.feasible} {cost} [{members}]"
+
+
+def output_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    runs = 0
+    for label, m, mw, k, variant in _corpus():
+        for weighted, model in ((False, m), (True, mw)):
+            h.update(f"{label} {weighted}\n".encode())
+            for solve in (solve_fast, solve_naive):
+                h.update((_answer(solve(model, k, variant, weighted)) + "\n").encode())
+                runs += 1
+            h.update(dump_digraph(build_digraph(model, k, variant, weighted)).encode())
+    return h.hexdigest(), runs
+
+
+def test_outputs_match_pinned_digest():
+    digest, runs = output_digest()
+    assert runs == 8 * 3 * 3 * 2 * 2 * 2
+    assert digest == PINNED

@@ -6,7 +6,14 @@ import pytest
 
 from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
 from pikdom.fast import solve_fast
-from pikdom.model import derive_graph, generate_random, min_degree, parse_model, with_costs
+from pikdom.model import (
+    derive_graph,
+    generate_random,
+    intersects,
+    min_degree,
+    parse_model,
+    with_costs,
+)
 from pikdom.oracle import brute_force_min, find_violation
 from pikdom.reduction import (
     ARC_E0,
@@ -164,6 +171,72 @@ def test_e0_arcs_lie_in_windows():
                     assert hi_min <= t.hi <= hi_max, (seed, k, variant, t, s)
                     assert lo_min <= s.lo <= lo_max, (seed, k, variant, t, s)
     assert arcs > 1000
+
+
+def _definition_nodes(m, k, variant):
+    """Every (seq, kind) node straight from the definitions, by pairwise
+    interval intersection only."""
+    smalls = range(k + 1, 2 * k) if variant == "total" else range(1, 2 * k)
+
+    def covers(seq, first, last):
+        # total: a member does not count itself; kdom: members are skipped
+        for p in range(first, last + 1):
+            if variant == "kdom" and p in seq:
+                continue
+            if sum(1 for x in seq if x != p and intersects(m, p, x)) < k:
+                return False
+        return True
+
+    want = set()
+    for q in range(1, 2 * k + 1):
+        for seq in itertools.combinations(range(1, m.n + 1), q):
+            if not all(intersects(m, a, b) for a, b in zip(seq, seq[1:])):
+                continue  # not a chain
+            if q in smalls and covers(seq, seq[0], seq[-1]):
+                want.add((seq, "small"))
+            if q == 2 * k and covers(seq, seq[k - 1], seq[k]):
+                want.add((seq, "big"))
+    return want
+
+
+def _gap_covered(m, k, t, s):
+    ends = t.real_seq + s.real_seq
+    return all(sum(1 for x in ends if intersects(m, p, x)) >= k
+               for p in range(t.hi + 1, s.lo))
+
+
+def test_window_conditions_match_definitions():
+    # Enumeration and the jump arcs' gap cover at k 1-3 in both variants,
+    # against a reference that never reads the reach arrays.
+    counts = {"small": 0, "big": 0, "arc": 0, "uncovered": 0}
+    for n in range(4, 11):
+        for j, stretch in enumerate((2, 4, Fraction(13, 2))):
+            m = generate_random(n, 300 + 3 * n + j, stretch)
+            for k in (1, 2, 3):
+                for variant in ("kdom", "total"):
+                    nodes = enumerate_nodes(m, k, variant)
+                    got = {(nd.seq, nd.kind) for nd in nodes[1:-1]}
+                    assert got == _definition_nodes(m, k, variant), (n, j, k, variant)
+                    for _, kind in got:
+                        counts[kind] += 1
+                    for t, s in itertools.product(nodes, repeat=2):
+                        disjoint = t.hi < s.lo and (
+                            t.kind == "source" or s.kind == "sink"
+                            or not intersects(m, t.hi, s.lo))
+                        if not disjoint:
+                            continue
+                        covered = _gap_covered(m, k, t, s)
+                        arc = is_e0_arc(m, k, variant, t, s)
+                        # (3)/(4) only constrain big ends; otherwise (1)+(2)
+                        # are the whole test
+                        if "big" in (t.kind, s.kind):
+                            assert covered or not arc, (n, j, k, variant, t, s)
+                        else:
+                            assert arc == covered, (n, j, k, variant, t, s)
+                        counts["arc"] += arc
+                        counts["uncovered"] += not covered
+    assert counts["small"] > 1000 and counts["big"] > 1000, counts
+    assert counts["arc"] > 3000 and counts["uncovered"] > 5000, counts
 
 
 def test_e1_arc_shift():
