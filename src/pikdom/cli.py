@@ -212,6 +212,17 @@ def _rational_arg(token: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _cap_arg(token: str) -> int:
+    """A cap flag value: a non-negative integer, or a usage error."""
+    try:
+        cap = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {cap}")
+    return cap
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors end as ``E_PARAM`` (exit 1); exit 2 means infeasible."""
 
@@ -238,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=ENGINES, default="fast")
     p_solve.add_argument("--dump-dag", metavar="PATH", default=None)
     p_solve.add_argument("--stats", action="store_true")
-    p_solve.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
-    p_solve.add_argument("--cap-brute", type=int, default=20)
+    p_solve.add_argument("--cap-nodes", type=_cap_arg, default=DEFAULT_NODE_CAP)
+    p_solve.add_argument("--cap-brute", type=_cap_arg, default=20)
 
     p_verify = sub.add_parser("verify", help="check a candidate set file")
     p_verify.set_defaults(run=cmd_verify)
@@ -265,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--engines", default="fast,naive")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--stretch", type=_rational_arg, default="3")
-    p_bench.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
-    p_bench.add_argument("--cap-brute", type=int, default=20)
+    p_bench.add_argument("--cap-nodes", type=_cap_arg, default=DEFAULT_NODE_CAP)
+    p_bench.add_argument("--cap-brute", type=_cap_arg, default=20)
 
     p_self = sub.add_parser("selftest", help="run the built-in agreement suite")
     p_self.set_defaults(run=cmd_selftest)

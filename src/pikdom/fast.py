@@ -4,8 +4,18 @@ The speedup over the naive engine comes from never materializing jump (E0)
 arcs between internal nodes.  Whether ``(t, s)`` is a jump arc depends on
 ``t`` only through its last ``k`` interval indices and its tail-eligibility,
 both shared by every member of a suffix class.  So the DP keeps one running
-minimum per class and, when processing a node, probes each class once
-instead of every potential tail.
+minimum per class and probes each class once instead of every potential
+tail.
+
+The head side mirrors this.  The test reads the head ``s`` only through
+``s.lo``, condition (4), and how many members of ``s`` each gap vertex
+meets.  That count matters only up to ``k``, and every member lies right of
+the gap, so the first ``k`` members supply it.  Hence heads that share
+their first ``k`` indices and pass (4), a prefix class, have jump arcs from
+the same classes, and share the best class and its best node; only each
+head's own charge differs, and adding it keeps the tie-break.  The DP
+probes once per prefix class, keeps the answer for the class's later heads,
+and probes nothing for heads that fail (4).
 
 Only classes whose shared last index ``key[-1]`` (the ``hi`` of every
 member) lies in a window set by the node's ``lo`` are probed.  A jump arc
@@ -13,8 +23,8 @@ member) lies in a window set by the node's ``lo`` are probed.  A jump arc
 meet one of the two end sets; the last position that misses ``s.lo`` would
 otherwise be a gap vertex no end set meets.  Together these pin ``t.hi`` to
 about one clique's width (``reduction._e0_window`` gives the bounds and
-their derivation), so the probes per node are bounded by the classes ending
-in one clique rather than by all classes.
+their derivation), so the probes per prefix class are bounded by the
+classes ending in one clique rather than by all classes.
 
 A probe compares the class key against per-head thresholds instead of
 running the literal jump-arc test (``_probe_floors`` and ``_clears``).  Of
@@ -23,8 +33,8 @@ the test's four conditions:
 * (1), disjoint ends, holds for every ``hi`` inside the window;
 * (3), the tail condition, holds for every class member, because only
   tail-eligible big nodes are partitioned;
-* (4), the head condition, depends on the head alone and is evaluated once
-  per node;
+* (4), the head condition, depends on the head alone and is evaluated per
+  node, before any probe;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
   (``t.hi < m < s.lo``) meets the members of each end set inside its reach
   range ``reach_l[m]..reach_r[m]``, which ``reduction._hits`` counts: the
@@ -46,6 +56,16 @@ literal test, so the differential tests check this derivation.  Jump arcs
 incident to the dummy source and sink are tested explicitly, only for the
 nodes whose window admits them, as are all slide (E1) arcs.
 
+The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
+Every arc strictly raises ``hi``, so this is a topological order, and all
+members of a suffix class share their ``hi``, so a class's minimum is final
+when its group ends.  Every class in a head's window ends before ``s.lo``,
+so it is final before the first head of any prefix class is processed.
+Equal costs go to the first class in key order, the first slide tail in id
+order and, into the sink, the first tail in (suffix key, sequence) order;
+none of these depends on the sweep order, so the chosen path does not
+either.
+
 Per node the DP tracks the best path ending in a jump arc and the best path
 overall; per slide arc the best path ending with exactly that arc; per class
 the best path ending anywhere in the class.  Path lengths are plain ints in
@@ -62,6 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from operator import attrgetter
 
 from .errors import TooLargeError
 from .model import ProperIntervalModel
@@ -70,9 +91,7 @@ from .reduction import (
     DEFAULT_NODE_CAP,
     DagNode,
     KIND_BIG,
-    KIND_SINK,
     KIND_SMALL,
-    KIND_SOURCE,
     _Ctx,
     _e0_arc,
     _e0_window,
@@ -120,19 +139,20 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
 
 
 def topo_order(nodes, k: int) -> list[int]:
-    """Node ids sorted source-first, sink-last, middle by (suffix key, seq).
+    """Node ids grouped by ``hi`` (their last index) ascending, id order
+    inside each group; ``nodes`` is an enumeration, sink last.
 
-    Along every arc both the suffix key and the full sequence strictly
-    increase lexicographically, so this is a topological order of the
-    digraph; it also keeps each suffix class contiguous, which is what lets
-    class minima be frozen on the fly.
+    Every arc strictly raises ``hi``: a jump arc has ``t.hi < s.lo <= s.hi``
+    and a slide arc appends an index past ``t.hi``.  So this is a
+    topological order of the digraph, with the source (``hi`` 0) first and
+    the sink (``hi`` n+1) last.  All members of a suffix class share their
+    ``hi``, so a class is complete when its group ends, which is what lets
+    class minima be frozen on the fly.  The order does not depend on ``k``.
     """
-    middle = [nd for nd in nodes if nd.kind in (KIND_SMALL, KIND_BIG)]
-    middle.sort(key=lambda nd: (suffix_key(nd.seq, k), nd.seq))
-    order = [nd.id for nd in nodes if nd.kind == KIND_SOURCE]
-    order.extend(nd.id for nd in middle)
-    order.extend(nd.id for nd in nodes if nd.kind == KIND_SINK)
-    return order
+    groups: list[list[int]] = [[] for _ in range(nodes[-1].hi + 1)]
+    for nd in nodes:
+        groups[nd.hi].append(nd.id)
+    return [i for group in groups for i in group]
 
 
 def _probe_floors(ctx: _Ctx, head: DagNode):
@@ -212,50 +232,56 @@ def solve_fast_with_path(
 
     eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
     classes = suffix_partition(middle, k, eligible)
-    class_of_key = {cl.key: cl for cl in classes}
     # Class positions (key order) by the shared hi of their members.
     by_hi: list[list[int]] = [[] for _ in range(model.n + 2)]
     for pos, cl in enumerate(classes):
         by_hi[cl.key[-1]].append(pos)
 
     order = [nodes[i] for i in topo_order(nodes, k)]
-    sweep = order[1:-1]
 
     # Path lengths are plain ints in the plan's units; pred maps a node id
     # to the id of the node before it on its best path.
     dist: dict[int, int | None] = {source.id: 0}
     dist_jump: dict[int, int | None] = {}
     pred: dict[int, int] = {}
+    # By a head's first k indices: (class minimum, class position, its
+    # node) of the best class with a jump arc into every head that shares
+    # them and passes (4), or None when no class has one.
+    probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
     repr_tests = 0
 
-    # one contiguous run of equal suffix keys at a time
-    for key, run in groupby(sweep, key=lambda nd: suffix_key(nd.seq, k)):
-        for nd in run:
+    # one hi group at a time; its classes are frozen when it ends
+    for group_hi, group in groupby(order[1:-1], key=attrgetter("hi")):
+        for nd in group:
             w = jump[nd.id]
             # A jump arc from the source needs its hi, 0, in nd's window.
             hi_min, _ = _e0_window(ctx, head_lo=nd.lo)
             if hi_min == 0 and _e0_arc(ctx, source, nd):
-                dj = w
+                dj: int | None = w
                 pj: int | None = source.id
+            elif nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
+                dj = pj = None
             else:
-                # Every class in the window ends before nd.lo, so its key
-                # sorts before nd's and it was finalized in an earlier run.
-                dj = None
-                pj = None
-                dj_pos = -1
-                for hi, floors in _probe_floors(ctx, nd):
-                    for pos in by_hi[hi]:
-                        cl = classes[pos]
-                        if cl.best is None:
-                            continue
-                        repr_tests += 1
-                        if _clears(cl.key, floors):
-                            cand = cl.best + w
+                prefix = nd.seq[:k]
+                if prefix not in probes:
+                    # Every class in the window ends before nd.lo, so it was
+                    # frozen in an earlier group.
+                    hit = None
+                    for hi, floors in _probe_floors(ctx, nd):
+                        for pos in by_hi[hi]:
+                            cl = classes[pos]
+                            if cl.best is None:
+                                continue
+                            repr_tests += 1
                             # equal costs go to the first class in key order
-                            if dj is None or (cand, pos) < (dj, dj_pos):
-                                dj = cand
-                                dj_pos = pos
-                                pj = cl.best_node
+                            if _clears(cl.key, floors) and (
+                                hit is None or (cl.best, pos) < hit[:2]
+                            ):
+                                hit = (cl.best, pos, cl.best_node)
+                    probes[prefix] = hit
+                hit = probes[prefix]
+                dj = None if hit is None else hit[0] + w
+                pj = None if hit is None else hit[2]
             dist_jump[nd.id] = dj
             best = dj
             best_pred = pj
@@ -270,8 +296,8 @@ def solve_fast_with_path(
             dist[nd.id] = best
             if best is not None:
                 pred[nd.id] = best_pred
-        cl = class_of_key.get(key)
-        if cl is not None:
+        for pos in by_hi[group_hi]:
+            cl = classes[pos]
             for mid in cl.members:
                 d = dist.get(mid)
                 if d is not None and (cl.best is None or d < cl.best):
@@ -279,11 +305,14 @@ def solve_fast_with_path(
                     cl.best_node = mid
 
     # Sink: its incoming jump arcs are the one place they are materialized;
-    # only tails whose hi lies in the sink's window can have one.
+    # only tails whose hi lies in the sink's window can have one.  Equal
+    # costs go to the first tail in (suffix key, sequence) order.
     sink_dist: int | None = None
     sink_pred: int | None = None
     sink_hi_min, _ = _e0_window(ctx, head_lo=sink.lo)
-    for nd in [source] + sweep:
+    tails = [nd for nd in middle if nd.hi >= sink_hi_min]
+    tails.sort(key=lambda nd: (suffix_key(nd.seq, k), nd.seq))
+    for nd in [source] + tails:
         d = dist.get(nd.id)
         if d is None or nd.hi < sink_hi_min:
             continue
@@ -299,6 +328,7 @@ def solve_fast_with_path(
         "big_nodes": sum(1 for nd in middle if nd.kind == KIND_BIG),
         "tail_eligible_bigs": len(eligible),
         "suffix_classes": len(classes),
+        "prefix_classes": len(probes),
         "representative_tests": repr_tests,
         "e1_arcs": sum(len(tails) for tails in plan.slide_tails.values()),
     }
@@ -330,20 +360,32 @@ def representative_independence_check(
     cap: int = 12,
 ) -> bool:
     """Diagnostic: within each suffix class, jump-arc membership toward any
-    node is all-or-none.  This is the property the DP's single-representative
-    probe relies on."""
+    node is all-or-none; within each prefix class (middle heads sharing
+    their first k indices and their answer to condition (4)), membership
+    from any node is all-or-none.  These are the properties the DP's shared
+    probes rely on."""
     check_k(k)
     check_variant(variant)
     if model.n > cap:
         raise TooLargeError(f"diagnostic capped at n <= {cap}, got {model.n}")
     plan = _Plan(_Ctx(model, k, variant), model, False, DEFAULT_NODE_CAP)
-    middle = plan.nodes[1:-1]
-    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=plan.ctx)
+    ctx, nodes = plan.ctx, plan.nodes
+    middle = nodes[1:-1]
+    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
     classes = suffix_partition(middle, k, eligible)
     for cl in classes:
-        members = [plan.nodes[i] for i in cl.members]
-        for s in plan.nodes[1:]:  # every possible head: the middle and the sink
-            answers = {_e0_arc(plan.ctx, m, s) for m in members}
+        members = [nodes[i] for i in cl.members]
+        for s in nodes[1:]:  # every possible head: the middle and the sink
+            answers = {_e0_arc(ctx, m, s) for m in members}
+            if len(answers) > 1:
+                return False
+    heads: dict[tuple, list[DagNode]] = {}
+    for s in middle:
+        passes = s.kind != KIND_BIG or _head_ok(ctx, s.seq)
+        heads.setdefault((s.seq[:k], passes), []).append(s)
+    for group in heads.values():
+        for t in nodes[:-1]:  # every possible tail: the source and the middle
+            answers = {_e0_arc(ctx, t, s) for s in group}
             if len(answers) > 1:
                 return False
     return True

@@ -137,6 +137,18 @@ def test_solve_stats_text(capsys, p6_file):
     assert "stats.suffix_classes:" in out
 
 
+def test_solve_stats_prefix_classes(capsys, p6_file):
+    # P6, total, k=1: the nodes are the five edges (i, i+1).  (1,2) and (2,3)
+    # take the jump arc from the source; the other three heads probe, each
+    # with its own first index.
+    code, out, _ = run(capsys, "solve", p6_file, "--variant", "total", "--k", "1",
+                       "--format", "json", "--stats")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["big_nodes"] == 5 and stats["small_nodes"] == 0
+    assert stats["prefix_classes"] == 3
+
+
 def test_solve_k4_kdom(capsys, tmp_path):
     inst = tmp_path / "k4.txt"
     inst.write_text("4\n1 5\n2 6\n3 7\n4 8\n")
@@ -246,6 +258,20 @@ def test_gen_to_file(capsys, tmp_path):
 ])
 def test_bad_stretch_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[E_PARAM]: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ("--cap-nodes", "-5")),
+    ("solve", ("--algo", "brute", "--cap-brute", "-1")),
+    ("bench", ("--cap-nodes", "-5")),
+    ("bench", ("--engines", "brute", "--cap-brute", "-1")),
+])
+def test_negative_cap_is_usage_error(capsys, p6_file, command, flags):
+    problem = (p6_file, "--variant", "total", "--k", "1") if command == "solve" else ()
+    code, out, err = run(capsys, command, *problem, *flags)
     assert code == 1
     assert out == ""
     assert err.startswith("error[E_PARAM]: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -22,6 +23,7 @@ from pikdom.reduction import (
     _Ctx,
     _e0_arc,
     _e0_window,
+    _head_ok,
     arc_length,
     build_digraph,
     eligible_tail_bigs,
@@ -234,6 +236,60 @@ def test_fast_dp_invariants_via_trace():
                 assert trace["sink_dist"] == expect
 
 
+def test_fast_dist_jump_matches_literal_recomputation():
+    # Each middle node's best path ending in a jump arc, from the literal
+    # jump-arc test on every class representative: the source arc when it
+    # exists (it costs the charge alone), else the best finalized class
+    # minimum plus the charge.  Also counts the prefix classes the DP must
+    # probe: heads without a source arc that pass condition (4), by their
+    # first k indices.
+    rng = random.Random(5)
+    checked = {True: 0, False: 0}
+    for n, (seed, stretch) in product(range(4, 15), ((0, 3), (1, Fraction(9, 2)), (2, 7))):
+        m = generate_random(n, 5500 + 10 * n + seed, stretch)
+        costs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 5))) for _ in range(n)]
+        mw = with_costs(m, costs)
+        scale = lcm(*(c.denominator for c in costs))
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                ctx = _Ctx(m, k, variant)
+                for model, weighted in ((m, False), (mw, True)):
+                    trace = {}
+                    sol, _ = solve_fast_with_path(model, k, variant, weighted, _trace=trace)
+                    if not trace:  # no plan: infeasible by minimum degree
+                        continue
+                    nodes = trace["nodes"]
+                    source = nodes[0]
+                    reps = [
+                        (cl.best, nodes[cl.members[0]])
+                        for cl in trace["classes"]
+                        if cl.best is not None
+                    ]
+                    prefixes = set()
+                    assert set(trace["dist_jump"]) == {nd.id for nd in nodes[1:-1]}
+                    for nd in nodes[1:-1]:
+                        if weighted:
+                            charge = sum(costs[i - 1] for i in nd.seq) * scale
+                        else:
+                            charge = len(nd.seq)
+                        if _e0_arc(ctx, source, nd):
+                            want = charge
+                        else:
+                            want = min(
+                                (best + charge for best, rep in reps
+                                 if _e0_arc(ctx, rep, nd)),
+                                default=None,
+                            )
+                            if nd.kind == "small" or _head_ok(ctx, nd.seq):
+                                prefixes.add(nd.seq[:k])
+                        assert trace["dist_jump"][nd.id] == want, (
+                            n, k, variant, weighted, nd.seq
+                        )
+                        checked[want is None] += 1
+                    assert sol.stats["prefix_classes"] == len(prefixes)
+    assert min(checked.values()) > 5000
+
+
 def test_fast_work_counter_bound():
     for seed in range(10):
         m = generate_random(6 + seed, 818 + seed, [3, 5, 9][seed % 3])
@@ -248,8 +304,8 @@ def test_fast_work_counter_bound():
 @pytest.mark.parametrize(
     "n, seed, stretch, k, variant, cost, probes",
     [
-        (30, 5, 6, 2, "total", 15, 1099),
-        (40, 7, 3, 1, "kdom", 11, 218),
+        (30, 5, 6, 2, "total", 15, 130),
+        (40, 7, 3, 1, "kdom", 11, 88),
     ],
 )
 def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, probes):

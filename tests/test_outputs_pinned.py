@@ -3,8 +3,10 @@
 A refactor of the reduction or of either DAG engine must leave every answer
 byte-identical: fast and naive feasibility, cost and vertex set, plus the
 ``dump_digraph`` text, unweighted and with mixed-denominator costs.  The
-corpus is ``generate_random`` at n 5-12, k 1-3, both variants.  Stats stay
-out of the hash: the probe counts have their own pinned test.
+corpus is ``generate_random`` at n 5-12, k 1-3, both variants.  A second
+digest covers ``fast`` alone at n 40/60/90/120, where the DP's tie-breaks
+(the sink scan above all) choose among many more equal-cost paths.  Stats
+stay out of the hashes: the probe counts have their own pinned test.
 
 When an intended change moves an answer, re-pin ``PINNED`` and say why in
 the change's notes.
@@ -19,15 +21,16 @@ from pikdom.model import format_rational, generate_random, with_costs
 from pikdom.reduction import build_digraph, dump_digraph, solve_naive
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
+PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 
 
-def _corpus():
-    for n in range(5, 13):
+def _corpus(ns=range(5, 13), base=1000):
+    for n in ns:
         for k in (1, 2, 3):
             for rep in range(3):
-                yield from _cases(n, k, 1000 + 100 * n + 10 * k + rep, rep)
+                yield from _cases(n, k, base + 100 * n + 10 * k + rep, rep)
 
 
 def _cases(n, k, seed, rep):
@@ -62,3 +65,22 @@ def test_outputs_match_pinned_digest():
     digest, runs = output_digest()
     assert runs == 8 * 3 * 3 * 2 * 2 * 2
     assert digest == PINNED
+
+
+def large_digest() -> tuple[str, int]:
+    """``fast`` alone past the naive engine's comfortable range; the node
+    budget is lifted, since its binomial projection refuses k=3 at n=90."""
+    h = hashlib.sha256()
+    runs = 0
+    for label, m, mw, k, variant in _corpus((40, 60, 90, 120), 50000):
+        for weighted, model in ((False, m), (True, mw)):
+            sol = solve_fast(model, k, variant, weighted, cap_nodes=10**18)
+            h.update(f"{label} {weighted} {_answer(sol)}\n".encode())
+            runs += 1
+    return h.hexdigest(), runs
+
+
+def test_large_outputs_match_pinned_digest():
+    digest, runs = large_digest()
+    assert runs == 4 * 3 * 3 * 2 * 2
+    assert digest == PINNED_LARGE
