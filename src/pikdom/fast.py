@@ -159,34 +159,33 @@ def _probe_floors(ctx: _Ctx, head: DagNode):
     """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the middle
     node ``head`` can have, from the top of its window down.
 
-    A suffix class whose members end at ``hi`` has a jump arc into ``head``
-    iff ``_clears(key, floors)``.  ``floors[r-1]`` is the least value
-    ``key[-r]`` may take; ``floors`` is None when ``head`` fails condition
-    (4), so that no class clears it.  The module docstring derives the rule.
+    ``head`` must pass condition (4); the DP probes nothing for a big head
+    that fails it.  A suffix class whose members end at ``hi`` has a jump
+    arc into ``head`` iff ``_clears(key, floors)``.  ``floors[r-1]`` is the
+    least value ``key[-r]`` may take.  The module docstring derives the
+    rule.
     """
     hi_min, hi_max = _e0_window(ctx, head_lo=head.lo)
-    his = range(hi_max, hi_min - 1, -1)
-    if head.kind == KIND_BIG and not _head_ok(ctx, head.seq):
-        for hi in his:
-            yield hi, None
-        return
     k, seq, reach_l = ctx.k, head.seq, ctx.reach_l
+    # No key has more than n members, so n + 1 floors already fail every
+    # key; capping there keeps a huge k from building a huge tuple.
+    cap = min(k, ctx.n + 1)
     floors: tuple[int, ...] = ()
     m = head.lo - 1  # the next gap vertex to fold in
-    for hi in his:
-        # Once k floors are set, no lower gap vertex can raise one.
-        while m > hi and len(floors) < k:
+    for hi in range(hi_max, hi_min - 1, -1):
+        # Once the cap is reached, no lower gap vertex can raise a floor.
+        while m > hi and len(floors) < cap:
             need = k - _hits(ctx, seq, m)
             if need > len(floors):
-                floors += (reach_l[m],) * (need - len(floors))
+                floors += (reach_l[m],) * (min(need, cap) - len(floors))
             m -= 1
         yield hi, floors
 
 
-def _clears(key: tuple[int, ...], floors: tuple[int, ...] | None) -> bool:
+def _clears(key: tuple[int, ...], floors: tuple[int, ...]) -> bool:
     """The key-threshold probe: does a class with suffix key ``key`` meet
     the floors ``_probe_floors`` gave for its ``hi``?"""
-    if floors is None or len(key) < len(floors):
+    if len(key) < len(floors):
         return False
     for r, floor in enumerate(floors, 1):
         if key[-r] < floor:

@@ -24,7 +24,12 @@ Both DAG engines get one ``_Plan`` (budget check, context, nodes, integer
 arc charges and slide-arc index) from ``_engine_plan``, which first answers
 the total variant's min-degree shortcut, and differ only in the search:
 ``naive`` materializes every arc and relaxes them, ``fast`` runs the
-suffix-class DP.
+suffix-class DP.  ``naive`` finds the jump arcs with the literal test,
+split by what each part depends on: the tail and head conditions once per
+node, the gap cover per (tail, head) pair, vertex by vertex, against needs
+computed once per tail (``_gap_covered``, which ``_e0_arc`` also calls).  It
+uses no key thresholds and no class sharing, so the differential tests
+check the fast engine's derivation of both.
 """
 
 from __future__ import annotations
@@ -135,9 +140,13 @@ def _small_lengths(k: int, variant: str) -> range:
 
 
 def projected_node_count(n: int, k: int, variant: str) -> int:
-    """Upper bound on node count before enumeration (binomial projection)."""
-    qs = set(_small_lengths(k, variant)) | {2 * k}
-    return 2 + sum(comb(n, q) for q in qs if q <= n)
+    """Upper bound on node count before enumeration (binomial projection).
+
+    Node lengths run from the shortest small length up to the big length
+    2k; only lengths up to n have sequences, so the sum stops there and
+    costs O(min(n, k)) whatever k is."""
+    first = _small_lengths(k, variant).start
+    return 2 + sum(comb(n, q) for q in range(first, min(n, 2 * k) + 1))
 
 
 def _check_budget(n: int, k: int, variant: str, cap_nodes: int) -> None:
@@ -245,19 +254,44 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
     return nodes
 
 
+def _gap_covered(ctx: _Ctx, tail: DagNode, heads) -> list[DagNode]:
+    """Condition (2) for one tail and many heads: the heads whose members,
+    with the tail's, give every gap vertex between the two at least k hits.
+
+    Every head must start right of the tail; its gap is ``tail.hi + 1 ..
+    head.lo - 1``.  Each end set lies on its own side of the gap, so one
+    binary search counts its hits at a gap vertex m (``_hits``): the tail
+    members from ``reach_l[m]`` on, the head members up to ``reach_r[m]``.
+    What m needs from a head, k less the tail's hits, is worked out once
+    per tail, when the first head's gap reaches m.
+    """
+    rs, reach_l, reach_r = tail.real_seq, ctx.reach_l, ctx.reach_r
+    first = tail.hi + 1
+    base = ctx.k - len(rs)
+    needs: list[int] = []  # by gap vertex, from ``first`` on
+    covered = []
+    for head in heads:
+        rs2 = head.real_seq
+        for m in range(first, head.lo):
+            if m - first == len(needs):
+                needs.append(base + bisect.bisect_left(rs, reach_l[m]))
+            if bisect.bisect_right(rs2, reach_r[m]) < needs[m - first]:
+                break
+        else:
+            covered.append(head)
+    return covered
+
+
 def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
     if s.kind == KIND_SINK or s2.kind == KIND_SOURCE:
         return False
-    k = ctx.k
     hi, lo2 = s.hi, s2.lo
     # (1) strictly ordered and disjoint boundary intervals
     if not (hi < lo2 and ctx.reach_r[hi] < lo2):
         return False
     # (2) everything in the gap is covered by the two end sets
-    rs, rs2 = s.real_seq, s2.real_seq
-    for m in range(hi + 1, lo2):
-        if _hits(ctx, rs, m) + _hits(ctx, rs2, m) < k:
-            return False
+    if not _gap_covered(ctx, s, (s2,)):
+        return False
     # (3)/(4) window conditions on big endpoints
     if s.kind == KIND_BIG and not _tail_ok(ctx, s.seq):
         return False
@@ -420,7 +454,15 @@ class _Plan:
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
-        (tail, head)."""
+        (tail, head).
+
+        Jump arcs are found by a scan per tail, with each part of the test
+        evaluated at the level it depends on: condition (4) once per head,
+        condition (3) once per tail, the tail's side of the gap cover once
+        per tail, and the head's side per pair (``_gap_covered``).  Only the
+        heads in the tail's window are scanned (``_e0_window``), and every
+        one of them passes condition (1).
+        """
         ctx, nodes = self.ctx, self.nodes
         arcs = []
         for head_id, tails in self.slide_tails.items():
@@ -428,21 +470,29 @@ class _Plan:
             for tail_id in tails:
                 arcs.append((tail_id, head_id, ARC_E1, length))
 
-        # Jump arcs: a head's lo lies past the tail's reach, and no further
-        # than the reach of the first position past it, or that position
-        # would be a gap vertex no end set hits (see _e0_window).
-        by_lo = sorted((nd for nd in nodes if nd.kind != KIND_SOURCE),
-                       key=lambda nd: (nd.lo, nd.id))
+        # Jump-arc heads: never the source, and condition (4) once per node.
+        by_lo = sorted(
+            (nd for nd in nodes if nd.kind != KIND_SOURCE
+             and (nd.kind != KIND_BIG or _head_ok(ctx, nd.seq))),
+            key=lambda nd: (nd.lo, nd.id),
+        )
         los = [nd.lo for nd in by_lo]
         for tail in nodes:
-            if tail.kind == KIND_SINK:
+            # Tails: never the sink, and condition (3) once per node.
+            if tail.kind == KIND_SINK or (
+                tail.kind == KIND_BIG and not _tail_ok(ctx, tail.seq)
+            ):
                 continue
+            # A head's lo lies past the tail's reach, and no further than the
+            # reach of the first position past it, or that position would be
+            # a gap vertex no end set hits (see _e0_window).  Since
+            # lo_min = reach_r[tail.hi] + 1, condition (1) holds for every
+            # head in the window.
             lo_min, lo_max = _e0_window(ctx, tail_hi=tail.hi)
             first = bisect.bisect_left(los, lo_min)
             last = bisect.bisect_right(los, lo_max, first)
-            for head in by_lo[first:last]:
-                if _e0_arc(ctx, tail, head):
-                    arcs.append((tail.id, head.id, ARC_E0, self.jump[head.id]))
+            for head in _gap_covered(ctx, tail, by_lo[first:last]):
+                arcs.append((tail.id, head.id, ARC_E0, self.jump[head.id]))
         arcs.sort()
         return arcs
 
@@ -537,10 +587,10 @@ def solve_naive(
             if dist[tail] is None:
                 continue
             cand = dist[tail] + length
+            if dist[v] is not None and cand > dist[v]:
+                continue  # cannot win: build no path
             cand_path = path[tail] + (v,)
-            if dist[v] is None or cand < dist[v] or (
-                cand == dist[v] and cand_path < path[v]
-            ):
+            if dist[v] is None or cand < dist[v] or cand_path < path[v]:
                 dist[v] = cand
                 path[v] = cand_path
     sink = n_nodes - 1

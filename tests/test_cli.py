@@ -81,6 +81,23 @@ def test_solve_infeasible_exit_2(capsys, tmp_path):
     assert report["cost"] is None and report["set"] == []
 
 
+@pytest.mark.parametrize("algo", ["fast", "naive", "brute"])
+def test_solve_huge_k(capsys, tmp_path, algo):
+    # The work must not grow with k: only the whole line k-dominates, and
+    # no total k-dominating set exists.
+    inst = tmp_path / "three.txt"
+    inst.write_text("3\n0 2\n1 3\n2 4\n")
+    k = str(10**18)
+    code, out, _ = run(capsys, "solve", str(inst), "--variant", "kdom", "--k", k,
+                       "--algo", algo, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["cost"] == 3 and report["set"] == [1, 2, 3]
+    code, out, _ = run(capsys, "solve", str(inst), "--variant", "total", "--k", k,
+                       "--algo", algo, "--format", "json")
+    assert code == 2 and json.loads(out)["feasible"] is False
+
+
 def test_solve_parse_error_exit_1(capsys, tmp_path):
     inst = tmp_path / "bad.txt"
     inst.write_text("2\n0 5\n1 2\n")  # containment

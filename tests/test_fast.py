@@ -20,6 +20,7 @@ from pikdom.fast import (
 from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
+    KIND_BIG,
     _Ctx,
     _e0_arc,
     _e0_window,
@@ -315,10 +316,13 @@ def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, pr
 
 
 def test_threshold_probe_matches_jump_arc_test():
-    # For every middle node and every class whose hi lies in its window, the
-    # key-threshold probe answers as the literal jump-arc test does on the
-    # class representative.
+    # For every middle node that passes condition (4) and every class whose
+    # hi lies in its window, the key-threshold probe answers as the literal
+    # jump-arc test does on the class representative.  A big node that fails
+    # (4) is never probed: the literal test finds no jump arc into it from
+    # any class in its window.
     checked = {True: 0, False: 0}
+    failing_pairs = 0
     short_keys = 0
     for n in range(4, 15):
         for seed, stretch in ((0, 3), (1, Fraction(9, 2)), (2, 7)):
@@ -334,6 +338,13 @@ def test_threshold_probe_matches_jump_arc_test():
                         by_hi.setdefault(cl.key[-1], []).append(cl)
                     for nd in middle:
                         hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
+                        if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
+                            for hi in range(hi_min, hi_max + 1):
+                                for cl in by_hi.get(hi, ()):
+                                    for t in cl.members:
+                                        assert not _e0_arc(ctx, nodes[t], nd)
+                                        failing_pairs += 1
+                            continue
                         walk = list(_probe_floors(ctx, nd))
                         his = [hi for hi, _ in walk]
                         assert his == list(range(hi_max, hi_min - 1, -1))
@@ -346,6 +357,7 @@ def test_threshold_probe_matches_jump_arc_test():
                                 checked[want] += 1
                                 short_keys += len(cl.key) < k
     assert min(checked.values()) > 1000
+    assert failing_pairs > 100
     assert short_keys > 100
 
 

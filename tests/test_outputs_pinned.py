@@ -7,6 +7,9 @@ corpus is ``generate_random`` at n 5-12, k 1-3, both variants.  A second
 digest covers ``fast`` alone at n 40/60/90/120, where the DP's tie-breaks
 (the sink scan above all) choose among many more equal-cost paths.  Stats
 stay out of the hashes: the probe counts have their own pinned test.
+A third digest covers the naive engine and the ``dump_digraph`` text at n
+20/30/45 (k 1-2) and n 20 (k 3), where jump-arc windows are wide enough to
+hold many heads per tail.
 
 When an intended change moves an answer, re-pin ``PINNED`` and say why in
 the change's notes.
@@ -22,6 +25,7 @@ from pikdom.reduction import build_digraph, dump_digraph, solve_naive
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
+PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 
@@ -84,3 +88,25 @@ def test_large_outputs_match_pinned_digest():
     digest, runs = large_digest()
     assert runs == 4 * 3 * 3 * 2 * 2
     assert digest == PINNED_LARGE
+
+
+def arcs_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    runs = 0
+    for n, k in ((20, 1), (20, 2), (20, 3), (30, 1), (30, 2), (45, 1), (45, 2)):
+        for rep in range(2):
+            seed = 70000 + 100 * n + 10 * k + rep
+            for label, m, mw, k, variant in _cases(n, k, seed, rep):
+                for weighted, model in ((False, m), (True, mw)):
+                    sol = solve_naive(model, k, variant, weighted)
+                    h.update(f"{label} {weighted} {_answer(sol)}\n".encode())
+                    dg = build_digraph(model, k, variant, weighted)
+                    h.update(dump_digraph(dg).encode())
+                    runs += 1
+    return h.hexdigest(), runs
+
+
+def test_arcs_match_pinned_digest():
+    digest, runs = arcs_digest()
+    assert runs == 7 * 2 * 2 * 2
+    assert digest == PINNED_ARCS

@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -102,6 +104,36 @@ def test_projected_count_budget():
         enumerate_nodes(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
     with pytest.raises(BudgetError):
         build_digraph(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
+
+
+def test_projection_cost_does_not_grow_with_k():
+    # Node lengths run up to 2k, but only lengths up to n have sequences.
+    for n in range(1, 13):
+        for k in range(1, 8):
+            for variant in ("kdom", "total"):
+                first = 1 if variant == "kdom" else k + 1
+                qs = [q for q in range(first, 2 * k + 1) if q <= n]
+                assert projected_node_count(n, k, variant) == 2 + sum(
+                    comb(n, q) for q in qs
+                )
+    tracemalloc.start()
+    try:
+        assert projected_node_count(3, 10**5, "kdom") == 2 + 3 + 3 + 1
+        assert projected_node_count(3, 10**5, "total") == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("solve", [solve_fast, solve_naive])
+def test_huge_k_answers_on_three_intervals(solve):
+    # Every vertex inside the set is k-dominated, so the whole line is the
+    # only k-dominating set once k exceeds every degree; no total one exists.
+    m = chain_model(3)
+    sol = solve(m, 10**18, "kdom")
+    assert sol.feasible and sol.cost == 3 and list(sol.vertices) == [1, 2, 3]
+    assert not solve(m, 10**18, "total").feasible
 
 
 def test_min_degree_shortcut_runs_before_budget():
