@@ -8,6 +8,7 @@ wall-clock timings therefore go to stderr.  Exit codes: 0 solved/valid/pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,9 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call to ``main``, not at
+    import.  Parsing leaves it unchanged, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if "seed" in args:
             args.seed = _env_seed(args.seed)
         return args.run(args)

@@ -54,7 +54,9 @@ with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
 and a probe is ``O(k)`` integer compares.  The naive engine keeps the
 literal test, so the differential tests check this derivation.  Jump arcs
 incident to the dummy source and sink are tested explicitly, only for the
-nodes whose window admits them, as are all slide (E1) arcs.
+nodes whose window admits them, as are all slide (E1) arcs.  The source's
+side of the gap cover is the same for every head, so one ``_gap_covered``
+call before the sweep answers all of its arcs.
 
 The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
 Every arc strictly raises ``hi``, so this is a topological order, and all
@@ -96,6 +98,7 @@ from .reduction import (
     _e0_arc,
     _e0_window,
     _engine_plan,
+    _gap_covered,
     _head_ok,
     _hits,
     _Plan,
@@ -248,17 +251,29 @@ def solve_fast_with_path(
     # them and passes (4), or None when no class has one.
     probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
     repr_tests = 0
+    # Condition (4) by node id, tested once per big node.
+    head_ok = [nd.kind != KIND_BIG or _head_ok(ctx, nd.seq) for nd in nodes]
+    # Jump arcs from the source: the heads whose window admits its hi, 0,
+    # that pass (1) and (4).  The source's side of the gap cover is the same
+    # for every head, so one _gap_covered call answers them all.
+    from_source = {
+        nd.id
+        for nd in _gap_covered(ctx, source, [
+            nd for nd in middle
+            if head_ok[nd.id]
+            and _e0_window(ctx, head_lo=nd.lo)[0] == 0
+            and ctx.reach_r[source.hi] < nd.lo
+        ])
+    }
 
     # one hi group at a time; its classes are frozen when it ends
     for group_hi, group in groupby(order[1:-1], key=attrgetter("hi")):
         for nd in group:
             w = jump[nd.id]
-            # A jump arc from the source needs its hi, 0, in nd's window.
-            hi_min, _ = _e0_window(ctx, head_lo=nd.lo)
-            if hi_min == 0 and _e0_arc(ctx, source, nd):
+            if nd.id in from_source:
                 dj: int | None = w
                 pj: int | None = source.id
-            elif nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
+            elif not head_ok[nd.id]:
                 dj = pj = None
             else:
                 prefix = nd.seq[:k]

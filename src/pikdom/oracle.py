@@ -9,6 +9,7 @@ uses).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,6 +145,13 @@ def brute_force_min(
     tie-break (cost, then cardinality, then lexicographic member list).
     Unit-cost runs stop at the first feasible subset; that one is optimal
     because later subsets in scan order never cost less.
+
+    Weighted runs sum integer units: every cost times the least common
+    multiple of the denominators (one unit per vertex on a model without
+    costs), divided back once at the end.  A subset's cost comes before its
+    feasibility check, which is skipped when the cost is not below the best
+    so far: such a subset can never be strictly better, so the tie-break
+    stands.  Every subset is still counted in ``subsets_scanned``.
     """
     check_k(k)
     check_variant(variant)
@@ -157,9 +165,11 @@ def brute_force_min(
         for u in graph.adj[v - 1]:
             m |= 1 << (u - 1)
         nbr_mask[v] = m
-    costs = model.cost_by_original() if weighted else None
-    if costs is None and weighted:
-        costs = (Fraction(1),) * n
+    unit = not weighted
+    if weighted:
+        costs = model.cost_by_original() or (Fraction(1),) * n
+        scale = math.lcm(*(c.denominator for c in costs))
+        units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
 
     total = variant == VARIANT_TOTAL
     if total and n > 0:
@@ -168,13 +178,15 @@ def brute_force_min(
         if any((nbr_mask[v] & full).bit_count() < k for v in range(1, n + 1)):
             return infeasible_solution("brute", {"subsets_scanned": 0})
 
-    unit = costs is None
-    best_cost: Fraction | None = None
+    best: int | None = None  # cardinality, or weighted cost in units
     best_combo: tuple[int, ...] | None = None
     scanned = 0
     for size in range(0, n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
             scanned += 1
+            cost = size if unit else sum(map(units.__getitem__, combo))
+            if best is not None and cost >= best:
+                continue
             mask = 0
             for v in combo:
                 mask |= 1 << (v - 1)
@@ -187,17 +199,14 @@ def brute_force_min(
                     break
             if not ok:
                 continue
-            cost = Fraction(size) if unit else sum(
-                (costs[v - 1] for v in combo), Fraction(0)
-            )
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_combo = combo
+            best = cost
+            best_combo = combo
             if unit:
                 break
-        if unit and best_cost is not None:
+        if unit and best is not None:
             break
     stats = {"subsets_scanned": scanned}
-    if best_cost is None:
+    if best is None:
         return infeasible_solution("brute", stats)
-    return Solution(VertexSet.of(best_combo), best_cost, True, "brute", stats)
+    cost = Fraction(best) if unit else Fraction(best, scale)
+    return Solution(VertexSet.of(best_combo), cost, True, "brute", stats)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*args):
+    """Run ``python *args`` in a new process with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
 
 
 # ------------------------------------------------------------------ solve
@@ -377,3 +391,55 @@ def test_selftest_injected_fault_fails(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "instance:" in out  # counterexample echoed
+
+
+# ---------------------------------------------------------------- process
+
+def test_fresh_process_matches_in_process(capsys, p6_file, tmp_path):
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("2\n3\n5\n6\n")
+    problem = ("--variant", "total", "--k", "1", "--format", "json")
+    for argv in (("solve", p6_file, *problem, "--stats"),
+                 ("verify", p6_file, str(setfile), *problem)):
+        code, out, _ = run(capsys, *argv)
+        fresh = run_fresh("-m", "pikdom", *argv)
+        assert code == 0 and fresh.returncode == 0
+        assert fresh.stdout == out
+
+
+def test_repeat_calls_match_first_calls(capsys, p6_file, tmp_path):
+    # One shared parser serves every call: no call's parse may leak into the
+    # next, so each must answer as it does first in a fresh process.
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("2\n5\n")
+    problem = ("--variant", "kdom", "--k", "1", "--format", "json")
+    first = ("solve", p6_file, *problem, "--algo", "naive")
+    calls = [
+        ("solve", p6_file, "--variant", "total", "--k", "x"),
+        first,
+        ("solve", p6_file, *problem),
+        ("verify", p6_file, str(setfile), *problem),
+        ("gen", "--n", "5", "--seed", "3"),
+        first,
+    ]
+    seen = [run(capsys, *argv) for argv in calls]
+    fresh = [run_fresh("-m", "pikdom", *argv) for argv in calls]
+    for argv, (code, out, _), proc in zip(calls, seen, fresh):
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert seen[0][0] == 1 and seen[0][1] == ""
+    assert seen[0][2] == fresh[0].stderr
+    assert json.loads(seen[1][1])["engine"] == "naive"
+    assert json.loads(seen[2][1])["engine"] == "fast"
+
+
+def test_parser_built_once_per_process_not_at_import(p6_file):
+    script = (
+        "import contextlib, io, pikdom.cli as cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for _ in range(3): cli.main(['solve', {p6_file!r}, '--variant', 'kdom', '--k', '1'])\n"
+        "print(cli._parser.cache_info().misses)\n"
+    )
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

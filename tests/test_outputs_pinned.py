@@ -10,6 +10,10 @@ stay out of the hashes: the probe counts have their own pinned test.
 A third digest covers the naive engine and the ``dump_digraph`` text at n
 20/30/45 (k 1-2) and n 20 (k 3), where jump-arc windows are wide enough to
 hold many heads per tail.
+A fourth digest covers the brute-force oracle on the first corpus: its
+feasibility, cost value and type, vertex set and ``subsets_scanned``, run
+unweighted, weighted on the model without costs (one unit per vertex) and
+weighted with the mixed-denominator costs, zero costs among them.
 
 When an intended change moves an answer, re-pin ``PINNED`` and say why in
 the change's notes.
@@ -21,11 +25,13 @@ from fractions import Fraction
 
 from pikdom.fast import solve_fast
 from pikdom.model import format_rational, generate_random, with_costs
+from pikdom.oracle import brute_force_min
 from pikdom.reduction import build_digraph, dump_digraph, solve_naive
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
 PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
+PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 
@@ -110,3 +116,29 @@ def test_arcs_match_pinned_digest():
     digest, runs = arcs_digest()
     assert runs == 7 * 2 * 2 * 2
     assert digest == PINNED_ARCS
+
+
+def _brute_answer(sol) -> str:
+    cost = "-" if sol.cost is None else f"{type(sol.cost).__name__} {format_rational(sol.cost)}"
+    members = " ".join(str(v) for v in sol.vertices)
+    return f"{sol.feasible} {cost} [{members}] {sol.stats['subsets_scanned']}"
+
+
+def brute_digest() -> tuple[str, int, int]:
+    h = hashlib.sha256()
+    runs = zero_costs = 0
+    for label, m, mw, k, variant in _corpus():
+        if variant == "kdom":  # each model appears once per variant
+            zero_costs += sum(1 for c in mw.cost_by_original() if c == 0)
+        for weighted, model in ((False, m), (True, m), (True, mw)):
+            sol = brute_force_min(model, k, variant, weighted)
+            h.update(f"{label} {weighted} {model is mw} {_brute_answer(sol)}\n".encode())
+            runs += 1
+    return h.hexdigest(), runs, zero_costs
+
+
+def test_brute_outputs_match_pinned_digest():
+    digest, runs, zero_costs = brute_digest()
+    assert runs == 8 * 3 * 3 * 2 * 3
+    assert zero_costs > 20
+    assert digest == PINNED_BRUTE
