@@ -151,7 +151,11 @@ def _bench_instances(args):
         if not paths:
             raise ParseError(f"no *.txt instances in {args.dir}")
         for p in paths:
-            yield p.name, parse_model(p.read_text())
+            try:
+                model = parse_model(p.read_text())
+            except PikdomError as exc:
+                raise type(exc)(f"{p}: {exc}") from exc
+            yield p.name, model
         return
     for n in range(args.n_min, args.n_max + 1):
         for rep in range(args.reps):

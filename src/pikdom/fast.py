@@ -52,21 +52,24 @@ vertex.  ``reach_l`` and ``reach_r`` never decrease along the line, so going
 down ``r(m)`` only grows and ``reach_l[m]`` only falls: the first gap vertex
 with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
 and a probe is ``O(k)`` integer compares.  The naive engine keeps the
-literal test, so the differential tests check this derivation.  Jump arcs
-incident to the dummy source and sink are tested explicitly, only for the
-nodes whose window admits them, as are all slide (E1) arcs.  The source's
-side of the gap cover is the same for every head, so one ``_gap_covered``
-call before the sweep answers all of its arcs.
+literal test, so the differential tests check this derivation.
+
+The dummy source and sink take the same probe.  The source is a class of
+its own, key ``(0,)`` at ``hi`` 0, and the sink is the sweep's last head.
+Neither meets a gap vertex: the source clears only an empty floor tuple,
+which is the literal test's "the head alone covers the gap", and the
+sink's floors ask everything of the tail.  Slide (E1) arcs are tested
+explicitly.
 
 The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
 Every arc strictly raises ``hi``, so this is a topological order, and all
 members of a suffix class share their ``hi``, so a class's minimum is final
 when its group ends.  Every class in a head's window ends before ``s.lo``,
 so it is final before the first head of any prefix class is processed.
-Equal costs go to the first class in key order, the first slide tail in id
-order and, into the sink, the first tail in (suffix key, sequence) order;
-none of these depends on the sweep order, so the chosen path does not
-either.
+Equal costs go to the first class in key order (the source's first), the
+first member of that class in id order and the first slide tail in id
+order; none of these depends on the sweep order, so the chosen path does
+not either.
 
 Per node the DP tracks the best path ending in a jump arc and the best path
 overall; per slide arc the best path ending with exactly that arc; per class
@@ -95,10 +98,8 @@ from .reduction import (
     KIND_BIG,
     KIND_SMALL,
     _Ctx,
-    _e0_arc,
     _e0_window,
     _engine_plan,
-    _gap_covered,
     _head_ok,
     _hits,
     _Plan,
@@ -159,8 +160,8 @@ def topo_order(nodes, k: int) -> list[int]:
 
 
 def _probe_floors(ctx: _Ctx, head: DagNode):
-    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the middle
-    node ``head`` can have, from the top of its window down.
+    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into ``head``, a
+    middle node or the sink, can have, from the top of its window down.
 
     ``head`` must pass condition (4); the DP probes nothing for a big head
     that fails it.  A suffix class whose members end at ``hi`` has a jump
@@ -233,7 +234,11 @@ def solve_fast_with_path(
     middle = nodes[1:-1]
 
     eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
-    classes = suffix_partition(middle, k, eligible)
+    # The source is a class of its own with key (0,), first in key order.
+    # Its one member, at position 0, meets no gap vertex, so it clears only
+    # an empty floor tuple: the head alone covers the gap.
+    classes = [SuffixClass((0,), (source.id,), best=0, best_node=source.id)]
+    classes += suffix_partition(middle, k, eligible)
     # Class positions (key order) by the shared hi of their members.
     by_hi: list[list[int]] = [[] for _ in range(model.n + 2)]
     for pos, cl in enumerate(classes):
@@ -251,29 +256,13 @@ def solve_fast_with_path(
     # them and passes (4), or None when no class has one.
     probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
     repr_tests = 0
-    # Condition (4) by node id, tested once per big node.
-    head_ok = [nd.kind != KIND_BIG or _head_ok(ctx, nd.seq) for nd in nodes]
-    # Jump arcs from the source: the heads whose window admits its hi, 0,
-    # that pass (1) and (4).  The source's side of the gap cover is the same
-    # for every head, so one _gap_covered call answers them all.
-    from_source = {
-        nd.id
-        for nd in _gap_covered(ctx, source, [
-            nd for nd in middle
-            if head_ok[nd.id]
-            and _e0_window(ctx, head_lo=nd.lo)[0] == 0
-            and ctx.reach_r[source.hi] < nd.lo
-        ])
-    }
 
-    # one hi group at a time; its classes are frozen when it ends
-    for group_hi, group in groupby(order[1:-1], key=attrgetter("hi")):
+    # one hi group at a time, the sink's last; a group's classes are frozen
+    # when it ends
+    for group_hi, group in groupby(order[1:], key=attrgetter("hi")):
         for nd in group:
             w = jump[nd.id]
-            if nd.id in from_source:
-                dj: int | None = w
-                pj: int | None = source.id
-            elif not head_ok[nd.id]:
+            if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
                 dj = pj = None
             else:
                 prefix = nd.seq[:k]
@@ -317,31 +306,14 @@ def solve_fast_with_path(
                 if d is not None and (cl.best is None or d < cl.best):
                     cl.best = d
                     cl.best_node = mid
-
-    # Sink: its incoming jump arcs are the one place they are materialized;
-    # only tails whose hi lies in the sink's window can have one.  Equal
-    # costs go to the first tail in (suffix key, sequence) order.
-    sink_dist: int | None = None
-    sink_pred: int | None = None
-    sink_hi_min, _ = _e0_window(ctx, head_lo=sink.lo)
-    tails = [nd for nd in middle if nd.hi >= sink_hi_min]
-    tails.sort(key=lambda nd: (suffix_key(nd.seq, k), nd.seq))
-    for nd in [source] + tails:
-        d = dist.get(nd.id)
-        if d is None or nd.hi < sink_hi_min:
-            continue
-        if sink_dist is not None and d >= sink_dist:
-            continue
-        if _e0_arc(ctx, nd, sink):
-            sink_dist = d
-            sink_pred = nd.id
+    sink_dist = dist_jump.pop(sink.id)  # the trace keys dist_jump by middle ids
 
     stats = {
         "nodes": len(nodes),
         "small_nodes": sum(1 for nd in middle if nd.kind == KIND_SMALL),
         "big_nodes": sum(1 for nd in middle if nd.kind == KIND_BIG),
         "tail_eligible_bigs": len(eligible),
-        "suffix_classes": len(classes),
+        "suffix_classes": len(classes) - 1,  # the source's class is not counted
         "prefix_classes": len(probes),
         "representative_tests": repr_tests,
         "e1_arcs": sum(len(tails) for tails in plan.slide_tails.values()),
@@ -351,13 +323,13 @@ def solve_fast_with_path(
         _trace["dist_jump"] = dict(dist_jump)
         _trace["sink_dist"] = sink_dist
         _trace["order"] = [nd.id for nd in order]
-        _trace["classes"] = classes
+        _trace["classes"] = classes[1:]
         _trace["nodes"] = nodes
     if sink_dist is None:
         return infeasible_solution("fast", stats), None
 
     # Reconstruction follows the recorded predecessors back to the source.
-    rev = [sink.id, sink_pred]
+    rev = [sink.id]
     while rev[-1] != source.id:
         rev.append(pred[rev[-1]])
     node_path = [nodes[i] for i in reversed(rev)]
@@ -378,6 +350,8 @@ def representative_independence_check(
     their first k indices and their answer to condition (4)), membership
     from any node is all-or-none.  These are the properties the DP's shared
     probes rely on."""
+    from .reduction import _e0_arc  # the literal test, which the DP never runs
+
     check_k(k)
     check_variant(variant)
     if model.n > cap:

@@ -202,14 +202,13 @@ def parse_model(text: str) -> ProperIntervalModel:
         want = 3 if weighted else 2
         if len(toks) != want:
             raise ParseError(f"line {lineno}: expected {want} fields, got {len(toks)}")
-        left = parse_rational(toks[0])
-        right = parse_rational(toks[1])
         try:
+            left, right = parse_rational(toks[0]), parse_rational(toks[1])
             intervals.append(Interval(left, right))
-        except ParamError as exc:
+            c = parse_rational(toks[2]) if weighted else None
+        except (ParseError, ParamError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if weighted:
-            c = parse_rational(toks[2])
             if c < 0:
                 raise NegativeCostError(f"line {lineno}: negative cost {c}")
             costs.append(c)

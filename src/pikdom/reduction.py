@@ -334,12 +334,9 @@ def is_e0_arc(
     variant: str,
     s: DagNode,
     s2: DagNode,
-    *,
-    _ctx: _Ctx | None = None,
 ) -> bool:
     """Jump-arc predicate between two nodes of the same derived digraph."""
-    ctx = _ctx if _ctx is not None else _Ctx(model, k, variant)
-    return _e0_arc(ctx, s, s2)
+    return _e0_arc(_Ctx(model, k, variant), s, s2)
 
 
 def is_e1_arc(k: int, s: DagNode, s2: DagNode) -> bool:

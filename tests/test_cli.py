@@ -120,6 +120,18 @@ def test_solve_parse_error_exit_1(capsys, tmp_path):
     assert "E_NOT_PROPER" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 2\n1 x\n", "error[E_PARSE]: line 2: bad rational literal 'x'"),
+    ("2 weighted\n0 2 1\n1 3 1/0\n",
+     "error[E_PARSE]: line 2: bad rational literal '1/0'"),
+])
+def test_solve_bad_literal_names_its_line(capsys, tmp_path, text, message):
+    inst = tmp_path / "bad.txt"
+    inst.write_text(text)
+    code, out, err = run(capsys, "solve", str(inst), "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (1, "", message + "\n")
+
+
 @pytest.mark.parametrize("extra", [("--k", "1", "--e1-rule", "max"), ("--k", "x")])
 def test_solve_usage_error_exit_1(capsys, p6_file, extra):
     # argparse would exit 2, which reads as "infeasible"
@@ -169,15 +181,14 @@ def test_solve_stats_text(capsys, p6_file):
 
 
 def test_solve_stats_prefix_classes(capsys, p6_file):
-    # P6, total, k=1: the nodes are the five edges (i, i+1).  (1,2) and (2,3)
-    # take the jump arc from the source; the other three heads probe, each
-    # with its own first index.
+    # P6, total, k=1: the nodes are the five edges (i, i+1).  Every head
+    # probes, each with its own first index, and so does the sink.
     code, out, _ = run(capsys, "solve", p6_file, "--variant", "total", "--k", "1",
                        "--format", "json", "--stats")
     assert code == 0
     stats = json.loads(out)["stats"]
     assert stats["big_nodes"] == 5 and stats["small_nodes"] == 0
-    assert stats["prefix_classes"] == 3
+    assert stats["prefix_classes"] == 6
 
 
 def test_solve_k4_kdom(capsys, tmp_path):
@@ -334,6 +345,18 @@ def test_bench_instance_dir(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 2\n1 x\n", "error[E_PARSE]: {}: line 2: bad rational literal 'x'"),
+    ("2 weighted\n0 2 1\n1 3 -1\n", "error[E_NEG_COST]: {}: line 2: negative cost -1"),
+])
+def test_bench_dir_names_the_file_that_fails(capsys, tmp_path, text, message):
+    (tmp_path / "a.txt").write_text(P6_TEXT)
+    (tmp_path / "b.txt").write_text(text)
+    code, _, err = run(capsys, "bench", "--dir", str(tmp_path), "--k", "1",
+                       "--variant", "total")
+    assert (code, err) == (1, message.format(tmp_path / "b.txt") + "\n")
+
+
 def test_bench_empty_dir_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "--dir", str(tmp_path))
     assert code == 1
@@ -369,24 +392,15 @@ def test_selftest_quick_pass(capsys):
 
 
 def test_selftest_injected_fault_fails(capsys, monkeypatch):
-    import pikdom.fast as fast
     import pikdom.reduction as reduction
 
-    real = reduction._e0_arc
+    real = reduction._gap_covered
 
-    def relaxed(ctx, s, s2):
-        # the jump-arc rule without the gap condition (2) once k >= 2
-        if ctx.k < 2 or s.kind == "sink" or s2.kind == "source":
-            return real(ctx, s, s2)
-        return (
-            s.hi < s2.lo
-            and ctx.reach_r[s.hi] < s2.lo
-            and (s.kind != "big" or reduction._tail_ok(ctx, s.seq))
-            and (s2.kind != "big" or reduction._head_ok(ctx, s2.seq))
-        )
+    def relaxed(ctx, tail, heads):
+        # the literal gap cover, condition (2), skipped once k >= 2
+        return real(ctx, tail, heads) if ctx.k < 2 else list(heads)
 
-    monkeypatch.setattr(reduction, "_e0_arc", relaxed)
-    monkeypatch.setattr(fast, "_e0_arc", relaxed)
+    monkeypatch.setattr(reduction, "_gap_covered", relaxed)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     assert "FAIL" in out

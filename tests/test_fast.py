@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pikdom.errors import TooLargeError
 from pikdom.fast import (
+    SuffixClass,
     _clears,
     _probe_floors,
     representative_independence_check,
@@ -242,8 +243,8 @@ def test_fast_dist_jump_matches_literal_recomputation():
     # jump-arc test on every class representative: the source arc when it
     # exists (it costs the charge alone), else the best finalized class
     # minimum plus the charge.  Also counts the prefix classes the DP must
-    # probe: heads without a source arc that pass condition (4), by their
-    # first k indices.
+    # probe: heads that pass condition (4), by their first k indices, plus
+    # the sink.
     rng = random.Random(5)
     checked = {True: 0, False: 0}
     for n, (seed, stretch) in product(range(4, 15), ((0, 3), (1, Fraction(9, 2)), (2, 7))):
@@ -266,7 +267,7 @@ def test_fast_dist_jump_matches_literal_recomputation():
                         for cl in trace["classes"]
                         if cl.best is not None
                     ]
-                    prefixes = set()
+                    prefixes = {nodes[-1].seq[:k]}
                     assert set(trace["dist_jump"]) == {nd.id for nd in nodes[1:-1]}
                     for nd in nodes[1:-1]:
                         if weighted:
@@ -281,8 +282,8 @@ def test_fast_dist_jump_matches_literal_recomputation():
                                  if _e0_arc(ctx, rep, nd)),
                                 default=None,
                             )
-                            if nd.kind == "small" or _head_ok(ctx, nd.seq):
-                                prefixes.add(nd.seq[:k])
+                        if nd.kind == "small" or _head_ok(ctx, nd.seq):
+                            prefixes.add(nd.seq[:k])
                         assert trace["dist_jump"][nd.id] == want, (
                             n, k, variant, weighted, nd.seq
                         )
@@ -305,8 +306,8 @@ def test_fast_work_counter_bound():
 @pytest.mark.parametrize(
     "n, seed, stretch, k, variant, cost, probes",
     [
-        (30, 5, 6, 2, "total", 15, 130),
-        (40, 7, 3, 1, "kdom", 11, 88),
+        (30, 5, 6, 2, "total", 15, 143),
+        (40, 7, 3, 1, "kdom", 11, 93),
     ],
 )
 def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, probes):
@@ -316,12 +317,15 @@ def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, pr
 
 
 def test_threshold_probe_matches_jump_arc_test():
-    # For every middle node that passes condition (4) and every class whose
-    # hi lies in its window, the key-threshold probe answers as the literal
-    # jump-arc test does on the class representative.  A big node that fails
-    # (4) is never probed: the literal test finds no jump arc into it from
-    # any class in its window.
+    # For every head that passes condition (4) and every class whose hi lies
+    # in its window, the key-threshold probe answers as the literal jump-arc
+    # test does on the class representative.  The heads are the middle nodes
+    # and the sink; the classes are the suffix classes and the source's own
+    # class (key (0,), hi 0), as in the DP.  A big node that fails (4) is
+    # never probed: the literal test finds no jump arc into it from any class
+    # in its window.
     checked = {True: 0, False: 0}
+    dummies = {"source": {True: 0, False: 0}, "sink": {True: 0, False: 0}}
     failing_pairs = 0
     short_keys = 0
     for n in range(4, 15):
@@ -333,10 +337,10 @@ def test_threshold_probe_matches_jump_arc_test():
                     nodes = enumerate_nodes(m, k, variant)
                     middle = nodes[1:-1]
                     eligible = eligible_tail_bigs(middle, m, k, variant)
-                    by_hi = {}
+                    by_hi = {0: [SuffixClass((0,), (nodes[0].id,))]}
                     for cl in suffix_partition(middle, k, eligible):
                         by_hi.setdefault(cl.key[-1], []).append(cl)
-                    for nd in middle:
+                    for nd in middle + [nodes[-1]]:
                         hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
                         if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
                             for hi in range(hi_min, hi_max + 1):
@@ -356,7 +360,13 @@ def test_threshold_probe_matches_jump_arc_test():
                                 )
                                 checked[want] += 1
                                 short_keys += len(cl.key) < k
+                                if cl.key == (0,):
+                                    dummies["source"][want] += 1
+                                if nd is nodes[-1]:
+                                    dummies["sink"][want] += 1
     assert min(checked.values()) > 1000
+    assert min(dummies["source"].values()) > 500
+    assert min(dummies["sink"].values()) > 100
     assert failing_pairs > 100
     assert short_keys > 100
 

@@ -22,6 +22,7 @@ from pikdom.reduction import (
     ARC_E1,
     DagNode,
     _Ctx,
+    _e0_arc,
     _e0_window,
     arc_length,
     build_digraph,
@@ -195,7 +196,7 @@ def test_e0_arcs_lie_in_windows():
                 ctx = _Ctx(m, k, variant)
                 nodes = enumerate_nodes(m, k, variant)
                 for t, s in itertools.product(nodes, repeat=2):
-                    if not is_e0_arc(m, k, variant, t, s, _ctx=ctx):
+                    if not _e0_arc(ctx, t, s):
                         continue
                     arcs += 1
                     lo_min, lo_max = _e0_window(ctx, tail_hi=t.hi)
