@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParamError, ParseError, PikdomError
-from .fast import solve_fast
+from .fast import _fast_search
 from .model import (
     derive_graph,
     format_rational,
@@ -27,7 +27,14 @@ from .model import (
     serialize_model,
 )
 from .oracle import VertexSet, brute_force_min, find_violation
-from .reduction import DEFAULT_NODE_CAP, build_digraph, dump_digraph, solve_naive
+from .reduction import (
+    DEFAULT_NODE_CAP,
+    _engine_plan,
+    _naive_search,
+    _plan_digraph,
+    build_digraph,
+    dump_digraph,
+)
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -56,24 +63,30 @@ def _cost_payload(cost: Fraction | None):
 
 
 def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brute: int):
+    """One engine's solution, and the DAG plan it searched: None for brute
+    and when the min-degree shortcut answered without one."""
+    if algo == "brute":
+        return brute_force_min(model, k, variant, model.weighted, cap=cap_brute), None
+    plan = _engine_plan(model, k, variant, model.weighted, cap_nodes)
     if algo == "fast":
-        return solve_fast(model, k, variant, model.weighted, cap_nodes=cap_nodes)
-    if algo == "naive":
-        return solve_naive(model, k, variant, model.weighted, cap_nodes=cap_nodes)
-    return brute_force_min(model, k, variant, model.weighted, cap=cap_brute)
+        return _fast_search(plan, model)[0], plan
+    return _naive_search(plan, model), plan
 
 
 def cmd_solve(args) -> int:
     model = parse_model(Path(args.instance).read_text())
     t0 = time.perf_counter()
-    sol = _solve_with(
+    sol, plan = _solve_with(
         args.algo, model, args.k, args.variant, args.cap_nodes, args.cap_brute
     )
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if args.dump_dag:
-        dg = build_digraph(
-            model, args.k, args.variant, model.weighted, cap_nodes=args.cap_nodes
-        )
+        if plan is None:
+            dg = build_digraph(
+                model, args.k, args.variant, model.weighted, cap_nodes=args.cap_nodes
+            )
+        else:
+            dg = _plan_digraph(plan, model.weighted)
         Path(args.dump_dag).write_text(dump_digraph(dg))
     report = {
         "feasible": sol.feasible,
@@ -145,22 +158,26 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_instances(args):
+def _parse_file(path: Path):
+    try:
+        return parse_model(path.read_text())
+    except PikdomError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _bench_instances(args) -> list[tuple[str, object]]:
+    """Every (label, model) of the run, all parsed before the first solve,
+    so a bad file ends the run before any row is computed."""
     if args.dir is not None:
         paths = sorted(Path(args.dir).glob("*.txt"))
         if not paths:
             raise ParseError(f"no *.txt instances in {args.dir}")
-        for p in paths:
-            try:
-                model = parse_model(p.read_text())
-            except PikdomError as exc:
-                raise type(exc)(f"{p}: {exc}") from exc
-            yield p.name, model
-        return
-    for n in range(args.n_min, args.n_max + 1):
-        for rep in range(args.reps):
-            label = f"gen-n{n}-r{rep}"
-            yield label, generate_random(n, args.seed + 977 * n + rep, args.stretch)
+        return [(p.name, _parse_file(p)) for p in paths]
+    return [
+        (f"gen-n{n}-r{rep}", generate_random(n, args.seed + 977 * n + rep, args.stretch))
+        for n in range(args.n_min, args.n_max + 1)
+        for rep in range(args.reps)
+    ]
 
 
 def cmd_bench(args) -> int:
@@ -180,7 +197,7 @@ def cmd_bench(args) -> int:
         seen: dict[str, object] = {}
         for engine in engines:
             t0 = time.perf_counter()
-            sol = _solve_with(
+            sol, _ = _solve_with(
                 engine, model, args.k, args.variant, args.cap_nodes, args.cap_brute
             )
             wall_ms = (time.perf_counter() - t0) * 1000.0

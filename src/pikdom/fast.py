@@ -71,11 +71,13 @@ first member of that class in id order and the first slide tail in id
 order; none of these depends on the sweep order, so the chosen path does
 not either.
 
-Per node the DP tracks the best path ending in a jump arc and the best path
-overall; per slide arc the best path ending with exactly that arc; per class
-the best path ending anywhere in the class.  Path lengths are plain ints in
-the plan's units (see ``reduction._Plan``) and the optimum is divided by the
-plan's ``scale`` once; unreachable states are ``None``.
+Per node the DP tracks the best path ending in a jump arc, the best path
+overall and the node before it on that path, in three lists indexed by node
+id; per class the best path ending anywhere in the class.  The sweep walks
+the ``hi`` buckets that ``topo_order`` flattens (``_hi_groups``), so both
+see one order.  Path lengths are plain ints in the plan's units (see
+``reduction._Plan``) and the optimum is divided by the plan's ``scale``
+once; unreachable states are ``None``.
 
 The nodes, charges and slide-arc index come from the same
 ``reduction._Plan`` the naive engine builds; the two engines differ only in
@@ -86,8 +88,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 
 from .errors import TooLargeError
 from .model import ProperIntervalModel
@@ -142,6 +142,16 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
     ]
 
 
+def _hi_groups(nodes) -> list[list[DagNode]]:
+    """Nodes bucketed by ``hi`` (their last index), in id order inside each
+    bucket; ``nodes`` is an enumeration, sink last, so bucket i holds the
+    nodes ending at position i."""
+    groups: list[list[DagNode]] = [[] for _ in range(nodes[-1].seq[-1] + 1)]
+    for nd in nodes:
+        groups[nd.seq[-1]].append(nd)
+    return groups
+
+
 def topo_order(nodes, k: int) -> list[int]:
     """Node ids grouped by ``hi`` (their last index) ascending, id order
     inside each group; ``nodes`` is an enumeration, sink last.
@@ -153,10 +163,7 @@ def topo_order(nodes, k: int) -> list[int]:
     ``hi``, so a class is complete when its group ends, which is what lets
     class minima be frozen on the fly.  The order does not depend on ``k``.
     """
-    groups: list[list[int]] = [[] for _ in range(nodes[-1].hi + 1)]
-    for nd in nodes:
-        groups[nd.hi].append(nd.id)
-    return [i for group in groups for i in group]
+    return [nd.id for group in _hi_groups(nodes) for nd in group]
 
 
 def _probe_floors(ctx: _Ctx, head: DagNode):
@@ -226,9 +233,18 @@ def solve_fast_with_path(
     invariant tests.
     """
     plan = _engine_plan(model, k, variant, weighted, cap_nodes)
+    return _fast_search(plan, model, _trace)
+
+
+def _fast_search(
+    plan: _Plan | None, model: ProperIntervalModel, _trace: dict | None = None
+) -> tuple[Solution, list[DagNode] | None]:
+    """The DP sweep over ``_engine_plan``'s plan for ``model``, or the
+    infeasible answer when it gave none; see ``solve_fast_with_path``."""
     if plan is None:
         return infeasible_solution("fast"), None
     ctx, nodes, jump = plan.ctx, plan.nodes, plan.jump
+    k, variant = ctx.k, ctx.variant
     source = nodes[0]
     sink = nodes[-1]
     middle = nodes[1:-1]
@@ -244,23 +260,24 @@ def solve_fast_with_path(
     for pos, cl in enumerate(classes):
         by_hi[cl.key[-1]].append(pos)
 
-    order = [nodes[i] for i in topo_order(nodes, k)]
+    groups = _hi_groups(nodes)
 
-    # Path lengths are plain ints in the plan's units; pred maps a node id
-    # to the id of the node before it on its best path.
-    dist: dict[int, int | None] = {source.id: 0}
-    dist_jump: dict[int, int | None] = {}
-    pred: dict[int, int] = {}
+    # Path lengths are plain ints in the plan's units, by node id; pred[i]
+    # is the id of the node before node i on its best path.
+    dist: list[int | None] = [None] * len(nodes)
+    dist_jump: list[int | None] = [None] * len(nodes)
+    pred: list[int | None] = [None] * len(nodes)
+    dist[source.id] = 0
     # By a head's first k indices: (class minimum, class position, its
     # node) of the best class with a jump arc into every head that shares
     # them and passes (4), or None when no class has one.
     probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
     repr_tests = 0
 
-    # one hi group at a time, the sink's last; a group's classes are frozen
-    # when it ends
-    for group_hi, group in groupby(order[1:], key=attrgetter("hi")):
-        for nd in group:
+    # one hi group at a time after the source's, the sink's last; a group's
+    # classes are frozen when it ends
+    for group_hi in range(1, len(groups)):
+        for nd in groups[group_hi]:
             w = jump[nd.id]
             if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
                 dj = pj = None
@@ -289,7 +306,7 @@ def solve_fast_with_path(
             best = dj
             best_pred = pj
             for tail_id in plan.slide_tails.get(nd.id, ()):
-                dt = dist.get(tail_id)
+                dt = dist[tail_id]
                 if dt is None:
                     continue
                 cand = dt + plan.slide[nd.id]
@@ -297,16 +314,15 @@ def solve_fast_with_path(
                     best = cand
                     best_pred = tail_id
             dist[nd.id] = best
-            if best is not None:
-                pred[nd.id] = best_pred
+            pred[nd.id] = best_pred
         for pos in by_hi[group_hi]:
             cl = classes[pos]
             for mid in cl.members:
-                d = dist.get(mid)
+                d = dist[mid]
                 if d is not None and (cl.best is None or d < cl.best):
                     cl.best = d
                     cl.best_node = mid
-    sink_dist = dist_jump.pop(sink.id)  # the trace keys dist_jump by middle ids
+    sink_dist = dist_jump[sink.id]
 
     stats = {
         "nodes": len(nodes),
@@ -319,10 +335,11 @@ def solve_fast_with_path(
         "e1_arcs": sum(len(tails) for tails in plan.slide_tails.values()),
     }
     if _trace is not None:
-        _trace["dist"] = dict(dist)
-        _trace["dist_jump"] = dict(dist_jump)
+        _trace["dist"] = dict(enumerate(dist))
+        # keyed by middle ids only
+        _trace["dist_jump"] = {nd.id: dist_jump[nd.id] for nd in middle}
         _trace["sink_dist"] = sink_dist
-        _trace["order"] = [nd.id for nd in order]
+        _trace["order"] = [nd.id for group in groups for nd in group]
         _trace["classes"] = classes[1:]
         _trace["nodes"] = nodes
     if sink_dist is None:

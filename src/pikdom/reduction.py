@@ -20,6 +20,13 @@ sink interval.  Every intersection count reads reach ranges: the members of
 a sorted sequence that meet position m are the ones inside
 ``reach_l[m]..reach_r[m]``, found by two binary searches (``_hits``).
 
+Enumeration grows the chains index by index and builds only those its
+window checks can keep (``enumerate_nodes`` gives the two cuts and their
+proofs): a chain one short of a big node appends every passing last index
+at once, from a bound worked out in one walk of its middle, and a chain
+whose small check fails at a position no later member can meet checks no
+small node in its subtree.
+
 Both DAG engines get one ``_Plan`` (budget check, context, nodes, integer
 arc charges and slide-arc index) from ``_engine_plan``, which first answers
 the total variant's min-degree shortcut, and differ only in the search:
@@ -61,7 +68,7 @@ ARC_E1 = "E1"
 DEFAULT_NODE_CAP = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DagNode:
     id: int
     kind: str
@@ -165,13 +172,13 @@ def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
     return bisect.bisect_right(seq, hi) - bisect.bisect_left(seq, lo)
 
 
-def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> bool:
-    """Does every position in ``first..last`` that needs cover meet at least
-    k members of ``seq``?
+def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | None:
+    """The first position in ``first..last`` that needs cover and meets
+    fewer than k members of ``seq``, or None when there is none.
 
-    Total variant: every position does, and a member, which meets itself,
-    needs k + 1 hits.  Plain k-domination: members dominate themselves and
-    are skipped.
+    Total variant: every position needs cover, and a member, which meets
+    itself, needs k + 1 hits.  Plain k-domination: members dominate
+    themselves and are skipped.
     """
     k, total = ctx.k, ctx.variant == VARIANT_TOTAL
     for m in range(first, last + 1):
@@ -179,8 +186,32 @@ def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> bool:
         if member and not total:
             continue
         if _hits(ctx, seq, m) < k + member:
-            return False
-    return True
+            return m
+    return None
+
+
+def _leaf_bound(ctx: _Ctx, seq: tuple[int, ...]) -> int:
+    """For a chain ``seq`` of 2k-1 members, k >= 2: the largest x such that
+    the big node ``seq + (x,)`` passes the middle check, or 0 when none does.
+
+    The middle ``seq[k-1]..seq[k]`` lies in ``seq``, left of any x, so x
+    changes no membership there and adds a hit at a middle position m iff
+    ``x <= reach_r[m]``.  So m lets x pass iff its deficit (what it needs
+    less its hits in ``seq``) is at most 0, or is 1 and ``x <= reach_r[m]``.
+    """
+    k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
+    first, last = seq[k - 1], seq[k]
+    bound = ctx.n
+    for m in range(first, last + 1):
+        member = m == first or m == last
+        if member and not total:
+            continue
+        deficit = k + member - _hits(ctx, seq, m)
+        if deficit > 1:
+            return 0
+        if deficit == 1 and reach_r[m] < bound:
+            bound = reach_r[m]
+    return bound
 
 
 def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -189,7 +220,7 @@ def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
     k = ctx.k
     if ctx.variant == VARIANT_TOTAL:
         return seq[-1] <= ctx.reach_r[seq[-k - 1]]
-    return _dominated(ctx, seq, seq[k], seq[-1])
+    return _dominated(ctx, seq, seq[k], seq[-1]) is None
 
 
 def _head_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -198,7 +229,7 @@ def _head_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
     k = ctx.k
     if ctx.variant == VARIANT_TOTAL:
         return seq[k] <= ctx.reach_r[seq[0]]
-    return _dominated(ctx, seq, seq[0], seq[k - 1])
+    return _dominated(ctx, seq, seq[0], seq[k - 1]) is None
 
 
 def enumerate_nodes(
@@ -215,6 +246,18 @@ def enumerate_nodes(
     the chain condition prunes before the per-window domination conditions
     are evaluated.  Lexicographic order is topological here: every arc
     strictly increases the leftmost index.
+
+    Two cuts skip chains whose checks cannot pass; neither drops a node:
+
+    * Leaf bound.  A chain ``t`` of 2k-1 members fixes the middle
+      ``t[k-1]..t[k]`` of every big node ``t + (x,)``, and x adds a hit at a
+      middle position m iff ``x <= reach_r[m]``.  So one walk of the middle
+      gives the largest passing x (``_leaf_bound``) and every x up to it is
+      a big node.  At k <= 2 every chain passes and the walk is skipped.
+    * Small-check subtree cut.  If the small check of ``t`` fails at m and
+      ``m < reach_l[t[-1]+1]``, no later member meets m (``reach_l`` only
+      rises), so every extension fails at m too, and the subtree's small
+      checks are skipped.  Its big nodes are still built.
     """
     ctx = _Ctx(model, k, variant)
     _check_budget(ctx.n, k, variant, cap_nodes)
@@ -223,29 +266,38 @@ def enumerate_nodes(
 
 def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
     n, k, variant = ctx.n, ctx.k, ctx.variant
+    reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
-    big_len = 2 * k
+    parent_len = 2 * k - 1  # a chain one short of a big node
     seqs: list[tuple[tuple[int, ...], str]] = []
 
-    def grow(seq: list[int]) -> None:
-        q = len(seq)
+    def grow(seq: list[int], check_small: bool) -> None:
         t = tuple(seq)
-        if q in smalls and _dominated(ctx, t, t[0], t[-1]):
-            seqs.append((t, KIND_SMALL))
-        if q == big_len:
-            if _dominated(ctx, t, t[k - 1], t[k]):
-                seqs.append((t, KIND_BIG))
+        last = t[-1]
+        if check_small and len(t) in smalls:
+            m = _dominated(ctx, t, t[0], last)
+            if m is None:
+                seqs.append((t, KIND_SMALL))
+            elif m < reach_l[last + 1]:
+                # No later member meets m, so every extension fails at m.
+                check_small = False
+        top = min(reach_r[last], n)
+        if len(t) < parent_len:
+            for nxt in range(last + 1, top + 1):
+                seq.append(nxt)
+                grow(seq, check_small)
+                seq.pop()
             return
-        last = seq[-1]
-        for nxt in range(last + 1, ctx.reach_r[last] + 1):
-            if nxt > n:
-                break
-            seq.append(nxt)
-            grow(seq)
-            seq.pop()
+        # At k <= 2 every chain passes the middle check: each middle
+        # position meets both middle members, and a member also meets itself
+        # and its other chain neighbour.
+        if k > 2:
+            top = min(top, _leaf_bound(ctx, t))
+        for nxt in range(last + 1, top + 1):
+            seqs.append((t + (nxt,), KIND_BIG))
 
     for start in range(1, n + 1):
-        grow([start])
+        grow([start], True)
 
     nodes = [DagNode(0, KIND_SOURCE, (0,))]
     for i, (t, kind) in enumerate(seqs, start=1):
@@ -425,7 +477,7 @@ class _Plan:
     head's first ``2k-1``.
     """
 
-    __slots__ = ("ctx", "nodes", "scale", "jump", "slide", "slide_tails")
+    __slots__ = ("ctx", "nodes", "scale", "jump", "slide", "slide_tails", "_arcs")
 
     def __init__(
         self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
@@ -448,6 +500,7 @@ class _Plan:
         self.slide_tails: dict[int, list[int]] = {
             nd.id: tails_by_overlap.get(nd.seq[:-1], []) for nd in bigs
         }
+        self._arcs: list[tuple[int, int, str, int]] | None = None
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
@@ -458,8 +511,14 @@ class _Plan:
         condition (3) once per tail, the tail's side of the gap cover once
         per tail, and the head's side per pair (``_gap_covered``).  Only the
         heads in the tail's window are scanned (``_e0_window``), and every
-        one of them passes condition (1).
+        one of them passes condition (1).  They are built on the first call
+        and kept for later ones.
         """
+        if self._arcs is None:
+            self._arcs = self._build_arcs()
+        return self._arcs
+
+    def _build_arcs(self) -> list[tuple[int, int, str, int]]:
         ctx, nodes = self.ctx, self.nodes
         arcs = []
         for head_id, tails in self.slide_tails.items():
@@ -517,12 +576,17 @@ def build_digraph(
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> DerivedDigraph:
     """Materialize every node and every arc (the naive engine's input)."""
-    plan = _Plan(_Ctx(model, k, variant), model, weighted, cap_nodes)
+    return _plan_digraph(_Plan(_Ctx(model, k, variant), model, weighted, cap_nodes), weighted)
+
+
+def _plan_digraph(plan: _Plan, weighted: bool) -> DerivedDigraph:
+    """Every node and arc of a plan built with ``weighted``."""
+    ctx = plan.ctx
     arcs = tuple(
         DagArc(tail, head, cls, Fraction(length, plan.scale))
         for tail, head, cls, length in plan.arcs()
     )
-    return DerivedDigraph(tuple(plan.nodes), arcs, variant, k, weighted, model.n)
+    return DerivedDigraph(tuple(plan.nodes), arcs, ctx.variant, ctx.k, weighted, ctx.n)
 
 
 def path_to_vertex_set(path, model: ProperIntervalModel | None = None) -> VertexSet:
@@ -566,7 +630,12 @@ def solve_naive(
     Among equal-cost paths the lexicographically smallest node-id sequence
     wins, making the reported set deterministic.
     """
-    plan = _engine_plan(model, k, variant, weighted, cap_nodes)
+    return _naive_search(_engine_plan(model, k, variant, weighted, cap_nodes), model)
+
+
+def _naive_search(plan: _Plan | None, model: ProperIntervalModel) -> Solution:
+    """The shortest-path sweep over ``_engine_plan``'s plan for ``model``, or
+    the infeasible answer when it gave none; see ``solve_naive``."""
     if plan is None:
         return infeasible_solution("naive")
     arcs = plan.arcs()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pikdom import cli, reduction
 from pikdom.cli import main
 from pikdom.model import parse_model, serialize_model
 from pikdom.reduction import build_digraph, dump_digraph
@@ -172,6 +173,38 @@ def test_solve_dump_dag(capsys, tmp_path):
     assert code == 0
     model = parse_model(TWO_OVERLAP)
     assert dump.read_text() == dump_digraph(build_digraph(model, 1, "total"))
+
+
+@pytest.mark.parametrize("algo, variant, k", [
+    ("fast", "total", 1),
+    ("naive", "total", 1),
+    ("naive", "kdom", 2),
+    ("brute", "total", 1),
+    ("fast", "total", 2),  # P6 has min degree 1: the shortcut builds no plan
+])
+def test_solve_dump_dag_builds_one_plan(capsys, monkeypatch, p6_file, tmp_path,
+                                        algo, variant, k):
+    built = {"plans": 0, "arcs": 0}
+    init, build_arcs = reduction._Plan.__init__, reduction._Plan._build_arcs
+
+    def counted_init(self, *args):
+        built["plans"] += 1
+        init(self, *args)
+
+    def counted_arcs(self):
+        built["arcs"] += 1
+        return build_arcs(self)
+
+    monkeypatch.setattr(reduction._Plan, "__init__", counted_init)
+    monkeypatch.setattr(reduction._Plan, "_build_arcs", counted_arcs)
+    dump = tmp_path / "dag.txt"
+    code, _, _ = run(capsys, "solve", p6_file, "--variant", variant, "--k", str(k),
+                     "--algo", algo, "--dump-dag", str(dump))
+    assert code == (2 if (variant, k) == ("total", 2) else 0)
+    assert built == {"plans": 1, "arcs": 1}
+    monkeypatch.undo()
+    model = parse_model(P6_TEXT)
+    assert dump.read_text() == dump_digraph(build_digraph(model, k, variant))
 
 
 def test_solve_stats_text(capsys, p6_file):
@@ -355,6 +388,17 @@ def test_bench_dir_names_the_file_that_fails(capsys, tmp_path, text, message):
     code, _, err = run(capsys, "bench", "--dir", str(tmp_path), "--k", "1",
                        "--variant", "total")
     assert (code, err) == (1, message.format(tmp_path / "b.txt") + "\n")
+
+
+def test_bench_dir_parses_every_file_before_solving(capsys, monkeypatch, tmp_path):
+    (tmp_path / "a.txt").write_text(P6_TEXT)
+    (tmp_path / "c.txt").write_text("2\n0 2\n1 x\n")
+    calls = []
+    monkeypatch.setattr(cli, "_solve_with", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "bench", "--dir", str(tmp_path), "--k", "1",
+                         "--variant", "total")
+    assert (code, out, calls) == (1, "", [])
+    assert err.count("\n") == 1 and str(tmp_path / "c.txt") in err
 
 
 def test_bench_empty_dir_exit_1(capsys, tmp_path):

@@ -5,8 +5,10 @@ byte-identical: fast and naive feasibility, cost and vertex set, plus the
 ``dump_digraph`` text, unweighted and with mixed-denominator costs.  The
 corpus is ``generate_random`` at n 5-12, k 1-3, both variants.  A second
 digest covers ``fast`` alone at n 40/60/90/120, where the DP's tie-breaks
-(the sink scan above all) choose among many more equal-cost paths.  Stats
-stay out of the hashes: the probe counts have their own pinned test.
+choose among many more equal-cost paths.  Stats stay out of these two
+hashes; ``PINNED_STATS`` hashes fast's whole ``stats`` dict over the second
+corpus, so a change to how the plan or the DP does its work that moves a
+count shows there.
 A third digest covers the naive engine and the ``dump_digraph`` text at n
 20/30/45 (k 1-2) and n 20 (k 3), where jump-arc windows are wide enough to
 hold many heads per tail.
@@ -20,6 +22,7 @@ the change's notes.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
 PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
+PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 
@@ -94,6 +98,25 @@ def test_large_outputs_match_pinned_digest():
     digest, runs = large_digest()
     assert runs == 4 * 3 * 3 * 2 * 2
     assert digest == PINNED_LARGE
+
+
+def stats_digest() -> tuple[str, int]:
+    """Every counter ``fast`` reports, on the corpus of ``large_digest``."""
+    h = hashlib.sha256()
+    runs = 0
+    for label, m, mw, k, variant in _corpus((40, 60, 90, 120), 50000):
+        for weighted, model in ((False, m), (True, mw)):
+            sol = solve_fast(model, k, variant, weighted, cap_nodes=10**18)
+            stats = json.dumps(sol.stats, sort_keys=True)
+            h.update(f"{label} {weighted} {stats}\n".encode())
+            runs += 1
+    return h.hexdigest(), runs
+
+
+def test_large_stats_match_pinned_digest():
+    digest, runs = stats_digest()
+    assert runs == 4 * 3 * 3 * 2 * 2
+    assert digest == PINNED_STATS
 
 
 def arcs_digest() -> tuple[str, int]:

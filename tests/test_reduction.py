@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -22,6 +24,7 @@ from pikdom.reduction import (
     ARC_E1,
     DagNode,
     _Ctx,
+    _dominated,
     _e0_arc,
     _e0_window,
     arc_length,
@@ -270,6 +273,71 @@ def test_window_conditions_match_definitions():
                         counts["uncovered"] += not covered
     assert counts["small"] > 1000 and counts["big"] > 1000, counts
     assert counts["arc"] > 3000 and counts["uncovered"] > 5000, counts
+
+
+def _reference_nodes(ctx, counts):
+    """Every (seq, kind) middle node in enumeration order, from every
+    consecutively-intersecting chain of length up to 2k, each one checked
+    in full by the window checks: the enumeration without its cuts.
+    ``counts`` gathers how often each cut would fire."""
+    n, k = ctx.n, ctx.k
+    smalls = range(k + 1, 2 * k) if ctx.variant == "total" else range(1, 2 * k)
+    seqs = []
+
+    def grow(seq):
+        q = len(seq)
+        t = tuple(seq)
+        if q in smalls:
+            m = _dominated(ctx, t, t[0], t[-1])
+            if m is None:
+                seqs.append((t, "small"))
+            elif m < ctx.reach_l[t[-1] + 1]:
+                counts["small_cut"] += 1
+        if q == 2 * k:
+            counts[f"chains_k{k}"] += 1
+            if _dominated(ctx, t, t[k - 1], t[k]) is None:
+                seqs.append((t, "big"))
+            else:
+                counts[f"rejected_k{k}"] += 1
+            return
+        last = seq[-1]
+        for nxt in range(last + 1, ctx.reach_r[last] + 1):
+            if nxt > n:
+                break
+            seq.append(nxt)
+            grow(seq)
+            seq.pop()
+
+    for start in range(1, n + 1):
+        grow([start])
+    return seqs
+
+
+def test_enumeration_cuts_lose_no_node():
+    # The leaf bound and the small-check subtree cut against the uncut
+    # enumeration, kinds and order included.  At k <= 2 every chain passes
+    # the middle check, so the leaf bound there is the chain's own reach.
+    counts = collections.Counter()
+    for k, n_max in ((1, 40), (2, 40), (3, 24), (4, 16)):
+        for n in range(2, n_max + 1, 2):
+            for stretch in (2, 3, Fraction(7, 2), 4, 5):
+                m = generate_random(n, 400 + 7 * n + k, stretch)
+                for variant in ("kdom", "total"):
+                    nodes = enumerate_nodes(m, k, variant, cap_nodes=10**18)
+                    got = [(nd.seq, nd.kind) for nd in nodes[1:-1]]
+                    want = _reference_nodes(_Ctx(m, k, variant), counts)
+                    assert got == want, (n, stretch, k, variant)
+    assert counts["chains_k1"] > 1000 and counts["rejected_k1"] == 0, counts
+    assert counts["chains_k2"] > 1000 and counts["rejected_k2"] == 0, counts
+    assert counts["rejected_k3"] > 1000 and counts["rejected_k4"] > 500, counts
+    assert counts["small_cut"] > 5000, counts
+
+
+def test_dag_node_has_slots_and_is_frozen():
+    nd = DagNode(1, "big", (1, 2))
+    assert not hasattr(nd, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nd.kind = "small"
 
 
 def test_e1_arc_shift():
