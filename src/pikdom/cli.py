@@ -73,8 +73,17 @@ def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brut
     return _naive_search(plan, model), plan
 
 
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8; bytes that do not decode are a parse
+    error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def cmd_solve(args) -> int:
-    model = parse_model(Path(args.instance).read_text())
+    model = parse_model(_read_text(args.instance))
     t0 = time.perf_counter()
     sol, plan = _solve_with(
         args.algo, model, args.k, args.variant, args.cap_nodes, args.cap_brute
@@ -131,8 +140,8 @@ def _parse_set_file(text: str) -> VertexSet:
 
 
 def cmd_verify(args) -> int:
-    model = parse_model(Path(args.instance).read_text())
-    vset = _parse_set_file(Path(args.setfile).read_text())
+    model = parse_model(_read_text(args.instance))
+    vset = _parse_set_file(_read_text(args.setfile))
     graph = derive_graph(model)
     violation = find_violation(graph, vset, args.k, args.variant)
     if args.format == "json":
@@ -159,8 +168,9 @@ def cmd_gen(args) -> int:
 
 
 def _parse_file(path: Path):
+    text = _read_text(path)
     try:
-        return parse_model(path.read_text())
+        return parse_model(text)
     except PikdomError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

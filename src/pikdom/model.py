@@ -12,6 +12,13 @@ endpoints are then sorted as well.  "Sorted index" means the 1-based position
 in that order.  ``original_ids`` remembers the caller's numbering from the
 input file so solutions can be reported in it; for generated models the two
 numberings coincide.
+
+Sorting, validation and the reach sweep order endpoints by an exact integer
+key, ``_key(x) = (floor(x * 2**32), x)``.  The floor never decreases as x
+grows, so two keys whose integer parts differ are ordered by those integers
+alone, and exactly; only when the integer parts tie does the tuple compare
+reach the ``Fraction``.  The key uses no floating point and no common
+denominator, so it costs the same however many denominators the input has.
 """
 
 from __future__ import annotations
@@ -37,6 +44,12 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {token!r}") from exc
+
+
+def _key(x: Fraction) -> tuple[int, Fraction]:
+    """Exact order key of an endpoint: ``floor(x * 2**32)``, then x itself
+    for the keys whose integer parts tie (see the module docstring)."""
+    return ((x.numerator << 32) // x.denominator, x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -75,8 +88,10 @@ class Interval:
     right: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "left", Fraction(self.left))
-        object.__setattr__(self, "right", Fraction(self.right))
+        if not isinstance(self.left, Fraction):
+            object.__setattr__(self, "left", Fraction(self.left))
+        if not isinstance(self.right, Fraction):
+            object.__setattr__(self, "right", Fraction(self.right))
         if self.left >= self.right:
             raise ParamError(
                 f"interval needs left < right, got [{self.left}, {self.right}]"
@@ -107,11 +122,16 @@ class ProperIntervalModel:
         n = len(self.intervals)
         if sorted(self.original_ids) != list(range(1, n + 1)):
             raise ParamError("original_ids must be a permutation of 1..n")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.left == b.left and a.right == b.right:
+        ivs = self.intervals
+        lefts = [_key(iv.left) for iv in ivs]
+        rights = [_key(iv.right) for iv in ivs]
+        for i in range(1, n):
+            if lefts[i - 1] == lefts[i] and rights[i - 1] == rights[i]:
+                a = ivs[i - 1]
                 raise DuplicateIntervalError(f"coincident intervals [{a.left}, {a.right}]")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if not (a.left < b.left and a.right < b.right):
+        for i in range(1, n):
+            if not (lefts[i - 1] < lefts[i] and rights[i - 1] < rights[i]):
+                a, b = ivs[i - 1], ivs[i]
                 raise NotProperError(
                     f"containment between [{a.left}, {a.right}] and [{b.left}, {b.right}]"
                 )
@@ -157,7 +177,8 @@ def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel
     if original_ids is None:
         original_ids = list(range(1, n + 1))
     cost_list = list(costs) if costs is not None else None
-    order = sorted(range(n), key=lambda t: (items[t].left, items[t].right))
+    keys = [(_key(iv.left), _key(iv.right)) for iv in items]
+    order = sorted(range(n), key=keys.__getitem__)
     sorted_iv = tuple(items[t] for t in order)
     sorted_costs = tuple(cost_list[t] for t in order) if cost_list is not None else None
     sorted_orig = tuple(original_ids[t] for t in order)
@@ -246,10 +267,13 @@ def _reach_ranges(intervals) -> tuple[list[int], list[int]]:
     the intervals meeting i form one contiguous block, and both ends of the
     block only move right as i grows, so one two-pointer sweep finds them:
     ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the first interval
-    whose walk reaches position j is ``reach_l[j]``.
+    whose walk reaches position j is ``reach_l[j]``.  The walk compares
+    endpoint keys (``_key``): ``floor(x * 2**32)`` never decreases as x
+    grows, so differing integer parts give the exact order, and the
+    ``Fraction`` is compared only where two endpoints share that floor.
     """
-    lefts = [iv.left for iv in intervals]
-    rights = [iv.right for iv in intervals]
+    lefts = [_key(iv.left) for iv in intervals]
+    rights = [_key(iv.right) for iv in intervals]
     m = len(intervals)
     reach_l = list(range(m))  # a position no earlier walk reaches
     reach_r = [0] * m

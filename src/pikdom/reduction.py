@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
-from .model import Interval, ProperIntervalModel, _reach_ranges, format_rational
+from .model import ProperIntervalModel, _reach_ranges, format_rational
 from .oracle import (
     Solution,
     VARIANT_TOTAL,
@@ -119,7 +119,12 @@ class _Ctx:
 
     ``reach_r[i]``/``reach_l[i]`` bound the contiguous block of positions
     whose intervals intersect position i; in a sorted proper family every
-    intersection test reduces to a range check.
+    intersection test reduces to a range check.  They are the model's own
+    reach ranges shifted up by one: ``_reach_ranges`` sweeps the endpoints'
+    integer keys ``floor(x * 2**32)``, which order them exactly wherever
+    they differ, and compares the ``Fraction`` only on a tie.  The source
+    and sink intervals meet nothing else, so positions 0 and n+1 each reach
+    only themselves.
     """
 
     __slots__ = ("n", "k", "variant", "reach_l", "reach_r")
@@ -130,14 +135,10 @@ class _Ctx:
         self.n = model.n
         self.k = k
         self.variant = variant
-        a1 = model.intervals[0].left if model.n else Fraction(0)
-        bn = model.intervals[-1].right if model.n else Fraction(0)
-        ext = (
-            [Interval(a1 - 2, a1 - 1)]
-            + list(model.intervals)
-            + [Interval(bn + 1, bn + 2)]
-        )
-        self.reach_l, self.reach_r = _reach_ranges(ext)
+        reach_l, reach_r = _reach_ranges(model.intervals)
+        sink = model.n + 1
+        self.reach_l = [0, *(p + 1 for p in reach_l), sink]
+        self.reach_r = [0, *(p + 1 for p in reach_r), sink]
 
 
 def _small_lengths(k: int, variant: str) -> range:

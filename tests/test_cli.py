@@ -378,6 +378,30 @@ def test_bench_instance_dir(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 1 + 2 * 2
 
 
+NOT_UTF8 = b"\xff\xfe2\n0 2\n1 3\n"
+
+
+@pytest.mark.parametrize("case", ["solve", "verify-instance", "verify-set", "bench-dir"])
+def test_non_utf8_file_is_one_coded_line(tmp_path, case):
+    good, bad, sset = tmp_path / "good.txt", tmp_path / "bad.txt", tmp_path / "set.txt"
+    good.write_text(TWO_OVERLAP)
+    sset.write_text("1\n2\n")
+    argv = {
+        "solve": ["solve", str(bad), "--variant", "kdom", "--k", "1"],
+        "verify-instance": ["verify", str(bad), str(sset), "--variant", "kdom", "--k", "1"],
+        "verify-set": ["verify", str(good), str(bad), "--variant", "kdom", "--k", "1"],
+        "bench-dir": ["bench", "--dir", str(tmp_path), "--k", "1", "--variant", "kdom"],
+    }[case]
+    if case == "verify-set":
+        bad.write_bytes(b"\xff\xfe1\n2\n")
+    else:
+        bad.write_bytes(NOT_UTF8)
+    proc = run_fresh("-m", "pikdom", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error[E_PARSE]: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("text, message", [
     ("2\n0 2\n1 x\n", "error[E_PARSE]: {}: line 2: bad rational literal 'x'"),
     ("2 weighted\n0 2 1\n1 3 -1\n", "error[E_NEG_COST]: {}: line 2: negative cost -1"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from pikdom.model import (
     DerivedGraph,
     Interval,
     _reach_ranges,
+    build_model,
     derive_graph,
     format_rational,
     generate_random,
@@ -205,6 +207,58 @@ def test_reach_ranges_match_pairwise_intersects():
         for i in range(1, n + 1):
             meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
             assert (reach_l[i - 1] + 1, reach_r[i - 1] + 1) == (meets[0], meets[-1])
+
+
+def _int_part(x):
+    return (x.numerator << 32) // x.denominator
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    whole=st.integers(min_value=-5, max_value=5),
+    unit_den=st.sampled_from((1, 3, 7)),
+    steps=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=30)),
+        min_size=1, max_size=20,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_reach_ranges_match_pairwise_intersects_on_tied_keys(whole, unit_den, steps, seed):
+    # Endpoints a few multiples of 2^-40 apart mostly share floor(x * 2^32),
+    # the integer part of their order key, so sorting, validation and the
+    # reach sweep all decide on the Fraction behind the key.
+    unit = Fraction(1, 2**40 * unit_den)
+    left, right = Fraction(whole) + Fraction(1, 7), None
+    pairs = []
+    for step, length in steps:
+        left += step * unit
+        right = left + length * unit if right is None else max(left + length * unit, right + unit)
+        pairs.append((left, right))
+    shuffled = list(range(len(pairs)))
+    random.Random(seed).shuffle(shuffled)
+    m = build_model([Interval(*pairs[t]) for t in shuffled], original_ids=[t + 1 for t in shuffled])
+    assert [(iv.left, iv.right) for iv in m.intervals] == pairs
+    assert m.original_ids == tuple(range(1, len(pairs) + 1))
+    ends = sorted({x for p in pairs for x in p})
+    ties = sum(_int_part(a) == _int_part(b) for a, b in zip(ends, ends[1:]))
+    assert ties >= len(ends) - 2  # all endpoints lie within 210 * 2^-40 < 2^-32
+    reach_l, reach_r = _reach_ranges(m.intervals)
+    n = m.n
+    for i in range(1, n + 1):
+        meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
+        assert (reach_l[i - 1] + 1, reach_r[i - 1] + 1) == (meets[0], meets[-1])
+
+
+def test_validation_decides_tied_keys_on_the_fraction():
+    eps = Fraction(1, 2**60)
+    base = Interval(Fraction(1, 3), Fraction(2, 3))
+    with pytest.raises(NotProperError):
+        build_model([base, Interval(base.left + eps, base.right - eps)])
+    with pytest.raises(DuplicateIntervalError):
+        build_model([base, Interval(Fraction(2, 6), Fraction(4, 6))])
+    m = build_model([Interval(base.left + eps, base.right + eps), base])
+    assert m.original_ids == (2, 1)
+    assert _reach_ranges(m.intervals) == ([0, 0], [1, 1])
 
 
 # -------------------------------------------------------------- min_degree

@@ -16,6 +16,11 @@ A fourth digest covers the brute-force oracle on the first corpus: its
 feasibility, cost value and type, vertex set and ``subsets_scanned``, run
 unweighted, weighted on the model without costs (one unit per vertex) and
 weighted with the mixed-denominator costs, zero costs among them.
+A fifth digest, ``PINNED_INGEST``, covers reading a model: ``parse_model`` on
+seeded texts with shuffled rows (integer, decimal, exponent and ``p/q``
+spellings, negative endpoints, touching endpoints spelled two ways,
+endpoints 2^-40 and 2^-60 apart), with ``derive_graph`` adjacency and the
+DAG context's reach arrays, and the exact error line of each bad text.
 
 When an intended change moves an answer, re-pin ``PINNED`` and say why in
 the change's notes.
@@ -26,16 +31,18 @@ import json
 import random
 from fractions import Fraction
 
+from pikdom.errors import PikdomError
 from pikdom.fast import solve_fast
-from pikdom.model import format_rational, generate_random, with_costs
+from pikdom.model import derive_graph, format_rational, generate_random, parse_model, with_costs
 from pikdom.oracle import brute_force_min
-from pikdom.reduction import build_digraph, dump_digraph, solve_naive
+from pikdom.reduction import _Ctx, build_digraph, dump_digraph, solve_naive
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
 PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
 PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
+PINNED_INGEST = "d2d8afeecf0b47fc683385cac1d7538f3e0de11841d9528e928500faec4ac067"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 
@@ -165,3 +172,129 @@ def test_brute_outputs_match_pinned_digest():
     assert runs == 8 * 3 * 3 * 2 * 3
     assert zero_costs > 20
     assert digest == PINNED_BRUTE
+
+
+# ------------------------------------------------------------------ ingest
+
+_DENS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 25)
+_TINY = (Fraction(1, 2**40), Fraction(1, 2**60))
+_FAULTS = ("dup", "contain", "inside", "reversed", "neg_cost", "zero_den", "bad_literal")
+
+
+def _spell(x: Fraction, rng) -> str:
+    """One exact spelling of x: ``p/q`` (maybe unreduced), and the integer,
+    decimal or exponent form where one exists."""
+    forms = [f"{x.numerator * m}/{x.denominator * m}" for m in (1, 2, 3)]
+    text = format_rational(x)
+    if "/" not in text:
+        forms += [text, text + ("0" if "." in text else ".0")]
+        digits = text.replace(".", "")
+        forms.append(f"{digits}e-{len(text) - text.index('.') - 1}" if "." in text
+                     else f"{digits}e0")
+    return rng.choice(forms)
+
+
+def _above(x: Fraction, rng, most: int) -> Fraction:
+    """A value above x on a fresh small denominator's grid, so steps of
+    2^-40 do not carry their denominators down the line."""
+    den = rng.choice(_DENS)
+    return Fraction((x.numerator * den) // x.denominator + rng.randint(1, most), den)
+
+
+def _proper_rows(rng, n):
+    """Endpoints of a proper family: lefts and rights strictly rising, each
+    left below its right.  A left may repeat an earlier right (touching), and
+    a step may be 2^-40 or 2^-60, which ties the endpoints' integer keys."""
+    rows = []
+    for _ in range(n):
+        step = rng.randrange(6)
+        if not rows:
+            left = Fraction(rng.randint(-40, 20), rng.choice(_DENS))
+        elif step == 0:
+            left = rows[-1][0] + rng.choice(_TINY)
+        elif step == 1:
+            left = rng.choice([r for _, r in rows if r > rows[-1][0]])
+        else:
+            left = _above(rows[-1][0], rng, 12)
+        right = _above(left, rng, 30)
+        if rows and right <= rows[-1][1] or rng.randrange(5) == 0:
+            right = max(left, rows[-1][1] if rows else left) + rng.choice(_TINY)
+        rows.append((left, right))
+    return rows
+
+
+def _ingest_text(seed):
+    """One seeded instance text, with shuffled rows, and the fault injected
+    into it (None for a valid text)."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 36)
+    weighted = rng.randrange(3) == 0
+    fault = _FAULTS[seed % len(_FAULTS)] if seed % 3 == 0 and n else None
+    if fault == "neg_cost":
+        weighted = True
+    rows = [[left, right] for left, right in _proper_rows(rng, n)]
+    for row in rows:
+        if weighted:
+            row.append(Fraction(rng.randint(0, 20), rng.choice(_DENS)))
+    lines = [[_spell(x, rng) for x in row] for row in rows]
+    if fault:
+        at = rng.randrange(n)
+        left, right = rows[at][:2]
+        extra = [_spell(c, rng) for c in rows[at][2:]]
+        if fault == "dup":
+            lines.append([_spell(left, rng), _spell(right, rng)] + extra)
+        elif fault == "contain":
+            lines.append([_spell(left - 1, rng), _spell(right + _TINY[0], rng)] + extra)
+        elif fault == "inside":
+            lines.append([_spell(left + _TINY[1], rng), _spell(right - _TINY[1], rng)] + extra)
+        elif fault == "reversed":
+            lines[at][:2] = [lines[at][1], lines[at][rng.randrange(2)]]
+        elif fault == "neg_cost":
+            lines[at][2] = _spell(-Fraction(rng.randint(1, 9), rng.choice(_DENS)), rng)
+        elif fault == "zero_den":
+            lines[at][rng.randrange(len(lines[at]))] = "1/0"
+        else:
+            lines[at][rng.randrange(len(lines[at]))] = rng.choice(("abc", "1.2.3", "0x10", "2//3"))
+    rng.shuffle(lines)
+    head = f"{len(lines)} weighted" if weighted else f"{len(lines)}"
+    body = [" ".join(toks) + (" # row" if rng.randrange(4) == 0 else "") for toks in lines]
+    return "\n".join([head] + body) + "\n", fault
+
+
+def _ingested(model) -> str:
+    """Everything reading the model produced: the sorted intervals, costs
+    and ids, the graph, and the DAG context's reach arrays."""
+    parts = [
+        " ".join(f"{iv.left}:{iv.right}" for iv in model.intervals),
+        "-" if model.costs is None else " ".join(str(c) for c in model.costs),
+        " ".join(map(str, model.original_ids)),
+        repr(derive_graph(model).adj),
+    ]
+    for k, variant in ((1, "kdom"), (2, "total")):
+        ctx = _Ctx(model, k, variant)
+        parts.append(f"{ctx.reach_l} {ctx.reach_r}")
+    return "\n".join(parts)
+
+
+def ingest_digest() -> tuple[str, dict]:
+    h = hashlib.sha256()
+    tally: dict[str, int] = {}
+    for seed in range(420):
+        text, fault = _ingest_text(seed)
+        try:
+            out = _ingested(parse_model(text))
+            kind = "ok"
+        except PikdomError as exc:
+            out = f"error[{exc.code}]: {exc}"
+            kind = exc.code
+        tally[kind] = tally.get(kind, 0) + 1
+        h.update(f"{seed} {fault}\n{out}\n".encode())
+    return h.hexdigest(), tally
+
+
+def test_ingest_matches_pinned_digest():
+    digest, tally = ingest_digest()
+    assert tally["ok"] >= 250
+    for code in ("E_DUPLICATE", "E_NOT_PROPER", "E_NEG_COST", "E_PARSE"):
+        assert tally[code] >= 5, code
+    assert digest == PINNED_INGEST

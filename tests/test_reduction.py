@@ -11,6 +11,8 @@ import pytest
 from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
 from pikdom.fast import solve_fast
 from pikdom.model import (
+    Interval,
+    ProperIntervalModel,
     derive_graph,
     generate_random,
     intersects,
@@ -331,6 +333,37 @@ def test_enumeration_cuts_lose_no_node():
     assert counts["chains_k2"] > 1000 and counts["rejected_k2"] == 0, counts
     assert counts["rejected_k3"] > 1000 and counts["rejected_k4"] > 500, counts
     assert counts["small_cut"] > 5000, counts
+
+
+def _dummy_extended_reach(model):
+    """The context's reach arrays as first built: the model between a source
+    interval left of everything and a sink interval right of everything,
+    each position's reach read off by pairwise overlap."""
+    a1 = model.intervals[0].left if model.n else Fraction(0)
+    bn = model.intervals[-1].right if model.n else Fraction(0)
+    ext = [Interval(a1 - 2, a1 - 1), *model.intervals, Interval(bn + 1, bn + 2)]
+    meets = [[j for j, b in enumerate(ext) if a.intersects(b)] for a in ext]
+    return [m[0] for m in meets], [m[-1] for m in meets]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ProperIntervalModel(()),
+        make_model([(Fraction(-1, 2), Fraction(3, 4))]),
+        make_model([(0, 1), (1, 2)]),
+        chain_model(6),
+        complete_model(5),
+        disjoint_model(4),
+        parse_model("3\n1/3 2/3\n0.33333333333333333334 2\n2 5/2\n"),  # tied keys
+        *(generate_random(n, 90 + n, s) for n, s in ((2, 1), (9, 3), (17, Fraction(7, 2)), (30, 8))),
+    ],
+    ids=lambda m: f"n{m.n}",
+)
+def test_ctx_reach_matches_dummy_extended_sweep(model):
+    for k, variant in ((1, "kdom"), (2, "total")):
+        ctx = _Ctx(model, k, variant)
+        assert (ctx.reach_l, ctx.reach_r) == _dummy_extended_reach(model)
 
 
 def test_dag_node_has_slots_and_is_frozen():
