@@ -58,8 +58,18 @@ The dummy source and sink take the same probe.  The source is a class of
 its own, key ``(0,)`` at ``hi`` 0, and the sink is the sweep's last head.
 Neither meets a gap vertex: the source clears only an empty floor tuple,
 which is the literal test's "the head alone covers the gap", and the
-sink's floors ask everything of the tail.  Slide (E1) arcs are tested
-explicitly.
+sink's floors ask everything of the tail.
+
+Slide (E1) arcs are shared the same way, by slide class.  A slide arc
+``t -> s`` exists iff both are big and ``t.seq[1:] == s.seq[:-1]``, so every
+head with the same first ``2k-1`` indices has a slide arc from the same
+tails, the big nodes whose last ``2k-1`` indices are those.  The DP keeps
+``slide_best[overlap] = [least dist, first id with it, tail count]`` and
+folds each big node in as a tail when its ``dist`` is final; a head reads
+one entry instead of testing every tail.  All tails of an overlap end at
+its last index, so they are final before any head that extends it, and
+they are folded in id order with a strict ``<``.  ``e1_arcs`` is the sum of
+the tail counts the heads read.
 
 The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
 Every arc strictly raises ``hi``, so this is a topological order, and all
@@ -67,21 +77,25 @@ members of a suffix class share their ``hi``, so a class's minimum is final
 when its group ends.  Every class in a head's window ends before ``s.lo``,
 so it is final before the first head of any prefix class is processed.
 Equal costs go to the first class in key order (the source's first), the
-first member of that class in id order and the first slide tail in id
-order; none of these depends on the sweep order, so the chosen path does
-not either.
+first member of that class in id order, a jump before a slide, and the
+first slide tail in id order, which the slide class keeps; none of these
+depends on the sweep order, so the chosen path does not either.
 
-Per node the DP tracks the best path ending in a jump arc, the best path
-overall and the node before it on that path, in three lists indexed by node
-id; per class the best path ending anywhere in the class.  The sweep walks
-the ``hi`` buckets that ``topo_order`` flattens (``_hi_groups``), so both
-see one order.  Path lengths are plain ints in the plan's units (see
-``reduction._Plan``) and the optimum is divided by the plan's ``scale``
-once; unreachable states are ``None``.
+The sweep reads the plan's per-id lists (``reduction._Plan``): each node's
+sequence, kind and jump charge, and each position's cost.  Head and tail
+flags, prefix and suffix keys and slide overlaps all come from the
+sequence.  Per node the DP tracks the best path ending in a jump arc, the
+best path overall and the node before it on that path, in three lists
+indexed by node id; per suffix class, in parallel lists by class position,
+the best path ending anywhere in the class and its node; per slide class
+the entry above.  The sweep walks the ``hi`` buckets that ``topo_order``
+flattens (``_hi_groups``), so both see one order.  Path lengths are plain
+ints in the plan's units and the optimum is divided by the plan's ``scale``
+once; unreachable states are ``None``.  The only ``DagNode`` objects the
+search builds are the ones on the path it returns.
 
-The nodes, charges and slide-arc index come from the same
-``reduction._Plan`` the naive engine builds; the two engines differ only in
-the search.
+The nodes and charges come from the same ``reduction._Plan`` the naive
+engine builds; the two engines differ only in the search.
 """
 
 from __future__ import annotations
@@ -103,6 +117,7 @@ from .reduction import (
     _head_ok,
     _hits,
     _Plan,
+    _tail_eligible,
     eligible_tail_bigs,
     path_to_vertex_set,
 )
@@ -126,6 +141,15 @@ class SuffixClass:
     best_node: int | None = None
 
 
+def _suffix_groups(seqs, k: int, ids) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The ids in ``ids`` grouped by suffix key, as ``(key, members)`` sorted
+    by key, members in id order; ``seqs`` is indexed by node id."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in sorted(ids):
+        groups.setdefault(suffix_key(seqs[i], k), []).append(i)
+    return sorted(groups.items())
+
+
 def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
     """Partition of small nodes plus tail-eligible big nodes by suffix key.
 
@@ -133,22 +157,22 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
     ``members[0]`` is the lexicographically smallest member and serves as
     the class representative.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for nd in nodes:
-        if nd.kind == KIND_SMALL or (nd.kind == KIND_BIG and nd.id in eligible):
-            groups.setdefault(suffix_key(nd.seq, k), []).append(nd.id)
-    return [
-        SuffixClass(key, tuple(sorted(ids))) for key, ids in sorted(groups.items())
+    seqs = {nd.id: nd.seq for nd in nodes}
+    ids = [
+        nd.id for nd in nodes
+        if nd.kind == KIND_SMALL or (nd.kind == KIND_BIG and nd.id in eligible)
     ]
+    groups = _suffix_groups(seqs, k, ids)
+    return [SuffixClass(key, tuple(members)) for key, members in groups]
 
 
-def _hi_groups(nodes) -> list[list[DagNode]]:
-    """Nodes bucketed by ``hi`` (their last index), in id order inside each
-    bucket; ``nodes`` is an enumeration, sink last, so bucket i holds the
-    nodes ending at position i."""
-    groups: list[list[DagNode]] = [[] for _ in range(nodes[-1].seq[-1] + 1)]
-    for nd in nodes:
-        groups[nd.seq[-1]].append(nd)
+def _hi_groups(seqs) -> list[list[int]]:
+    """Node ids bucketed by ``hi`` (their last index), in id order inside
+    each bucket; ``seqs`` holds an enumeration's sequences by id, sink last,
+    so bucket i holds the ids of the nodes ending at position i."""
+    groups: list[list[int]] = [[] for _ in range(seqs[-1][-1] + 1)]
+    for i, seq in enumerate(seqs):
+        groups[seq[-1]].append(i)
     return groups
 
 
@@ -163,26 +187,33 @@ def topo_order(nodes, k: int) -> list[int]:
     ``hi``, so a class is complete when its group ends, which is what lets
     class minima be frozen on the fly.  The order does not depend on ``k``.
     """
-    return [nd.id for group in _hi_groups(nodes) for nd in group]
+    return [i for group in _hi_groups([nd.seq for nd in nodes]) for i in group]
 
 
 def _probe_floors(ctx: _Ctx, head: DagNode):
-    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into ``head``, a
-    middle node or the sink, can have, from the top of its window down.
+    """``_floor_walk`` for the head ``head``."""
+    return _floor_walk(ctx, head.seq)
 
-    ``head`` must pass condition (4); the DP probes nothing for a big head
+
+def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
+    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the head
+    with sequence ``seq``, a middle node or the sink, can have, from the top
+    of its window down.
+
+    The head must pass condition (4); the DP probes nothing for a big head
     that fails it.  A suffix class whose members end at ``hi`` has a jump
-    arc into ``head`` iff ``_clears(key, floors)``.  ``floors[r-1]`` is the
+    arc into the head iff ``_clears(key, floors)``.  ``floors[r-1]`` is the
     least value ``key[-r]`` may take.  The module docstring derives the
     rule.
     """
-    hi_min, hi_max = _e0_window(ctx, head_lo=head.lo)
-    k, seq, reach_l = ctx.k, head.seq, ctx.reach_l
+    lo = seq[0]
+    hi_min, hi_max = _e0_window(ctx, head_lo=lo)
+    k, reach_l = ctx.k, ctx.reach_l
     # No key has more than n members, so n + 1 floors already fail every
     # key; capping there keeps a huge k from building a huge tuple.
     cap = min(k, ctx.n + 1)
     floors: tuple[int, ...] = ()
-    m = head.lo - 1  # the next gap vertex to fold in
+    m = lo - 1  # the next gap vertex to fold in
     for hi in range(hi_max, hi_min - 1, -1):
         # Once the cap is reached, no lower gap vertex can raise a floor.
         while m > hi and len(floors) < cap:
@@ -243,113 +274,139 @@ def _fast_search(
     infeasible answer when it gave none; see ``solve_fast_with_path``."""
     if plan is None:
         return infeasible_solution("fast"), None
-    ctx, nodes, jump = plan.ctx, plan.nodes, plan.jump
-    k, variant = ctx.k, ctx.variant
-    source = nodes[0]
-    sink = nodes[-1]
-    middle = nodes[1:-1]
+    ctx, seqs, kinds = plan.ctx, plan.seqs, plan.kinds
+    jump, units, k = plan.jump, plan.units, ctx.k
+    sink = len(seqs) - 1
+    middle = range(1, sink)
 
-    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
-    # The source is a class of its own with key (0,), first in key order.
-    # Its one member, at position 0, meets no gap vertex, so it clears only
-    # an empty floor tuple: the head alone covers the gap.
-    classes = [SuffixClass((0,), (source.id,), best=0, best_node=source.id)]
-    classes += suffix_partition(middle, k, eligible)
+    smalls = [i for i in middle if kinds[i] == KIND_SMALL]
+    eligible = _tail_eligible(ctx, seqs, kinds, middle)
+    # Classes by position in key order, as parallel lists.  The source is a
+    # class of its own with key (0,), first in key order.  Its one member,
+    # at position 0, meets no gap vertex, so it clears only an empty floor
+    # tuple: the head alone covers the gap.
+    cl_key: list[tuple[int, ...]] = [(0,)]
+    cl_members: list[list[int]] = [[0]]
+    for key, ids in _suffix_groups(seqs, k, smalls + eligible):
+        cl_key.append(key)
+        cl_members.append(ids)
+    cl_best: list[int | None] = [None] * len(cl_key)
+    cl_node: list[int | None] = [None] * len(cl_key)
+    cl_best[0] = cl_node[0] = 0
     # Class positions (key order) by the shared hi of their members.
     by_hi: list[list[int]] = [[] for _ in range(model.n + 2)]
-    for pos, cl in enumerate(classes):
-        by_hi[cl.key[-1]].append(pos)
+    for pos, key in enumerate(cl_key):
+        by_hi[key[-1]].append(pos)
 
-    groups = _hi_groups(nodes)
+    groups = _hi_groups(seqs)
 
     # Path lengths are plain ints in the plan's units, by node id; pred[i]
     # is the id of the node before node i on its best path.
-    dist: list[int | None] = [None] * len(nodes)
-    dist_jump: list[int | None] = [None] * len(nodes)
-    pred: list[int | None] = [None] * len(nodes)
-    dist[source.id] = 0
+    dist: list[int | None] = [None] * len(seqs)
+    dist_jump: list[int | None] = [None] * len(seqs)
+    pred: list[int | None] = [None] * len(seqs)
+    dist[0] = 0
     # By a head's first k indices: (class minimum, class position, its
     # node) of the best class with a jump arc into every head that shares
     # them and passes (4), or None when no class has one.
     probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
-    repr_tests = 0
+    # Slide classes: by the last 2k-1 indices of big tails, [least dist,
+    # first id with it, tail count].  Each head with those first 2k-1
+    # indices has a slide arc from every such tail, all finalized before it.
+    slide_best: dict[tuple[int, ...], list] = {}
+    repr_tests = e1_arcs = 0
 
     # one hi group at a time after the source's, the sink's last; a group's
     # classes are frozen when it ends
     for group_hi in range(1, len(groups)):
-        for nd in groups[group_hi]:
-            w = jump[nd.id]
-            if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
-                dj = pj = None
+        for i in groups[group_hi]:
+            seq = seqs[i]
+            big = kinds[i] == KIND_BIG
+            # d and p: the best path into node i and the node before it on
+            # that path; first over jump arcs only, then over slides too.
+            if big and not _head_ok(ctx, seq):
+                d = p = None
             else:
-                prefix = nd.seq[:k]
+                prefix = seq[:k]
                 if prefix not in probes:
-                    # Every class in the window ends before nd.lo, so it was
+                    # Every class in the window ends before seq[0], so it was
                     # frozen in an earlier group.
                     hit = None
-                    for hi, floors in _probe_floors(ctx, nd):
+                    for hi, floors in _floor_walk(ctx, seq):
                         for pos in by_hi[hi]:
-                            cl = classes[pos]
-                            if cl.best is None:
+                            best = cl_best[pos]
+                            if best is None:
                                 continue
                             repr_tests += 1
                             # equal costs go to the first class in key order
-                            if _clears(cl.key, floors) and (
-                                hit is None or (cl.best, pos) < hit[:2]
+                            if _clears(cl_key[pos], floors) and (
+                                hit is None or (best, pos) < hit[:2]
                             ):
-                                hit = (cl.best, pos, cl.best_node)
+                                hit = (best, pos, cl_node[pos])
                     probes[prefix] = hit
                 hit = probes[prefix]
-                dj = None if hit is None else hit[0] + w
-                pj = None if hit is None else hit[2]
-            dist_jump[nd.id] = dj
-            best = dj
-            best_pred = pj
-            for tail_id in plan.slide_tails.get(nd.id, ()):
-                dt = dist[tail_id]
-                if dt is None:
-                    continue
-                cand = dt + plan.slide[nd.id]
-                if best is None or cand < best:
-                    best = cand
-                    best_pred = tail_id
-            dist[nd.id] = best
-            pred[nd.id] = best_pred
+                d = None if hit is None else hit[0] + jump[i]
+                p = None if hit is None else hit[2]
+            dist_jump[i] = d
+            if big:
+                tails = slide_best.get(seq[:-1])
+                if tails is not None:
+                    e1_arcs += tails[2]
+                    # a slide beats the jump only at a strictly lower cost
+                    if tails[0] is not None:
+                        cand = tails[0] + units[seq[-1]]
+                        if d is None or cand < d:
+                            d, p = cand, tails[1]
+                # Fold this node in as a tail; equal costs keep the first id.
+                tails = slide_best.get(seq[1:])
+                if tails is None:
+                    slide_best[seq[1:]] = [d, i, 1]
+                else:
+                    tails[2] += 1
+                    if d is not None and (tails[0] is None or d < tails[0]):
+                        tails[0], tails[1] = d, i
+            dist[i] = d
+            pred[i] = p
         for pos in by_hi[group_hi]:
-            cl = classes[pos]
-            for mid in cl.members:
+            best = cl_best[pos]
+            for mid in cl_members[pos]:
                 d = dist[mid]
-                if d is not None and (cl.best is None or d < cl.best):
-                    cl.best = d
-                    cl.best_node = mid
-    sink_dist = dist_jump[sink.id]
+                if d is not None and (best is None or d < best):
+                    best = cl_best[pos] = d
+                    cl_node[pos] = mid
+    sink_dist = dist_jump[sink]
 
     stats = {
-        "nodes": len(nodes),
-        "small_nodes": sum(1 for nd in middle if nd.kind == KIND_SMALL),
-        "big_nodes": sum(1 for nd in middle if nd.kind == KIND_BIG),
+        "nodes": len(seqs),
+        "small_nodes": len(smalls),
+        "big_nodes": len(middle) - len(smalls),
         "tail_eligible_bigs": len(eligible),
-        "suffix_classes": len(classes) - 1,  # the source's class is not counted
+        "suffix_classes": len(cl_key) - 1,  # the source's class is not counted
         "prefix_classes": len(probes),
         "representative_tests": repr_tests,
-        "e1_arcs": sum(len(tails) for tails in plan.slide_tails.values()),
+        "e1_arcs": e1_arcs,
     }
     if _trace is not None:
         _trace["dist"] = dict(enumerate(dist))
         # keyed by middle ids only
-        _trace["dist_jump"] = {nd.id: dist_jump[nd.id] for nd in middle}
+        _trace["dist_jump"] = {i: dist_jump[i] for i in middle}
         _trace["sink_dist"] = sink_dist
-        _trace["order"] = [nd.id for group in groups for nd in group]
-        _trace["classes"] = classes[1:]
-        _trace["nodes"] = nodes
+        _trace["order"] = [i for group in groups for i in group]
+        _trace["classes"] = [
+            SuffixClass(*cl) for cl in zip(
+                cl_key[1:], map(tuple, cl_members[1:]), cl_best[1:], cl_node[1:]
+            )
+        ]
+        _trace["nodes"] = plan.nodes
     if sink_dist is None:
         return infeasible_solution("fast", stats), None
 
-    # Reconstruction follows the recorded predecessors back to the source.
-    rev = [sink.id]
-    while rev[-1] != source.id:
+    # Reconstruction follows the recorded predecessors back to the source;
+    # the path's nodes are the only DagNodes the search builds.
+    rev = [sink]
+    while rev[-1] != 0:
         rev.append(pred[rev[-1]])
-    node_path = [nodes[i] for i in reversed(rev)]
+    node_path = [DagNode(i, kinds[i], seqs[i]) for i in reversed(rev)]
     vset = path_to_vertex_set(node_path, model)
     cost = Fraction(sink_dist, plan.scale)
     return Solution(vset, cost, True, "fast", stats), node_path

@@ -27,11 +27,11 @@ at once, from a bound worked out in one walk of its middle, and a chain
 whose small check fails at a position no later member can meet checks no
 small node in its subtree.
 
-Both DAG engines get one ``_Plan`` (budget check, context, nodes, integer
-arc charges and slide-arc index) from ``_engine_plan``, which first answers
-the total variant's min-degree shortcut, and differ only in the search:
-``naive`` materializes every arc and relaxes them, ``fast`` runs the
-suffix-class DP.  ``naive`` finds the jump arcs with the literal test,
+Both DAG engines get one ``_Plan`` (budget check, context, the nodes as
+per-id lists, integer arc charges) from ``_engine_plan``, which first
+answers the total variant's min-degree shortcut, and differ only in the
+search: ``naive`` materializes every arc and relaxes them, ``fast`` runs
+the suffix-class DP.  ``naive`` finds the jump arcs with the literal test,
 split by what each part depends on: the tail and head conditions once per
 node, the gap cover per (tail, head) pair, vertex by vertex, against needs
 computed once per tail (``_gap_covered``, which ``_e0_arc`` also calls).  It
@@ -262,15 +262,19 @@ def enumerate_nodes(
     """
     ctx = _Ctx(model, k, variant)
     _check_budget(ctx.n, k, variant, cap_nodes)
-    return _enumerate_with_ctx(ctx)
+    return _as_nodes(*_enumerate_with_ctx(ctx))
 
 
-def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
+def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], list[str]]:
+    """The enumeration as two lists indexed by node id: each node's
+    sequence and its kind.  The source ``(0,)`` comes first and the sink
+    ``(n+1,)`` last; no ``DagNode`` is built (``_as_nodes`` wraps them)."""
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
     parent_len = 2 * k - 1  # a chain one short of a big node
-    seqs: list[tuple[tuple[int, ...], str]] = []
+    seqs: list[tuple[int, ...]] = [(0,)]
+    kinds: list[str] = [KIND_SOURCE]
 
     def grow(seq: list[int], check_small: bool) -> None:
         t = tuple(seq)
@@ -278,7 +282,8 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
         if check_small and len(t) in smalls:
             m = _dominated(ctx, t, t[0], last)
             if m is None:
-                seqs.append((t, KIND_SMALL))
+                seqs.append(t)
+                kinds.append(KIND_SMALL)
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -294,17 +299,21 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[DagNode]:
         # and its other chain neighbour.
         if k > 2:
             top = min(top, _leaf_bound(ctx, t))
-        for nxt in range(last + 1, top + 1):
-            seqs.append((t + (nxt,), KIND_BIG))
+        nexts = range(last + 1, top + 1)
+        seqs.extend([t + (nxt,) for nxt in nexts])
+        kinds.extend([KIND_BIG] * len(nexts))
 
     for start in range(1, n + 1):
         grow([start], True)
 
-    nodes = [DagNode(0, KIND_SOURCE, (0,))]
-    for i, (t, kind) in enumerate(seqs, start=1):
-        nodes.append(DagNode(i, kind, t))
-    nodes.append(DagNode(len(nodes), KIND_SINK, (n + 1,)))
-    return nodes
+    seqs.append((n + 1,))
+    kinds.append(KIND_SINK)
+    return seqs, kinds
+
+
+def _as_nodes(seqs, kinds) -> list[DagNode]:
+    """The ``DagNode`` of every id in per-id lists from ``_enumerate_with_ctx``."""
+    return list(map(DagNode, range(len(seqs)), kinds, seqs))
 
 
 def _gap_covered(ctx: _Ctx, tail: DagNode, heads) -> list[DagNode]:
@@ -402,6 +411,12 @@ def is_e1_arc(k: int, s: DagNode, s2: DagNode) -> bool:
     return s.seq[1:] == s2.seq[:-1]
 
 
+def _tail_eligible(ctx: _Ctx, seqs, kinds, ids) -> list[int]:
+    """The big nodes among ``ids`` that pass condition (3), in the order
+    given; ``seqs`` and ``kinds`` are indexed by node id."""
+    return [i for i in ids if kinds[i] == KIND_BIG and _tail_ok(ctx, seqs[i])]
+
+
 def eligible_tail_bigs(
     nodes,
     model: ProperIntervalModel,
@@ -416,9 +431,9 @@ def eligible_tail_bigs(
     engine treat one member of a suffix class as a representative for all.
     """
     ctx = _ctx if _ctx is not None else _Ctx(model, k, variant)
-    return frozenset(
-        nd.id for nd in nodes if nd.kind == KIND_BIG and _tail_ok(ctx, nd.seq)
-    )
+    seqs = {nd.id: nd.seq for nd in nodes}
+    kinds = {nd.id: nd.kind for nd in nodes}
+    return frozenset(_tail_eligible(ctx, seqs, kinds, seqs))
 
 
 def _jump_length(head: DagNode, costs):
@@ -426,13 +441,14 @@ def _jump_length(head: DagNode, costs):
 
     ``costs`` is a per-vertex sequence (exact rationals or integer units) or
     None for unit costs; the charge has the costs' number type, ``int`` when
-    unweighted.
+    unweighted.  The source is never a head; its charge is its length when
+    unweighted and 0 with costs, since its interval has none.
     """
     if head.kind == KIND_SINK:
         return 0
     if costs is None:
         return len(head.seq)
-    return sum(costs[i - 1] for i in head.seq)
+    return sum(costs[i - 1] for i in head.real_seq)
 
 
 def _slide_length(head: DagNode, costs):
@@ -465,54 +481,62 @@ def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
 class _Plan:
     """What both DAG engines build once per solve, after the budget check.
 
+    The enumeration is kept as per-id lists: ``seqs[i]`` and ``kinds[i]``
+    are node i's sequence and kind (``_enumerate_with_ctx``).  ``nodes``,
+    the same nodes as ``DagNode`` objects, is built on first use; only the
+    naive engine, the digraph dump and diagnostics read it, and ``fast``
+    builds a ``DagNode`` only for the path it returns.
+
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is
     the integer ``c * scale``, and a path length in units divided by
-    ``scale`` is its exact rational length.  ``jump[i]`` is node i's charge
-    as the head of a jump arc and ``slide[i]`` big node i's charge as the
-    head of a slide arc, both in units and both defined by
-    ``_jump_length``/``_slide_length``.
-
-    ``slide_tails`` maps each big node's id to the sorted ids of the big
-    nodes with a slide arc into it: the tail's last ``2k-1`` indices are the
-    head's first ``2k-1``.
+    ``scale`` is its exact rational length.  ``units[p]`` is the cost of
+    position p in units, 0 at the dummies' positions 0 and n+1, so a slide
+    arc into big node i pays ``units[seqs[i][-1]]``.  ``jump[i]`` is node
+    i's charge as the head of a jump arc, as ``_jump_length`` defines it:
+    the sum of its units, or its length when unweighted, and 0 for the sink.
     """
 
-    __slots__ = ("ctx", "nodes", "scale", "jump", "slide", "slide_tails", "_arcs")
+    __slots__ = ("ctx", "seqs", "kinds", "scale", "units", "jump", "_nodes", "_arcs")
 
     def __init__(
         self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
     ):
         _check_budget(ctx.n, ctx.k, ctx.variant, cap_nodes)
         self.ctx = ctx
-        self.nodes = _enumerate_with_ctx(ctx)
-        units = None
-        self.scale = 1
+        self.seqs, self.kinds = _enumerate_with_ctx(ctx)
         if weighted:
             costs = model.costs if model.costs is not None else (1,) * model.n
-            self.scale = lcm(*(c.denominator for c in costs))
-            units = [c.numerator * (self.scale // c.denominator) for c in costs]
-        self.jump = [_jump_length(nd, units) for nd in self.nodes]
-        bigs = [nd for nd in self.nodes if nd.kind == KIND_BIG]
-        self.slide = {nd.id: _slide_length(nd, units) for nd in bigs}
-        tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
-        for nd in bigs:
-            tails_by_overlap.setdefault(nd.seq[1:], []).append(nd.id)
-        self.slide_tails: dict[int, list[int]] = {
-            nd.id: tails_by_overlap.get(nd.seq[:-1], []) for nd in bigs
-        }
+            scale = self.scale = lcm(*(c.denominator for c in costs))
+            units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
+            self.jump = [sum(map(units.__getitem__, seq)) for seq in self.seqs]
+        else:
+            self.scale = 1
+            units = [0, *(1,) * model.n, 0]
+            self.jump = [len(seq) for seq in self.seqs]
+        self.jump[-1] = 0  # arcs into the sink are free
+        self.units = units
+        self._nodes: list[DagNode] | None = None
         self._arcs: list[tuple[int, int, str, int]] | None = None
+
+    @property
+    def nodes(self) -> list[DagNode]:
+        """Every node as a ``DagNode``, by id; built on the first read."""
+        if self._nodes is None:
+            self._nodes = _as_nodes(self.seqs, self.kinds)
+        return self._nodes
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
         (tail, head).
 
-        Jump arcs are found by a scan per tail, with each part of the test
-        evaluated at the level it depends on: condition (4) once per head,
-        condition (3) once per tail, the tail's side of the gap cover once
-        per tail, and the head's side per pair (``_gap_covered``).  Only the
-        heads in the tail's window are scanned (``_e0_window``), and every
-        one of them passes condition (1).  They are built on the first call
+        Slide arcs come from an index of the big nodes by their last 2k-1
+        indices.  Jump arcs are found by a scan per tail, with each part of
+        the test evaluated at the level it depends on: condition (4) once per
+        head, condition (3) once per tail, the tail's side of the gap cover
+        once per tail, and the head's side per pair (``_gap_covered``).  Only
+        the heads in the tail's window are scanned (``_e0_window``), and
+        every one of them passes condition (1).  They are built on the first call
         and kept for later ones.
         """
         if self._arcs is None:
@@ -520,11 +544,17 @@ class _Plan:
         return self._arcs
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
-        ctx, nodes = self.ctx, self.nodes
+        ctx, nodes, seqs, units = self.ctx, self.nodes, self.seqs, self.units
+        # Slide arcs: a tail's last 2k-1 indices are its head's first 2k-1.
+        bigs = [i for i, kind in enumerate(self.kinds) if kind == KIND_BIG]
+        tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
+        for i in bigs:
+            tails_by_overlap.setdefault(seqs[i][1:], []).append(i)
         arcs = []
-        for head_id, tails in self.slide_tails.items():
-            length = self.slide[head_id]
-            for tail_id in tails:
+        for head_id in bigs:
+            seq = seqs[head_id]
+            length = units[seq[-1]]
+            for tail_id in tails_by_overlap.get(seq[:-1], ()):
                 arcs.append((tail_id, head_id, ARC_E1, length))
 
         # Jump-arc heads: never the source, and condition (4) once per node.
@@ -640,7 +670,7 @@ def _naive_search(plan: _Plan | None, model: ProperIntervalModel) -> Solution:
     if plan is None:
         return infeasible_solution("naive")
     arcs = plan.arcs()
-    n_nodes = len(plan.nodes)
+    n_nodes = len(plan.seqs)
     in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for tail, head, _, length in arcs:
         in_arcs[head].append((tail, length))

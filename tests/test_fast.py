@@ -18,16 +18,19 @@ from pikdom.fast import (
     suffix_partition,
     topo_order,
 )
+from pikdom.cli import main
 from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
     KIND_BIG,
+    DagNode,
     _Ctx,
     _e0_arc,
     _e0_window,
     _head_ok,
     arc_length,
     build_digraph,
+    dump_digraph,
     eligible_tail_bigs,
     enumerate_nodes,
     is_e0_arc,
@@ -455,6 +458,93 @@ def test_fast_e1_count_matches_naive_digraph():
             sol = solve_fast(m, k, "total")
             if sol.stats is not None:
                 assert sol.stats["e1_arcs"] == e1
+
+
+def test_fast_e1_count_matches_naive_digraph_all_variants():
+    # k up to 3, both variants, unweighted and with mixed-denominator costs:
+    # fast counts slide arcs at its slide-class lookups, naive builds them.
+    rng = random.Random(31)
+    counted = 0
+    for seed in range(8):
+        n = 6 + seed % 5
+        m = generate_random(n, 3100 + seed, [4, Fraction(11, 2), 8][seed % 3])
+        mw = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                            for _ in range(n)])
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                for model, weighted in ((m, False), (mw, True)):
+                    dg = build_digraph(model, k, variant, weighted)
+                    e1 = sum(1 for a in dg.arcs if a.cls == "E1")
+                    sol = solve_fast(model, k, variant, weighted)
+                    if sol.stats is not None:
+                        assert sol.stats["e1_arcs"] == e1, (seed, k, variant, weighted)
+                        counted += e1 > 0 and k == 3
+    assert counted >= 10
+
+
+def test_fast_slide_steps_take_the_first_least_tail():
+    # A slide step on fast's path comes from the lowest-id tail among the
+    # big nodes with a slide arc into its head whose dist is least, and
+    # only when it beats the best jump into the head strictly.  Dense
+    # models with many zero costs give long components, and so slides.
+    rng = random.Random(37)
+    steps = ties = 0
+    for n, stretch in product(range(8, 41, 4), (4, Fraction(13, 2), 8)):
+        m = generate_random(n, 3700 + n, stretch)
+        mw = with_costs(m, [Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
+                            for _ in range(n)])
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                for model, weighted in ((m, False), (mw, True)):
+                    trace = {}
+                    sol, path = solve_fast_with_path(model, k, variant, weighted,
+                                                     _trace=trace)
+                    if path is None:
+                        continue
+                    dist, dist_jump = trace["dist"], trace["dist_jump"]
+                    by_overlap = {}
+                    for nd in trace["nodes"]:
+                        if nd.kind == KIND_BIG:
+                            by_overlap.setdefault(nd.seq[1:], []).append(nd.id)
+                    for a, b in zip(path, path[1:]):
+                        if not is_e1_arc(k, a, b):
+                            continue
+                        tails = [t for t in by_overlap[b.seq[:-1]] if dist[t] is not None]
+                        least = min(dist[t] for t in tails)
+                        firsts = [t for t in tails if dist[t] == least]
+                        assert a.id == min(firsts), (n, k, variant, weighted, b.seq)
+                        assert dist_jump[b.id] is None or dist[b.id] < dist_jump[b.id]
+                        steps += 1
+                        ties += len(firsts) > 1
+    assert steps > 200
+    assert ties > 40
+
+
+def test_fast_builds_dag_nodes_only_for_its_path(monkeypatch, capsys, tmp_path):
+    m = generate_random(60, 3, 8)
+    built = []
+    init = DagNode.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DagNode, "__init__", counted_init)
+    sol, path = solve_fast_with_path(m, 2, "total")
+    assert sol.stats["nodes"] > 1000
+    assert len(built) == len(path)
+    # naive and the digraph dump read the plan's nodes, built on first use
+    nv = solve_naive(m, 2, "total")
+    assert nv.cost == sol.cost
+    assert len(built) == len(path) + sol.stats["nodes"]
+    monkeypatch.undo()
+    inst = tmp_path / "m.txt"
+    inst.write_text(serialize_model(m))
+    dump = tmp_path / "dag.txt"
+    assert main(["solve", str(inst), "--variant", "total", "--k", "2",
+                 "--dump-dag", str(dump)]) == 0
+    capsys.readouterr()
+    assert dump.read_text() == dump_digraph(build_digraph(m, 2, "total"))
 
 
 # --------------------------------------------- weighted slide-arc charge

@@ -8,7 +8,9 @@ digest covers ``fast`` alone at n 40/60/90/120, where the DP's tie-breaks
 choose among many more equal-cost paths.  Stats stay out of these two
 hashes; ``PINNED_STATS`` hashes fast's whole ``stats`` dict over the second
 corpus, so a change to how the plan or the DP does its work that moves a
-count shows there.
+count shows there.  ``PINNED_PATHS`` hashes fast's node path itself on the
+same corpus plus more k=3 rows at n 40/60: two equal-cost paths can give the
+same vertex set, so this is the direct guard on the DP's tie-breaks.
 A third digest covers the naive engine and the ``dump_digraph`` text at n
 20/30/45 (k 1-2) and n 20 (k 3), where jump-arc windows are wide enough to
 hold many heads per tail.
@@ -32,7 +34,7 @@ import random
 from fractions import Fraction
 
 from pikdom.errors import PikdomError
-from pikdom.fast import solve_fast
+from pikdom.fast import solve_fast, solve_fast_with_path
 from pikdom.model import derive_graph, format_rational, generate_random, parse_model, with_costs
 from pikdom.oracle import brute_force_min
 from pikdom.reduction import _Ctx, build_digraph, dump_digraph, solve_naive
@@ -42,6 +44,7 @@ PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74
 PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
 PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
+PINNED_PATHS = "1ae225a9af0d47c30db72bec9c50e382cb2b3f0bf8788d6211da84e78f68ccfe"
 PINNED_INGEST = "d2d8afeecf0b47fc683385cac1d7538f3e0de11841d9528e928500faec4ac067"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
@@ -124,6 +127,29 @@ def test_large_stats_match_pinned_digest():
     digest, runs = stats_digest()
     assert runs == 4 * 3 * 3 * 2 * 2
     assert digest == PINNED_STATS
+
+
+def paths_digest() -> tuple[str, int]:
+    """``fast``'s node path, as its node sequences, on the corpus of
+    ``large_digest`` plus k=3 at n 40/60 on fresh seeds."""
+    extra = (row for row in _corpus((40, 60), 60000) if row[3] == 3)
+    h = hashlib.sha256()
+    runs = 0
+    for label, m, mw, k, variant in (*_corpus((40, 60, 90, 120), 50000), *extra):
+        for weighted, model in ((False, m), (True, mw)):
+            sol, path = solve_fast_with_path(model, k, variant, weighted, cap_nodes=10**18)
+            seqs = "-" if path is None else " ".join(
+                ",".join(map(str, nd.seq)) for nd in path
+            )
+            h.update(f"{label} {weighted} {_answer(sol)} {seqs}\n".encode())
+            runs += 1
+    return h.hexdigest(), runs
+
+
+def test_large_paths_match_pinned_digest():
+    digest, runs = paths_digest()
+    assert runs == (4 * 3 + 2) * 3 * 2 * 2
+    assert digest == PINNED_PATHS
 
 
 def arcs_digest() -> tuple[str, int]:

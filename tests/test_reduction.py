@@ -4,7 +4,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -26,9 +26,11 @@ from pikdom.reduction import (
     ARC_E1,
     DagNode,
     _Ctx,
+    _Plan,
     _dominated,
     _e0_arc,
     _e0_window,
+    _jump_length,
     arc_length,
     build_digraph,
     dump_digraph,
@@ -344,6 +346,33 @@ def _dummy_extended_reach(model):
     ext = [Interval(a1 - 2, a1 - 1), *model.intervals, Interval(bn + 1, bn + 2)]
     meets = [[j for j, b in enumerate(ext) if a.intersects(b)] for a in ext]
     return [m[0] for m in meets], [m[-1] for m in meets]
+
+
+def test_flat_plan_matches_node_view():
+    # The plan keeps per-id lists; they are the public node view, and its
+    # jump charges are _jump_length's, with and without costs (zero costs
+    # among them, the source and the sink included).
+    rng = random.Random(17)
+    zero_costs = 0
+    for n in (*range(1, 16), 20, 30):
+        m = generate_random(n, 1700 + n, [2, Fraction(7, 2), 5][n % 3])
+        costs = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 5, 7))) for _ in range(n)]
+        zero_costs += costs.count(0)
+        mw = with_costs(m, costs)
+        scale = lcm(*(c.denominator for c in costs))
+        units = [c.numerator * (scale // c.denominator) for c in costs]
+        runs = ((m, False, None), (m, True, [1] * n), (mw, True, units))
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                nodes = enumerate_nodes(m, k, variant, cap_nodes=10**18)
+                for model, weighted, per_vertex in runs:
+                    plan = _Plan(_Ctx(model, k, variant), model, weighted, 10**18)
+                    flat = [DagNode(i, kind, seq)
+                            for i, (kind, seq) in enumerate(zip(plan.kinds, plan.seqs))]
+                    assert flat == nodes
+                    assert plan.jump == [_jump_length(nd, per_vertex) for nd in nodes]
+                    assert plan.nodes == nodes
+    assert zero_costs > 10
 
 
 @pytest.mark.parametrize(
