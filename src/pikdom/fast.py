@@ -5,7 +5,9 @@ arcs between internal nodes.  Whether ``(t, s)`` is a jump arc depends on
 ``t`` only through its last ``k`` interval indices and its tail-eligibility,
 both shared by every member of a suffix class.  So the DP keeps one running
 minimum per class and probes each class once instead of every potential
-tail.
+tail.  A class is one entry ``[least dist, first id with it, key]``; a
+small node, or a big node that passes (3), joins its class's entry with a
+strict ``<`` as soon as its ``dist`` is final.
 
 The head side mirrors this.  The test reads the head ``s`` only through
 ``s.lo``, condition (4), and how many members of ``s`` each gap vertex
@@ -27,12 +29,12 @@ their derivation), so the probes per prefix class are bounded by the
 classes ending in one clique rather than by all classes.
 
 A probe compares the class key against per-head thresholds instead of
-running the literal jump-arc test (``_probe_floors`` and ``_clears``).  Of
+running the literal jump-arc test (``_floor_walk`` and ``_clears``).  Of
 the test's four conditions:
 
 * (1), disjoint ends, holds for every ``hi`` inside the window;
 * (3), the tail condition, holds for every class member, because only
-  tail-eligible big nodes are partitioned;
+  tail-eligible big nodes join a class;
 * (4), the head condition, depends on the head alone and is evaluated per
   node, before any probe;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
@@ -64,38 +66,32 @@ Slide (E1) arcs are shared the same way, by slide class.  A slide arc
 ``t -> s`` exists iff both are big and ``t.seq[1:] == s.seq[:-1]``, so every
 head with the same first ``2k-1`` indices has a slide arc from the same
 tails, the big nodes whose last ``2k-1`` indices are those.  The DP keeps
-``slide_best[overlap] = [least dist, first id with it, tail count]`` and
-folds each big node in as a tail when its ``dist`` is final; a head reads
-one entry instead of testing every tail.  All tails of an overlap end at
-its last index, so they are final before any head that extends it, and
-they are folded in id order with a strict ``<``.  ``e1_arcs`` is the sum of
-the tail counts the heads read.
+``slide_best[overlap] = [least dist, first id with it, tail count]``, which
+every big node joins as a tail as it joins a suffix class, and a head reads
+one entry instead of testing every tail.  ``e1_arcs`` is the sum of the
+tail counts the heads read.
 
 The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
-Every arc strictly raises ``hi``, so this is a topological order, and all
-members of a suffix class share their ``hi``, so a class's minimum is final
-when its group ends.  Every class in a head's window ends before ``s.lo``,
-so it is final before the first head of any prefix class is processed.
-Equal costs go to the first class in key order (the source's first), the
-first member of that class in id order, a jump before a slide, and the
-first slide tail in id order, which the slide class keeps; none of these
-depends on the sweep order, so the chosen path does not either.
+Every arc strictly raises ``hi``, so this is a topological order.  All
+members of a suffix class share their ``hi``, as do all tails of a slide
+class, so they join in id order, and a class is complete before any head
+reads it: a head's window ends before ``s.lo``, and a slide head extends
+its tails' last index.  Equal costs go to the first class in key order (the
+source's first), the first member of that class in id order, a jump before
+a slide, and the first slide tail in id order, which the slide class keeps;
+none of these depends on the sweep order, so the chosen path does not
+either.
 
-The sweep reads the plan's per-id lists (``reduction._Plan``): each node's
-sequence, kind and jump charge, and each position's cost.  Head and tail
-flags, prefix and suffix keys and slide overlaps all come from the
-sequence.  Per node the DP tracks the best path ending in a jump arc, the
-best path overall and the node before it on that path, in three lists
-indexed by node id; per suffix class, in parallel lists by class position,
-the best path ending anywhere in the class and its node; per slide class
-the entry above.  The sweep walks the ``hi`` buckets that ``topo_order``
-flattens (``_hi_groups``), so both see one order.  Path lengths are plain
-ints in the plan's units and the optimum is divided by the plan's ``scale``
-once; unreachable states are ``None``.  The only ``DagNode`` objects the
-search builds are the ones on the path it returns.
-
-The nodes and charges come from the same ``reduction._Plan`` the naive
-engine builds; the two engines differ only in the search.
+The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
+kind and jump charge, and each position's cost.  The naive engine builds
+the same ``reduction._Plan``; the two engines differ only in the search.
+Head and tail flags, prefix and suffix keys and slide overlaps all come
+from the sequence.  The sweep walks the nodes in ``topo_order``'s order
+(``_hi_order``) and keeps the best path into each node and the node before
+it on that path in two lists by node id, besides the class entries above.
+Path lengths are plain ints in the plan's units and the optimum is divided
+by the plan's ``scale`` once; unreachable states are ``None``.  The only
+``DagNode`` objects the search builds are the ones on the path it returns.
 """
 
 from __future__ import annotations
@@ -117,7 +113,7 @@ from .reduction import (
     _head_ok,
     _hits,
     _Plan,
-    _tail_eligible,
+    _tail_ok,
     eligible_tail_bigs,
     path_to_vertex_set,
 )
@@ -130,24 +126,13 @@ def suffix_key(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
     fewer than k vertices); using the full sequence makes those classes
     singletons, which is trivially safe.
     """
-    return seq[-k:] if len(seq) >= k else seq
+    return seq[-k:]
 
 
 @dataclass
 class SuffixClass:
     key: tuple[int, ...]
     members: tuple[int, ...]
-    best: int | None = None
-    best_node: int | None = None
-
-
-def _suffix_groups(seqs, k: int, ids) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The ids in ``ids`` grouped by suffix key, as ``(key, members)`` sorted
-    by key, members in id order; ``seqs`` is indexed by node id."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in sorted(ids):
-        groups.setdefault(suffix_key(seqs[i], k), []).append(i)
-    return sorted(groups.items())
 
 
 def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
@@ -157,23 +142,20 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
     ``members[0]`` is the lexicographically smallest member and serves as
     the class representative.
     """
-    seqs = {nd.id: nd.seq for nd in nodes}
-    ids = [
-        nd.id for nd in nodes
-        if nd.kind == KIND_SMALL or (nd.kind == KIND_BIG and nd.id in eligible)
-    ]
-    groups = _suffix_groups(seqs, k, ids)
-    return [SuffixClass(key, tuple(members)) for key, members in groups]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for nd in sorted(nodes, key=lambda nd: nd.id):
+        if nd.kind == KIND_SMALL or (nd.kind == KIND_BIG and nd.id in eligible):
+            groups.setdefault(suffix_key(nd.seq, k), []).append(nd.id)
+    return [SuffixClass(key, tuple(members)) for key, members in sorted(groups.items())]
 
 
-def _hi_groups(seqs) -> list[list[int]]:
-    """Node ids bucketed by ``hi`` (their last index), in id order inside
-    each bucket; ``seqs`` holds an enumeration's sequences by id, sink last,
-    so bucket i holds the ids of the nodes ending at position i."""
-    groups: list[list[int]] = [[] for _ in range(seqs[-1][-1] + 1)]
+def _hi_order(seqs) -> list[int]:
+    """Node ids by ``hi`` (their last index), then by id, in O(N);
+    ``seqs`` holds an enumeration's sequences by id, sink last."""
+    buckets: list[list[int]] = [[] for _ in range(seqs[-1][-1] + 1)]
     for i, seq in enumerate(seqs):
-        groups[seq[-1]].append(i)
-    return groups
+        buckets[seq[-1]].append(i)
+    return [i for bucket in buckets for i in bucket]
 
 
 def topo_order(nodes, k: int) -> list[int]:
@@ -184,15 +166,10 @@ def topo_order(nodes, k: int) -> list[int]:
     and a slide arc appends an index past ``t.hi``.  So this is a
     topological order of the digraph, with the source (``hi`` 0) first and
     the sink (``hi`` n+1) last.  All members of a suffix class share their
-    ``hi``, so a class is complete when its group ends, which is what lets
-    class minima be frozen on the fly.  The order does not depend on ``k``.
+    ``hi``, so a class that ends before a head's first index is complete
+    before the head.  The order does not depend on ``k``.
     """
-    return [i for group in _hi_groups([nd.seq for nd in nodes]) for i in group]
-
-
-def _probe_floors(ctx: _Ctx, head: DagNode):
-    """``_floor_walk`` for the head ``head``."""
-    return _floor_walk(ctx, head.seq)
+    return _hi_order([nd.seq for nd in nodes])
 
 
 def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
@@ -226,7 +203,7 @@ def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
 
 def _clears(key: tuple[int, ...], floors: tuple[int, ...]) -> bool:
     """The key-threshold probe: does a class with suffix key ``key`` meet
-    the floors ``_probe_floors`` gave for its ``hi``?"""
+    the floors ``_floor_walk`` gave for its ``hi``?"""
     if len(key) < len(floors):
         return False
     for r, floor in enumerate(floors, 1):
@@ -255,161 +232,127 @@ def solve_fast_with_path(
     weighted: bool = False,
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
-    _trace: dict | None = None,
 ) -> tuple[Solution, list[DagNode] | None]:
-    """As solve_fast, but also return the reconstructed node path.
-
-    ``_trace``, when given a dict, receives DP internals (per-node values
-    in the plan's integer units, sweep order, class minima) for the
-    invariant tests.
-    """
-    plan = _engine_plan(model, k, variant, weighted, cap_nodes)
-    return _fast_search(plan, model, _trace)
+    """As solve_fast, but also return the reconstructed node path."""
+    return _fast_search(_engine_plan(model, k, variant, weighted, cap_nodes), model)
 
 
 def _fast_search(
-    plan: _Plan | None, model: ProperIntervalModel, _trace: dict | None = None
+    plan: _Plan | None, model: ProperIntervalModel
 ) -> tuple[Solution, list[DagNode] | None]:
     """The DP sweep over ``_engine_plan``'s plan for ``model``, or the
     infeasible answer when it gave none; see ``solve_fast_with_path``."""
     if plan is None:
         return infeasible_solution("fast"), None
-    ctx, seqs, kinds = plan.ctx, plan.seqs, plan.kinds
-    jump, units, k = plan.jump, plan.units, ctx.k
-    sink = len(seqs) - 1
-    middle = range(1, sink)
-
-    smalls = [i for i in middle if kinds[i] == KIND_SMALL]
-    eligible = _tail_eligible(ctx, seqs, kinds, middle)
-    # Classes by position in key order, as parallel lists.  The source is a
-    # class of its own with key (0,), first in key order.  Its one member,
-    # at position 0, meets no gap vertex, so it clears only an empty floor
-    # tuple: the head alone covers the gap.
-    cl_key: list[tuple[int, ...]] = [(0,)]
-    cl_members: list[list[int]] = [[0]]
-    for key, ids in _suffix_groups(seqs, k, smalls + eligible):
-        cl_key.append(key)
-        cl_members.append(ids)
-    cl_best: list[int | None] = [None] * len(cl_key)
-    cl_node: list[int | None] = [None] * len(cl_key)
-    cl_best[0] = cl_node[0] = 0
-    # Class positions (key order) by the shared hi of their members.
-    by_hi: list[list[int]] = [[] for _ in range(model.n + 2)]
-    for pos, key in enumerate(cl_key):
-        by_hi[key[-1]].append(pos)
-
-    groups = _hi_groups(seqs)
-
-    # Path lengths are plain ints in the plan's units, by node id; pred[i]
-    # is the id of the node before node i on its best path.
-    dist: list[int | None] = [None] * len(seqs)
-    dist_jump: list[int | None] = [None] * len(seqs)
-    pred: list[int | None] = [None] * len(seqs)
-    dist[0] = 0
-    # By a head's first k indices: (class minimum, class position, its
-    # node) of the best class with a jump arc into every head that shares
-    # them and passes (4), or None when no class has one.
-    probes: dict[tuple[int, ...], tuple[int, int, int] | None] = {}
-    # Slide classes: by the last 2k-1 indices of big tails, [least dist,
-    # first id with it, tail count].  Each head with those first 2k-1
-    # indices has a slide arc from every such tail, all finalized before it.
-    slide_best: dict[tuple[int, ...], list] = {}
-    repr_tests = e1_arcs = 0
-
-    # one hi group at a time after the source's, the sink's last; a group's
-    # classes are frozen when it ends
-    for group_hi in range(1, len(groups)):
-        for i in groups[group_hi]:
-            seq = seqs[i]
-            big = kinds[i] == KIND_BIG
-            # d and p: the best path into node i and the node before it on
-            # that path; first over jump arcs only, then over slides too.
-            if big and not _head_ok(ctx, seq):
-                d = p = None
-            else:
-                prefix = seq[:k]
-                if prefix not in probes:
-                    # Every class in the window ends before seq[0], so it was
-                    # frozen in an earlier group.
-                    hit = None
-                    for hi, floors in _floor_walk(ctx, seq):
-                        for pos in by_hi[hi]:
-                            best = cl_best[pos]
-                            if best is None:
-                                continue
-                            repr_tests += 1
-                            # equal costs go to the first class in key order
-                            if _clears(cl_key[pos], floors) and (
-                                hit is None or (best, pos) < hit[:2]
-                            ):
-                                hit = (best, pos, cl_node[pos])
-                    probes[prefix] = hit
-                hit = probes[prefix]
-                d = None if hit is None else hit[0] + jump[i]
-                p = None if hit is None else hit[2]
-            dist_jump[i] = d
-            if big:
-                tails = slide_best.get(seq[:-1])
-                if tails is not None:
-                    e1_arcs += tails[2]
-                    # a slide beats the jump only at a strictly lower cost
-                    if tails[0] is not None:
-                        cand = tails[0] + units[seq[-1]]
-                        if d is None or cand < d:
-                            d, p = cand, tails[1]
-                # Fold this node in as a tail; equal costs keep the first id.
-                tails = slide_best.get(seq[1:])
-                if tails is None:
-                    slide_best[seq[1:]] = [d, i, 1]
-                else:
-                    tails[2] += 1
-                    if d is not None and (tails[0] is None or d < tails[0]):
-                        tails[0], tails[1] = d, i
-            dist[i] = d
-            pred[i] = p
-        for pos in by_hi[group_hi]:
-            best = cl_best[pos]
-            for mid in cl_members[pos]:
-                d = dist[mid]
-                if d is not None and (best is None or d < best):
-                    best = cl_best[pos] = d
-                    cl_node[pos] = mid
-    sink_dist = dist_jump[sink]
-
-    stats = {
-        "nodes": len(seqs),
-        "small_nodes": len(smalls),
-        "big_nodes": len(middle) - len(smalls),
-        "tail_eligible_bigs": len(eligible),
-        "suffix_classes": len(cl_key) - 1,  # the source's class is not counted
-        "prefix_classes": len(probes),
-        "representative_tests": repr_tests,
-        "e1_arcs": e1_arcs,
-    }
-    if _trace is not None:
-        _trace["dist"] = dict(enumerate(dist))
-        # keyed by middle ids only
-        _trace["dist_jump"] = {i: dist_jump[i] for i in middle}
-        _trace["sink_dist"] = sink_dist
-        _trace["order"] = [i for group in groups for i in group]
-        _trace["classes"] = [
-            SuffixClass(*cl) for cl in zip(
-                cl_key[1:], map(tuple, cl_members[1:]), cl_best[1:], cl_node[1:]
-            )
-        ]
-        _trace["nodes"] = plan.nodes
-    if sink_dist is None:
+    dist, pred, stats = _sweep(plan)
+    if dist[-1] is None:  # the sink is unreachable
         return infeasible_solution("fast", stats), None
 
     # Reconstruction follows the recorded predecessors back to the source;
     # the path's nodes are the only DagNodes the search builds.
-    rev = [sink]
+    rev = [len(dist) - 1]
     while rev[-1] != 0:
         rev.append(pred[rev[-1]])
-    node_path = [DagNode(i, kinds[i], seqs[i]) for i in reversed(rev)]
+    node_path = [DagNode(i, plan.kinds[i], plan.seqs[i]) for i in reversed(rev)]
     vset = path_to_vertex_set(node_path, model)
-    cost = Fraction(sink_dist, plan.scale)
+    cost = Fraction(dist[-1], plan.scale)
     return Solution(vset, cost, True, "fast", stats), node_path
+
+
+def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, int]]:
+    """The DP over ``plan``: by node id, the least path length from the
+    source in the plan's units and the node before it on that path (``None``
+    when unreachable), and the solve's stats."""
+    ctx, seqs, kinds = plan.ctx, plan.seqs, plan.kinds
+    jump, units, k = plan.jump, plan.units, ctx.k
+    dist: list[int | None] = [None] * len(seqs)
+    pred: list[int | None] = [None] * len(seqs)
+    dist[0] = 0
+    # Suffix classes by the hi their members share (one dict per position
+    # 0..n+1, as in units), then by key: [least dist, first id with it,
+    # key].  The source is a class of its own with key (0,), first in key
+    # order.  Its one member, at position 0, meets no gap vertex, so it
+    # clears only an empty floor tuple: the head alone covers the gap.
+    by_hi: list[dict[tuple[int, ...], list]] = [{} for _ in units]
+    by_hi[0][(0,)] = [0, 0, (0,)]
+    # By a head's first k indices: the entry of the best class with a jump
+    # arc into every head that shares them and passes (4), or None when no
+    # class has one.
+    probes: dict[tuple[int, ...], list | None] = {}
+    # Slide classes: by the last 2k-1 indices of big tails, [least dist,
+    # first id with it, tail count].  Each head with those first 2k-1
+    # indices has a slide arc from every such tail, all finalized before it.
+    slide_best: dict[tuple[int, ...], list] = {}
+    smalls = eligible = repr_tests = e1_arcs = 0
+
+    # the source is first and the sink last
+    for i in _hi_order(seqs)[1:]:
+        seq, kind = seqs[i], kinds[i]
+        big = kind == KIND_BIG
+        # d and p: the best path into node i and the node before it on that
+        # path; first over jump arcs only, then over slides too.
+        if big and not _head_ok(ctx, seq):
+            d = p = None
+        else:
+            prefix = seq[:k]
+            if prefix not in probes:
+                # Every class in the window ends before seq[0], so all its
+                # members have joined it.
+                hit = None
+                for hi, floors in _floor_walk(ctx, seq):
+                    for entry in by_hi[hi].values():
+                        best, _, key = entry
+                        if best is None:
+                            continue
+                        repr_tests += 1
+                        # equal costs go to the first class in key order
+                        if _clears(key, floors) and (
+                            hit is None or (best, key) < (hit[0], hit[2])
+                        ):
+                            hit = entry
+                probes[prefix] = hit
+            hit = probes[prefix]
+            d = None if hit is None else hit[0] + jump[i]
+            p = None if hit is None else hit[1]
+        if big:
+            tails = slide_best.get(seq[:-1])
+            if tails is not None:
+                e1_arcs += tails[2]
+                # a slide beats the jump only at a strictly lower cost
+                if tails[0] is not None:
+                    cand = tails[0] + units[seq[-1]]
+                    if d is None or cand < d:
+                        d, p = cand, tails[1]
+            # Fold this node in as a tail; equal costs keep the first id.
+            tails = slide_best.setdefault(seq[1:], [None, i, 0])
+            tails[2] += 1
+            if d is not None and (tails[0] is None or d < tails[0]):
+                tails[0], tails[1] = d, i
+        dist[i] = d
+        pred[i] = p
+        # Fold this node into its suffix class if it can be a jump arc's
+        # tail; members come in id order, so equal costs keep the first id.
+        if kind == KIND_SMALL:
+            smalls += 1
+        elif big and _tail_ok(ctx, seq):
+            eligible += 1
+        else:
+            continue
+        key = suffix_key(seq, k)
+        entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
+        if d is not None and (entry[0] is None or d < entry[0]):
+            entry[0], entry[1] = d, i
+
+    return dist, pred, {
+        "nodes": len(seqs),
+        "small_nodes": smalls,
+        "big_nodes": len(seqs) - 2 - smalls,
+        "tail_eligible_bigs": eligible,
+        "suffix_classes": sum(map(len, by_hi)) - 1,  # not the source's class
+        "prefix_classes": len(probes),
+        "representative_tests": repr_tests,
+        "e1_arcs": e1_arcs,
+    }
 
 
 def representative_independence_check(
@@ -433,13 +376,10 @@ def representative_independence_check(
     plan = _Plan(_Ctx(model, k, variant), model, False, DEFAULT_NODE_CAP)
     ctx, nodes = plan.ctx, plan.nodes
     middle = nodes[1:-1]
-    eligible = eligible_tail_bigs(middle, model, k, variant, _ctx=ctx)
-    classes = suffix_partition(middle, k, eligible)
-    for cl in classes:
-        members = [nodes[i] for i in cl.members]
+    eligible = eligible_tail_bigs(middle, model, k, variant)
+    for cl in suffix_partition(middle, k, eligible):
         for s in nodes[1:]:  # every possible head: the middle and the sink
-            answers = {_e0_arc(ctx, m, s) for m in members}
-            if len(answers) > 1:
+            if len({_e0_arc(ctx, nodes[i], s) for i in cl.members}) > 1:
                 return False
     heads: dict[tuple, list[DagNode]] = {}
     for s in middle:
@@ -447,7 +387,6 @@ def representative_independence_check(
         heads.setdefault((s.seq[:k], passes), []).append(s)
     for group in heads.values():
         for t in nodes[:-1]:  # every possible tail: the source and the middle
-            answers = {_e0_arc(ctx, t, s) for s in group}
-            if len(answers) > 1:
+            if len({_e0_arc(ctx, t, s) for s in group}) > 1:
                 return False
     return True

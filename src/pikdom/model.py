@@ -24,6 +24,7 @@ denominator, so it costs the same however many denominators the input has.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,9 +39,19 @@ from .errors import (
 )
 
 
+# A literal's decimal exponent, which ``Fraction`` turns into ``10**exp``;
+# unbounded, the work grows with it (``1e4000000`` alone takes seconds).
+# The bound matches the 4,300-digit limit ``int(str)`` puts on the digits.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(token: str) -> Fraction:
     """Parse an integer, decimal, or ``p/q`` literal exactly."""
     try:
+        exp = _EXPONENT.search(token)
+        if exp is not None and int(exp[1]) > _MAX_EXPONENT:
+            raise ValueError("exponent out of range")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {token!r}") from exc

@@ -411,29 +411,21 @@ def is_e1_arc(k: int, s: DagNode, s2: DagNode) -> bool:
     return s.seq[1:] == s2.seq[:-1]
 
 
-def _tail_eligible(ctx: _Ctx, seqs, kinds, ids) -> list[int]:
-    """The big nodes among ``ids`` that pass condition (3), in the order
-    given; ``seqs`` and ``kinds`` are indexed by node id."""
-    return [i for i in ids if kinds[i] == KIND_BIG and _tail_ok(ctx, seqs[i])]
-
-
 def eligible_tail_bigs(
     nodes,
     model: ProperIntervalModel,
     k: int,
     variant: str,
-    *,
-    _ctx: _Ctx | None = None,
 ) -> frozenset[int]:
     """Big nodes that can start a jump arc (the per-node tail condition).
 
     Membership depends only on the node itself, which is what lets the fast
     engine treat one member of a suffix class as a representative for all.
     """
-    ctx = _ctx if _ctx is not None else _Ctx(model, k, variant)
-    seqs = {nd.id: nd.seq for nd in nodes}
-    kinds = {nd.id: nd.kind for nd in nodes}
-    return frozenset(_tail_eligible(ctx, seqs, kinds, seqs))
+    ctx = _Ctx(model, k, variant)
+    return frozenset(
+        nd.id for nd in nodes if nd.kind == KIND_BIG and _tail_ok(ctx, nd.seq)
+    )
 
 
 def _jump_length(head: DagNode, costs):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,22 @@ def test_solve_bad_literal_names_its_line(capsys, tmp_path, text, message):
     inst = tmp_path / "bad.txt"
     inst.write_text(text)
     code, out, err = run(capsys, "solve", str(inst), "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "{}", "--variant", "kdom", "--k", "1"),
+     "error[E_PARSE]: line 1: bad rational literal '1e30000000'"),
+    (("gen", "--n", "5", "--stretch", "1e-30000000"),
+     "error[E_PARAM]: pikdom gen: argument --stretch: bad rational literal '1e-30000000'"),
+])
+def test_huge_exponent_is_one_coded_line_at_once(capsys, tmp_path, argv, message):
+    # Read literally, each literal asks for 10**30000000.
+    inst = tmp_path / "huge.txt"
+    inst.write_text("1\n0 1e30000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(arg.format(inst) for arg in argv))
+    assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", message + "\n")
 
 

@@ -10,7 +10,8 @@ from pikdom.errors import TooLargeError
 from pikdom.fast import (
     SuffixClass,
     _clears,
-    _probe_floors,
+    _floor_walk,
+    _sweep,
     representative_independence_check,
     solve_fast,
     solve_fast_with_path,
@@ -22,11 +23,15 @@ from pikdom.cli import main
 from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
+    ARC_E0,
+    ARC_E1,
+    DEFAULT_NODE_CAP,
     KIND_BIG,
     DagNode,
     _Ctx,
     _e0_arc,
     _e0_window,
+    _engine_plan,
     _head_ok,
     arc_length,
     build_digraph,
@@ -202,52 +207,76 @@ def test_fast_reconstructed_path_is_genuine():
                     assert is_e1_arc(k, a, b) or is_e0_arc(m, k, variant, a, b)
 
 
-def test_fast_dp_invariants_via_trace():
+def _swept(model, k, variant, weighted=False):
+    """The plan ``solve_fast`` searches and what ``_sweep`` makes of it,
+    ``(plan, dist, pred, stats)``, or None when there is no plan."""
+    plan = _engine_plan(model, k, variant, weighted, DEFAULT_NODE_CAP)
+    return None if plan is None else (plan, *_sweep(plan))
+
+
+def _class_reps(model, k, variant, nodes, dist):
+    """``(least dist, representative)`` for the source and for every suffix
+    class with a reached member: the class minimum recomputed from ``dist``,
+    and the class's first member."""
+    middle = nodes[1:-1]
+    eligible = eligible_tail_bigs(middle, model, k, variant)
+    reps = [(0, nodes[0])]
+    for cl in suffix_partition(middle, k, eligible):
+        values = [dist[i] for i in cl.members if dist[i] is not None]
+        if values:
+            reps.append((min(values), nodes[cl.members[0]]))
+    return reps
+
+
+def _literal_jump_value(ctx, reps, head, charge):
+    """The best path into ``head`` ending in a jump arc, by the literal
+    jump-arc test on each representative, or None when there is none."""
+    return min((best + charge for best, rep in reps if _e0_arc(ctx, rep, head)),
+               default=None)
+
+
+def test_fast_dp_invariants_via_sweep():
+    # Every reached node's value is its predecessor's plus the length of a
+    # genuine arc between them, and the sink's value is the best explicit
+    # jump into it from any node.
     for seed in range(10):
         m = generate_random(5 + seed % 5, 777 + seed, [3, 6][seed % 2])
         for k in (1, 2):
             for variant in ("kdom", "total"):
-                trace = {}
-                sol, _ = solve_fast_with_path(m, k, variant, _trace=trace)
-                if sol is None or not trace:
+                swept = _swept(m, k, variant)
+                if swept is None:
                     continue
-                dist, dj = trace["dist"], trace["dist_jump"]
-                # best path never beats the jump-entry bound
-                for nid, d0 in dj.items():
-                    d = dist.get(nid)
-                    if d0 is not None:
-                        assert d is not None and d <= d0
-                # frozen class minima match a recomputation after the sweep
-                for cl in trace["classes"]:
-                    vals = [dist[mid] for mid in cl.members if dist.get(mid) is not None]
-                    if vals:
-                        assert cl.best == min(vals)
-                        assert dist[cl.best_node] == cl.best
+                plan, dist, pred, _ = swept
+                nodes = plan.nodes
+                assert (dist[0], pred[0]) == (0, None)
+                for nd in nodes[1:]:
+                    if dist[nd.id] is None:
+                        assert pred[nd.id] is None
+                        continue
+                    t = nodes[pred[nd.id]]
+                    if is_e1_arc(k, t, nd):
+                        length = arc_length(t, nd, ARC_E1)
                     else:
-                        assert cl.best is None
-                # sink value equals the best explicit jump into the sink
-                nodes = trace["nodes"]
+                        assert is_e0_arc(m, k, variant, t, nd)
+                        length = arc_length(t, nd, ARC_E0)
+                    assert dist[nd.id] == dist[t.id] + length
                 sink = nodes[-1]
                 cands = [
                     dist[nd.id]
                     for nd in nodes[:-1]
-                    if dist.get(nd.id) is not None
-                    and is_e0_arc(m, k, variant, nd, sink)
+                    if dist[nd.id] is not None and is_e0_arc(m, k, variant, nd, sink)
                 ]
-                src_ok = is_e0_arc(m, k, variant, nodes[0], sink)
-                if src_ok:
-                    cands.append(Fraction(0))
-                expect = min(cands) if cands else None
-                assert trace["sink_dist"] == expect
+                assert dist[sink.id] == min(cands, default=None)
 
 
-def test_fast_dist_jump_matches_literal_recomputation():
-    # Each middle node's best path ending in a jump arc, from the literal
-    # jump-arc test on every class representative: the source arc when it
-    # exists (it costs the charge alone), else the best finalized class
-    # minimum plus the charge.  Also counts the prefix classes the DP must
-    # probe: heads that pass condition (4), by their first k indices, plus
-    # the sink.
+def test_fast_dist_matches_literal_recomputation():
+    # Each middle node's dist is the least of two literal values.  Its best
+    # path ending in a jump arc comes from the literal jump-arc test on the
+    # source and on every class representative, each class's minimum
+    # recomputed from dist.  Its best path ending in a slide arc comes from
+    # the literal slide-arc test on every big tail.  Also counts the prefix
+    # classes the DP must probe: heads that pass condition (4), by their
+    # first k indices, plus the sink.
     rng = random.Random(5)
     checked = {True: 0, False: 0}
     for n, (seed, stretch) in product(range(4, 15), ((0, 3), (1, Fraction(9, 2)), (2, 7))):
@@ -259,39 +288,29 @@ def test_fast_dist_jump_matches_literal_recomputation():
             for variant in ("kdom", "total"):
                 ctx = _Ctx(m, k, variant)
                 for model, weighted in ((m, False), (mw, True)):
-                    trace = {}
-                    sol, _ = solve_fast_with_path(model, k, variant, weighted, _trace=trace)
-                    if not trace:  # no plan: infeasible by minimum degree
+                    swept = _swept(model, k, variant, weighted)
+                    if swept is None:  # no plan: infeasible by minimum degree
                         continue
-                    nodes = trace["nodes"]
-                    source = nodes[0]
-                    reps = [
-                        (cl.best, nodes[cl.members[0]])
-                        for cl in trace["classes"]
-                        if cl.best is not None
-                    ]
+                    plan, dist, _, stats = swept
+                    nodes = plan.nodes
+                    assert len(dist) == len(nodes)
+                    reps = _class_reps(model, k, variant, nodes, dist)
+                    bigs = [t for t in nodes if t.kind == KIND_BIG and dist[t.id] is not None]
                     prefixes = {nodes[-1].seq[:k]}
-                    assert set(trace["dist_jump"]) == {nd.id for nd in nodes[1:-1]}
                     for nd in nodes[1:-1]:
                         if weighted:
                             charge = sum(costs[i - 1] for i in nd.seq) * scale
+                            step = costs[nd.seq[-1] - 1] * scale
                         else:
-                            charge = len(nd.seq)
-                        if _e0_arc(ctx, source, nd):
-                            want = charge
-                        else:
-                            want = min(
-                                (best + charge for best, rep in reps
-                                 if _e0_arc(ctx, rep, nd)),
-                                default=None,
-                            )
+                            charge, step = len(nd.seq), 1
+                        jump = _literal_jump_value(ctx, reps, nd, charge)
+                        slides = [dist[t.id] + step for t in bigs if is_e1_arc(k, t, nd)]
+                        want = min([v for v in (jump, *slides) if v is not None], default=None)
                         if nd.kind == "small" or _head_ok(ctx, nd.seq):
                             prefixes.add(nd.seq[:k])
-                        assert trace["dist_jump"][nd.id] == want, (
-                            n, k, variant, weighted, nd.seq
-                        )
-                        checked[want is None] += 1
-                    assert sol.stats["prefix_classes"] == len(prefixes)
+                        assert dist[nd.id] == want, (n, k, variant, weighted, nd.seq)
+                        checked[jump is None] += 1
+                    assert stats["prefix_classes"] == len(prefixes)
     assert min(checked.values()) > 5000
 
 
@@ -352,7 +371,7 @@ def test_threshold_probe_matches_jump_arc_test():
                                         assert not _e0_arc(ctx, nodes[t], nd)
                                         failing_pairs += 1
                             continue
-                        walk = list(_probe_floors(ctx, nd))
+                        walk = list(_floor_walk(ctx, nd.seq))
                         his = [hi for hi, _ in walk]
                         assert his == list(range(hi_max, hi_min - 1, -1))
                         for hi, floors in walk:
@@ -485,27 +504,33 @@ def test_fast_e1_count_matches_naive_digraph_all_variants():
 def test_fast_slide_steps_take_the_first_least_tail():
     # A slide step on fast's path comes from the lowest-id tail among the
     # big nodes with a slide arc into its head whose dist is least, and
-    # only when it beats the best jump into the head strictly.  Dense
-    # models with many zero costs give long components, and so slides.
+    # only when it beats the literal best jump into the head strictly.
+    # Dense models with many zero costs give long components, and so slides.
     rng = random.Random(37)
     steps = ties = 0
     for n, stretch in product(range(8, 41, 4), (4, Fraction(13, 2), 8)):
         m = generate_random(n, 3700 + n, stretch)
-        mw = with_costs(m, [Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2)))
-                            for _ in range(n)])
+        costs = [Fraction(rng.choice((0, 0, 1, 2)), rng.choice((1, 2))) for _ in range(n)]
+        mw = with_costs(m, costs)
+        scale = lcm(*(c.denominator for c in costs))
         for k in (1, 2, 3):
             for variant in ("kdom", "total"):
                 for model, weighted in ((m, False), (mw, True)):
-                    trace = {}
-                    sol, path = solve_fast_with_path(model, k, variant, weighted,
-                                                     _trace=trace)
-                    if path is None:
+                    swept = _swept(model, k, variant, weighted)
+                    if swept is None or swept[1][-1] is None:
                         continue
-                    dist, dist_jump = trace["dist"], trace["dist_jump"]
+                    plan, dist, pred, _ = swept
+                    nodes = plan.nodes
+                    reps = _class_reps(model, k, variant, nodes, dist)
                     by_overlap = {}
-                    for nd in trace["nodes"]:
+                    for nd in nodes:
                         if nd.kind == KIND_BIG:
                             by_overlap.setdefault(nd.seq[1:], []).append(nd.id)
+                    path = [nodes[-1]]  # fast's path, back from the sink
+                    while pred[path[-1].id] is not None:
+                        path.append(nodes[pred[path[-1].id]])
+                    path.reverse()
+                    assert path == solve_fast_with_path(model, k, variant, weighted)[1]
                     for a, b in zip(path, path[1:]):
                         if not is_e1_arc(k, a, b):
                             continue
@@ -513,7 +538,12 @@ def test_fast_slide_steps_take_the_first_least_tail():
                         least = min(dist[t] for t in tails)
                         firsts = [t for t in tails if dist[t] == least]
                         assert a.id == min(firsts), (n, k, variant, weighted, b.seq)
-                        assert dist_jump[b.id] is None or dist[b.id] < dist_jump[b.id]
+                        if weighted:
+                            charge = sum(costs[i - 1] for i in b.seq) * scale
+                        else:
+                            charge = len(b.seq)
+                        jump = _literal_jump_value(plan.ctx, reps, b, charge)
+                        assert jump is None or dist[b.id] < jump
                         steps += 1
                         ties += len(firsts) > 1
     assert steps > 200

@@ -23,6 +23,7 @@ from pikdom.model import (
     generate_random,
     intersects,
     min_degree,
+    parse_rational,
     model_min_degree,
     parse_model,
     serialize_model,
@@ -142,6 +143,17 @@ def test_serialize_falls_back_to_fractions():
 )
 def test_format_rational(value, expect):
     assert format_rational(value) == expect
+
+
+def test_parse_rational_bounds_the_exponent():
+    # A decimal exponent past 4,300 is refused, as int() refuses more than
+    # 4,300 digits; up to it the literal is exact.
+    assert parse_rational("1e4300") == 10**4300
+    assert parse_rational("3E-4300") == Fraction(3, 10**4300)
+    assert parse_rational("1.5e+0_2") == 150
+    for token in ("1e4301", "1e-4301", "2.5e+30000000", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_rational(token)
 
 
 # ------------------------------------------------------------- intersects
