@@ -201,20 +201,22 @@ def parse_model(text: str) -> ProperIntervalModel:
 
     Format: ``#`` starts a comment anywhere on a line.  The first payload
     line is ``n`` optionally followed by the token ``weighted``; the next n
-    lines are ``left right`` or, when weighted, ``left right cost``.
+    lines are ``left right`` or, when weighted, ``left right cost``.  A bad
+    row's error names its line in the file, comment and blank lines counted.
     """
-    rows = []
-    for raw in text.splitlines():
+    rows = []  # (file line number, payload)
+    for lineno, raw in enumerate(text.splitlines(), 1):
         payload = raw.split("#", 1)[0].strip()
         if payload:
-            rows.append(payload)
+            rows.append((lineno, payload))
     if not rows:
         raise ParseError("empty instance")
-    head = rows[0].split()
+    (_, header), body = rows[0], rows[1:]
+    head = header.split()
     try:
         n = int(head[0])
     except ValueError as exc:
-        raise ParseError(f"bad header {rows[0]!r}") from exc
+        raise ParseError(f"bad header {header!r}") from exc
     if n < 0:
         raise ParseError(f"negative interval count {n}")
     weighted = False
@@ -223,13 +225,12 @@ def parse_model(text: str) -> ProperIntervalModel:
             raise ParseError(f"unknown header token {head[1]!r}")
         weighted = True
     elif len(head) > 2:
-        raise ParseError(f"bad header {rows[0]!r}")
-    body = rows[1:]
+        raise ParseError(f"bad header {header!r}")
     if len(body) != n:
         raise ParseError(f"expected {n} interval lines, found {len(body)}")
     intervals = []
     costs = [] if weighted else None
-    for lineno, row in enumerate(body, start=1):
+    for lineno, row in body:
         toks = row.split()
         want = 3 if weighted else 2
         if len(toks) != want:

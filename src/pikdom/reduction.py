@@ -30,13 +30,15 @@ small node in its subtree.
 Both DAG engines get one ``_Plan`` (budget check, context, the nodes as
 per-id lists, integer arc charges) from ``_engine_plan``, which first
 answers the total variant's min-degree shortcut, and differ only in the
-search: ``naive`` materializes every arc and relaxes them, ``fast`` runs
-the suffix-class DP.  ``naive`` finds the jump arcs with the literal test,
-split by what each part depends on: the tail and head conditions once per
-node, the gap cover per (tail, head) pair, vertex by vertex, against needs
-computed once per tail (``_gap_covered``, which ``_e0_arc`` also calls).  It
-uses no key thresholds and no class sharing, so the differential tests
-check the fast engine's derivation of both.
+search: ``naive`` materializes every arc and finds the least path in two
+passes over them (``solve_naive``), ``fast`` runs the suffix-class DP.
+Both build a ``DagNode`` only for the path they return.  ``naive`` finds
+the jump arcs with the literal test, split by what each part depends on:
+the tail and head conditions once per node, the gap cover per (tail, head)
+pair, vertex by vertex, against needs computed once per tail
+(``_gap_covered``, which ``_e0_arc`` also calls).  It uses no key
+thresholds and no class sharing, so the differential tests check the fast
+engine's derivation of both.
 """
 
 from __future__ import annotations
@@ -316,28 +318,31 @@ def _as_nodes(seqs, kinds) -> list[DagNode]:
     return list(map(DagNode, range(len(seqs)), kinds, seqs))
 
 
-def _gap_covered(ctx: _Ctx, tail: DagNode, heads) -> list[DagNode]:
+def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
     """Condition (2) for one tail and many heads: the heads whose members,
     with the tail's, give every gap vertex between the two at least k hits.
 
-    Every head must start right of the tail; its gap is ``tail.hi + 1 ..
-    head.lo - 1``.  Each end set lies on its own side of the gap, so one
+    ``tail`` is the tail's sequence and ``heads`` are ``(id, seq)`` pairs;
+    every head must start right of the tail, so its gap is ``tail[-1] + 1 ..
+    seq[0] - 1``.  Each end set lies on its own side of the gap, so one
     binary search counts its hits at a gap vertex m (``_hits``): the tail
     members from ``reach_l[m]`` on, the head members up to ``reach_r[m]``.
-    What m needs from a head, k less the tail's hits, is worked out once
-    per tail, when the first head's gap reaches m.
+    The dummies' positions 0 and n+1 lie outside every gap vertex's reach
+    range, so they count no hit.  What m needs from a head, k less the
+    tail's hits, is worked out once per tail, when the first head's gap
+    reaches m.
     """
-    rs, reach_l, reach_r = tail.real_seq, ctx.reach_l, ctx.reach_r
-    first = tail.hi + 1
-    base = ctx.k - len(rs)
+    reach_l, reach_r = ctx.reach_l, ctx.reach_r
+    first = tail[-1] + 1
+    base = ctx.k - len(tail)
     needs: list[int] = []  # by gap vertex, from ``first`` on
     covered = []
     for head in heads:
-        rs2 = head.real_seq
-        for m in range(first, head.lo):
+        seq = head[1]
+        for m in range(first, seq[0]):
             if m - first == len(needs):
-                needs.append(base + bisect.bisect_left(rs, reach_l[m]))
-            if bisect.bisect_right(rs2, reach_r[m]) < needs[m - first]:
+                needs.append(base + bisect.bisect_left(tail, reach_l[m]))
+            if bisect.bisect_right(seq, reach_r[m]) < needs[m - first]:
                 break
         else:
             covered.append(head)
@@ -352,7 +357,7 @@ def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
     if not (hi < lo2 and ctx.reach_r[hi] < lo2):
         return False
     # (2) everything in the gap is covered by the two end sets
-    if not _gap_covered(ctx, s, (s2,)):
+    if not _gap_covered(ctx, s.seq, [(s2.id, s2.seq)]):
         return False
     # (3)/(4) window conditions on big endpoints
     if s.kind == KIND_BIG and not _tail_ok(ctx, s.seq):
@@ -443,13 +448,6 @@ def _jump_length(head: DagNode, costs):
     return sum(costs[i - 1] for i in head.real_seq)
 
 
-def _slide_length(head: DagNode, costs):
-    """A slide arc pays for the one vertex its head appends."""
-    if costs is None:
-        return 1
-    return costs[head.seq[-1] - 1]
-
-
 def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
     """Length of an arc of the stated class.
 
@@ -462,7 +460,7 @@ def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
         k2 = len(s.seq)
         if k2 % 2 or not is_e1_arc(k2 // 2, s, s2):
             raise NotArcError("not a slide arc")
-        return Fraction(_slide_length(s2, costs))
+        return Fraction(1 if costs is None else costs[s2.seq[-1] - 1])
     if cls == ARC_E0:
         if s.kind == KIND_SINK or s2.kind == KIND_SOURCE or not s.hi < s2.lo:
             raise NotArcError("not a jump arc")
@@ -474,10 +472,11 @@ class _Plan:
     """What both DAG engines build once per solve, after the budget check.
 
     The enumeration is kept as per-id lists: ``seqs[i]`` and ``kinds[i]``
-    are node i's sequence and kind (``_enumerate_with_ctx``).  ``nodes``,
-    the same nodes as ``DagNode`` objects, is built on first use; only the
-    naive engine, the digraph dump and diagnostics read it, and ``fast``
-    builds a ``DagNode`` only for the path it returns.
+    are node i's sequence and kind (``_enumerate_with_ctx``).  Ids follow
+    lexicographic order, so they are a topological order and sort the nodes
+    by ``lo``.  Both engines search these lists and build a ``DagNode`` only
+    for the path they return; ``nodes`` builds every one, for the digraph
+    dump and the diagnostics.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is
@@ -489,7 +488,7 @@ class _Plan:
     the sum of its units, or its length when unweighted, and 0 for the sink.
     """
 
-    __slots__ = ("ctx", "seqs", "kinds", "scale", "units", "jump", "_nodes", "_arcs")
+    __slots__ = ("ctx", "seqs", "kinds", "scale", "units", "jump", "_arcs")
 
     def __init__(
         self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
@@ -508,15 +507,12 @@ class _Plan:
             self.jump = [len(seq) for seq in self.seqs]
         self.jump[-1] = 0  # arcs into the sink are free
         self.units = units
-        self._nodes: list[DagNode] | None = None
         self._arcs: list[tuple[int, int, str, int]] | None = None
 
     @property
     def nodes(self) -> list[DagNode]:
-        """Every node as a ``DagNode``, by id; built on the first read."""
-        if self._nodes is None:
-            self._nodes = _as_nodes(self.seqs, self.kinds)
-        return self._nodes
+        """Every node as a ``DagNode``, by id."""
+        return _as_nodes(self.seqs, self.kinds)
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
@@ -528,50 +524,49 @@ class _Plan:
         head, condition (3) once per tail, the tail's side of the gap cover
         once per tail, and the head's side per pair (``_gap_covered``).  Only
         the heads in the tail's window are scanned (``_e0_window``), and
-        every one of them passes condition (1).  They are built on the first call
-        and kept for later ones.
+        every one of them passes condition (1).  They are built on the first
+        call and kept for later ones.
         """
         if self._arcs is None:
             self._arcs = self._build_arcs()
         return self._arcs
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
-        ctx, nodes, seqs, units = self.ctx, self.nodes, self.seqs, self.units
+        ctx, seqs, kinds, units = self.ctx, self.seqs, self.kinds, self.units
         # Slide arcs: a tail's last 2k-1 indices are its head's first 2k-1.
-        bigs = [i for i, kind in enumerate(self.kinds) if kind == KIND_BIG]
+        bigs = [i for i, kind in enumerate(kinds) if kind == KIND_BIG]
         tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
         for i in bigs:
             tails_by_overlap.setdefault(seqs[i][1:], []).append(i)
         arcs = []
-        for head_id in bigs:
-            seq = seqs[head_id]
+        for head in bigs:
+            seq = seqs[head]
             length = units[seq[-1]]
-            for tail_id in tails_by_overlap.get(seq[:-1], ()):
-                arcs.append((tail_id, head_id, ARC_E1, length))
+            for tail in tails_by_overlap.get(seq[:-1], ()):
+                arcs.append((tail, head, ARC_E1, length))
 
-        # Jump-arc heads: never the source, and condition (4) once per node.
-        by_lo = sorted(
-            (nd for nd in nodes if nd.kind != KIND_SOURCE
-             and (nd.kind != KIND_BIG or _head_ok(ctx, nd.seq))),
-            key=lambda nd: (nd.lo, nd.id),
-        )
-        los = [nd.lo for nd in by_lo]
-        for tail in nodes:
+        # Jump-arc heads, as (id, seq) in id order and so by lo: never the
+        # source, and condition (4) once per node.
+        by_lo = [
+            (i, seqs[i]) for i in range(1, len(seqs))
+            if kinds[i] != KIND_BIG or _head_ok(ctx, seqs[i])
+        ]
+        los = [seq[0] for _, seq in by_lo]
+        for tail in range(len(seqs) - 1):
             # Tails: never the sink, and condition (3) once per node.
-            if tail.kind == KIND_SINK or (
-                tail.kind == KIND_BIG and not _tail_ok(ctx, tail.seq)
-            ):
+            seq = seqs[tail]
+            if kinds[tail] == KIND_BIG and not _tail_ok(ctx, seq):
                 continue
             # A head's lo lies past the tail's reach, and no further than the
             # reach of the first position past it, or that position would be
             # a gap vertex no end set hits (see _e0_window).  Since
-            # lo_min = reach_r[tail.hi] + 1, condition (1) holds for every
+            # lo_min = reach_r[seq[-1]] + 1, condition (1) holds for every
             # head in the window.
-            lo_min, lo_max = _e0_window(ctx, tail_hi=tail.hi)
+            lo_min, lo_max = _e0_window(ctx, tail_hi=seq[-1])
             first = bisect.bisect_left(los, lo_min)
             last = bisect.bisect_right(los, lo_max, first)
-            for head in _gap_covered(ctx, tail, by_lo[first:last]):
-                arcs.append((tail.id, head.id, ARC_E0, self.jump[head.id]))
+            for head, _ in _gap_covered(ctx, seq, by_lo[first:last]):
+                arcs.append((tail, head, ARC_E0, self.jump[head]))
         arcs.sort()
         return arcs
 
@@ -651,7 +646,10 @@ def solve_naive(
     """Shortest path over the fully materialized digraph.
 
     Among equal-cost paths the lexicographically smallest node-id sequence
-    wins, making the reported set deterministic.
+    wins, making the reported set deterministic.  Two passes over the arcs
+    find it: a backward pass gives each node's least length to the sink,
+    and a forward pass takes, from each node on the path, the lowest-id
+    head of an arc that stays optimal.
     """
     return _naive_search(_engine_plan(model, k, variant, weighted, cap_nodes), model)
 
@@ -661,34 +659,29 @@ def _naive_search(plan: _Plan | None, model: ProperIntervalModel) -> Solution:
     the infeasible answer when it gave none; see ``solve_naive``."""
     if plan is None:
         return infeasible_solution("naive")
-    arcs = plan.arcs()
-    n_nodes = len(plan.seqs)
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for tail, head, _, length in arcs:
-        in_arcs[head].append((tail, length))
-    # Path lengths are plain ints in the plan's units.
-    dist: list[int | None] = [None] * n_nodes
-    path: list[tuple[int, ...] | None] = [None] * n_nodes
-    dist[0] = 0
-    path[0] = (0,)
-    for v in range(1, n_nodes):
-        for tail, length in in_arcs[v]:
-            if dist[tail] is None:
-                continue
-            cand = dist[tail] + length
-            if dist[v] is not None and cand > dist[v]:
-                continue  # cannot win: build no path
-            cand_path = path[tail] + (v,)
-            if dist[v] is None or cand < dist[v] or cand_path < path[v]:
-                dist[v] = cand
-                path[v] = cand_path
-    sink = n_nodes - 1
-    stats = {"nodes": n_nodes, "arcs": len(arcs)}
-    if dist[sink] is None:
+    arcs = plan.arcs()  # sorted by (tail, head); ids are topological
+    # Path lengths are plain ints in the plan's units.  A path pays each of
+    # its vertices once, so no path costs ``unreachable``.
+    unreachable = sum(plan.units) + 1
+    to_sink = [unreachable] * len(plan.seqs)
+    to_sink[-1] = 0
+    for tail, head, _, length in reversed(arcs):
+        d = to_sink[head] + length
+        if d < to_sink[tail]:
+            to_sink[tail] = d
+    stats = {"nodes": len(plan.seqs), "arcs": len(arcs)}
+    if to_sink[0] == unreachable:
         return infeasible_solution("naive", stats)
-    node_path = [plan.nodes[i] for i in path[sink]]
+    # Arcs come by tail, then head: the first optimal arc out of the path's
+    # last node goes to its lowest optimal head, which joins the path before
+    # the scan reaches that head's own arcs.
+    path = [0]
+    for tail, head, _, length in arcs:
+        if tail == path[-1] and length + to_sink[head] == to_sink[tail]:
+            path.append(head)
+    node_path = [DagNode(i, plan.kinds[i], plan.seqs[i]) for i in path]
     vset = path_to_vertex_set(node_path, model)
-    return Solution(vset, Fraction(dist[sink], plan.scale), True, "naive", stats)
+    return Solution(vset, Fraction(to_sink[0], plan.scale), True, "naive", stats)
 
 
 def dump_digraph(dg: DerivedDigraph) -> str:

@@ -22,7 +22,7 @@ from .oracle import (
 from .reduction import solve_naive
 
 
-def _case_stream(base_seed: int, quick: bool):
+def _case_stream(quick: bool):
     count = 24 if quick else 80
     stretches = [1, 2, 3, 5, Fraction(3, 2), 8]
     for i in range(count):
@@ -36,7 +36,7 @@ def _case_stream(base_seed: int, quick: bool):
 
 def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
     checks = 0
-    for i, n, k, stretch in _case_stream(seed, quick):
+    for i, n, k, stretch in _case_stream(quick):
         model = generate_random(n, seed * 100003 + i, stretch)
         rng = random.Random(seed * 7919 + i)
         # Mixed denominators, so the DAG engines search with a scale above 1.

@@ -123,9 +123,11 @@ def test_solve_parse_error_exit_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("2\n0 2\n1 x\n", "error[E_PARSE]: line 2: bad rational literal 'x'"),
+    ("2\n0 2\n1 x\n", "error[E_PARSE]: line 3: bad rational literal 'x'"),
     ("2 weighted\n0 2 1\n1 3 1/0\n",
-     "error[E_PARSE]: line 2: bad rational literal '1/0'"),
+     "error[E_PARSE]: line 3: bad rational literal '1/0'"),
+    # comment and blank lines count: the line is the file's
+    ("# comment\n2\n\n0 2\n1 x\n", "error[E_PARSE]: line 5: bad rational literal 'x'"),
 ])
 def test_solve_bad_literal_names_its_line(capsys, tmp_path, text, message):
     inst = tmp_path / "bad.txt"
@@ -136,7 +138,7 @@ def test_solve_bad_literal_names_its_line(capsys, tmp_path, text, message):
 
 @pytest.mark.parametrize("argv, message", [
     (("solve", "{}", "--variant", "kdom", "--k", "1"),
-     "error[E_PARSE]: line 1: bad rational literal '1e30000000'"),
+     "error[E_PARSE]: line 2: bad rational literal '1e30000000'"),
     (("gen", "--n", "5", "--stretch", "1e-30000000"),
      "error[E_PARAM]: pikdom gen: argument --stretch: bad rational literal '1e-30000000'"),
 ])
@@ -420,8 +422,8 @@ def test_non_utf8_file_is_one_coded_line(tmp_path, case):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("2\n0 2\n1 x\n", "error[E_PARSE]: {}: line 2: bad rational literal 'x'"),
-    ("2 weighted\n0 2 1\n1 3 -1\n", "error[E_NEG_COST]: {}: line 2: negative cost -1"),
+    ("2\n0 2\n1 x\n", "error[E_PARSE]: {}: line 3: bad rational literal 'x'"),
+    ("2 weighted\n0 2 1\n1 3 -1\n", "error[E_NEG_COST]: {}: line 3: negative cost -1"),
 ])
 def test_bench_dir_names_the_file_that_fails(capsys, tmp_path, text, message):
     (tmp_path / "a.txt").write_text(P6_TEXT)

@@ -40,6 +40,7 @@ from pikdom.reduction import (
     enumerate_nodes,
     is_e0_arc,
     is_e1_arc,
+    path_to_vertex_set,
     solve_naive,
 )
 
@@ -563,11 +564,13 @@ def test_fast_builds_dag_nodes_only_for_its_path(monkeypatch, capsys, tmp_path):
     sol, path = solve_fast_with_path(m, 2, "total")
     assert sol.stats["nodes"] > 1000
     assert len(built) == len(path)
-    # naive and the digraph dump read the plan's nodes, built on first use
+    # naive builds nodes only for its own path too
     nv = solve_naive(m, 2, "total")
     assert nv.cost == sol.cost
-    assert len(built) == len(path) + sol.stats["nodes"]
     monkeypatch.undo()
+    naive_path = [DagNode(*args) for args in built[len(path):]]
+    assert naive_path[0].id == 0 and naive_path[-1].id == sol.stats["nodes"] - 1
+    assert path_to_vertex_set(naive_path, m) == nv.vertices
     inst = tmp_path / "m.txt"
     inst.write_text(serialize_model(m))
     dump = tmp_path / "dag.txt"

@@ -45,7 +45,7 @@ PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
 PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
 PINNED_PATHS = "1ae225a9af0d47c30db72bec9c50e382cb2b3f0bf8788d6211da84e78f68ccfe"
-PINNED_INGEST = "d2d8afeecf0b47fc683385cac1d7538f3e0de11841d9528e928500faec4ac067"
+PINNED_INGEST = "115378a2c9ef74002c7512f09ebf1d8f408822a0c73efe512638d3beb7366513"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
 

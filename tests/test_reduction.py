@@ -602,6 +602,58 @@ def test_naive_reports_original_numbering():
     assert b.vertices.members == (3,)
 
 
+def _every_path(dg):
+    """Every source-to-sink path of ``dg`` as (length, node-id tuple)."""
+    out = [[] for _ in dg.nodes]
+    for a in dg.arcs:
+        out[a.tail].append(a)
+    sink = len(dg.nodes) - 1
+    stack = [(0, (0,))]
+    while stack:
+        length, ids = stack.pop()
+        if ids[-1] == sink:
+            yield length, ids
+            continue
+        for a in out[ids[-1]]:
+            stack.append((length + a.length, ids + (a.head,)))
+
+
+def test_naive_answer_is_least_optimal_path():
+    # naive's tie-break by its definition: the least (cost, node ids) path
+    # among every source-to-sink path of the digraph.
+    feasible = tied = 0
+    for n in range(1, 11):
+        for seed in range(3):
+            for stretch in (1, 2, 3):
+                m = generate_random(n, 100 * n + 10 * seed + stretch, stretch)
+                rng = random.Random(1000 * n + 10 * seed + stretch)
+                mw = with_costs(
+                    m, [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(n)]
+                )
+                for k, variant, (model, weighted) in itertools.product(
+                    (1, 2), ("kdom", "total"), ((m, False), (mw, True))
+                ):
+                    dg = build_digraph(model, k, variant, weighted)
+                    paths = list(_every_path(dg))
+                    sol = solve_naive(model, k, variant, weighted)
+                    assert sol.feasible == bool(paths)
+                    if not paths:
+                        continue
+                    feasible += 1
+                    cost, ids = min(paths)
+                    assert sol.cost == cost
+                    assert sol.vertices == path_to_vertex_set(
+                        [dg.nodes[i] for i in ids], model
+                    )
+                    optimal_sets = {
+                        path_to_vertex_set([dg.nodes[i] for i in p], model)
+                        for c, p in paths if c == cost
+                    }
+                    tied += len(optimal_sets) > 1
+    assert feasible >= 390
+    assert tied >= 120
+
+
 # ------------------------------------------------------ path_to_vertex_set
 
 def test_path_to_vertex_set_examples():
