@@ -17,6 +17,7 @@ from .errors import (
 )
 from .fast import (
     representative_independence_check,
+    search_fast,
     solve_fast,
     suffix_key,
     suffix_partition,
@@ -57,11 +58,13 @@ from .reduction import (
     build_digraph,
     dump_digraph,
     eligible_tail_bigs,
+    engine_plan,
     enumerate_nodes,
     is_e0_arc,
     is_e1_arc,
     path_to_vertex_set,
     projected_node_count,
+    search_naive,
     solve_naive,
 )
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParamError, ParseError, PikdomError
-from .fast import _fast_search
+from .fast import search_fast
 from .model import (
     derive_graph,
     format_rational,
@@ -29,11 +29,10 @@ from .model import (
 from .oracle import VertexSet, brute_force_min, find_violation
 from .reduction import (
     DEFAULT_NODE_CAP,
-    _engine_plan,
-    _naive_search,
-    _plan_digraph,
     build_digraph,
     dump_digraph,
+    engine_plan,
+    search_naive,
 )
 from .selftest import run_selftest
 
@@ -67,10 +66,10 @@ def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brut
     and when the min-degree shortcut answered without one."""
     if algo == "brute":
         return brute_force_min(model, k, variant, model.weighted, cap=cap_brute), None
-    plan = _engine_plan(model, k, variant, model.weighted, cap_nodes)
+    plan = engine_plan(model, k, variant, model.weighted, cap_nodes=cap_nodes)
     if algo == "fast":
-        return _fast_search(plan, model)[0], plan
-    return _naive_search(plan, model), plan
+        return search_fast(plan)[0], plan
+    return search_naive(plan), plan
 
 
 def _read_text(path) -> str:
@@ -95,7 +94,7 @@ def cmd_solve(args) -> int:
                 model, args.k, args.variant, model.weighted, cap_nodes=args.cap_nodes
             )
         else:
-            dg = _plan_digraph(plan, model.weighted)
+            dg = plan.digraph()
         Path(args.dump_dag).write_text(dump_digraph(dg))
     report = {
         "feasible": sol.feasible,

@@ -83,21 +83,22 @@ none of these depends on the sweep order, so the chosen path does not
 either.
 
 The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
-kind and jump charge, and each position's cost.  The naive engine builds
-the same ``reduction._Plan``; the two engines differ only in the search.
+kind and jump charge, and each position's cost.  The naive engine searches
+the same plan from ``reduction.engine_plan``; the two engines differ only in
+the search.
 Head and tail flags, prefix and suffix keys and slide overlaps all come
 from the sequence.  The sweep walks the nodes in ``topo_order``'s order
 (``_hi_order``) and keeps the best path into each node and the node before
 it on that path in two lists by node id, besides the class entries above.
-Path lengths are plain ints in the plan's units and the optimum is divided
-by the plan's ``scale`` once; unreachable states are ``None``.  The only
-``DagNode`` objects the search builds are the ones on the path it returns.
+Path lengths are plain ints in the plan's units; unreachable states are
+``None``.  The plan turns the optimal id path into the answer
+(``_Plan.solution``), dividing by its ``scale`` once and building
+``DagNode`` objects only for the nodes on the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TooLargeError
 from .model import ProperIntervalModel
@@ -109,13 +110,12 @@ from .reduction import (
     KIND_SMALL,
     _Ctx,
     _e0_window,
-    _engine_plan,
     _head_ok,
     _hits,
     _Plan,
     _tail_ok,
     eligible_tail_bigs,
-    path_to_vertex_set,
+    engine_plan,
 )
 
 
@@ -234,29 +234,22 @@ def solve_fast_with_path(
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[Solution, list[DagNode] | None]:
     """As solve_fast, but also return the reconstructed node path."""
-    return _fast_search(_engine_plan(model, k, variant, weighted, cap_nodes), model)
+    return search_fast(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))
 
 
-def _fast_search(
-    plan: _Plan | None, model: ProperIntervalModel
-) -> tuple[Solution, list[DagNode] | None]:
-    """The DP sweep over ``_engine_plan``'s plan for ``model``, or the
-    infeasible answer when it gave none; see ``solve_fast_with_path``."""
+def search_fast(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
+    """The DP sweep over a plan from ``engine_plan``, or the infeasible
+    answer when it gave none; see ``solve_fast_with_path``."""
     if plan is None:
         return infeasible_solution("fast"), None
     dist, pred, stats = _sweep(plan)
     if dist[-1] is None:  # the sink is unreachable
         return infeasible_solution("fast", stats), None
-
-    # Reconstruction follows the recorded predecessors back to the source;
-    # the path's nodes are the only DagNodes the search builds.
+    # Reconstruction follows the recorded predecessors back to the source.
     rev = [len(dist) - 1]
     while rev[-1] != 0:
         rev.append(pred[rev[-1]])
-    node_path = [DagNode(i, plan.kinds[i], plan.seqs[i]) for i in reversed(rev)]
-    vset = path_to_vertex_set(node_path, model)
-    cost = Fraction(dist[-1], plan.scale)
-    return Solution(vset, cost, True, "fast", stats), node_path
+    return plan.solution(rev[::-1], dist[-1], "fast", stats)
 
 
 def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, int]]:
@@ -373,7 +366,7 @@ def representative_independence_check(
     check_variant(variant)
     if model.n > cap:
         raise TooLargeError(f"diagnostic capped at n <= {cap}, got {model.n}")
-    plan = _Plan(_Ctx(model, k, variant), model, False, DEFAULT_NODE_CAP)
+    plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
     ctx, nodes = plan.ctx, plan.nodes
     middle = nodes[1:-1]
     eligible = eligible_tail_bigs(middle, model, k, variant)

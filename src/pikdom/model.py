@@ -19,6 +19,9 @@ grows, so two keys whose integer parts differ are ordered by those integers
 alone, and exactly; only when the integer parts tie does the tuple compare
 reach the ``Fraction``.  The key uses no floating point and no common
 denominator, so it costs the same however many denominators the input has.
+A model keys its endpoints once, when it is built: validation and the reach
+sweep share those keys, and everything downstream reads the model's reach
+arrays (``reach_l``/``reach_r``) instead of comparing endpoints again.
 """
 
 from __future__ import annotations
@@ -99,17 +102,16 @@ class Interval:
     right: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.left, Fraction):
-            object.__setattr__(self, "left", Fraction(self.left))
-        if not isinstance(self.right, Fraction):
-            object.__setattr__(self, "right", Fraction(self.right))
+        if not (isinstance(self.left, Fraction) and isinstance(self.right, Fraction)):
+            try:
+                object.__setattr__(self, "left", Fraction(self.left))
+                object.__setattr__(self, "right", Fraction(self.right))
+            except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+                raise ParamError(f"bad interval endpoints [{self.left}, {self.right}]") from exc
         if self.left >= self.right:
             raise ParamError(
                 f"interval needs left < right, got [{self.left}, {self.right}]"
             )
-
-    def intersects(self, other: "Interval") -> bool:
-        return max(self.left, other.left) <= min(self.right, other.right)
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,22 @@ class ProperIntervalModel:
     ``costs`` is present exactly for weighted instances and is aligned with
     the sorted interval order.  ``original_ids[i]`` is the caller's 1-based
     id of the interval at sorted position i (0-based).
+
+    ``reach_l[i]``/``reach_r[i]`` are the first and last position (0-based)
+    whose interval meets ``intervals[i]``.  In a family sorted by left
+    endpoint with no interval containing another, the intervals meeting i
+    form one contiguous block, and both ends of the block only move right
+    as i grows, so one two-pointer sweep over the keys validation built
+    finds them: ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the
+    first interval whose walk reaches position j is ``reach_l[j]``.  They
+    follow from the intervals, so they take no part in equality or repr.
     """
 
     intervals: tuple[Interval, ...]
     costs: tuple[Fraction, ...] | None = None
     original_ids: tuple[int, ...] = field(default=())
+    reach_l: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    reach_r: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.original_ids:
@@ -152,6 +165,18 @@ class ProperIntervalModel:
             for c in self.costs:
                 if c < 0:
                     raise NegativeCostError(f"negative cost {c}")
+        reach_l = list(range(n))  # a position no earlier walk reaches
+        reach_r = [0] * n
+        hi = 0
+        for i in range(n):
+            if hi < i:
+                hi = i
+            while hi + 1 < n and lefts[hi + 1] <= rights[i]:
+                hi += 1
+                reach_l[hi] = i
+            reach_r[i] = hi
+        object.__setattr__(self, "reach_l", tuple(reach_l))
+        object.__setattr__(self, "reach_r", tuple(reach_r))
 
     @property
     def n(self) -> int:
@@ -160,12 +185,6 @@ class ProperIntervalModel:
     @property
     def weighted(self) -> bool:
         return self.costs is not None
-
-    def interval(self, i: int) -> Interval:
-        """Interval at sorted index i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise VertexIndexError(f"index {i} out of range 1..{self.n}")
-        return self.intervals[i - 1]
 
     def to_original(self, sorted_ids) -> tuple[int, ...]:
         """Map sorted 1-based indices to the caller's numbering, sorted."""
@@ -271,35 +290,6 @@ def intersects(model: ProperIntervalModel, i: int, j: int) -> bool:
     return model.intervals[j - 1].left <= model.intervals[i - 1].right
 
 
-def _reach_ranges(intervals) -> tuple[list[int], list[int]]:
-    """``reach_l[i]``/``reach_r[i]``: the first and last position (0-based)
-    whose interval meets ``intervals[i]``.
-
-    In a family sorted by left endpoint with no interval containing another,
-    the intervals meeting i form one contiguous block, and both ends of the
-    block only move right as i grows, so one two-pointer sweep finds them:
-    ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the first interval
-    whose walk reaches position j is ``reach_l[j]``.  The walk compares
-    endpoint keys (``_key``): ``floor(x * 2**32)`` never decreases as x
-    grows, so differing integer parts give the exact order, and the
-    ``Fraction`` is compared only where two endpoints share that floor.
-    """
-    lefts = [_key(iv.left) for iv in intervals]
-    rights = [_key(iv.right) for iv in intervals]
-    m = len(intervals)
-    reach_l = list(range(m))  # a position no earlier walk reaches
-    reach_r = [0] * m
-    hi = 0
-    for i in range(m):
-        if hi < i:
-            hi = i
-        while hi + 1 < m and lefts[hi + 1] <= rights[i]:
-            hi += 1
-            reach_l[hi] = i
-        reach_r[i] = hi
-    return reach_l, reach_r
-
-
 @dataclass(frozen=True)
 class DerivedGraph:
     """Intersection graph of a model, in the caller's original numbering."""
@@ -307,19 +297,10 @@ class DerivedGraph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 1 <= v <= self.n:
-            raise VertexIndexError(f"vertex {v} out of range 1..{self.n}")
-        return self.adj[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
 
 def derive_graph(model: ProperIntervalModel) -> DerivedGraph:
     """Build the intersection graph; adjacency matches pairwise intersects."""
-    n = model.n
-    _, reach_r = _reach_ranges(model.intervals)
+    n, reach_r = model.n, model.reach_r
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         oi = model.original_ids[i]
@@ -340,8 +321,7 @@ def model_min_degree(model: ProperIntervalModel) -> int:
     """Minimum vertex degree straight from the sorted model, O(n)."""
     if model.n == 0:
         raise EmptyGraphError("min_degree undefined on the empty model")
-    reach_l, reach_r = _reach_ranges(model.intervals)
-    return min(r - l for l, r in zip(reach_l, reach_r))
+    return min(r - l for l, r in zip(model.reach_l, model.reach_r))
 
 
 _GAP_MAX = 4  # integer gap between consecutive left endpoints
@@ -354,11 +334,11 @@ def generate_random(n: int, seed: int, stretch) -> ProperIntervalModel:
     lengths make the family proper by construction.  ``stretch`` (a positive
     rational) is the common interval length and controls density.
     """
-    if n < 1:
-        raise ParamError(f"need n >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParamError(f"need an integer n >= 1, got {n!r}")
     try:
         length = Fraction(stretch)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParamError(f"bad stretch {stretch!r}") from exc
     if length <= 0:
         raise ParamError(f"need stretch > 0, got {length}")

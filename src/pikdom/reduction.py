@@ -27,12 +27,14 @@ at once, from a bound worked out in one walk of its middle, and a chain
 whose small check fails at a position no later member can meet checks no
 small node in its subtree.
 
-Both DAG engines get one ``_Plan`` (budget check, context, the nodes as
-per-id lists, integer arc charges) from ``_engine_plan``, which first
+Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
+per-id lists, integer arc charges) from ``engine_plan``, which first
 answers the total variant's min-degree shortcut, and differ only in the
-search: ``naive`` materializes every arc and finds the least path in two
-passes over them (``solve_naive``), ``fast`` runs the suffix-class DP.
-Both build a ``DagNode`` only for the path they return.  ``naive`` finds
+search: ``search_naive`` materializes every arc and finds the least path in
+two passes over them, ``fast.search_fast`` runs the suffix-class DP.  Both
+hand the plan an id path, and the plan builds a ``DagNode`` only for the
+nodes on it (``_Plan.solution``).  ``enumerate_nodes`` and
+``build_digraph`` read the same plan.  ``naive`` finds
 the jump arcs with the literal test, split by what each part depends on:
 the tail and head conditions once per node, the gap cover per (tail, head)
 pair, vertex by vertex, against needs computed once per tail
@@ -49,7 +51,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
-from .model import ProperIntervalModel, _reach_ranges, format_rational
+from .model import ProperIntervalModel, format_rational, model_min_degree
 from .oracle import (
     Solution,
     VARIANT_TOTAL,
@@ -122,11 +124,10 @@ class _Ctx:
     ``reach_r[i]``/``reach_l[i]`` bound the contiguous block of positions
     whose intervals intersect position i; in a sorted proper family every
     intersection test reduces to a range check.  They are the model's own
-    reach ranges shifted up by one: ``_reach_ranges`` sweeps the endpoints'
-    integer keys ``floor(x * 2**32)``, which order them exactly wherever
-    they differ, and compares the ``Fraction`` only on a tie.  The source
-    and sink intervals meet nothing else, so positions 0 and n+1 each reach
-    only themselves.
+    reach arrays (``ProperIntervalModel.reach_l``/``reach_r``, swept once
+    when the model was built) shifted up by one; no endpoint is compared
+    here.  The source and sink intervals meet nothing else, so positions 0
+    and n+1 each reach only themselves.
     """
 
     __slots__ = ("n", "k", "variant", "reach_l", "reach_r")
@@ -137,10 +138,9 @@ class _Ctx:
         self.n = model.n
         self.k = k
         self.variant = variant
-        reach_l, reach_r = _reach_ranges(model.intervals)
         sink = model.n + 1
-        self.reach_l = [0, *(p + 1 for p in reach_l), sink]
-        self.reach_r = [0, *(p + 1 for p in reach_r), sink]
+        self.reach_l = [0, *(p + 1 for p in model.reach_l), sink]
+        self.reach_r = [0, *(p + 1 for p in model.reach_r), sink]
 
 
 def _small_lengths(k: int, variant: str) -> range:
@@ -157,14 +157,6 @@ def projected_node_count(n: int, k: int, variant: str) -> int:
     costs O(min(n, k)) whatever k is."""
     first = _small_lengths(k, variant).start
     return 2 + sum(comb(n, q) for q in range(first, min(n, 2 * k) + 1))
-
-
-def _check_budget(n: int, k: int, variant: str, cap_nodes: int) -> None:
-    if projected_node_count(n, k, variant) > cap_nodes:
-        raise BudgetError(
-            f"projected node count exceeds cap {cap_nodes} "
-            f"(n={n}, k={k}, variant={variant})"
-        )
 
 
 def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
@@ -262,15 +254,13 @@ def enumerate_nodes(
       rises), so every extension fails at m too, and the subtree's small
       checks are skipped.  Its big nodes are still built.
     """
-    ctx = _Ctx(model, k, variant)
-    _check_budget(ctx.n, k, variant, cap_nodes)
-    return _as_nodes(*_enumerate_with_ctx(ctx))
+    return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
 def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], list[str]]:
     """The enumeration as two lists indexed by node id: each node's
     sequence and its kind.  The source ``(0,)`` comes first and the sink
-    ``(n+1,)`` last; no ``DagNode`` is built (``_as_nodes`` wraps them)."""
+    ``(n+1,)`` last; no ``DagNode`` is built (``_Plan.nodes`` builds them)."""
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
@@ -311,11 +301,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], list[str]]:
     seqs.append((n + 1,))
     kinds.append(KIND_SINK)
     return seqs, kinds
-
-
-def _as_nodes(seqs, kinds) -> list[DagNode]:
-    """The ``DagNode`` of every id in per-id lists from ``_enumerate_with_ctx``."""
-    return list(map(DagNode, range(len(seqs)), kinds, seqs))
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -469,14 +454,15 @@ def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
 
 
 class _Plan:
-    """What both DAG engines build once per solve, after the budget check.
+    """What both DAG engines search, built once per solve: the context, the
+    budget check (the only one), the nodes and the arc charges.
 
     The enumeration is kept as per-id lists: ``seqs[i]`` and ``kinds[i]``
     are node i's sequence and kind (``_enumerate_with_ctx``).  Ids follow
     lexicographic order, so they are a topological order and sort the nodes
-    by ``lo``.  Both engines search these lists and build a ``DagNode`` only
-    for the path they return; ``nodes`` builds every one, for the digraph
-    dump and the diagnostics.
+    by ``lo``.  Both engines search these lists and hand ``solution`` the id
+    path they find, which builds a ``DagNode`` only for the nodes on it;
+    ``nodes`` builds every one, for ``digraph`` and the diagnostics.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is
@@ -488,13 +474,22 @@ class _Plan:
     the sum of its units, or its length when unweighted, and 0 for the sink.
     """
 
-    __slots__ = ("ctx", "seqs", "kinds", "scale", "units", "jump", "_arcs")
+    __slots__ = (
+        "ctx", "model", "weighted", "seqs", "kinds", "scale", "units", "jump", "_arcs"
+    )
 
     def __init__(
-        self, ctx: _Ctx, model: ProperIntervalModel, weighted: bool, cap_nodes: int
+        self, model: ProperIntervalModel, k: int, variant: str, weighted: bool,
+        cap_nodes: int,
     ):
-        _check_budget(ctx.n, ctx.k, ctx.variant, cap_nodes)
-        self.ctx = ctx
+        ctx = self.ctx = _Ctx(model, k, variant)
+        if projected_node_count(ctx.n, k, variant) > cap_nodes:
+            raise BudgetError(
+                f"projected node count exceeds cap {cap_nodes} "
+                f"(n={ctx.n}, k={k}, variant={variant})"
+            )
+        self.model = model
+        self.weighted = weighted
         self.seqs, self.kinds = _enumerate_with_ctx(ctx)
         if weighted:
             costs = model.costs if model.costs is not None else (1,) * model.n
@@ -512,7 +507,29 @@ class _Plan:
     @property
     def nodes(self) -> list[DagNode]:
         """Every node as a ``DagNode``, by id."""
-        return _as_nodes(self.seqs, self.kinds)
+        return list(map(DagNode, range(len(self.seqs)), self.kinds, self.seqs))
+
+    def digraph(self) -> DerivedDigraph:
+        """Every node and arc, with exact rational arc lengths."""
+        ctx = self.ctx
+        arcs = tuple(
+            DagArc(tail, head, cls, Fraction(length, self.scale))
+            for tail, head, cls, length in self.arcs()
+        )
+        return DerivedDigraph(
+            tuple(self.nodes), arcs, ctx.variant, ctx.k, self.weighted, ctx.n
+        )
+
+    def solution(
+        self, path: list[int], length: int, engine: str, stats: dict[str, int]
+    ) -> tuple[Solution, list[DagNode]]:
+        """The feasible answer for a source-to-sink path given by node ids,
+        of ``length`` in the plan's units, and the path as ``DagNode``s:
+        the only ones a search builds."""
+        node_path = [DagNode(i, self.kinds[i], self.seqs[i]) for i in path]
+        vset = path_to_vertex_set(node_path, self.model)
+        cost = Fraction(length, self.scale)
+        return Solution(vset, cost, True, engine, stats), node_path
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
@@ -571,18 +588,23 @@ class _Plan:
         return arcs
 
 
-def _engine_plan(
-    model: ProperIntervalModel, k: int, variant: str, weighted: bool, cap_nodes: int
+def engine_plan(
+    model: ProperIntervalModel,
+    k: int,
+    variant: str,
+    weighted: bool = False,
+    *,
+    cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> _Plan | None:
-    """The plan an engine searches, or None when the instance is infeasible
-    outright: a total k-dominating set exists iff every vertex has at least
-    k neighbors.  That test reads the context's reach arrays and runs before
-    the budget check, so such an instance is answered at any size."""
-    ctx = _Ctx(model, k, variant)
-    degrees = (ctx.reach_r[i] - ctx.reach_l[i] for i in range(1, model.n + 1))
-    if variant == VARIANT_TOTAL and min(degrees, default=k) < k:
+    """The plan ``search_fast`` and ``search_naive`` search, or None when
+    the instance is infeasible outright: a total k-dominating set exists iff
+    every vertex has at least k neighbors.  That test reads the model's
+    reach arrays and runs before the budget check, so such an instance is
+    answered at any size."""
+    check_k(k)  # the shortcut reads k before the plan's context checks it
+    if variant == VARIANT_TOTAL and model.n and model_min_degree(model) < k:
         return None
-    return _Plan(ctx, model, weighted, cap_nodes)
+    return _Plan(model, k, variant, weighted, cap_nodes)
 
 
 def build_digraph(
@@ -594,17 +616,7 @@ def build_digraph(
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> DerivedDigraph:
     """Materialize every node and every arc (the naive engine's input)."""
-    return _plan_digraph(_Plan(_Ctx(model, k, variant), model, weighted, cap_nodes), weighted)
-
-
-def _plan_digraph(plan: _Plan, weighted: bool) -> DerivedDigraph:
-    """Every node and arc of a plan built with ``weighted``."""
-    ctx = plan.ctx
-    arcs = tuple(
-        DagArc(tail, head, cls, Fraction(length, plan.scale))
-        for tail, head, cls, length in plan.arcs()
-    )
-    return DerivedDigraph(tuple(plan.nodes), arcs, ctx.variant, ctx.k, weighted, ctx.n)
+    return _Plan(model, k, variant, weighted, cap_nodes).digraph()
 
 
 def path_to_vertex_set(path, model: ProperIntervalModel | None = None) -> VertexSet:
@@ -651,11 +663,11 @@ def solve_naive(
     and a forward pass takes, from each node on the path, the lowest-id
     head of an arc that stays optimal.
     """
-    return _naive_search(_engine_plan(model, k, variant, weighted, cap_nodes), model)
+    return search_naive(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))
 
 
-def _naive_search(plan: _Plan | None, model: ProperIntervalModel) -> Solution:
-    """The shortest-path sweep over ``_engine_plan``'s plan for ``model``, or
+def search_naive(plan: _Plan | None) -> Solution:
+    """The two-pass least-path search over a plan from ``engine_plan``, or
     the infeasible answer when it gave none; see ``solve_naive``."""
     if plan is None:
         return infeasible_solution("naive")
@@ -679,9 +691,7 @@ def _naive_search(plan: _Plan | None, model: ProperIntervalModel) -> Solution:
     for tail, head, _, length in arcs:
         if tail == path[-1] and length + to_sink[head] == to_sink[tail]:
             path.append(head)
-    node_path = [DagNode(i, plan.kinds[i], plan.seqs[i]) for i in path]
-    vset = path_to_vertex_set(node_path, model)
-    return Solution(vset, Fraction(to_sink[0], plan.scale), True, "naive", stats)
+    return plan.solution(path, to_sink[0], "naive", stats)[0]
 
 
 def dump_digraph(dg: DerivedDigraph) -> str:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -38,3 +39,16 @@ def test_public_callables_take_no_underscore_parameters():
             hooks[qualname] = underscored
     assert hooks == {}
     assert len(checked) > 50
+
+
+def test_cli_imports_no_private_name():
+    # The CLI drives the package through its public phases only.
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and (node.level or node.module.startswith("pikdom"))
+    ]
+    assert private == []

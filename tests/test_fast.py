@@ -25,18 +25,17 @@ from pikdom.oracle import brute_force_min, check_lemma_components, find_violatio
 from pikdom.reduction import (
     ARC_E0,
     ARC_E1,
-    DEFAULT_NODE_CAP,
     KIND_BIG,
     DagNode,
     _Ctx,
     _e0_arc,
     _e0_window,
-    _engine_plan,
     _head_ok,
     arc_length,
     build_digraph,
     dump_digraph,
     eligible_tail_bigs,
+    engine_plan,
     enumerate_nodes,
     is_e0_arc,
     is_e1_arc,
@@ -211,7 +210,7 @@ def test_fast_reconstructed_path_is_genuine():
 def _swept(model, k, variant, weighted=False):
     """The plan ``solve_fast`` searches and what ``_sweep`` makes of it,
     ``(plan, dist, pred, stats)``, or None when there is no plan."""
-    plan = _engine_plan(model, k, variant, weighted, DEFAULT_NODE_CAP)
+    plan = engine_plan(model, k, variant, weighted)
     return None if plan is None else (plan, *_sweep(plan))
 
 

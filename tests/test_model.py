@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pikdom.model as model_module
 from pikdom.errors import (
     DuplicateIntervalError,
     EmptyGraphError,
@@ -16,7 +18,6 @@ from pikdom.errors import (
 from pikdom.model import (
     DerivedGraph,
     Interval,
-    _reach_ranges,
     build_model,
     derive_graph,
     format_rational,
@@ -29,6 +30,8 @@ from pikdom.model import (
     serialize_model,
     with_costs,
 )
+from pikdom.fast import solve_fast
+from pikdom.reduction import solve_naive
 
 from conftest import chain_model, complete_model, disjoint_model, make_model, pairwise_adjacency
 
@@ -210,12 +213,23 @@ def test_derive_graph_contiguous_for_sorted_models():
                 assert set(nb) == full
 
 
-def test_reach_ranges_match_pairwise_intersects():
-    # each interval's neighbours and itself are exactly reach_l..reach_r
+def _reach_models():
+    """Generated models, each again with costs and rebuilt from shuffled
+    rows, so the sweep runs on every way a model is built."""
     for seed in range(12):
         n = 1 + seed * 2
         m = generate_random(n, 80 + seed, [1, Fraction(5, 2), 4, 9][seed % 4])
-        reach_l, reach_r = _reach_ranges(m.intervals)
+        yield m
+        yield with_costs(m, [Fraction(seed + i, 1 + i % 3) for i in range(n)])
+        rows = list(m.intervals)
+        random.Random(seed).shuffle(rows)
+        yield build_model(rows)
+
+
+def test_reach_ranges_match_pairwise_intersects():
+    # each interval's neighbours and itself are exactly reach_l..reach_r
+    for m in _reach_models():
+        n, reach_l, reach_r = m.n, m.reach_l, m.reach_r
         for i in range(1, n + 1):
             meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
             assert (reach_l[i - 1] + 1, reach_r[i - 1] + 1) == (meets[0], meets[-1])
@@ -254,7 +268,7 @@ def test_reach_ranges_match_pairwise_intersects_on_tied_keys(whole, unit_den, st
     ends = sorted({x for p in pairs for x in p})
     ties = sum(_int_part(a) == _int_part(b) for a, b in zip(ends, ends[1:]))
     assert ties >= len(ends) - 2  # all endpoints lie within 210 * 2^-40 < 2^-32
-    reach_l, reach_r = _reach_ranges(m.intervals)
+    reach_l, reach_r = m.reach_l, m.reach_r
     n = m.n
     for i in range(1, n + 1):
         meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
@@ -270,7 +284,7 @@ def test_validation_decides_tied_keys_on_the_fraction():
         build_model([base, Interval(Fraction(2, 6), Fraction(4, 6))])
     m = build_model([Interval(base.left + eps, base.right + eps), base])
     assert m.original_ids == (2, 1)
-    assert _reach_ranges(m.intervals) == ([0, 0], [1, 1])
+    assert (m.reach_l, m.reach_r) == ((0, 0), (1, 1))
 
 
 # -------------------------------------------------------------- min_degree
@@ -311,6 +325,12 @@ def test_generate_param_errors():
         generate_random(3, 1, 0)
     with pytest.raises(ParamError):
         generate_random(3, 1, -2)
+    with pytest.raises(ParamError):
+        generate_random(5, 1, float("inf"))
+    with pytest.raises(ParamError):
+        generate_random(2.5, 1, 2)
+    with pytest.raises(ParamError):
+        generate_random(True, 1, 2)
 
 
 def test_generate_huge_stretch_near_complete():
@@ -367,3 +387,27 @@ def test_serialize_parse_round_trip_random(n, seed, weighted):
 def test_interval_validation():
     with pytest.raises(ParamError):
         Interval(Fraction(1), Fraction(1))
+    for left, right in ((0, float("inf")), (float("nan"), 1), ("x", 1), (None, 1)):
+        with pytest.raises(ParamError):
+            Interval(left, right)
+
+
+def test_reading_a_built_model_keys_no_endpoint(monkeypatch):
+    # A model keys its endpoints once, when it is built; the graph, the
+    # minimum degree and both DAG engines read its reach arrays instead.
+    m = generate_random(30, 5, Fraction(7, 2))
+    mw = with_costs(m, [Fraction(i % 5, 1 + i % 3) for i in range(30)])
+    text = serialize_model(mw)
+    models = [parse_model(serialize_model(m)), parse_model(text)]
+    calls = []
+    real = model_module._key
+    monkeypatch.setattr(model_module, "_key", lambda x: calls.append(x) or real(x))
+    for model in models:
+        derive_graph(model)
+        model_min_degree(model)
+        for k, variant in product((1, 2), ("kdom", "total")):
+            fast = solve_fast(model, k, variant, model.weighted)
+            assert solve_naive(model, k, variant, model.weighted).cost == fast.cost
+    assert calls == []
+    parse_model(text)  # building a model does key its endpoints
+    assert len(calls) >= 4 * 30

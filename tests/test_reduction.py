@@ -344,7 +344,8 @@ def _dummy_extended_reach(model):
     a1 = model.intervals[0].left if model.n else Fraction(0)
     bn = model.intervals[-1].right if model.n else Fraction(0)
     ext = [Interval(a1 - 2, a1 - 1), *model.intervals, Interval(bn + 1, bn + 2)]
-    meets = [[j for j, b in enumerate(ext) if a.intersects(b)] for a in ext]
+    meets = [[j for j, b in enumerate(ext) if max(a.left, b.left) <= min(a.right, b.right)]
+             for a in ext]
     return [m[0] for m in meets], [m[-1] for m in meets]
 
 
@@ -366,7 +367,7 @@ def test_flat_plan_matches_node_view():
             for variant in ("kdom", "total"):
                 nodes = enumerate_nodes(m, k, variant, cap_nodes=10**18)
                 for model, weighted, per_vertex in runs:
-                    plan = _Plan(_Ctx(model, k, variant), model, weighted, 10**18)
+                    plan = _Plan(model, k, variant, weighted, 10**18)
                     flat = [DagNode(i, kind, seq)
                             for i, (kind, seq) in enumerate(zip(plan.kinds, plan.seqs))]
                     assert flat == nodes
