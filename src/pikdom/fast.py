@@ -35,8 +35,8 @@ the test's four conditions:
 * (1), disjoint ends, holds for every ``hi`` inside the window;
 * (3), the tail condition, holds for every class member, because only
   tail-eligible big nodes join a class;
-* (4), the head condition, depends on the head alone and is evaluated per
-  node, before any probe;
+* (4), the head condition, depends on the head alone and is read from the
+  plan before any probe;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
   (``t.hi < m < s.lo``) meets the members of each end set inside its reach
   range ``reach_l[m]..reach_r[m]``, which ``reduction._hits`` counts: the
@@ -83,13 +83,16 @@ none of these depends on the sweep order, so the chosen path does not
 either.
 
 The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
-kind and jump charge, and each position's cost.  The naive engine searches
-the same plan from ``reduction.engine_plan``; the two engines differ only in
-the search.
-Head and tail flags, prefix and suffix keys and slide overlaps all come
-from the sequence.  The sweep walks the nodes in ``topo_order``'s order
-(``_hi_order``) and keeps the best path into each node and the node before
-it on that path in two lists by node id, besides the class entries above.
+kind, flags and jump charge, and each position's cost.  The naive engine
+searches the same plan from ``reduction.engine_plan``; the two engines
+differ only in the search.  A big node's answers to (4) and (3) are bits 0
+and 1 of its flags, which the enumeration decides once per parent chain
+(``reduction._chain_bounds``), so the sweep runs no window check; the naive
+engine runs the literal checks, so the differential tests check the flags.
+Prefix and suffix keys and slide overlaps come from the sequence.  The
+sweep walks the nodes in ``topo_order``'s order (``_hi_order``) and keeps
+the best path into each node and the node before it on that path in two
+lists by node id, besides the class entries above.
 Path lengths are plain ints in the plan's units; unreachable states are
 ``None``.  The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
@@ -110,10 +113,8 @@ from .reduction import (
     KIND_SMALL,
     _Ctx,
     _e0_window,
-    _head_ok,
     _hits,
     _Plan,
-    _tail_ok,
     eligible_tail_bigs,
     engine_plan,
 )
@@ -256,7 +257,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
     """The DP over ``plan``: by node id, the least path length from the
     source in the plan's units and the node before it on that path (``None``
     when unreachable), and the solve's stats."""
-    ctx, seqs, kinds = plan.ctx, plan.seqs, plan.kinds
+    ctx, seqs, kinds, flags = plan.ctx, plan.seqs, plan.kinds, plan.flags
     jump, units, k = plan.jump, plan.units, ctx.k
     dist: list[int | None] = [None] * len(seqs)
     pred: list[int | None] = [None] * len(seqs)
@@ -284,7 +285,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         big = kind == KIND_BIG
         # d and p: the best path into node i and the node before it on that
         # path; first over jump arcs only, then over slides too.
-        if big and not _head_ok(ctx, seq):
+        if big and not flags[i] & 1:
             d = p = None
         else:
             prefix = seq[:k]
@@ -327,7 +328,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         # tail; members come in id order, so equal costs keep the first id.
         if kind == KIND_SMALL:
             smalls += 1
-        elif big and _tail_ok(ctx, seq):
+        elif flags[i] & 2:
             eligible += 1
         else:
             continue
@@ -360,7 +361,8 @@ def representative_independence_check(
     their first k indices and their answer to condition (4)), membership
     from any node is all-or-none.  These are the properties the DP's shared
     probes rely on."""
-    from .reduction import _e0_arc  # the literal test, which the DP never runs
+    # the literal tests, which the DP never runs
+    from .reduction import _e0_arc, _head_ok
 
     check_k(k)
     check_variant(variant)

@@ -47,11 +47,28 @@ from .errors import (
 # The bound matches the 4,300-digit limit ``int(str)`` puts on the digits.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _MAX_EXPONENT = 4300
+# The common spellings, ASCII digits only: ``-?d``, ``-?d.d`` and ``-?d/d``.
+_PLAIN = re.compile(r"(-?)([0-9]+)(?:([./])([0-9]+))?")
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse an integer, decimal, or ``p/q`` literal exactly."""
+    """Parse an integer, decimal, or ``p/q`` literal exactly.
+
+    The common spellings are split here and their digits converted as
+    ``Fraction``'s own parser converts them, so they take the same
+    ``int(str)`` digit limit; every other spelling goes to that parser.
+    """
     try:
+        plain = _PLAIN.fullmatch(token)
+        if plain is not None:
+            sign, whole, sep, rest = plain.groups()
+            num, den = int(whole), 1
+            if sep == "/":
+                den = int(rest)
+            elif sep == ".":
+                den = 10 ** len(rest)
+                num = num * den + int(rest)
+            return Fraction(-num if sign else num, den)
         exp = _EXPONENT.search(token)
         if exp is not None and int(exp[1]) > _MAX_EXPONENT:
             raise ValueError("exponent out of range")
@@ -108,7 +125,9 @@ class Interval:
                 object.__setattr__(self, "right", Fraction(self.right))
             except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
                 raise ParamError(f"bad interval endpoints [{self.left}, {self.right}]") from exc
-        if self.left >= self.right:
+        # Denominators are positive, so the cross-products order the two.
+        left, right = self.left, self.right
+        if left.numerator * right.denominator >= right.numerator * left.denominator:
             raise ParamError(
                 f"interval needs left < right, got [{self.left}, {self.right}]"
             )
@@ -163,7 +182,7 @@ class ProperIntervalModel:
             if len(self.costs) != n:
                 raise ParamError("costs length must equal interval count")
             for c in self.costs:
-                if c < 0:
+                if c.numerator < 0:
                     raise NegativeCostError(f"negative cost {c}")
         reach_l = list(range(n))  # a position no earlier walk reaches
         reach_r = [0] * n
@@ -261,7 +280,7 @@ def parse_model(text: str) -> ProperIntervalModel:
         except (ParseError, ParamError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if weighted:
-            if c < 0:
+            if c.numerator < 0:
                 raise NegativeCostError(f"line {lineno}: negative cost {c}")
             costs.append(c)
     return build_model(intervals, costs)

@@ -23,9 +23,11 @@ a sorted sequence that meet position m are the ones inside
 Enumeration grows the chains index by index and builds only those its
 window checks can keep (``enumerate_nodes`` gives the two cuts and their
 proofs): a chain one short of a big node appends every passing last index
-at once, from a bound worked out in one walk of its middle, and a chain
-whose small check fails at a position no later member can meet checks no
-small node in its subtree.
+at once, from a bound worked out in one walk of its span, and a chain whose
+small check fails at a position no later member can meet checks no small
+node in its subtree.  The same walk bounds the last indices whose big nodes
+pass the head and tail conditions, so each big node's answers are kept as
+flags and the fast engine runs neither check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
 per-id lists, integer arc charges) from ``engine_plan``, which first
@@ -185,28 +187,70 @@ def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | 
     return None
 
 
-def _leaf_bound(ctx: _Ctx, seq: tuple[int, ...]) -> int:
-    """For a chain ``seq`` of 2k-1 members, k >= 2: the largest x such that
-    the big node ``seq + (x,)`` passes the middle check, or 0 when none does.
+def _x_bound(ctx: _Ctx, t: tuple[int, ...], first: int, last: int, bound: int) -> int:
+    """For a chain ``t`` and a range ``first..last`` that ends at or before
+    ``t[-1]``: ``bound`` lowered so that a node ``t + (x,)`` with x at most
+    ``bound`` passes the window check over that range iff x is at most the
+    result.  A result of ``t[-1]`` or less means no x passes.
 
-    The middle ``seq[k-1]..seq[k]`` lies in ``seq``, left of any x, so x
-    changes no membership there and adds a hit at a middle position m iff
-    ``x <= reach_r[m]``.  So m lets x pass iff its deficit (what it needs
-    less its hits in ``seq``) is at most 0, or is 1 and ``x <= reach_r[m]``.
+    The range lies in ``t``, left of any x, so x changes no membership there
+    and adds a hit at a position m iff ``x <= reach_r[m]``.  So m lets x pass
+    iff its deficit (what it needs less its hits in ``t``) is at most 0, or
+    is 1 and ``x <= reach_r[m]``.  The walk stops once no x can pass.
     """
     k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
-    first, last = seq[k - 1], seq[k]
-    bound = ctx.n
+    floor = t[-1]
     for m in range(first, last + 1):
-        member = m == first or m == last
+        member = m in t
         if member and not total:
             continue
-        deficit = k + member - _hits(ctx, seq, m)
-        if deficit > 1:
-            return 0
-        if deficit == 1 and reach_r[m] < bound:
-            bound = reach_r[m]
+        deficit = k + member - _hits(ctx, t, m)
+        if deficit > 0:
+            bound = min(bound, reach_r[m] if deficit == 1 else 0)
+            if bound <= floor:
+                break
     return bound
+
+
+def _chain_bounds(
+    ctx: _Ctx, t: tuple[int, ...], clean: int
+) -> tuple[int, int, int]:
+    """For a chain ``t`` of 2k-1 members: bounds on the x such that the big
+    node ``t + (x,)`` passes the middle check, condition (4) and condition
+    (3), in that order.  x passes a check iff it is at most that bound, and
+    no x passes the middle check when its bound is at most ``t[-1]``.
+    Every position of ``t``'s span before ``clean`` meets as many members
+    of ``t`` as it needs (the chain's own small check, when it ran, applies
+    the same rule), so the walks start there.
+
+    The middle ``t[k-1]..t[k]`` and the head range ``t[0]..t[k-1]`` lie in
+    ``t`` (``_x_bound``).  So does the tail range ``t[k]..x`` up to
+    ``t[-1]``; past it, each position m before x meets x and needs k-1
+    members of ``t`` at or right of ``reach_l[m]``.  It has them iff ``m <=
+    reach_r[t[k]]``, the k-1 largest members being ``t[k:]``, so x may be at
+    most the first such m that fails, ``max(reach_r[t[k]], t[-1]) + 1``.
+
+    At k <= 2 every chain passes the middle check: each middle position
+    meets both middle members, and a member also meets itself and its other
+    chain neighbour.  Total variant: (4) and (3) read no window
+    (``_head_ok``, ``_tail_ok``), and at k = 1 every x <= ``reach_r[t[0]]``
+    passes (4).  Plain k-domination at k <= 2: both pass, since each
+    position inside a chain's span meets its two flanking members, and one
+    past ``t[-1]`` meets ``t[-1]`` and x.
+    """
+    n, k, reach_r = ctx.n, ctx.k, ctx.reach_r
+    middle = n if k <= 2 else _x_bound(ctx, t, max(t[k - 1], clean), t[k], n)
+    if middle <= t[-1]:
+        return middle, 0, 0
+    if ctx.variant == VARIANT_TOTAL:
+        head = n if k == 1 or t[k] <= reach_r[t[0]] else 0
+        return middle, head, reach_r[t[k - 1]]
+    if k <= 2:
+        return middle, n, n
+    head = _x_bound(ctx, t, max(t[0], clean), t[k - 1], n)
+    tail = max(reach_r[t[k]], t[-1]) + 1
+    tail = _x_bound(ctx, t, max(t[k], clean), t[-1], tail)
+    return middle, head, tail
 
 
 def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -247,35 +291,48 @@ def enumerate_nodes(
     * Leaf bound.  A chain ``t`` of 2k-1 members fixes the middle
       ``t[k-1]..t[k]`` of every big node ``t + (x,)``, and x adds a hit at a
       middle position m iff ``x <= reach_r[m]``.  So one walk of the middle
-      gives the largest passing x (``_leaf_bound``) and every x up to it is
-      a big node.  At k <= 2 every chain passes and the walk is skipped.
+      gives the largest passing x (``_chain_bounds``) and every x up to it
+      is a big node.  At k <= 2 every chain passes and the walk is skipped.
     * Small-check subtree cut.  If the small check of ``t`` fails at m and
       ``m < reach_l[t[-1]+1]``, no later member meets m (``reach_l`` only
       rises), so every extension fails at m too, and the subtree's small
       checks are skipped.  Its big nodes are still built.
+
+    The head and tail conditions, (4) and (3), are monotone in x the same
+    way, so the same call bounds them once per chain: ``t + (x,)`` passes
+    (4) iff x is at most the head bound and (3) iff x is at most the tail
+    bound.  The plan keeps the answers as ``flags`` (see ``_Plan``); the
+    naive engine and ``eligible_tail_bigs`` run the literal checks instead.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
-def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], list[str]]:
-    """The enumeration as two lists indexed by node id: each node's
-    sequence and its kind.  The source ``(0,)`` comes first and the sink
-    ``(n+1,)`` last; no ``DagNode`` is built (``_Plan.nodes`` builds them)."""
+def _enumerate_with_ctx(
+    ctx: _Ctx,
+) -> tuple[list[tuple[int, ...]], list[str], list[int]]:
+    """The enumeration as three lists indexed by node id: each node's
+    sequence, its kind and its flags (``_Plan`` describes them).  The source
+    ``(0,)`` comes first and the sink ``(n+1,)`` last; no ``DagNode`` is
+    built (``_Plan.nodes`` builds them)."""
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
     parent_len = 2 * k - 1  # a chain one short of a big node
     seqs: list[tuple[int, ...]] = [(0,)]
     kinds: list[str] = [KIND_SOURCE]
+    flags: list[int] = [0]
 
     def grow(seq: list[int], check_small: bool) -> None:
         t = tuple(seq)
         last = t[-1]
+        clean = t[0]  # the first position that may lack hits
         if check_small and len(t) in smalls:
             m = _dominated(ctx, t, t[0], last)
+            clean = last + 1 if m is None else m
             if m is None:
                 seqs.append(t)
                 kinds.append(KIND_SMALL)
+                flags.append(0)
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -286,21 +343,23 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], list[str]]:
                 grow(seq, check_small)
                 seq.pop()
             return
-        # At k <= 2 every chain passes the middle check: each middle
-        # position meets both middle members, and a member also meets itself
-        # and its other chain neighbour.
-        if k > 2:
-            top = min(top, _leaf_bound(ctx, t))
+        middle, head, tail = _chain_bounds(ctx, t, clean)
+        top = min(top, middle)
         nexts = range(last + 1, top + 1)
         seqs.extend([t + (nxt,) for nxt in nexts])
         kinds.extend([KIND_BIG] * len(nexts))
+        if head >= top and tail >= top:
+            flags.extend([3] * len(nexts))
+        else:
+            flags.extend([(x <= head) | (x <= tail) << 1 for x in nexts])
 
     for start in range(1, n + 1):
         grow([start], True)
 
     seqs.append((n + 1,))
     kinds.append(KIND_SINK)
-    return seqs, kinds
+    flags.append(0)
+    return seqs, kinds, flags
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -463,6 +522,10 @@ class _Plan:
     by ``lo``.  Both engines search these lists and hand ``solution`` the id
     path they find, which builds a ``DagNode`` only for the nodes on it;
     ``nodes`` builds every one, for ``digraph`` and the diagnostics.
+    ``flags[i]`` holds big node i's window conditions, decided once per
+    parent chain by the enumeration's bounds: bit 0 is condition (4), it
+    can head a jump arc, and bit 1 is condition (3), it can be a jump arc's
+    tail.  Every other node's flags are 0.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is
@@ -475,7 +538,8 @@ class _Plan:
     """
 
     __slots__ = (
-        "ctx", "model", "weighted", "seqs", "kinds", "scale", "units", "jump", "_arcs"
+        "ctx", "model", "weighted", "seqs", "kinds", "flags", "scale", "units",
+        "jump", "_arcs",
     )
 
     def __init__(
@@ -490,7 +554,7 @@ class _Plan:
             )
         self.model = model
         self.weighted = weighted
-        self.seqs, self.kinds = _enumerate_with_ctx(ctx)
+        self.seqs, self.kinds, self.flags = _enumerate_with_ctx(ctx)
         if weighted:
             costs = model.costs if model.costs is not None else (1,) * model.n
             scale = self.scale = lcm(*(c.denominator for c in costs))

@@ -6,6 +6,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pikdom.fast as fast_module
+import pikdom.reduction as reduction_module
 from pikdom.errors import TooLargeError
 from pikdom.fast import (
     SuffixClass,
@@ -13,6 +15,7 @@ from pikdom.fast import (
     _floor_walk,
     _sweep,
     representative_independence_check,
+    search_fast,
     solve_fast,
     solve_fast_with_path,
     suffix_key,
@@ -190,6 +193,40 @@ def test_fast_three_engine_agreement_random():
                             )
                         if variant == "total":
                             assert check_lemma_components(g, fs.vertices, k)
+
+
+def test_fast_agrees_with_brute_at_k4():
+    # At k >= 4 a position inside a chain's span can lack two hits, which
+    # fails every last index of its big nodes; no other tier-1 solve reaches
+    # k = 4.
+    feasible = 0
+    for n in range(1, 15):
+        for seed in range(4):
+            for stretch in (1, 2, 3, 5, 8, Fraction(7, 2)):
+                m = generate_random(n, 4400 + 10 * n + seed, stretch)
+                for variant in ("kdom", "total"):
+                    b = brute_force_min(m, 4, variant)
+                    fs = solve_fast(m, 4, variant)
+                    assert (fs.feasible, fs.cost) == (b.feasible, b.cost), (
+                        n, seed, stretch, variant
+                    )
+                    feasible += b.feasible
+    assert feasible > 300
+
+
+def test_sweep_runs_no_literal_window_check(monkeypatch):
+    # The sweep reads conditions (3) and (4) from the plan's flags; the
+    # window checks run while the plan is built, never during the search.
+    assert not hasattr(fast_module, "_head_ok")
+    assert not hasattr(fast_module, "_tail_ok")
+    plan = engine_plan(generate_random(30, 3, 8), 3, "kdom")
+    calls = []
+    real = reduction_module._dominated
+    monkeypatch.setattr(reduction_module, "_dominated",
+                        lambda *args: calls.append(args) or real(*args))
+    sol, _ = search_fast(plan)
+    assert sol.feasible and set(plan.flags) == {0, 1, 2, 3}
+    assert calls == []
 
 
 def test_fast_reconstructed_path_is_genuine():

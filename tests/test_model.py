@@ -159,6 +159,23 @@ def test_parse_rational_bounds_the_exponent():
             parse_rational(token)
 
 
+@pytest.mark.parametrize("token", [
+    "-0", "007", "+5", "1_000", "\u0663", ".5", "5.", "1.5e-2", "-1.50", "-0.5",
+    "3/-4", "1/0", "1/2/3", "-.5", "4" * 4301, "-12/8", "0.000",
+])
+def test_parse_rational_spellings_match_fraction(token):
+    # The common spellings skip Fraction's string parser; every spelling
+    # must still parse to Fraction(token), or be refused where it refuses.
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_rational(token)
+    else:
+        got = parse_rational(token)
+        assert type(got) is Fraction and got == want
+
+
 # ------------------------------------------------------------- intersects
 
 def test_intersects_basic():

@@ -30,7 +30,9 @@ from pikdom.reduction import (
     _dominated,
     _e0_arc,
     _e0_window,
+    _head_ok,
     _jump_length,
+    _tail_ok,
     arc_length,
     build_digraph,
     dump_digraph,
@@ -315,6 +317,34 @@ def _reference_nodes(ctx, counts):
     for start in range(1, n + 1):
         grow([start])
     return seqs
+
+
+def test_plan_flags_match_literal_checks():
+    # The plan decides conditions (4) and (3) once per parent chain
+    # (_chain_bounds); flags[i] must be what the literal checks give big node
+    # i, (4) in bit 0 and (3) in bit 1, and 0 for every other node.  The
+    # dense stretch is capped in n at k >= 3 to keep the run short.
+    counts = collections.Counter()
+    for n in range(1, 40):
+        for seed in range(3):
+            for stretch in (1, 2, 3, 5, 8, Fraction(7, 2)):
+                m = generate_random(n, 100 * n + seed, stretch)
+                for k in (1, 2, 3, 4):
+                    if stretch == 8 and n > {3: 24, 4: 14}.get(k, n):
+                        continue
+                    for variant in ("kdom", "total"):
+                        plan = _Plan(m, k, variant, False, 10**18)
+                        ctx = plan.ctx
+                        for kind, seq, flag in zip(plan.kinds, plan.seqs, plan.flags):
+                            want = 0
+                            if kind == "big":
+                                want = _head_ok(ctx, seq) | _tail_ok(ctx, seq) << 1
+                                counts[k, variant, want] += 1
+                            assert flag == want, (n, seed, stretch, k, variant, seq)
+    for k in (3, 4):
+        for want in range(4):
+            assert counts[k, "kdom", want] > 2000, counts
+    assert min(counts[2, "total", want] for want in range(4)) > 5000, counts
 
 
 def test_enumeration_cuts_lose_no_node():
