@@ -71,16 +71,23 @@ every big node joins as a tail as it joins a suffix class, and a head reads
 one entry instead of testing every tail.  ``e1_arcs`` is the sum of the
 tail counts the heads read.
 
-The sweep visits nodes grouped by ``hi``, their last index (``topo_order``).
-Every arc strictly raises ``hi``, so this is a topological order.  All
-members of a suffix class share their ``hi``, as do all tails of a slide
-class, so they join in id order, and a class is complete before any head
-reads it: a head's window ends before ``s.lo``, and a slide head extends
-its tails' last index.  Equal costs go to the first class in key order (the
-source's first), the first member of that class in id order, a jump before
-a slide, and the first slide tail in id order, which the slide class keeps;
-none of these depends on the sweep order, so the chosen path does not
-either.
+The sweep visits nodes in id order.  Ids follow lexicographic order, and
+every arc strictly raises ``lo``, the first index (a jump arc has
+``t.lo <= t.hi < s.lo`` and a slide arc drops ``t.lo``), so a node's
+predecessors have lower ids and this is a topological order.  A class is
+complete and final before any head reads it:
+
+* a suffix class that a head probes ends at ``hi < s.lo``, and each of its
+  members has ``lo <= hi``, so a lower id than the head;
+* every tail of a slide class starts left of its head, for the same reason.
+
+Members of a class join in id order.  Heads that share their first ``k``
+indices have consecutive ids, because ids are lexicographic, so a prefix
+class is a run of ids: the sweep keeps only the last prefix probed and its
+answer.  Equal costs go to the first class in key order (the source's
+first), the first member of that class in id order, a jump before a slide,
+and the first slide tail in id order, which the slide class keeps; none of
+these depends on the sweep order, so the chosen path does not either.
 
 The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
 kind, flags and jump charge, and each position's cost.  The naive engine
@@ -90,9 +97,8 @@ and 1 of its flags, which the enumeration decides once per parent chain
 (``reduction._chain_bounds``), so the sweep runs no window check; the naive
 engine runs the literal checks, so the differential tests check the flags.
 Prefix and suffix keys and slide overlaps come from the sequence.  The
-sweep walks the nodes in ``topo_order``'s order (``_hi_order``) and keeps
-the best path into each node and the node before it on that path in two
-lists by node id, besides the class entries above.
+sweep keeps the best path into each node and the node before it on that
+path in two lists by node id, besides the class entries above.
 Path lengths are plain ints in the plan's units; unreachable states are
 ``None``.  The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
@@ -150,15 +156,6 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
     return [SuffixClass(key, tuple(members)) for key, members in sorted(groups.items())]
 
 
-def _hi_order(seqs) -> list[int]:
-    """Node ids by ``hi`` (their last index), then by id, in O(N);
-    ``seqs`` holds an enumeration's sequences by id, sink last."""
-    buckets: list[list[int]] = [[] for _ in range(seqs[-1][-1] + 1)]
-    for i, seq in enumerate(seqs):
-        buckets[seq[-1]].append(i)
-    return [i for bucket in buckets for i in bucket]
-
-
 def topo_order(nodes, k: int) -> list[int]:
     """Node ids grouped by ``hi`` (their last index) ascending, id order
     inside each group; ``nodes`` is an enumeration, sink last.
@@ -166,11 +163,14 @@ def topo_order(nodes, k: int) -> list[int]:
     Every arc strictly raises ``hi``: a jump arc has ``t.hi < s.lo <= s.hi``
     and a slide arc appends an index past ``t.hi``.  So this is a
     topological order of the digraph, with the source (``hi`` 0) first and
-    the sink (``hi`` n+1) last.  All members of a suffix class share their
-    ``hi``, so a class that ends before a head's first index is complete
-    before the head.  The order does not depend on ``k``.
+    the sink (``hi`` n+1) last.  The order does not depend on ``k``.  No
+    engine uses it (the sweep runs in id order); it is kept for
+    ``perfbench/run.py``'s breakdown and its tests.
     """
-    return _hi_order([nd.seq for nd in nodes])
+    buckets: list[list[int]] = [[] for _ in range(nodes[-1].seq[-1] + 1)]
+    for i, nd in enumerate(nodes):
+        buckets[nd.seq[-1]].append(i)
+    return [i for bucket in buckets for i in bucket]
 
 
 def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
@@ -222,25 +222,13 @@ def solve_fast(
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> Solution:
     """Optimal (total) k-domination via the class-partitioned DP sweep."""
-    sol, _ = solve_fast_with_path(model, k, variant, weighted, cap_nodes=cap_nodes)
-    return sol
-
-
-def solve_fast_with_path(
-    model: ProperIntervalModel,
-    k: int,
-    variant: str,
-    weighted: bool = False,
-    *,
-    cap_nodes: int = DEFAULT_NODE_CAP,
-) -> tuple[Solution, list[DagNode] | None]:
-    """As solve_fast, but also return the reconstructed node path."""
-    return search_fast(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))
+    return search_fast(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))[0]
 
 
 def search_fast(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
-    """The DP sweep over a plan from ``engine_plan``, or the infeasible
-    answer when it gave none; see ``solve_fast_with_path``."""
+    """The DP sweep over a plan from ``engine_plan``: the answer and the
+    optimal path as ``DagNode``s, or the infeasible answer and None when
+    the plan is None or the sink is unreachable."""
     if plan is None:
         return infeasible_solution("fast"), None
     dist, pred, stats = _sweep(plan)
@@ -269,18 +257,20 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
     # clears only an empty floor tuple: the head alone covers the gap.
     by_hi: list[dict[tuple[int, ...], list]] = [{} for _ in units]
     by_hi[0][(0,)] = [0, 0, (0,)]
-    # By a head's first k indices: the entry of the best class with a jump
-    # arc into every head that shares them and passes (4), or None when no
-    # class has one.
-    probes: dict[tuple[int, ...], list | None] = {}
+    # The last prefix class probed, a head's first k indices, and the entry
+    # of the best class with a jump arc into each of its heads that passes
+    # (4), or None when no class has one.  A prefix class is a run of ids,
+    # so one probe serves the whole run.
+    prefix = hit = None
+    prefix_classes = 0
     # Slide classes: by the last 2k-1 indices of big tails, [least dist,
     # first id with it, tail count].  Each head with those first 2k-1
     # indices has a slide arc from every such tail, all finalized before it.
     slide_best: dict[tuple[int, ...], list] = {}
     smalls = eligible = repr_tests = e1_arcs = 0
 
-    # the source is first and the sink last
-    for i in _hi_order(seqs)[1:]:
+    # ids are a topological order, the source first and the sink last
+    for i in range(1, len(seqs)):
         seq, kind = seqs[i], kinds[i]
         big = kind == KIND_BIG
         # d and p: the best path into node i and the node before it on that
@@ -288,11 +278,11 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         if big and not flags[i] & 1:
             d = p = None
         else:
-            prefix = seq[:k]
-            if prefix not in probes:
+            if seq[:k] != prefix:
                 # Every class in the window ends before seq[0], so all its
-                # members have joined it.
-                hit = None
+                # members have lower ids and have joined it.
+                prefix, hit = seq[:k], None
+                prefix_classes += 1
                 for hi, floors in _floor_walk(ctx, seq):
                     for entry in by_hi[hi].values():
                         best, _, key = entry
@@ -304,8 +294,6 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                             hit is None or (best, key) < (hit[0], hit[2])
                         ):
                             hit = entry
-                probes[prefix] = hit
-            hit = probes[prefix]
             d = None if hit is None else hit[0] + jump[i]
             p = None if hit is None else hit[1]
         if big:
@@ -343,7 +331,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         "big_nodes": len(seqs) - 2 - smalls,
         "tail_eligible_bigs": eligible,
         "suffix_classes": sum(map(len, by_hi)) - 1,  # not the source's class
-        "prefix_classes": len(probes),
+        "prefix_classes": prefix_classes,
         "representative_tests": repr_tests,
         "e1_arcs": e1_arcs,
     }

@@ -309,18 +309,18 @@ def enumerate_nodes(
 
 def _enumerate_with_ctx(
     ctx: _Ctx,
-) -> tuple[list[tuple[int, ...]], list[str], list[int]]:
-    """The enumeration as three lists indexed by node id: each node's
-    sequence, its kind and its flags (``_Plan`` describes them).  The source
-    ``(0,)`` comes first and the sink ``(n+1,)`` last; no ``DagNode`` is
-    built (``_Plan.nodes`` builds them)."""
+) -> tuple[list[tuple[int, ...]], list[str], bytearray]:
+    """The enumeration indexed by node id: each node's sequence and kind as
+    lists, and its flags as a ``bytearray`` (``_Plan`` describes them).
+    The source ``(0,)`` comes first and the sink ``(n+1,)`` last; no
+    ``DagNode`` is built (``_Plan.nodes`` builds them)."""
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
     parent_len = 2 * k - 1  # a chain one short of a big node
     seqs: list[tuple[int, ...]] = [(0,)]
     kinds: list[str] = [KIND_SOURCE]
-    flags: list[int] = [0]
+    flags = bytearray(1)
 
     def grow(seq: list[int], check_small: bool) -> None:
         t = tuple(seq)
@@ -522,10 +522,10 @@ class _Plan:
     by ``lo``.  Both engines search these lists and hand ``solution`` the id
     path they find, which builds a ``DagNode`` only for the nodes on it;
     ``nodes`` builds every one, for ``digraph`` and the diagnostics.
-    ``flags[i]`` holds big node i's window conditions, decided once per
-    parent chain by the enumeration's bounds: bit 0 is condition (4), it
-    can head a jump arc, and bit 1 is condition (3), it can be a jump arc's
-    tail.  Every other node's flags are 0.
+    ``flags`` is a ``bytearray``: ``flags[i]`` holds big node i's window
+    conditions, decided once per parent chain by the enumeration's bounds:
+    bit 0 is condition (4), it can head a jump arc, and bit 1 is condition
+    (3), it can be a jump arc's tail.  Every other node's flags are 0.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is

@@ -16,8 +16,8 @@ import pytest
 
 from pikdom.fast import (
     representative_independence_check,
+    search_fast,
     solve_fast,
-    solve_fast_with_path,
     topo_order,
 )
 from pikdom.model import derive_graph, generate_random, min_degree, with_costs
@@ -28,7 +28,7 @@ from pikdom.oracle import (
     find_violation,
     is_total_k_dominating,
 )
-from pikdom.reduction import build_digraph, solve_naive
+from pikdom.reduction import build_digraph, engine_plan, solve_naive
 
 from conftest import EXAMPLE8_PAIRS, complete_model, make_model, printed_rule_cost
 
@@ -285,7 +285,7 @@ def test_criterion_8_eight_vertex_instance():
     for variant_sol in (solve_naive(m8, 2, "total"), solve_fast(m8, 2, "total")):
         assert variant_sol.cost == 5
         assert variant_sol.vertices.members == (2, 3, 5, 6, 7)
-    _, path = solve_fast_with_path(m8, 2, "total")
+    _, path = search_fast(engine_plan(m8, 2, "total"))
     assert [nd.seq for nd in path] == [(0,), (2, 3, 5, 6), (3, 5, 6, 7), (9,)]
     print(
         f"ACCEPTANCE 8: PASS - fallback agreement on {sub} eight-vertex runs; "

@@ -17,7 +17,6 @@ from pikdom.fast import (
     representative_independence_check,
     search_fast,
     solve_fast,
-    solve_fast_with_path,
     suffix_key,
     suffix_partition,
     topo_order,
@@ -31,6 +30,7 @@ from pikdom.reduction import (
     KIND_BIG,
     DagNode,
     _Ctx,
+    _Plan,
     _e0_arc,
     _e0_window,
     _head_ok,
@@ -229,13 +229,56 @@ def test_sweep_runs_no_literal_window_check(monkeypatch):
     assert calls == []
 
 
+def test_prefix_classes_are_id_runs(monkeypatch):
+    # The sweep runs in id order and keeps only the last prefix class it
+    # probed, so the heads sharing their first k indices must have
+    # consecutive ids.  Corpus of test_plan_flags_match_literal_checks.
+    assert not hasattr(fast_module, "_hi_order")
+
+    def no_topo_order(*args):
+        raise AssertionError("the sweep must not call topo_order")
+
+    monkeypatch.setattr(fast_module, "topo_order", no_topo_order)
+    runs = 0
+    for n in range(1, 40):
+        for seed in range(3):
+            for stretch in (1, 2, 3, 5, 8, Fraction(7, 2)):
+                m = generate_random(n, 100 * n + seed, stretch)
+                for k in (1, 2, 3, 4):
+                    if stretch == 8 and n > {3: 24, 4: 14}.get(k, n):
+                        continue
+                    for variant in ("kdom", "total"):
+                        plan = _Plan(m, k, variant, False, 10**18)
+                        seen = set()
+                        last = None
+                        for seq in plan.seqs[1:]:
+                            if seq[:k] != last:
+                                last = seq[:k]
+                                assert last not in seen, (n, seed, stretch, k, variant, seq)
+                                seen.add(last)
+                                runs += 1
+                        if seed:  # search one seed in three, to keep the run short
+                            continue
+                        # the sweep counts one prefix class per distinct
+                        # first k indices among the heads it probes
+                        heads = {
+                            seq[:k]
+                            for seq, kind, flag in zip(plan.seqs, plan.kinds, plan.flags)
+                            if kind != KIND_BIG or flag & 1
+                        }
+                        sol, path = search_fast(plan)
+                        assert sol.stats["prefix_classes"] == len(heads) - 1  # not the source
+                        assert (path is None) == (not sol.feasible)
+    assert runs > 100_000
+
+
 def test_fast_reconstructed_path_is_genuine():
     for seed in range(15):
         n = 4 + seed % 7
         m = generate_random(n, 9100 + seed, [3, 5, 8][seed % 3])
         for k in (1, 2):
             for variant in ("kdom", "total"):
-                sol, path = solve_fast_with_path(m, k, variant)
+                sol, path = search_fast(engine_plan(m, k, variant))
                 if not sol.feasible:
                     assert path is None
                     continue
@@ -567,7 +610,7 @@ def test_fast_slide_steps_take_the_first_least_tail():
                     while pred[path[-1].id] is not None:
                         path.append(nodes[pred[path[-1].id]])
                     path.reverse()
-                    assert path == solve_fast_with_path(model, k, variant, weighted)[1]
+                    assert path == search_fast(engine_plan(model, k, variant, weighted))[1]
                     for a, b in zip(path, path[1:]):
                         if not is_e1_arc(k, a, b):
                             continue
@@ -597,7 +640,7 @@ def test_fast_builds_dag_nodes_only_for_its_path(monkeypatch, capsys, tmp_path):
         init(self, *args)
 
     monkeypatch.setattr(DagNode, "__init__", counted_init)
-    sol, path = solve_fast_with_path(m, 2, "total")
+    sol, path = search_fast(engine_plan(m, 2, "total"))
     assert sol.stats["nodes"] > 1000
     assert len(built) == len(path)
     # naive builds nodes only for its own path too

@@ -34,10 +34,10 @@ import random
 from fractions import Fraction
 
 from pikdom.errors import PikdomError
-from pikdom.fast import solve_fast, solve_fast_with_path
+from pikdom.fast import search_fast, solve_fast
 from pikdom.model import derive_graph, format_rational, generate_random, parse_model, with_costs
 from pikdom.oracle import brute_force_min
-from pikdom.reduction import _Ctx, build_digraph, dump_digraph, solve_naive
+from pikdom.reduction import _Ctx, build_digraph, dump_digraph, engine_plan, solve_naive
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
@@ -137,7 +137,8 @@ def paths_digest() -> tuple[str, int]:
     runs = 0
     for label, m, mw, k, variant in (*_corpus((40, 60, 90, 120), 50000), *extra):
         for weighted, model in ((False, m), (True, mw)):
-            sol, path = solve_fast_with_path(model, k, variant, weighted, cap_nodes=10**18)
+            plan = engine_plan(model, k, variant, weighted, cap_nodes=10**18)
+            sol, path = search_fast(plan)
             seqs = "-" if path is None else " ".join(
                 ",".join(map(str, nd.seq)) for nd in path
             )
