@@ -96,6 +96,8 @@ differ only in the search.  A big node's answers to (4) and (3) are bits 0
 and 1 of its flags, which the enumeration decides once per parent chain
 (``reduction._chain_bounds``), so the sweep runs no window check; the naive
 engine runs the literal checks, so the differential tests check the flags.
+The middle check is decided earlier still, once per chain of k+1 members
+(``reduction._middle_caps``), so the plan holds only big nodes that pass it.
 Prefix and suffix keys and slide overlaps come from the sequence.  The
 sweep keeps the best path into each node and the node before it on that
 path in two lists by node id, besides the class entries above.

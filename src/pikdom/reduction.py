@@ -21,13 +21,14 @@ a sorted sequence that meet position m are the ones inside
 ``reach_l[m]..reach_r[m]``, found by two binary searches (``_hits``).
 
 Enumeration grows the chains index by index and builds only those its
-window checks can keep (``enumerate_nodes`` gives the two cuts and their
-proofs): a chain one short of a big node appends every passing last index
-at once, from a bound worked out in one walk of its span, and a chain whose
+window checks can keep (``enumerate_nodes`` gives the three cuts and their
+proofs): a chain of k+1 members caps each later member of the big nodes in
+its subtree from one walk of their fixed middle, a chain one short of a big
+node appends every last index within its cap at once, and a chain whose
 small check fails at a position no later member can meet checks no small
-node in its subtree.  The same walk bounds the last indices whose big nodes
-pass the head and tail conditions, so each big node's answers are kept as
-flags and the fast engine runs neither check.
+node in its subtree.  Each chain one short also bounds the last indices
+whose big nodes pass the head and tail conditions, so each big node's
+answers are kept as flags and the fast engine runs neither check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
 per-id lists, integer arc charges) from ``engine_plan``, which first
@@ -212,45 +213,75 @@ def _x_bound(ctx: _Ctx, t: tuple[int, ...], first: int, last: int, bound: int) -
     return bound
 
 
-def _chain_bounds(
-    ctx: _Ctx, t: tuple[int, ...], clean: int
-) -> tuple[int, int, int]:
+def _middle_caps(ctx: _Ctx, t: tuple[int, ...], clean: int) -> list[int] | None:
+    """For a chain ``t`` of k+1 members, k >= 3: caps ``B_1 <= ... <=
+    B_{k-1}`` such that a big node in ``t``'s subtree, whose later members
+    ``z_1 < ... < z_{k-1}`` are its members ``k+1 .. 2k-1``, passes the
+    middle check iff ``z_j <= B_j`` for every j; None when no big node in
+    the subtree passes.  Every position before ``clean`` meets as many
+    members of ``t`` as it needs, so the walk starts there.
+
+    The middle ``t[k-1]..t[k]`` is fixed once ``t`` has k+1 members, and
+    every later member lies right of it, so ``z_j`` meets a middle position
+    m iff ``z_j <= reach_r[m]``.  Since the z rise, the ones meeting m are
+    ``z_1 .. z_c`` for some c, and m's deficit d(m) (what it needs less
+    its hits in ``t``) is made up iff ``z_{d(m)} <= reach_r[m]``.  So
+    ``B_j`` is the least ``reach_r[m]`` over the positions with ``d(m) >=
+    j``, which is the first such position's, as ``reach_r`` rises with m;
+    no node passes when some ``d(m) >= k``, or when ``B_1 <= t[k]`` leaves
+    no room for ``z_1``.  ``fast._floor_walk`` makes the same argument for
+    the gap cover.
+    """
+    k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
+    lo, hi = t[k - 1], t[k]
+    caps = [ctx.n] * (k - 1)
+    ranks = 0  # caps[:ranks] are set
+    for m in range(max(lo, clean), hi + 1):
+        member = m == lo or m == hi
+        if member and not total:
+            continue
+        deficit = k + member - _hits(ctx, t, m)
+        if deficit > ranks:
+            if deficit >= k or reach_r[m] <= hi:
+                return None
+            caps[ranks:deficit] = [reach_r[m]] * (deficit - ranks)
+            ranks = deficit
+    return caps
+
+
+def _chain_bounds(ctx: _Ctx, t: tuple[int, ...], clean: int) -> tuple[int, int]:
     """For a chain ``t`` of 2k-1 members: bounds on the x such that the big
-    node ``t + (x,)`` passes the middle check, condition (4) and condition
-    (3), in that order.  x passes a check iff it is at most that bound, and
-    no x passes the middle check when its bound is at most ``t[-1]``.
-    Every position of ``t``'s span before ``clean`` meets as many members
-    of ``t`` as it needs (the chain's own small check, when it ran, applies
-    the same rule), so the walks start there.
+    node ``t + (x,)`` passes condition (4) and condition (3), in that
+    order; x passes a check iff it is at most that bound.  The middle
+    check's bound comes from the caller: it is the last cap
+    ``_middle_caps`` gave the chain's first k+1 members, and the caller
+    asks for these bounds only when some x passes it.  Every position of
+    ``t``'s span before ``clean`` meets as many members of ``t`` as it
+    needs (the small checks apply the same rule), so the walks start there.
 
-    The middle ``t[k-1]..t[k]`` and the head range ``t[0]..t[k-1]`` lie in
-    ``t`` (``_x_bound``).  So does the tail range ``t[k]..x`` up to
-    ``t[-1]``; past it, each position m before x meets x and needs k-1
-    members of ``t`` at or right of ``reach_l[m]``.  It has them iff ``m <=
-    reach_r[t[k]]``, the k-1 largest members being ``t[k:]``, so x may be at
-    most the first such m that fails, ``max(reach_r[t[k]], t[-1]) + 1``.
+    The head range ``t[0]..t[k-1]`` lies in ``t`` (``_x_bound``).  So does
+    the tail range ``t[k]..x`` up to ``t[-1]``; past it, each position m
+    before x meets x and needs k-1 members of ``t`` at or right of
+    ``reach_l[m]``.  It has them iff ``m <= reach_r[t[k]]``, the k-1
+    largest members being ``t[k:]``, so x may be at most the first such m
+    that fails, ``max(reach_r[t[k]], t[-1]) + 1``.
 
-    At k <= 2 every chain passes the middle check: each middle position
-    meets both middle members, and a member also meets itself and its other
-    chain neighbour.  Total variant: (4) and (3) read no window
-    (``_head_ok``, ``_tail_ok``), and at k = 1 every x <= ``reach_r[t[0]]``
-    passes (4).  Plain k-domination at k <= 2: both pass, since each
-    position inside a chain's span meets its two flanking members, and one
-    past ``t[-1]`` meets ``t[-1]`` and x.
+    Total variant: (4) and (3) read no window (``_head_ok``, ``_tail_ok``),
+    and at k = 1 every x <= ``reach_r[t[0]]`` passes (4).  Plain
+    k-domination at k <= 2: both pass, since each position inside a
+    chain's span meets its two flanking members, and one past ``t[-1]``
+    meets ``t[-1]`` and x.
     """
     n, k, reach_r = ctx.n, ctx.k, ctx.reach_r
-    middle = n if k <= 2 else _x_bound(ctx, t, max(t[k - 1], clean), t[k], n)
-    if middle <= t[-1]:
-        return middle, 0, 0
     if ctx.variant == VARIANT_TOTAL:
         head = n if k == 1 or t[k] <= reach_r[t[0]] else 0
-        return middle, head, reach_r[t[k - 1]]
+        return head, reach_r[t[k - 1]]
     if k <= 2:
-        return middle, n, n
+        return n, n
     head = _x_bound(ctx, t, max(t[0], clean), t[k - 1], n)
     tail = max(reach_r[t[k]], t[-1]) + 1
     tail = _x_bound(ctx, t, max(t[k], clean), t[-1], tail)
-    return middle, head, tail
+    return head, tail
 
 
 def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -286,20 +317,32 @@ def enumerate_nodes(
     are evaluated.  Lexicographic order is topological here: every arc
     strictly increases the leftmost index.
 
-    Two cuts skip chains whose checks cannot pass; neither drops a node:
+    Three cuts skip chains whose checks cannot pass; none drops a node:
 
-    * Leaf bound.  A chain ``t`` of 2k-1 members fixes the middle
-      ``t[k-1]..t[k]`` of every big node ``t + (x,)``, and x adds a hit at a
-      middle position m iff ``x <= reach_r[m]``.  So one walk of the middle
-      gives the largest passing x (``_chain_bounds``) and every x up to it
-      is a big node.  At k <= 2 every chain passes and the walk is skipped.
+    * Middle caps.  At k >= 3 a chain ``t`` of k+1 members fixes the middle
+      ``t[k-1]..t[k]`` of every big node in its subtree, and each later
+      member z adds a hit at a middle position m iff ``z <= reach_r[m]``.
+      So one walk of the middle gives a cap per rank on the later members
+      (``_middle_caps``), and a big node passes the middle check iff each
+      later member is within its cap.  A chain whose new member passes its
+      cap keeps the caps; one whose member does not has no big node in its
+      subtree, and is grown only while its small check is live.
+    * Leaf bound.  A chain of 2k-1 members reads its last cap, and every x
+      up to it is a big node ``t + (x,)``.  At k <= 2 every chain passes
+      the middle check, since each middle position meets both middle
+      members, and the bound is the chain's own reach.
     * Small-check subtree cut.  If the small check of ``t`` fails at m and
       ``m < reach_l[t[-1]+1]``, no later member meets m (``reach_l`` only
       rises), so every extension fails at m too, and the subtree's small
       checks are skipped.  Its big nodes are still built.
 
+    Every walk starts at the first position the chain's ancestors found
+    short of hits: an extension only adds hits, and its new member lies
+    right of every position they cleared, so each small check resumes
+    where its parent's stopped.
+
     The head and tail conditions, (4) and (3), are monotone in x the same
-    way, so the same call bounds them once per chain: ``t + (x,)`` passes
+    way, so one call bounds them once per chain of 2k-1: ``t + (x,)`` passes
     (4) iff x is at most the head bound and (3) iff x is at most the tail
     bound.  The plan keeps the answers as ``flags`` (see ``_Plan``); the
     naive engine and ``eligible_tail_bigs`` run the literal checks instead.
@@ -318,16 +361,22 @@ def _enumerate_with_ctx(
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
     parent_len = 2 * k - 1  # a chain one short of a big node
+    caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     seqs: list[tuple[int, ...]] = [(0,)]
     kinds: list[str] = [KIND_SOURCE]
     flags = bytearray(1)
 
-    def grow(seq: list[int], check_small: bool) -> None:
+    def grow(
+        seq: list[int], check_small: bool, clean: int, caps: tuple[int, ...] | None
+    ) -> None:
+        # clean: the first position that may lack hits.  caps[i] bounds
+        # member i of every big node in the subtree (the middle caps), or
+        # None when the subtree has no big node.
         t = tuple(seq)
         last = t[-1]
-        clean = t[0]  # the first position that may lack hits
-        if check_small and len(t) in smalls:
-            m = _dominated(ctx, t, t[0], last)
+        q = len(t)
+        if check_small and q in smalls:
+            m = _dominated(ctx, t, clean, last)
             clean = last + 1 if m is None else m
             if m is None:
                 seqs.append(t)
@@ -336,15 +385,26 @@ def _enumerate_with_ctx(
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
+        if q == caps_len:
+            bounds = _middle_caps(ctx, t, clean)
+            caps = None if bounds is None else caps[:q] + tuple(bounds)
         top = min(reach_r[last], n)
-        if len(t) < parent_len:
+        cap = last if caps is None else caps[q]  # the next member's
+        if q < parent_len:
             for nxt in range(last + 1, top + 1):
+                if nxt > cap:
+                    # Neither this child nor a later one has a big node.
+                    if not check_small:
+                        break
+                    caps = None
                 seq.append(nxt)
-                grow(seq, check_small)
+                grow(seq, check_small, clean, caps)
                 seq.pop()
             return
-        middle, head, tail = _chain_bounds(ctx, t, clean)
-        top = min(top, middle)
+        top = min(top, cap)
+        if top <= last:
+            return
+        head, tail = _chain_bounds(ctx, t, clean)
         nexts = range(last + 1, top + 1)
         seqs.extend([t + (nxt,) for nxt in nexts])
         kinds.extend([KIND_BIG] * len(nexts))
@@ -353,8 +413,11 @@ def _enumerate_with_ctx(
         else:
             flags.extend([(x <= head) | (x <= tail) << 1 for x in nexts])
 
+    # No chain has more than n members, so n + 1 caps cover every member a
+    # chain reads; capping there keeps a huge k from building a huge tuple.
+    no_caps = (n,) * min(2 * k, n + 1)
     for start in range(1, n + 1):
-        grow([start], True)
+        grow([start], True, start, no_caps)
 
     seqs.append((n + 1,))
     kinds.append(KIND_SINK)

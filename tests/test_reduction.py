@@ -8,6 +8,7 @@ from math import comb, lcm
 
 import pytest
 
+import pikdom.reduction as reduction_module
 from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
 from pikdom.fast import solve_fast
 from pikdom.model import (
@@ -365,6 +366,87 @@ def test_enumeration_cuts_lose_no_node():
     assert counts["chains_k2"] > 1000 and counts["rejected_k2"] == 0, counts
     assert counts["rejected_k3"] > 1000 and counts["rejected_k4"] > 500, counts
     assert counts["small_cut"] > 5000, counts
+
+
+def test_middle_caps_lose_no_node(monkeypatch):
+    # The middle caps (_middle_caps, one walk per chain of k+1 members)
+    # against the uncut enumeration, kinds and order included, with the
+    # flags against the literal checks: at k=5, where the caps have four
+    # ranks, and at k=3 on the denser stretch 6.  Every walk starts at a
+    # chain's clean position, so each position before it must meet as many
+    # members of the chain as it needs.
+    real = reduction_module._dominated
+    counts = collections.Counter()
+
+    def check_clean(ctx, t, clean):
+        assert real(ctx, t, t[0], clean - 1) is None, (t, clean)
+        counts["clean"] += clean > t[0]
+
+    def spy(mp, name, wrap):
+        inner = getattr(reduction_module, name)
+        mp.setattr(reduction_module, name, lambda *args: wrap(inner, *args))
+
+    def dominated(inner, ctx, t, first, last):
+        check_clean(ctx, t, first)
+        return inner(ctx, t, first, last)
+
+    def middle_caps(inner, ctx, t, clean):
+        check_clean(ctx, t, clean)
+        caps = inner(ctx, t, clean)
+        ranks = None if caps is None else sum(c < ctx.n for c in caps)
+        counts["no_caps" if caps is None else f"ranks_{ranks}"] += 1
+        return caps
+
+    def chain_bounds(inner, ctx, t, clean):
+        check_clean(ctx, t, clean)
+        return inner(ctx, t, clean)
+
+    for k, n_max, stretches in ((5, 16, (4, 5, 6, 7)), (3, 26, (6,))):
+        for n in range(k, n_max + 1):
+            for stretch in stretches:
+                m = generate_random(n, 500 + 11 * n + k, stretch)
+                for variant in ("kdom", "total"):
+                    with monkeypatch.context() as mp:
+                        spy(mp, "_dominated", dominated)
+                        spy(mp, "_middle_caps", middle_caps)
+                        spy(mp, "_chain_bounds", chain_bounds)
+                        plan = _Plan(m, k, variant, False, 10**18)
+                    ctx = plan.ctx
+                    got = list(zip(plan.seqs[1:-1], plan.kinds[1:-1]))
+                    want = _reference_nodes(ctx, counts)
+                    assert got == want, (n, stretch, k, variant)
+                    for kind, seq, flag in zip(plan.kinds, plan.seqs, plan.flags):
+                        want = 0
+                        if kind == "big":
+                            want = _head_ok(ctx, seq) | _tail_ok(ctx, seq) << 1
+                            counts[k, want] += 1
+                        assert flag == want, (n, stretch, k, variant, seq)
+    assert counts["rejected_k5"] > 5000 and counts["rejected_k3"] > 2000, counts
+    assert counts["no_caps"] > 1000 and counts["ranks_4"] > 100, counts
+    assert min(counts[k, want] for k in (3, 5) for want in range(4)) > 100, counts
+    assert counts["clean"] > 1000, counts
+
+
+def test_middle_caps_halve_the_plans_hits(monkeypatch):
+    # The middle check is decided once per chain of k+1 members, so no
+    # chain of 2k-1 walks the middle and each small check resumes where its
+    # parent's stopped: the k=3 plan below took 150,980 hit counts when
+    # every chain of 2k-1 walked it.  Total-variant head and tail bounds
+    # read no window, so a total plan runs no _x_bound walk at all.
+    calls = collections.Counter()
+    for name in ("_hits", "_x_bound"):
+        real = getattr(reduction_module, name)
+        monkeypatch.setattr(
+            reduction_module, name,
+            lambda *args, name=name, real=real: calls.update([name]) or real(*args),
+        )
+    m = generate_random(100, 1, 12)
+    plan = _Plan(m, 3, "kdom", False, 10**18)
+    assert calls["_hits"] < 100_000 and len(plan.seqs) > 100_000, calls
+    calls.clear()
+    plan = _Plan(m, 3, "total", False, 10**18)
+    assert calls["_x_bound"] == 0 and calls["_hits"] > 0, calls
+    assert len(plan.seqs) > 50_000
 
 
 def _dummy_extended_reach(model):
