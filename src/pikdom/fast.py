@@ -93,11 +93,12 @@ The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
 kind, flags and jump charge, and each position's cost.  The naive engine
 searches the same plan from ``reduction.engine_plan``; the two engines
 differ only in the search.  A big node's answers to (4) and (3) are bits 0
-and 1 of its flags, which the enumeration decides once per parent chain
-(``reduction._chain_bounds``), so the sweep runs no window check; the naive
-engine runs the literal checks, so the differential tests check the flags.
-The middle check is decided earlier still, once per chain of k+1 members
-(``reduction._middle_caps``), so the plan holds only big nodes that pass it.
+and 1 of its flags, which the enumeration decides where each range is
+fixed: (4) once per chain of k members (``reduction._caps``) and (3) once
+per chain of 2k-1 (``reduction._tail_bound``), so the sweep runs no window
+check; the naive engine runs the literal checks, so the differential tests
+check the flags.  The middle check is decided once per chain of k+1
+members (``reduction._caps``), so the plan holds only big nodes that pass it.
 Prefix and suffix keys and slide overlaps come from the sequence.  The
 sweep keeps the best path into each node and the node before it on that
 path in two lists by node id, besides the class entries above.

@@ -26,9 +26,10 @@ proofs): a chain of k+1 members caps each later member of the big nodes in
 its subtree from one walk of their fixed middle, a chain one short of a big
 node appends every last index within its cap at once, and a chain whose
 small check fails at a position no later member can meet checks no small
-node in its subtree.  Each chain one short also bounds the last indices
-whose big nodes pass the head and tail conditions, so each big node's
-answers are kept as flags and the fast engine runs neither check.
+node in its subtree.  The head and tail conditions are decided the same
+way where their ranges are fixed, the head at k members and the tail at
+2k-1, so each big node's answers are kept as flags and the fast engine
+runs neither check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
 per-id lists, integer arc charges) from ``engine_plan``, which first
@@ -188,100 +189,67 @@ def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | 
     return None
 
 
-def _x_bound(ctx: _Ctx, t: tuple[int, ...], first: int, last: int, bound: int) -> int:
-    """For a chain ``t`` and a range ``first..last`` that ends at or before
-    ``t[-1]``: ``bound`` lowered so that a node ``t + (x,)`` with x at most
-    ``bound`` passes the window check over that range iff x is at most the
-    result.  A result of ``t[-1]`` or less means no x passes.
+def _caps(
+    ctx: _Ctx, t: tuple[int, ...], first: int, last: int, ranks: int
+) -> list[int] | None:
+    """For a chain ``t`` and a range ``first..last`` of its span: caps
+    ``B_1 <= ... <= B_ranks`` such that later members ``z_1 < ... <
+    z_ranks`` of ``t`` pass the window check over that range iff ``z_j <=
+    B_j`` for every j; None when no such members pass.  The caller starts
+    the range at the chain's clean position or later: every position
+    before it meets as many members of ``t`` as it needs.
 
-    The range lies in ``t``, left of any x, so x changes no membership there
-    and adds a hit at a position m iff ``x <= reach_r[m]``.  So m lets x pass
-    iff its deficit (what it needs less its hits in ``t``) is at most 0, or
-    is 1 and ``x <= reach_r[m]``.  The walk stops once no x can pass.
+    The range lies in ``t``, left of every later member, so ``z_j`` changes
+    no membership there and meets a position m iff ``z_j <= reach_r[m]``.
+    Since the z rise, the ones meeting m are ``z_1 .. z_c`` for some c, and
+    m's deficit d(m) (what it needs less its hits in ``t``) is made up iff
+    ``z_{d(m)} <= reach_r[m]``.  So ``B_j`` is the least ``reach_r[m]``
+    over the positions with ``d(m) >= j``, which is the first such
+    position's, as ``reach_r`` rises with m; nothing passes when some
+    ``d(m) > ranks``, or when a cap at or before ``t[-1]`` leaves no room.
+    ``fast._floor_walk`` makes the same argument for the gap cover.
     """
     k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
     floor = t[-1]
+    caps = [ctx.n] * ranks
+    short = 0  # caps[:short] are set
     for m in range(first, last + 1):
         member = m in t
         if member and not total:
             continue
         deficit = k + member - _hits(ctx, t, m)
-        if deficit > 0:
-            bound = min(bound, reach_r[m] if deficit == 1 else 0)
-            if bound <= floor:
-                break
-    return bound
-
-
-def _middle_caps(ctx: _Ctx, t: tuple[int, ...], clean: int) -> list[int] | None:
-    """For a chain ``t`` of k+1 members, k >= 3: caps ``B_1 <= ... <=
-    B_{k-1}`` such that a big node in ``t``'s subtree, whose later members
-    ``z_1 < ... < z_{k-1}`` are its members ``k+1 .. 2k-1``, passes the
-    middle check iff ``z_j <= B_j`` for every j; None when no big node in
-    the subtree passes.  Every position before ``clean`` meets as many
-    members of ``t`` as it needs, so the walk starts there.
-
-    The middle ``t[k-1]..t[k]`` is fixed once ``t`` has k+1 members, and
-    every later member lies right of it, so ``z_j`` meets a middle position
-    m iff ``z_j <= reach_r[m]``.  Since the z rise, the ones meeting m are
-    ``z_1 .. z_c`` for some c, and m's deficit d(m) (what it needs less
-    its hits in ``t``) is made up iff ``z_{d(m)} <= reach_r[m]``.  So
-    ``B_j`` is the least ``reach_r[m]`` over the positions with ``d(m) >=
-    j``, which is the first such position's, as ``reach_r`` rises with m;
-    no node passes when some ``d(m) >= k``, or when ``B_1 <= t[k]`` leaves
-    no room for ``z_1``.  ``fast._floor_walk`` makes the same argument for
-    the gap cover.
-    """
-    k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
-    lo, hi = t[k - 1], t[k]
-    caps = [ctx.n] * (k - 1)
-    ranks = 0  # caps[:ranks] are set
-    for m in range(max(lo, clean), hi + 1):
-        member = m == lo or m == hi
-        if member and not total:
-            continue
-        deficit = k + member - _hits(ctx, t, m)
-        if deficit > ranks:
-            if deficit >= k or reach_r[m] <= hi:
+        if deficit > short:
+            if deficit > ranks or reach_r[m] <= floor:
                 return None
-            caps[ranks:deficit] = [reach_r[m]] * (deficit - ranks)
-            ranks = deficit
+            caps[short:deficit] = [reach_r[m]] * (deficit - short)
+            short = deficit
     return caps
 
 
-def _chain_bounds(ctx: _Ctx, t: tuple[int, ...], clean: int) -> tuple[int, int]:
-    """For a chain ``t`` of 2k-1 members: bounds on the x such that the big
-    node ``t + (x,)`` passes condition (4) and condition (3), in that
-    order; x passes a check iff it is at most that bound.  The middle
-    check's bound comes from the caller: it is the last cap
-    ``_middle_caps`` gave the chain's first k+1 members, and the caller
-    asks for these bounds only when some x passes it.  Every position of
-    ``t``'s span before ``clean`` meets as many members of ``t`` as it
-    needs (the small checks apply the same rule), so the walks start there.
+def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
+    """For a chain ``t`` of 2k-1 members: the bound such that the big node
+    ``t + (x,)`` passes condition (3) iff x is at most it.  Every position
+    of ``t``'s span before ``clean`` meets as many members of ``t`` as it
+    needs (the small checks apply the same rule), so the walk starts there.
 
-    The head range ``t[0]..t[k-1]`` lies in ``t`` (``_x_bound``).  So does
-    the tail range ``t[k]..x`` up to ``t[-1]``; past it, each position m
-    before x meets x and needs k-1 members of ``t`` at or right of
-    ``reach_l[m]``.  It has them iff ``m <= reach_r[t[k]]``, the k-1
-    largest members being ``t[k:]``, so x may be at most the first such m
-    that fails, ``max(reach_r[t[k]], t[-1]) + 1``.
+    The tail range ``t[k]..x`` lies in ``t`` up to ``t[-1]``, with x its one
+    later member (``_caps``).  Past ``t[-1]``, each position m before x
+    meets x and needs k-1 members of ``t`` at or right of ``reach_l[m]``.
+    It has them iff ``m <= reach_r[t[k]]``, the k-1 largest members being
+    ``t[k:]``, so x may be at most the first such m that fails, ``max(
+    reach_r[t[k]], t[-1]) + 1``.
 
-    Total variant: (4) and (3) read no window (``_head_ok``, ``_tail_ok``),
-    and at k = 1 every x <= ``reach_r[t[0]]`` passes (4).  Plain
-    k-domination at k <= 2: both pass, since each position inside a
-    chain's span meets its two flanking members, and one past ``t[-1]``
-    meets ``t[-1]`` and x.
+    Total variant: (3) reads no window (``_tail_ok``).  Plain k-domination
+    at k <= 2: it passes, since each position inside a chain's span meets
+    its two flanking members, and one past ``t[-1]`` meets ``t[-1]`` and x.
     """
     n, k, reach_r = ctx.n, ctx.k, ctx.reach_r
     if ctx.variant == VARIANT_TOTAL:
-        head = n if k == 1 or t[k] <= reach_r[t[0]] else 0
-        return head, reach_r[t[k - 1]]
+        return reach_r[t[k - 1]]
     if k <= 2:
-        return n, n
-    head = _x_bound(ctx, t, max(t[0], clean), t[k - 1], n)
-    tail = max(reach_r[t[k]], t[-1]) + 1
-    tail = _x_bound(ctx, t, max(t[k], clean), t[-1], tail)
-    return head, tail
+        return n
+    caps = _caps(ctx, t, max(t[k], clean), t[-1], 1)
+    return 0 if caps is None else min(caps[0], max(reach_r[t[k]], t[-1]) + 1)
 
 
 def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -323,7 +291,7 @@ def enumerate_nodes(
       ``t[k-1]..t[k]`` of every big node in its subtree, and each later
       member z adds a hit at a middle position m iff ``z <= reach_r[m]``.
       So one walk of the middle gives a cap per rank on the later members
-      (``_middle_caps``), and a big node passes the middle check iff each
+      (``_caps``), and a big node passes the middle check iff each
       later member is within its cap.  A chain whose new member passes its
       cap keeps the caps; one whose member does not has no big node in its
       subtree, and is grown only while its small check is live.
@@ -341,11 +309,16 @@ def enumerate_nodes(
     right of every position they cleared, so each small check resumes
     where its parent's stopped.
 
-    The head and tail conditions, (4) and (3), are monotone in x the same
-    way, so one call bounds them once per chain of 2k-1: ``t + (x,)`` passes
-    (4) iff x is at most the head bound and (3) iff x is at most the tail
-    bound.  The plan keeps the answers as ``flags`` (see ``_Plan``); the
-    naive engine and ``eligible_tail_bigs`` run the literal checks instead.
+    The head and tail conditions, (4) and (3), are decided the same way,
+    each where its range is fixed.  A chain of k members fixes the head
+    ``t[0]..t[k-1]``, so one walk of it caps the k later members of the big
+    nodes that pass (4); a member past its cap clears (4) for its subtree,
+    whose big nodes are still built.  A chain of 2k-1 bounds the last index
+    x that passes (3) (``_tail_bound``).  The total variant's head cap is
+    ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
+    passes both.  The plan keeps the answers as ``flags`` (see ``_Plan``);
+    the naive engine and ``eligible_tail_bigs`` run the literal checks
+    instead.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
@@ -360,18 +333,26 @@ def _enumerate_with_ctx(
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
+    total = variant == VARIANT_TOTAL
     parent_len = 2 * k - 1  # a chain one short of a big node
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
+    heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
     seqs: list[tuple[int, ...]] = [(0,)]
     kinds: list[str] = [KIND_SOURCE]
     flags = bytearray(1)
 
     def grow(
-        seq: list[int], check_small: bool, clean: int, caps: tuple[int, ...] | None
+        seq: list[int],
+        check_small: bool,
+        clean: int,
+        caps: tuple[int, ...] | None,
+        heads: tuple[int, ...] | None,
     ) -> None:
         # clean: the first position that may lack hits.  caps[i] bounds
         # member i of every big node in the subtree (the middle caps), or
-        # None when the subtree has no big node.
+        # None when the subtree has no big node.  heads[i] bounds member i
+        # of every big node in the subtree that passes condition (4), or
+        # None when none does.
         t = tuple(seq)
         last = t[-1]
         q = len(t)
@@ -385,11 +366,18 @@ def _enumerate_with_ctx(
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
+        if q == heads_len:
+            if total:
+                heads = heads[:q] + (reach_r[t[0]],) + heads[q + 1:]
+            else:
+                bounds = _caps(ctx, t, max(t[0], clean), last, k)
+                heads = None if bounds is None else heads[:q] + tuple(bounds)
         if q == caps_len:
-            bounds = _middle_caps(ctx, t, clean)
+            bounds = _caps(ctx, t, max(t[k - 1], clean), last, k - 1)
             caps = None if bounds is None else caps[:q] + tuple(bounds)
         top = min(reach_r[last], n)
         cap = last if caps is None else caps[q]  # the next member's
+        head = last if heads is None else heads[q]
         if q < parent_len:
             for nxt in range(last + 1, top + 1):
                 if nxt > cap:
@@ -397,14 +385,16 @@ def _enumerate_with_ctx(
                     if not check_small:
                         break
                     caps = None
+                if nxt > head:
+                    heads = None
                 seq.append(nxt)
-                grow(seq, check_small, clean, caps)
+                grow(seq, check_small, clean, caps, heads)
                 seq.pop()
             return
         top = min(top, cap)
         if top <= last:
             return
-        head, tail = _chain_bounds(ctx, t, clean)
+        tail = _tail_bound(ctx, t, clean)
         nexts = range(last + 1, top + 1)
         seqs.extend([t + (nxt,) for nxt in nexts])
         kinds.extend([KIND_BIG] * len(nexts))
@@ -417,7 +407,7 @@ def _enumerate_with_ctx(
     # chain reads; capping there keeps a huge k from building a huge tuple.
     no_caps = (n,) * min(2 * k, n + 1)
     for start in range(1, n + 1):
-        grow([start], True, start, no_caps)
+        grow([start], True, start, no_caps, no_caps)
 
     seqs.append((n + 1,))
     kinds.append(KIND_SINK)
@@ -586,9 +576,9 @@ class _Plan:
     path they find, which builds a ``DagNode`` only for the nodes on it;
     ``nodes`` builds every one, for ``digraph`` and the diagnostics.
     ``flags`` is a ``bytearray``: ``flags[i]`` holds big node i's window
-    conditions, decided once per parent chain by the enumeration's bounds:
-    bit 0 is condition (4), it can head a jump arc, and bit 1 is condition
-    (3), it can be a jump arc's tail.  Every other node's flags are 0.
+    conditions, decided by the enumeration's caps and tail bounds: bit 0
+    is condition (4), it can head a jump arc, and bit 1 is condition (3),
+    it can be a jump arc's tail.  Every other node's flags are 0.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is

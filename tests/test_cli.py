@@ -478,6 +478,14 @@ def test_selftest_quick_pass(capsys):
     assert "selftest: PASS" in out
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_selftest_full_pass(capsys, seed):
+    # The full stream adds the k=3 cases the quick one lacks.
+    code, out, _ = run(capsys, "selftest", "--seed", str(seed))
+    assert code == 0
+    assert "selftest: PASS (480 checks)" in out
+
+
 def test_selftest_injected_fault_fails(capsys, monkeypatch):
     import pikdom.reduction as reduction
 

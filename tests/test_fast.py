@@ -515,7 +515,7 @@ def test_exact_costs_with_huge_denominator_lcm():
 
 
 @pytest.mark.parametrize(
-    "k, n_min, n_max, stretch_max", [(1, 30, 80, 10), (2, 20, 40, 6)]
+    "k, n_min, n_max, stretch_max", [(1, 30, 80, 10), (2, 20, 40, 6), (3, 12, 24, 5)]
 )
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

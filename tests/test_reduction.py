@@ -369,12 +369,13 @@ def test_enumeration_cuts_lose_no_node():
 
 
 def test_middle_caps_lose_no_node(monkeypatch):
-    # The middle caps (_middle_caps, one walk per chain of k+1 members)
-    # against the uncut enumeration, kinds and order included, with the
-    # flags against the literal checks: at k=5, where the caps have four
-    # ranks, and at k=3 on the denser stretch 6.  Every walk starts at a
-    # chain's clean position, so each position before it must meet as many
-    # members of the chain as it needs.
+    # The middle caps (_caps at each chain of k+1 members) against the
+    # uncut enumeration, kinds and order included, with the flags against
+    # the literal checks: at k=5, where the caps have four ranks, and at
+    # k=3 on the denser stretch 6.  Every walk starts at a chain's clean
+    # position, so each position before it must meet as many members of the
+    # chain as it needs; a _caps walk starts at its range's first position
+    # instead when that comes later.
     real = reduction_module._dominated
     counts = collections.Counter()
 
@@ -390,14 +391,21 @@ def test_middle_caps_lose_no_node(monkeypatch):
         check_clean(ctx, t, first)
         return inner(ctx, t, first, last)
 
-    def middle_caps(inner, ctx, t, clean):
-        check_clean(ctx, t, clean)
-        caps = inner(ctx, t, clean)
-        ranks = None if caps is None else sum(c < ctx.n for c in caps)
-        counts["no_caps" if caps is None else f"ranks_{ranks}"] += 1
+    def caps_walk(inner, ctx, t, first, last, ranks):
+        # The range's first position: the head at k members, the middle at
+        # k+1 and the tail at 2k-1.
+        k = ctx.k
+        start = t[{k: 0, k + 1: k - 1, 2 * k - 1: k}[len(t)]]
+        assert first >= start, (t, first)
+        if first > start:
+            check_clean(ctx, t, first)
+        caps = inner(ctx, t, first, last, ranks)
+        if len(t) == k + 1:  # a middle
+            ranks = None if caps is None else sum(c < ctx.n for c in caps)
+            counts["no_caps" if caps is None else f"ranks_{ranks}"] += 1
         return caps
 
-    def chain_bounds(inner, ctx, t, clean):
+    def tail_bound(inner, ctx, t, clean):
         check_clean(ctx, t, clean)
         return inner(ctx, t, clean)
 
@@ -408,8 +416,8 @@ def test_middle_caps_lose_no_node(monkeypatch):
                 for variant in ("kdom", "total"):
                     with monkeypatch.context() as mp:
                         spy(mp, "_dominated", dominated)
-                        spy(mp, "_middle_caps", middle_caps)
-                        spy(mp, "_chain_bounds", chain_bounds)
+                        spy(mp, "_caps", caps_walk)
+                        spy(mp, "_tail_bound", tail_bound)
                         plan = _Plan(m, k, variant, False, 10**18)
                     ctx = plan.ctx
                     got = list(zip(plan.seqs[1:-1], plan.kinds[1:-1]))
@@ -432,21 +440,57 @@ def test_middle_caps_halve_the_plans_hits(monkeypatch):
     # chain of 2k-1 walks the middle and each small check resumes where its
     # parent's stopped: the k=3 plan below took 150,980 hit counts when
     # every chain of 2k-1 walked it.  Total-variant head and tail bounds
-    # read no window, so a total plan runs no _x_bound walk at all.
+    # read no window, so a total plan calls _caps only for middles.
     calls = collections.Counter()
-    for name in ("_hits", "_x_bound"):
-        real = getattr(reduction_module, name)
-        monkeypatch.setattr(
-            reduction_module, name,
-            lambda *args, name=name, real=real: calls.update([name]) or real(*args),
-        )
+    real_hits, real_caps = reduction_module._hits, reduction_module._caps
+
+    def hits(*args):
+        calls["_hits"] += 1
+        return real_hits(*args)
+
+    def caps(ctx, t, first, last, ranks):
+        calls["middle" if len(t) == ctx.k + 1 else "other"] += 1
+        return real_caps(ctx, t, first, last, ranks)
+
+    monkeypatch.setattr(reduction_module, "_hits", hits)
+    monkeypatch.setattr(reduction_module, "_caps", caps)
     m = generate_random(100, 1, 12)
     plan = _Plan(m, 3, "kdom", False, 10**18)
     assert calls["_hits"] < 100_000 and len(plan.seqs) > 100_000, calls
     calls.clear()
     plan = _Plan(m, 3, "total", False, 10**18)
-    assert calls["_x_bound"] == 0 and calls["_hits"] > 0, calls
-    assert len(plan.seqs) > 50_000
+    assert calls["other"] == 0 and calls["middle"] > 0, calls
+    assert calls["_hits"] > 0 and len(plan.seqs) > 50_000, calls
+
+
+def test_head_checks_once_per_chain_of_k(monkeypatch):
+    # Condition (4) reads the head t[0]..t[k-1], fixed once a chain has k
+    # members, so plain k-domination at k >= 3 walks it once per chain of k:
+    # the plan below walked it 23,896 times when every chain of 2k-1 did.
+    # Some heads fail for every extension, and then _caps gives None.
+    counts = collections.Counter()
+    real = reduction_module._caps
+
+    def caps(ctx, t, first, last, ranks):
+        got = real(ctx, t, first, last, ranks)
+        if len(t) == ctx.k:
+            assert ranks == ctx.k and last == t[-1], (t, ranks, last)
+            counts["heads"] += 1
+            counts["none"] += got is None
+        return got
+
+    monkeypatch.setattr(reduction_module, "_caps", caps)
+    m = generate_random(100, 1, 12)
+    plan = _Plan(m, 3, "kdom", False, 10**18)
+    reach_r = plan.ctx.reach_r
+    chains = sum(
+        1
+        for a in range(1, m.n + 1)
+        for b in range(a + 1, min(reach_r[a], m.n) + 1)
+        for _ in range(b + 1, min(reach_r[b], m.n) + 1)
+    )
+    assert 0 < counts["heads"] <= chains < 5_000, (counts, chains)
+    assert counts["none"] > 100, counts
 
 
 def _dummy_extended_reach(model):
