@@ -112,10 +112,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLargeError
 from .model import ProperIntervalModel
-from .oracle import Solution, check_k, check_variant, infeasible_solution
+from .oracle import Solution, infeasible_solution
 from .reduction import (
+    ARC_E0,
     DEFAULT_NODE_CAP,
     DagNode,
     KIND_BIG,
@@ -124,7 +124,6 @@ from .reduction import (
     _e0_window,
     _hits,
     _Plan,
-    eligible_tail_bigs,
     engine_plan,
 )
 
@@ -141,6 +140,10 @@ def suffix_key(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 @dataclass
 class SuffixClass:
+    """One class of ``suffix_partition``: its key and its member ids.  No
+    engine or diagnostic builds one; it is kept for ``perfbench/run.py``'s
+    breakdown and its tests."""
+
     key: tuple[int, ...]
     members: tuple[int, ...]
 
@@ -150,7 +153,10 @@ def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
 
     Classes come out sorted by key; members keep enumeration (id) order, so
     ``members[0]`` is the lexicographically smallest member and serves as
-    the class representative.
+    the class representative.  No engine or diagnostic calls it (the sweep
+    and ``representative_independence_check`` group the plan's lists
+    themselves); it is kept for ``perfbench/run.py``'s breakdown and its
+    tests.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for nd in sorted(nodes, key=lambda nd: nd.id):
@@ -344,35 +350,32 @@ def representative_independence_check(
     model: ProperIntervalModel,
     k: int,
     variant: str,
-    *,
-    cap: int = 12,
 ) -> bool:
-    """Diagnostic: within each suffix class, jump-arc membership toward any
-    node is all-or-none; within each prefix class (middle heads sharing
-    their first k indices and their answer to condition (4)), membership
-    from any node is all-or-none.  These are the properties the DP's shared
-    probes rely on."""
-    # the literal tests, which the DP never runs
-    from .reduction import _e0_arc, _head_ok
+    """Diagnostic: within each suffix class, the jump-arc successors are the
+    same for every member; within each prefix class (middle heads sharing
+    their first k indices and their answer to condition (4)), the jump-arc
+    predecessors are the same for every member.  These are the properties
+    the DP's shared probes rely on.
 
-    check_k(k)
-    check_variant(variant)
-    if model.n > cap:
-        raise TooLargeError(f"diagnostic capped at n <= {cap}, got {model.n}")
+    It reads the plan both engines search (``_Plan``): the classes come
+    from its sequences, kinds and flags, as ``_sweep`` forms them, and the
+    arcs from ``_Plan.arcs``, which the naive engine searches and which
+    runs the literal window checks and gap cover.
+    """
     plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
-    ctx, nodes = plan.ctx, plan.nodes
-    middle = nodes[1:-1]
-    eligible = eligible_tail_bigs(middle, model, k, variant)
-    for cl in suffix_partition(middle, k, eligible):
-        for s in nodes[1:]:  # every possible head: the middle and the sink
-            if len({_e0_arc(ctx, nodes[i], s) for i in cl.members}) > 1:
-                return False
-    heads: dict[tuple, list[DagNode]] = {}
-    for s in middle:
-        passes = s.kind != KIND_BIG or _head_ok(ctx, s.seq)
-        heads.setdefault((s.seq[:k], passes), []).append(s)
-    for group in heads.values():
-        for t in nodes[:-1]:  # every possible tail: the source and the middle
-            if len({_e0_arc(ctx, t, s) for s in group}) > 1:
-                return False
-    return True
+    seqs, kinds, flags = plan.seqs, plan.kinds, plan.flags
+    succ: list[set[int]] = [set() for _ in seqs]
+    pred: list[set[int]] = [set() for _ in seqs]
+    for tail, head, cls, _ in plan.arcs():
+        if cls == ARC_E0:
+            succ[tail].add(head)
+            pred[head].add(tail)
+    tails: dict[tuple[int, ...], list[set[int]]] = {}
+    heads: dict[tuple, list[set[int]]] = {}
+    for i in range(1, len(seqs) - 1):
+        seq, big = seqs[i], kinds[i] == KIND_BIG
+        if not big or flags[i] & 2:
+            tails.setdefault(suffix_key(seq, k), []).append(succ[i])
+        heads.setdefault((seq[:k], not big or bool(flags[i] & 1)), []).append(pred[i])
+    groups = [*tails.values(), *heads.values()]
+    return all(all(s == group[0] for s in group) for group in groups)

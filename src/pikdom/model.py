@@ -19,9 +19,10 @@ grows, so two keys whose integer parts differ are ordered by those integers
 alone, and exactly; only when the integer parts tie does the tuple compare
 reach the ``Fraction``.  The key uses no floating point and no common
 denominator, so it costs the same however many denominators the input has.
-A model keys its endpoints once, when it is built: validation and the reach
-sweep share those keys, and everything downstream reads the model's reach
-arrays (``reach_l``/``reach_r``) instead of comparing endpoints again.
+A model keys its endpoints once, when it is built: sorting, validation and
+the reach sweep share those keys, and everything downstream reads the
+model's reach arrays (``reach_l``/``reach_r``) instead of comparing
+endpoints again.
 """
 
 from __future__ import annotations
@@ -137,15 +138,18 @@ class Interval:
 class ProperIntervalModel:
     """A validated proper interval model, sorted by left endpoint.
 
-    ``costs`` is present exactly for weighted instances and is aligned with
-    the sorted interval order.  ``original_ids[i]`` is the caller's 1-based
-    id of the interval at sorted position i (0-based).
+    The rows may come in any order: the model sorts them by their endpoint
+    keys and carries ``costs`` and ``original_ids`` along, so ``costs`` is
+    aligned with the sorted interval order.  It is present exactly for
+    weighted instances.  ``original_ids[i]`` is the caller's 1-based id of
+    the interval at sorted position i (0-based); by default the caller's
+    numbering is the order the rows came in.
 
     ``reach_l[i]``/``reach_r[i]`` are the first and last position (0-based)
     whose interval meets ``intervals[i]``.  In a family sorted by left
     endpoint with no interval containing another, the intervals meeting i
     form one contiguous block, and both ends of the block only move right
-    as i grows, so one two-pointer sweep over the keys validation built
+    as i grows, so one two-pointer sweep over the keys sorting built
     finds them: ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the
     first interval whose walk reaches position j is ``reach_l[j]``.  They
     follow from the intervals, so they take no part in equality or repr.
@@ -158,16 +162,23 @@ class ProperIntervalModel:
     reach_r: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.original_ids:
-            object.__setattr__(
-                self, "original_ids", tuple(range(1, len(self.intervals) + 1))
-            )
         n = len(self.intervals)
-        if sorted(self.original_ids) != list(range(1, n + 1)):
+        ids = self.original_ids or range(1, n + 1)
+        if sorted(ids) != list(range(1, n + 1)):
             raise ParamError("original_ids must be a permutation of 1..n")
-        ivs = self.intervals
-        lefts = [_key(iv.left) for iv in ivs]
-        rights = [_key(iv.right) for iv in ivs]
+        costs = self.costs
+        if costs is not None and len(costs) != n:
+            raise ParamError("costs length must equal interval count")
+        # Sort the rows by their endpoint keys, carrying costs and ids along.
+        keys = [(_key(iv.left), _key(iv.right)) for iv in self.intervals]
+        order = sorted(range(n), key=keys.__getitem__)
+        ivs = tuple(self.intervals[t] for t in order)
+        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "original_ids", tuple(ids[t] for t in order))
+        if costs is not None:
+            object.__setattr__(self, "costs", tuple(costs[t] for t in order))
+        lefts = [keys[t][0] for t in order]
+        rights = [keys[t][1] for t in order]
         for i in range(1, n):
             if lefts[i - 1] == lefts[i] and rights[i - 1] == rights[i]:
                 a = ivs[i - 1]
@@ -178,12 +189,9 @@ class ProperIntervalModel:
                 raise NotProperError(
                     f"containment between [{a.left}, {a.right}] and [{b.left}, {b.right}]"
                 )
-        if self.costs is not None:
-            if len(self.costs) != n:
-                raise ParamError("costs length must equal interval count")
-            for c in self.costs:
-                if c.numerator < 0:
-                    raise NegativeCostError(f"negative cost {c}")
+        for c in costs or ():
+            if c.numerator < 0:
+                raise NegativeCostError(f"negative cost {c}")
         reach_l = list(range(n))  # a position no earlier walk reaches
         reach_r = [0] * n
         hi = 0
@@ -220,18 +228,13 @@ class ProperIntervalModel:
 
 
 def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel:
-    """Sort raw (interval, cost) data by left endpoint and validate."""
-    items = list(intervals)
-    n = len(items)
-    if original_ids is None:
-        original_ids = list(range(1, n + 1))
-    cost_list = list(costs) if costs is not None else None
-    keys = [(_key(iv.left), _key(iv.right)) for iv in items]
-    order = sorted(range(n), key=keys.__getitem__)
-    sorted_iv = tuple(items[t] for t in order)
-    sorted_costs = tuple(cost_list[t] for t in order) if cost_list is not None else None
-    sorted_orig = tuple(original_ids[t] for t in order)
-    return ProperIntervalModel(sorted_iv, sorted_costs, sorted_orig)
+    """A model of raw (interval, cost) rows in any order, which the model
+    sorts by left endpoint and validates."""
+    return ProperIntervalModel(
+        tuple(intervals),
+        tuple(costs) if costs is not None else None,
+        tuple(original_ids) if original_ids is not None else (),
+    )
 
 
 def parse_model(text: str) -> ProperIntervalModel:

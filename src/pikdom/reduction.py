@@ -113,14 +113,6 @@ class DerivedDigraph:
     weighted: bool
     n: int
 
-    @property
-    def source(self) -> DagNode:
-        return self.nodes[0]
-
-    @property
-    def sink(self) -> DagNode:
-        return self.nodes[-1]
-
 
 class _Ctx:
     """Precomputed intersection ranges over the dummy-extended index line.
@@ -317,8 +309,8 @@ def enumerate_nodes(
     x that passes (3) (``_tail_bound``).  The total variant's head cap is
     ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
     passes both.  The plan keeps the answers as ``flags`` (see ``_Plan``);
-    the naive engine and ``eligible_tail_bigs`` run the literal checks
-    instead.
+    the naive engine runs the literal checks instead, as does
+    ``eligible_tail_bigs``.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
@@ -523,6 +515,8 @@ def eligible_tail_bigs(
 
     Membership depends only on the node itself, which is what lets the fast
     engine treat one member of a suffix class as a representative for all.
+    No engine or diagnostic calls it (they read bit 1 of ``_Plan.flags``);
+    it is kept for ``perfbench/run.py``'s breakdown and its tests.
     """
     ctx = _Ctx(model, k, variant)
     return frozenset(
@@ -574,7 +568,7 @@ class _Plan:
     lexicographic order, so they are a topological order and sort the nodes
     by ``lo``.  Both engines search these lists and hand ``solution`` the id
     path they find, which builds a ``DagNode`` only for the nodes on it;
-    ``nodes`` builds every one, for ``digraph`` and the diagnostics.
+    ``nodes`` builds every one, for ``digraph`` and ``enumerate_nodes``.
     ``flags`` is a ``bytearray``: ``flags[i]`` holds big node i's window
     conditions, decided by the enumeration's caps and tail bounds: bit 0
     is condition (4), it can head a jump arc, and bit 1 is condition (3),

@@ -83,14 +83,13 @@ def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
                             f"({s.engine}, seed={seed}, case={i})"
                         )
                         return False
-        if n <= 10:
-            for variant in (VARIANT_KDOM, VARIANT_TOTAL):
-                checks += 1
-                if not representative_independence_check(model, k, variant):
-                    log(
-                        f"selftest: FAIL representative independence "
-                        f"seed={seed} case={i} variant={variant}"
-                    )
-                    return False
+        for variant in (VARIANT_KDOM, VARIANT_TOTAL):
+            checks += 1
+            if not representative_independence_check(model, k, variant):
+                log(
+                    f"selftest: FAIL representative independence "
+                    f"seed={seed} case={i} variant={variant}"
+                )
+                return False
     log(f"selftest: PASS ({checks} checks)")
     return True

@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pikdom
 from pikdom import cli
@@ -52,3 +54,22 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and (node.level or node.module.startswith("pikdom"))
     ]
     assert private == []
+
+
+def test_benchmark_names_resolve_on_the_package():
+    # perfbench/run.py drives the package as ``pk`` (``pikdom`` from src/);
+    # every ``pk.<name>`` chain it reads must stay, including the functions
+    # only its breakdown calls (suffix_partition, eligible_tail_bigs,
+    # topo_order).
+    text = (Path(__file__).parents[1] / "perfbench" / "run.py").read_text()
+    chains = set(re.findall(r"\bpk\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", text))
+    assert {"suffix_partition", "eligible_tail_bigs", "topo_order", "cli.main"} <= chains
+    missing = []
+    for chain in sorted(chains):
+        obj = pikdom
+        for name in chain.split("."):
+            if not hasattr(obj, name):
+                missing.append(chain)
+                break
+            obj = getattr(obj, name)
+    assert missing == []

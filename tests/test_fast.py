@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import pikdom.fast as fast_module
 import pikdom.reduction as reduction_module
-from pikdom.errors import TooLargeError
 from pikdom.fast import (
     SuffixClass,
     _clears,
@@ -698,11 +697,38 @@ def test_representative_independence_random():
                 assert representative_independence_check(m, k, variant)
 
 
-def test_representative_independence_cap():
-    m = generate_random(13, 1, 3)
-    with pytest.raises(TooLargeError):
-        representative_independence_check(m, 1, "total")
-    assert representative_independence_check(m, 1, "total", cap=13)
+@pytest.mark.parametrize(
+    "k, ns", [(1, (30, 200)), (2, (20, 60)), (3, (12, 20))], ids=["k1", "k2", "k3"]
+)
+def test_representative_independence_mid_scale(k, ns):
+    # Past brute force's range: the check reads the plan's classes and
+    # arcs, so it takes no size cap of its own.
+    for n in ns:
+        for stretch in (3, Fraction(11, 2), 8):
+            m = generate_random(n, n + k, stretch)
+            for variant in ("kdom", "total"):
+                assert representative_independence_check(m, k, variant), (n, stretch, variant)
+
+
+def test_representative_independence_sees_planted_dependence(monkeypatch):
+    # A gap cover that reads a tail's first index, which no suffix class
+    # shares, must split some class's successors.
+    real = reduction_module._gap_covered
+
+    def planted(ctx, tail, heads):
+        if tail[0] % 2 == 0 and len(tail) > ctx.k:
+            return list(heads)
+        return real(ctx, tail, heads)
+
+    monkeypatch.setattr(reduction_module, "_gap_covered", planted)
+    verdicts = [
+        representative_independence_check(generate_random(n, n, stretch), k, variant)
+        for n in (6, 8, 10)
+        for stretch in (3, 5)
+        for k in (1, 2)
+        for variant in ("kdom", "total")
+    ]
+    assert not all(verdicts)
 
 
 def test_fast_deterministic():

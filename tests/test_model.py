@@ -18,6 +18,7 @@ from pikdom.errors import (
 from pikdom.model import (
     DerivedGraph,
     Interval,
+    ProperIntervalModel,
     build_model,
     derive_graph,
     format_rational,
@@ -304,6 +305,18 @@ def test_validation_decides_tied_keys_on_the_fraction():
     assert (m.reach_l, m.reach_r) == ((0, 0), (1, 1))
 
 
+def test_model_sorts_its_rows_and_carries_costs_and_ids():
+    rows = [Interval(Fraction(2), Fraction(4)), Interval(Fraction(0), Fraction(3))]
+    costs = (Fraction(5), Fraction(1, 2))
+    m = ProperIntervalModel(tuple(rows), costs)
+    assert [iv.left for iv in m.intervals] == [0, 2]
+    assert m.costs == (Fraction(1, 2), Fraction(5))
+    assert m.original_ids == (2, 1)
+    assert m == build_model(rows, costs)
+    with pytest.raises(ParamError):
+        ProperIntervalModel(tuple(rows), costs[:1])
+
+
 # -------------------------------------------------------------- min_degree
 
 def test_min_degree():
@@ -426,5 +439,5 @@ def test_reading_a_built_model_keys_no_endpoint(monkeypatch):
             fast = solve_fast(model, k, variant, model.weighted)
             assert solve_naive(model, k, variant, model.weighted).cost == fast.cost
     assert calls == []
-    parse_model(text)  # building a model does key its endpoints
-    assert len(calls) >= 4 * 30
+    parse_model(text)  # building a model keys each endpoint once
+    assert len(calls) == 2 * 30

@@ -321,10 +321,11 @@ def _reference_nodes(ctx, counts):
 
 
 def test_plan_flags_match_literal_checks():
-    # The plan decides conditions (4) and (3) once per parent chain
-    # (_chain_bounds); flags[i] must be what the literal checks give big node
-    # i, (4) in bit 0 and (3) in bit 1, and 0 for every other node.  The
-    # dense stretch is capped in n at k >= 3 to keep the run short.
+    # The plan decides condition (4) once per chain of k members (_caps)
+    # and (3) once per chain of 2k-1 (_tail_bound); flags[i] must be what the
+    # literal checks give big node i, (4) in bit 0 and (3) in bit 1, and 0
+    # for every other node.  The dense stretch is capped in n at k >= 3 to
+    # keep the run short.
     counts = collections.Counter()
     for n in range(1, 40):
         for seed in range(3):
