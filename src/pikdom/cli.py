@@ -26,7 +26,7 @@ from .model import (
     parse_rational,
     serialize_model,
 )
-from .oracle import VertexSet, brute_force_min, find_violation
+from .oracle import BRUTE_CAP_DEFAULT, VertexSet, brute_force_min, find_violation
 from .reduction import (
     DEFAULT_NODE_CAP,
     build_digraph,
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--dump-dag", metavar="PATH", default=None)
     p_solve.add_argument("--stats", action="store_true")
     p_solve.add_argument("--cap-nodes", type=_cap_arg, default=DEFAULT_NODE_CAP)
-    p_solve.add_argument("--cap-brute", type=_cap_arg, default=20)
+    p_solve.add_argument("--cap-brute", type=_cap_arg, default=BRUTE_CAP_DEFAULT)
 
     p_verify = sub.add_parser("verify", help="check a candidate set file")
     p_verify.set_defaults(run=cmd_verify)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--stretch", type=_rational_arg, default="3")
     p_bench.add_argument("--cap-nodes", type=_cap_arg, default=DEFAULT_NODE_CAP)
-    p_bench.add_argument("--cap-brute", type=_cap_arg, default=20)
+    p_bench.add_argument("--cap-brute", type=_cap_arg, default=BRUTE_CAP_DEFAULT)
 
     p_self = sub.add_parser("selftest", help="run the built-in agreement suite")
     p_self.set_defaults(run=cmd_selftest)

@@ -6,8 +6,9 @@ arcs between internal nodes.  Whether ``(t, s)`` is a jump arc depends on
 both shared by every member of a suffix class.  So the DP keeps one running
 minimum per class and probes each class once instead of every potential
 tail.  A class is one entry ``[least dist, first id with it, key]``; a
-small node, or a big node that passes (3), joins its class's entry with a
-strict ``<`` as soon as its ``dist`` is final.
+node whose role byte has the tail bit (a small node, the source, or a big
+node that passes (3)) joins its class's entry with a strict ``<`` as soon
+as its ``dist`` is final.
 
 The head side mirrors this.  The test reads the head ``s`` only through
 ``s.lo``, condition (4), and how many members of ``s`` each gap vertex
@@ -56,11 +57,13 @@ with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
 and a probe is ``O(k)`` integer compares.  The naive engine keeps the
 literal test, so the differential tests check this derivation.
 
-The dummy source and sink take the same probe.  The source is a class of
-its own, key ``(0,)`` at ``hi`` 0, and the sink is the sweep's last head.
-Neither meets a gap vertex: the source clears only an empty floor tuple,
-which is the literal test's "the head alone covers the gap", and the
-sink's floors ask everything of the tail.
+The dummy source and sink take the same probe.  The source's role byte
+has the tail bit alone, so it joins its class, key ``(0,)`` at ``hi`` 0,
+as every tail does, and no other node ends at 0; the sink's has the head
+bit alone, and it is the sweep's last head.  Neither meets a gap vertex:
+the source clears only an empty floor tuple, which is the literal test's
+"the head alone covers the gap", and the sink's floors ask everything of
+the tail.
 
 Slide (E1) arcs are shared the same way, by slide class.  A slide arc
 ``t -> s`` exists iff both are big and ``t.seq[1:] == s.seq[:-1]``, so every
@@ -90,15 +93,21 @@ and the first slide tail in id order, which the slide class keeps; none of
 these depends on the sweep order, so the chosen path does not either.
 
 The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
-kind, flags and jump charge, and each position's cost.  The naive engine
+role byte and jump charge, and each position's cost.  The naive engine
 searches the same plan from ``reduction.engine_plan``; the two engines
-differ only in the search.  A big node's answers to (4) and (3) are bits 0
-and 1 of its flags, which the enumeration decides where each range is
-fixed: (4) once per chain of k members (``reduction._caps``) and (3) once
-per chain of 2k-1 (``reduction._tail_bound``), so the sweep runs no window
-check; the naive engine runs the literal checks, so the differential tests
-check the flags.  The middle check is decided once per chain of k+1
-members (``reduction._caps``), so the plan holds only big nodes that pass it.
+differ only in the search.  The role byte (``_Plan``) is all the sweep
+asks of a node, and it compares no kind: a node probes as a head iff it
+has the head bit, joins its suffix class iff it has the tail bit, and
+takes part in slide classes iff it has the big bit.  A big node's head and
+tail bits are its answers to (4) and (3), which the enumeration decides
+where each range is fixed: (4) once per chain of k members
+(``reduction._caps``) and (3) once per chain of 2k-1
+(``reduction._tail_bound``), so the sweep runs no window check; the naive
+engine reads only the big bit and runs the literal checks, so the
+differential tests check the other two.  The stats' node counts (small
+nodes, big nodes, tail-eligible big nodes) are counts of role bytes.  The
+middle check is decided once per chain of k+1 members (``reduction._caps``),
+so the plan holds only big nodes that pass it.
 Prefix and suffix keys and slide overlaps come from the sequence.  The
 sweep keeps the best path into each node and the node before it on that
 path in two lists by node id, besides the class entries above.
@@ -120,10 +129,13 @@ from .reduction import (
     DagNode,
     KIND_BIG,
     KIND_SMALL,
+    _BIG,
     _Ctx,
     _e0_window,
+    _HEAD,
     _hits,
     _Plan,
+    _TAIL,
     engine_plan,
 )
 
@@ -254,39 +266,35 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
     """The DP over ``plan``: by node id, the least path length from the
     source in the plan's units and the node before it on that path (``None``
     when unreachable), and the solve's stats."""
-    ctx, seqs, kinds, flags = plan.ctx, plan.seqs, plan.kinds, plan.flags
+    ctx, seqs, roles = plan.ctx, plan.seqs, plan.roles
     jump, units, k = plan.jump, plan.units, ctx.k
     dist: list[int | None] = [None] * len(seqs)
     pred: list[int | None] = [None] * len(seqs)
     dist[0] = 0
     # Suffix classes by the hi their members share (one dict per position
     # 0..n+1, as in units), then by key: [least dist, first id with it,
-    # key].  The source is a class of its own with key (0,), first in key
-    # order.  Its one member, at position 0, meets no gap vertex, so it
-    # clears only an empty floor tuple: the head alone covers the gap.
+    # key].  The source joins its class (0,) at hi 0 as every tail does.
     by_hi: list[dict[tuple[int, ...], list]] = [{} for _ in units]
-    by_hi[0][(0,)] = [0, 0, (0,)]
     # The last prefix class probed, a head's first k indices, and the entry
-    # of the best class with a jump arc into each of its heads that passes
-    # (4), or None when no class has one.  A prefix class is a run of ids,
-    # so one probe serves the whole run.
+    # of the best class with a jump arc into each of its heads, or None when
+    # no class has one.  A prefix class is a run of ids, so one probe serves
+    # the whole run.
     prefix = hit = None
     prefix_classes = 0
     # Slide classes: by the last 2k-1 indices of big tails, [least dist,
     # first id with it, tail count].  Each head with those first 2k-1
     # indices has a slide arc from every such tail, all finalized before it.
     slide_best: dict[tuple[int, ...], list] = {}
-    smalls = eligible = repr_tests = e1_arcs = 0
+    repr_tests = e1_arcs = 0
 
     # ids are a topological order, the source first and the sink last
-    for i in range(1, len(seqs)):
-        seq, kind = seqs[i], kinds[i]
-        big = kind == KIND_BIG
+    for i, seq in enumerate(seqs):
+        role = roles[i]
         # d and p: the best path into node i and the node before it on that
-        # path; first over jump arcs only, then over slides too.
-        if big and not flags[i] & 1:
-            d = p = None
-        else:
+        # path; first over jump arcs only, then over slides too.  Only the
+        # source starts with a path, of length 0.
+        d, p = dist[i], None
+        if role & _HEAD:
             if seq[:k] != prefix:
                 # Every class in the window ends before seq[0], so all its
                 # members have lower ids and have joined it.
@@ -303,9 +311,9 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                             hit is None or (best, key) < (hit[0], hit[2])
                         ):
                             hit = entry
-            d = None if hit is None else hit[0] + jump[i]
-            p = None if hit is None else hit[1]
-        if big:
+            if hit is not None:
+                d, p = hit[0] + jump[i], hit[1]
+        if role & _BIG:
             tails = slide_best.get(seq[:-1])
             if tails is not None:
                 e1_arcs += tails[2]
@@ -323,22 +331,19 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         pred[i] = p
         # Fold this node into its suffix class if it can be a jump arc's
         # tail; members come in id order, so equal costs keep the first id.
-        if kind == KIND_SMALL:
-            smalls += 1
-        elif flags[i] & 2:
-            eligible += 1
-        else:
-            continue
-        key = suffix_key(seq, k)
-        entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
-        if d is not None and (entry[0] is None or d < entry[0]):
-            entry[0], entry[1] = d, i
+        if role & _TAIL:
+            key = suffix_key(seq, k)
+            entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
+            if d is not None and (entry[0] is None or d < entry[0]):
+                entry[0], entry[1] = d, i
 
+    smalls = roles.count(_HEAD | _TAIL)
+    tail_bigs = roles.count(_BIG | _TAIL) + roles.count(_BIG | _HEAD | _TAIL)
     return dist, pred, {
         "nodes": len(seqs),
         "small_nodes": smalls,
         "big_nodes": len(seqs) - 2 - smalls,
-        "tail_eligible_bigs": eligible,
+        "tail_eligible_bigs": tail_bigs,
         "suffix_classes": sum(map(len, by_hi)) - 1,  # not the source's class
         "prefix_classes": prefix_classes,
         "representative_tests": repr_tests,
@@ -358,12 +363,13 @@ def representative_independence_check(
     the DP's shared probes rely on.
 
     It reads the plan both engines search (``_Plan``): the classes come
-    from its sequences, kinds and flags, as ``_sweep`` forms them, and the
+    from its sequences and role bytes, as ``_sweep`` forms them, and the
     arcs from ``_Plan.arcs``, which the naive engine searches and which
-    runs the literal window checks and gap cover.
+    runs the literal window checks and gap cover.  The source and the sink
+    each form classes of their own, which hold trivially.
     """
     plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
-    seqs, kinds, flags = plan.seqs, plan.kinds, plan.flags
+    seqs = plan.seqs
     succ: list[set[int]] = [set() for _ in seqs]
     pred: list[set[int]] = [set() for _ in seqs]
     for tail, head, cls, _ in plan.arcs():
@@ -372,10 +378,9 @@ def representative_independence_check(
             pred[head].add(tail)
     tails: dict[tuple[int, ...], list[set[int]]] = {}
     heads: dict[tuple, list[set[int]]] = {}
-    for i in range(1, len(seqs) - 1):
-        seq, big = seqs[i], kinds[i] == KIND_BIG
-        if not big or flags[i] & 2:
-            tails.setdefault(suffix_key(seq, k), []).append(succ[i])
-        heads.setdefault((seq[:k], not big or bool(flags[i] & 1)), []).append(pred[i])
+    for seq, role, out, into in zip(seqs, plan.roles, succ, pred):
+        if role & _TAIL:
+            tails.setdefault(suffix_key(seq, k), []).append(out)
+        heads.setdefault((seq[:k], role & _HEAD), []).append(into)
     groups = [*tails.values(), *heads.values()]
     return all(all(s == group[0] for s in group) for group in groups)

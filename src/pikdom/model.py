@@ -27,6 +27,7 @@ endpoints again.
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 from dataclasses import dataclass, field
@@ -167,8 +168,8 @@ class ProperIntervalModel:
         if sorted(ids) != list(range(1, n + 1)):
             raise ParamError("original_ids must be a permutation of 1..n")
         costs = self.costs
-        if costs is not None and len(costs) != n:
-            raise ParamError("costs length must equal interval count")
+        if costs is not None:
+            _check_costs(costs, n)
         # Sort the rows by their endpoint keys, carrying costs and ids along.
         keys = [(_key(iv.left), _key(iv.right)) for iv in self.intervals]
         order = sorted(range(n), key=keys.__getitem__)
@@ -189,9 +190,6 @@ class ProperIntervalModel:
                 raise NotProperError(
                     f"containment between [{a.left}, {a.right}] and [{b.left}, {b.right}]"
                 )
-        for c in costs or ():
-            if c.numerator < 0:
-                raise NegativeCostError(f"negative cost {c}")
         reach_l = list(range(n))  # a position no earlier walk reaches
         reach_r = [0] * n
         hi = 0
@@ -225,6 +223,15 @@ class ProperIntervalModel:
         for pos, oid in enumerate(self.original_ids):
             out[oid - 1] = self.costs[pos]
         return tuple(out)
+
+
+def _check_costs(costs: tuple[Fraction, ...], n: int) -> None:
+    """Refuse per-vertex costs that are not n non-negative rationals."""
+    if len(costs) != n:
+        raise ParamError("costs length must equal interval count")
+    for c in costs:
+        if c.numerator < 0:
+            raise NegativeCostError(f"negative cost {c}")
 
 
 def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel:
@@ -375,7 +382,13 @@ def generate_random(n: int, seed: int, stretch) -> ProperIntervalModel:
 
 
 def with_costs(model: ProperIntervalModel, costs) -> ProperIntervalModel:
-    """Copy of the model with per-vertex costs (aligned to sorted order)."""
-    return ProperIntervalModel(
-        model.intervals, tuple(Fraction(c) for c in costs), model.original_ids
-    )
+    """Copy of the model with per-vertex costs (aligned to sorted order).
+
+    The model is already sorted and validated, so only the costs are
+    checked; the copy keeps its intervals, ids and reach arrays as they are.
+    """
+    costs = tuple(Fraction(c) for c in costs)
+    _check_costs(costs, model.n)
+    out = copy.copy(model)
+    object.__setattr__(out, "costs", costs)
+    return out

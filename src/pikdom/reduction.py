@@ -28,8 +28,8 @@ node appends every last index within its cap at once, and a chain whose
 small check fails at a position no later member can meet checks no small
 node in its subtree.  The head and tail conditions are decided the same
 way where their ranges are fixed, the head at k members and the tail at
-2k-1, so each big node's answers are kept as flags and the fast engine
-runs neither check.
+2k-1, so each big node's answers are kept in its role byte and the fast
+engine runs neither check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
 per-id lists, integer arc charges) from ``engine_plan``, which first
@@ -50,6 +50,7 @@ engine's derivation of both.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -69,6 +70,11 @@ KIND_SOURCE = "source"
 KIND_SINK = "sink"
 KIND_SMALL = "small"
 KIND_BIG = "big"
+
+# The bits of a node's role byte (see ``_Plan``), and its kind by that byte:
+# the sink is 1, the source 2, a small node 3 and a big node 4..7.
+_HEAD, _TAIL, _BIG = 1, 2, 4
+_KIND_OF_ROLE = (None, KIND_SINK, KIND_SOURCE, KIND_SMALL, *(KIND_BIG,) * 4)
 
 ARC_E0 = "E0"
 ARC_E1 = "E1"
@@ -308,20 +314,18 @@ def enumerate_nodes(
     whose big nodes are still built.  A chain of 2k-1 bounds the last index
     x that passes (3) (``_tail_bound``).  The total variant's head cap is
     ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
-    passes both.  The plan keeps the answers as ``flags`` (see ``_Plan``);
-    the naive engine runs the literal checks instead, as does
+    passes both.  The plan keeps the answers in each node's role byte (see
+    ``_Plan``); the naive engine runs the literal checks instead, as does
     ``eligible_tail_bigs``.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
-def _enumerate_with_ctx(
-    ctx: _Ctx,
-) -> tuple[list[tuple[int, ...]], list[str], bytearray]:
-    """The enumeration indexed by node id: each node's sequence and kind as
-    lists, and its flags as a ``bytearray`` (``_Plan`` describes them).
-    The source ``(0,)`` comes first and the sink ``(n+1,)`` last; no
-    ``DagNode`` is built (``_Plan.nodes`` builds them)."""
+def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
+    """The enumeration indexed by node id: each node's sequence as a list,
+    and its role as a ``bytearray`` (``_Plan`` describes them).  The source
+    ``(0,)`` comes first and the sink ``(n+1,)`` last; no ``DagNode`` is
+    built (``_Plan.nodes`` builds them)."""
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
@@ -330,8 +334,7 @@ def _enumerate_with_ctx(
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
     seqs: list[tuple[int, ...]] = [(0,)]
-    kinds: list[str] = [KIND_SOURCE]
-    flags = bytearray(1)
+    roles = bytearray((_TAIL,))  # the source's
 
     def grow(
         seq: list[int],
@@ -353,8 +356,7 @@ def _enumerate_with_ctx(
             clean = last + 1 if m is None else m
             if m is None:
                 seqs.append(t)
-                kinds.append(KIND_SMALL)
-                flags.append(0)
+                roles.append(_HEAD | _TAIL)
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -389,11 +391,10 @@ def _enumerate_with_ctx(
         tail = _tail_bound(ctx, t, clean)
         nexts = range(last + 1, top + 1)
         seqs.extend([t + (nxt,) for nxt in nexts])
-        kinds.extend([KIND_BIG] * len(nexts))
         if head >= top and tail >= top:
-            flags.extend([3] * len(nexts))
+            roles.extend([_BIG | _HEAD | _TAIL] * len(nexts))
         else:
-            flags.extend([(x <= head) | (x <= tail) << 1 for x in nexts])
+            roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in nexts])
 
     # No chain has more than n members, so n + 1 caps cover every member a
     # chain reads; capping there keeps a huge k from building a huge tuple.
@@ -402,9 +403,8 @@ def _enumerate_with_ctx(
         grow([start], True, start, no_caps, no_caps)
 
     seqs.append((n + 1,))
-    kinds.append(KIND_SINK)
-    flags.append(0)
-    return seqs, kinds, flags
+    roles.append(_HEAD)
+    return seqs, roles
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -515,7 +515,7 @@ def eligible_tail_bigs(
 
     Membership depends only on the node itself, which is what lets the fast
     engine treat one member of a suffix class as a representative for all.
-    No engine or diagnostic calls it (they read bit 1 of ``_Plan.flags``);
+    No engine or diagnostic calls it (they read bit 1 of ``_Plan.roles``);
     it is kept for ``perfbench/run.py``'s breakdown and its tests.
     """
     ctx = _Ctx(model, k, variant)
@@ -563,16 +563,22 @@ class _Plan:
     """What both DAG engines search, built once per solve: the context, the
     budget check (the only one), the nodes and the arc charges.
 
-    The enumeration is kept as per-id lists: ``seqs[i]`` and ``kinds[i]``
-    are node i's sequence and kind (``_enumerate_with_ctx``).  Ids follow
-    lexicographic order, so they are a topological order and sort the nodes
-    by ``lo``.  Both engines search these lists and hand ``solution`` the id
-    path they find, which builds a ``DagNode`` only for the nodes on it;
-    ``nodes`` builds every one, for ``digraph`` and ``enumerate_nodes``.
-    ``flags`` is a ``bytearray``: ``flags[i]`` holds big node i's window
-    conditions, decided by the enumeration's caps and tail bounds: bit 0
-    is condition (4), it can head a jump arc, and bit 1 is condition (3),
-    it can be a jump arc's tail.  Every other node's flags are 0.
+    The enumeration is kept per id (``_enumerate_with_ctx``): ``seqs[i]``
+    is node i's sequence and ``roles[i]``, one byte of a ``bytearray``, is
+    what node i can be in the search.  Bit 0 (``_HEAD``) says it can head a
+    jump arc: every small node, the sink, and a big node that passes
+    condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's tail:
+    every small node, the source, and a big node that passes condition (3).
+    Bit 2 (``_BIG``) says it is big, so it takes part in slide arcs.  So the
+    sink's byte is 1, the source's 2 and a small node's 3, and a big node's
+    bits 0 and 1 are its window conditions, decided by the enumeration's
+    caps and tail bounds.  Kind strings are built only where a ``DagNode``
+    is (``_KIND_OF_ROLE``).  Ids follow lexicographic order, so they are a
+    topological order and sort the nodes by ``lo``.  Both engines search
+    these lists and hand ``solution`` the id path they find, which builds a
+    ``DagNode`` only for the nodes on it; ``nodes`` builds every one, for
+    ``digraph`` and ``enumerate_nodes``.  The naive engine reads only bit 2
+    and runs the literal window checks.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators (1 when unweighted), a cost ``c`` is
@@ -585,8 +591,8 @@ class _Plan:
     """
 
     __slots__ = (
-        "ctx", "model", "weighted", "seqs", "kinds", "flags", "scale", "units",
-        "jump", "_arcs",
+        "ctx", "model", "weighted", "seqs", "roles", "scale", "units", "jump",
+        "_arcs",
     )
 
     def __init__(
@@ -601,7 +607,14 @@ class _Plan:
             )
         self.model = model
         self.weighted = weighted
-        self.seqs, self.kinds, self.flags = _enumerate_with_ctx(ctx)
+        try:
+            self.seqs, self.roles = _enumerate_with_ctx(ctx)
+        except RecursionError:
+            # grow recurses once per member of a chain, up to 2k-1 deep.
+            raise BudgetError(
+                f"a chain is deeper than the recursion limit "
+                f"{sys.getrecursionlimit()} allows (n={ctx.n}, k={k}, variant={variant})"
+            ) from None
         if weighted:
             costs = model.costs if model.costs is not None else (1,) * model.n
             scale = self.scale = lcm(*(c.denominator for c in costs))
@@ -618,7 +631,8 @@ class _Plan:
     @property
     def nodes(self) -> list[DagNode]:
         """Every node as a ``DagNode``, by id."""
-        return list(map(DagNode, range(len(self.seqs)), self.kinds, self.seqs))
+        kinds = map(_KIND_OF_ROLE.__getitem__, self.roles)
+        return list(map(DagNode, range(len(self.seqs)), kinds, self.seqs))
 
     def digraph(self) -> DerivedDigraph:
         """Every node and arc, with exact rational arc lengths."""
@@ -637,7 +651,8 @@ class _Plan:
         """The feasible answer for a source-to-sink path given by node ids,
         of ``length`` in the plan's units, and the path as ``DagNode``s:
         the only ones a search builds."""
-        node_path = [DagNode(i, self.kinds[i], self.seqs[i]) for i in path]
+        seqs, roles = self.seqs, self.roles
+        node_path = [DagNode(i, _KIND_OF_ROLE[roles[i]], seqs[i]) for i in path]
         vset = path_to_vertex_set(node_path, self.model)
         cost = Fraction(length, self.scale)
         return Solution(vset, cost, True, engine, stats), node_path
@@ -660,9 +675,9 @@ class _Plan:
         return self._arcs
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
-        ctx, seqs, kinds, units = self.ctx, self.seqs, self.kinds, self.units
+        ctx, seqs, roles, units = self.ctx, self.seqs, self.roles, self.units
         # Slide arcs: a tail's last 2k-1 indices are its head's first 2k-1.
-        bigs = [i for i, kind in enumerate(kinds) if kind == KIND_BIG]
+        bigs = [i for i, role in enumerate(roles) if role & _BIG]
         tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
         for i in bigs:
             tails_by_overlap.setdefault(seqs[i][1:], []).append(i)
@@ -677,13 +692,13 @@ class _Plan:
         # source, and condition (4) once per node.
         by_lo = [
             (i, seqs[i]) for i in range(1, len(seqs))
-            if kinds[i] != KIND_BIG or _head_ok(ctx, seqs[i])
+            if not roles[i] & _BIG or _head_ok(ctx, seqs[i])
         ]
         los = [seq[0] for _, seq in by_lo]
         for tail in range(len(seqs) - 1):
             # Tails: never the sink, and condition (3) once per node.
             seq = seqs[tail]
-            if kinds[tail] == KIND_BIG and not _tail_ok(ctx, seq):
+            if roles[tail] & _BIG and not _tail_ok(ctx, seq):
                 continue
             # A head's lo lies past the tail's reach, and no further than the
             # reach of the first position past it, or that position would be

@@ -34,7 +34,7 @@ def _case_stream(quick: bool):
         yield i, n, k, stretch
 
 
-def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
+def run_selftest(seed: int = 0, quick: bool = False) -> bool:
     checks = 0
     for i, n, k, stretch in _case_stream(quick):
         model = generate_random(n, seed * 100003 + i, stretch)
@@ -57,20 +57,20 @@ def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
                 feas = {s.feasible for s in sols}
                 costs = {s.cost for s in sols}
                 if len(feas) != 1 or (sols[0].feasible and len(costs) != 1):
-                    log(f"selftest: FAIL engine disagreement seed={seed} case={i}")
-                    log(f"  n={n} k={k} variant={variant} weighted={weighted}")
+                    print(f"selftest: FAIL engine disagreement seed={seed} case={i}")
+                    print(f"  n={n} k={k} variant={variant} weighted={weighted}")
                     for s in sols:
-                        log(f"  {s.engine}: feasible={s.feasible} cost={s.cost}")
-                    log("  instance:")
+                        print(f"  {s.engine}: feasible={s.feasible} cost={s.cost}")
+                    print("  instance:")
                     for line in serialize_model(m).splitlines():
-                        log("    " + line)
+                        print("    " + line)
                     return False
                 for s in sols:
                     if not s.feasible:
                         continue
                     bad = find_violation(graph, s.vertices, k, variant)
                     if bad is not None:
-                        log(
+                        print(
                             f"selftest: FAIL invalid set from {s.engine} "
                             f"seed={seed} case={i} witness={bad}"
                         )
@@ -78,7 +78,7 @@ def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
                     if variant == VARIANT_TOTAL and not check_lemma_components(
                         graph, s.vertices, k
                     ):
-                        log(
+                        print(
                             f"selftest: FAIL small component in total solution "
                             f"({s.engine}, seed={seed}, case={i})"
                         )
@@ -86,10 +86,10 @@ def run_selftest(seed: int = 0, quick: bool = False, log=print) -> bool:
         for variant in (VARIANT_KDOM, VARIANT_TOTAL):
             checks += 1
             if not representative_independence_check(model, k, variant):
-                log(
+                print(
                     f"selftest: FAIL representative independence "
                     f"seed={seed} case={i} variant={variant}"
                 )
                 return False
-    log(f"selftest: PASS ({checks} checks)")
+    print(f"selftest: PASS ({checks} checks)")
     return True

@@ -177,6 +177,19 @@ def test_solve_budget_exit_1(capsys, tmp_path):
     assert "E_BUDGET" in err
 
 
+def test_solve_deep_chain_exit_1(capsys, tmp_path):
+    # k=600 over 1,100 intervals that each meet the next: the enumeration's
+    # chains run deeper than the recursion limit, which the lifted cap no
+    # longer hides, and the solve ends in one coded line, not a traceback.
+    inst = tmp_path / "p.txt"
+    assert run(capsys, "gen", "--n", "1100", "--seed", "1", "--stretch", "4",
+               "--out", str(inst))[0] == 0
+    code, out, err = run(capsys, "solve", str(inst), "--variant", "kdom", "--k", "600",
+                         "--cap-nodes", "1" + "0" * 1000)
+    assert code == 1 and out == ""
+    assert err.startswith("error[E_BUDGET]: ") and err.count("\n") == 1, err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/x.txt", "--variant", "total", "--k", "1")
     assert code == 1

@@ -214,7 +214,7 @@ def test_fast_agrees_with_brute_at_k4():
 
 
 def test_sweep_runs_no_literal_window_check(monkeypatch):
-    # The sweep reads conditions (3) and (4) from the plan's flags; the
+    # The sweep reads conditions (3) and (4) from the plan's role bytes; the
     # window checks run while the plan is built, never during the search.
     assert not hasattr(fast_module, "_head_ok")
     assert not hasattr(fast_module, "_tail_ok")
@@ -224,7 +224,8 @@ def test_sweep_runs_no_literal_window_check(monkeypatch):
     monkeypatch.setattr(reduction_module, "_dominated",
                         lambda *args: calls.append(args) or real(*args))
     sol, _ = search_fast(plan)
-    assert sol.feasible and set(plan.flags) == {0, 1, 2, 3}
+    # sink 1, source 2, small 3, and big nodes with every answer to (4), (3)
+    assert sol.feasible and set(plan.roles) == {1, 2, 3, 4, 5, 6, 7}
     assert calls == []
 
 
@@ -261,9 +262,9 @@ def test_prefix_classes_are_id_runs(monkeypatch):
                         # the sweep counts one prefix class per distinct
                         # first k indices among the heads it probes
                         heads = {
-                            seq[:k]
-                            for seq, kind, flag in zip(plan.seqs, plan.kinds, plan.flags)
-                            if kind != KIND_BIG or flag & 1
+                            nd.seq[:k]
+                            for nd, role in zip(plan.nodes, plan.roles)
+                            if nd.kind != KIND_BIG or role & 1
                         }
                         sol, path = search_fast(plan)
                         assert sol.stats["prefix_classes"] == len(heads) - 1  # not the source

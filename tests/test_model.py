@@ -441,3 +441,19 @@ def test_reading_a_built_model_keys_no_endpoint(monkeypatch):
     assert calls == []
     parse_model(text)  # building a model keys each endpoint once
     assert len(calls) == 2 * 30
+    calls.clear()
+    mc = with_costs(m, [Fraction(i % 4, 3) for i in range(30)])  # keys nothing
+    assert calls == []
+    assert (mc.intervals, mc.original_ids) == (m.intervals, m.original_ids)
+    assert (mc.reach_l, mc.reach_r) == (m.reach_l, m.reach_r)
+
+
+def test_with_costs_checks_the_costs():
+    m = generate_random(5, 2, 3)
+    with pytest.raises(ParamError):
+        with_costs(m, [1] * 4)
+    with pytest.raises(NegativeCostError):
+        with_costs(m, [1, 2, -1, 0, 3])
+    assert with_costs(m, [0, "1/2", 2, Fraction(3, 4), 1]).costs == (
+        0, Fraction(1, 2), 2, Fraction(3, 4), 1
+    )

@@ -117,6 +117,19 @@ def test_projected_count_budget():
         build_digraph(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
 
 
+def test_deep_chain_is_a_budget_error():
+    # The enumeration recurses once per member of its longest chain, at
+    # most 2k-1 deep: a chain deeper than the recursion limit allows ends in
+    # BudgetError, not a RecursionError traceback.  A long k over short
+    # chains is solved as before.
+    huge = 10**1000
+    with pytest.raises(BudgetError, match="recursion limit"):
+        _Plan(generate_random(1100, 1, 4), 600, "kdom", False, huge)
+    sparse = generate_random(1100, 1, Fraction(1, 2))  # no two intervals meet
+    sol = solve_fast(sparse, 600, "kdom", cap_nodes=huge)
+    assert sol.feasible and sol.cost == 1100
+
+
 def test_projection_cost_does_not_grow_with_k():
     # Node lengths run up to 2k, but only lengths up to n have sequences.
     for n in range(1, 13):
@@ -282,6 +295,15 @@ def test_window_conditions_match_definitions():
     assert counts["arc"] > 3000 and counts["uncovered"] > 5000, counts
 
 
+def _literal_role(ctx, node):
+    """The role byte ``_Plan`` must give ``node``: sink 1, source 2, small
+    3, and for a big node 4 plus condition (4) in bit 0 and (3) in bit 1,
+    by the literal checks."""
+    if node.kind != "big":
+        return {"sink": 1, "source": 2, "small": 3}[node.kind]
+    return 4 | _head_ok(ctx, node.seq) | _tail_ok(ctx, node.seq) << 1
+
+
 def _reference_nodes(ctx, counts):
     """Every (seq, kind) middle node in enumeration order, from every
     consecutively-intersecting chain of length up to 2k, each one checked
@@ -322,10 +344,9 @@ def _reference_nodes(ctx, counts):
 
 def test_plan_flags_match_literal_checks():
     # The plan decides condition (4) once per chain of k members (_caps)
-    # and (3) once per chain of 2k-1 (_tail_bound); flags[i] must be what the
-    # literal checks give big node i, (4) in bit 0 and (3) in bit 1, and 0
-    # for every other node.  The dense stretch is capped in n at k >= 3 to
-    # keep the run short.
+    # and (3) once per chain of 2k-1 (_tail_bound); roles[i] must be what
+    # the literal checks give node i (_literal_role).  The dense stretch is
+    # capped in n at k >= 3 to keep the run short.
     counts = collections.Counter()
     for n in range(1, 40):
         for seed in range(3):
@@ -337,12 +358,11 @@ def test_plan_flags_match_literal_checks():
                     for variant in ("kdom", "total"):
                         plan = _Plan(m, k, variant, False, 10**18)
                         ctx = plan.ctx
-                        for kind, seq, flag in zip(plan.kinds, plan.seqs, plan.flags):
-                            want = 0
-                            if kind == "big":
-                                want = _head_ok(ctx, seq) | _tail_ok(ctx, seq) << 1
-                                counts[k, variant, want] += 1
-                            assert flag == want, (n, seed, stretch, k, variant, seq)
+                        for nd, role in zip(plan.nodes, plan.roles):
+                            want = _literal_role(ctx, nd)
+                            if nd.kind == "big":
+                                counts[k, variant, want & 3] += 1
+                            assert role == want, (n, seed, stretch, k, variant, nd.seq)
     for k in (3, 4):
         for want in range(4):
             assert counts[k, "kdom", want] > 2000, counts
@@ -371,12 +391,12 @@ def test_enumeration_cuts_lose_no_node():
 
 def test_middle_caps_lose_no_node(monkeypatch):
     # The middle caps (_caps at each chain of k+1 members) against the
-    # uncut enumeration, kinds and order included, with the flags against
-    # the literal checks: at k=5, where the caps have four ranks, and at
-    # k=3 on the denser stretch 6.  Every walk starts at a chain's clean
-    # position, so each position before it must meet as many members of the
-    # chain as it needs; a _caps walk starts at its range's first position
-    # instead when that comes later.
+    # uncut enumeration, kinds and order included, with the role bytes
+    # against the literal checks: at k=5, where the caps have four ranks,
+    # and at k=3 on the denser stretch 6.  Every walk starts at a chain's
+    # clean position, so each position before it must meet as many members
+    # of the chain as it needs; a _caps walk starts at its range's first
+    # position instead when that comes later.
     real = reduction_module._dominated
     counts = collections.Counter()
 
@@ -421,15 +441,15 @@ def test_middle_caps_lose_no_node(monkeypatch):
                         spy(mp, "_tail_bound", tail_bound)
                         plan = _Plan(m, k, variant, False, 10**18)
                     ctx = plan.ctx
-                    got = list(zip(plan.seqs[1:-1], plan.kinds[1:-1]))
+                    nodes = plan.nodes
+                    got = [(nd.seq, nd.kind) for nd in nodes[1:-1]]
                     want = _reference_nodes(ctx, counts)
                     assert got == want, (n, stretch, k, variant)
-                    for kind, seq, flag in zip(plan.kinds, plan.seqs, plan.flags):
-                        want = 0
-                        if kind == "big":
-                            want = _head_ok(ctx, seq) | _tail_ok(ctx, seq) << 1
-                            counts[k, want] += 1
-                        assert flag == want, (n, stretch, k, variant, seq)
+                    for nd, role in zip(nodes, plan.roles):
+                        want = _literal_role(ctx, nd)
+                        if nd.kind == "big":
+                            counts[k, want & 3] += 1
+                        assert role == want, (n, stretch, k, variant, nd.seq)
     assert counts["rejected_k5"] > 5000 and counts["rejected_k3"] > 2000, counts
     assert counts["no_caps"] > 1000 and counts["ranks_4"] > 100, counts
     assert min(counts[k, want] for k in (3, 5) for want in range(4)) > 100, counts
@@ -525,8 +545,9 @@ def test_flat_plan_matches_node_view():
                 nodes = enumerate_nodes(m, k, variant, cap_nodes=10**18)
                 for model, weighted, per_vertex in runs:
                     plan = _Plan(model, k, variant, weighted, 10**18)
-                    flat = [DagNode(i, kind, seq)
-                            for i, (kind, seq) in enumerate(zip(plan.kinds, plan.seqs))]
+                    kinds = [{1: "sink", 2: "source", 3: "small"}.get(role, "big")
+                             for role in plan.roles]
+                    flat = list(map(DagNode, range(len(kinds)), kinds, plan.seqs))
                     assert flat == nodes
                     assert plan.jump == [_jump_length(nd, per_vertex) for nd in nodes]
                     assert plan.nodes == nodes
