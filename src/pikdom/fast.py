@@ -92,8 +92,10 @@ first), the first member of that class in id order, a jump before a slide,
 and the first slide tail in id order, which the slide class keeps; none of
 these depends on the sweep order, so the chosen path does not either.
 
-The sweep (``_sweep``) reads the plan's per-id lists: each node's sequence,
-role byte and jump charge, and each position's cost.  The naive engine
+The sweep (``_sweep``) reads the plan's per-id lists, each node's sequence
+and role byte, and its one cost table, each position's cost in units: a
+head's jump charge is the sum of its positions' costs, added only when some
+class has a jump arc into it.  The naive engine
 searches the same plan from ``reduction.engine_plan``; the two engines
 differ only in the search.  The role byte (``_Plan``) is all the sweep
 asks of a node, and it compares no kind: a node probes as a head iff it
@@ -267,7 +269,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
     source in the plan's units and the node before it on that path (``None``
     when unreachable), and the solve's stats."""
     ctx, seqs, roles = plan.ctx, plan.seqs, plan.roles
-    jump, units, k = plan.jump, plan.units, ctx.k
+    units, k = plan.units, ctx.k
     dist: list[int | None] = [None] * len(seqs)
     pred: list[int | None] = [None] * len(seqs)
     dist[0] = 0
@@ -312,7 +314,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                         ):
                             hit = entry
             if hit is not None:
-                d, p = hit[0] + jump[i], hit[1]
+                d, p = hit[0] + sum(map(units.__getitem__, seq)), hit[1]
         if role & _BIG:
             tails = slide_best.get(seq[:-1])
             if tails is not None:

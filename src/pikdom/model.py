@@ -169,7 +169,7 @@ class ProperIntervalModel:
             raise ParamError("original_ids must be a permutation of 1..n")
         costs = self.costs
         if costs is not None:
-            _check_costs(costs, n)
+            costs = _check_costs(costs, n)
         # Sort the rows by their endpoint keys, carrying costs and ids along.
         keys = [(_key(iv.left), _key(iv.right)) for iv in self.intervals]
         order = sorted(range(n), key=keys.__getitem__)
@@ -225,13 +225,23 @@ class ProperIntervalModel:
         return tuple(out)
 
 
-def _check_costs(costs: tuple[Fraction, ...], n: int) -> None:
-    """Refuse per-vertex costs that are not n non-negative rationals."""
+def _check_costs(costs: tuple, n: int) -> tuple[Fraction, ...]:
+    """The per-vertex costs as ``Fraction``s; refuse any that are not n
+    non-negative rationals.  Only values not already a ``Fraction`` are
+    converted, as ``Interval`` converts its endpoints."""
     if len(costs) != n:
         raise ParamError("costs length must equal interval count")
+    out = []
     for c in costs:
+        if not isinstance(c, Fraction):
+            try:
+                c = Fraction(c)
+            except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+                raise ParamError(f"bad cost {c!r}") from exc
         if c.numerator < 0:
             raise NegativeCostError(f"negative cost {c}")
+        out.append(c)
+    return tuple(out)
 
 
 def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel:
@@ -387,8 +397,7 @@ def with_costs(model: ProperIntervalModel, costs) -> ProperIntervalModel:
     The model is already sorted and validated, so only the costs are
     checked; the copy keeps its intervals, ids and reach arrays as they are.
     """
-    costs = tuple(Fraction(c) for c in costs)
-    _check_costs(costs, model.n)
+    costs = _check_costs(tuple(costs), model.n)
     out = copy.copy(model)
     object.__setattr__(out, "costs", costs)
     return out

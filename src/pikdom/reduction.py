@@ -32,14 +32,14 @@ way where their ranges are fixed, the head at k members and the tail at
 engine runs neither check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
-per-id lists, integer arc charges) from ``engine_plan``, which first
-answers the total variant's min-degree shortcut, and differ only in the
-search: ``search_naive`` materializes every arc and finds the least path in
-two passes over them, ``fast.search_fast`` runs the suffix-class DP.  Both
-hand the plan an id path, and the plan builds a ``DagNode`` only for the
-nodes on it (``_Plan.solution``).  ``enumerate_nodes`` and
-``build_digraph`` read the same plan.  ``naive`` finds
-the jump arcs with the literal test, split by what each part depends on:
+per-id lists, per-position costs in integer units) from ``engine_plan``,
+which first answers the total variant's min-degree shortcut, and differ
+only in the search: ``search_naive`` materializes every arc and finds the
+least path in two passes over them, ``fast.search_fast`` runs the
+suffix-class DP.  Both hand the plan an id path, and the plan builds a
+``DagNode`` only for the nodes on it (``_Plan.solution``).
+``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
+finds the jump arcs with the literal test, split by what each part depends on:
 the tail and head conditions once per node, the gap cover per (tail, head)
 pair, vertex by vertex, against needs computed once per tail
 (``_gap_covered``, which ``_e0_arc`` also calls).  It uses no key
@@ -114,10 +114,6 @@ class DagArc:
 class DerivedDigraph:
     nodes: tuple[DagNode, ...]
     arcs: tuple[DagArc, ...]
-    variant: str
-    k: int
-    weighted: bool
-    n: int
 
 
 class _Ctx:
@@ -369,7 +365,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
         if q == caps_len:
             bounds = _caps(ctx, t, max(t[k - 1], clean), last, k - 1)
             caps = None if bounds is None else caps[:q] + tuple(bounds)
-        top = min(reach_r[last], n)
+        top = reach_r[last]
         cap = last if caps is None else caps[q]  # the next member's
         head = last if heads is None else heads[q]
         if q < parent_len:
@@ -524,28 +520,15 @@ def eligible_tail_bigs(
     )
 
 
-def _jump_length(head: DagNode, costs):
-    """A jump arc pays for every vertex of its head; arcs into the sink are free.
-
-    ``costs`` is a per-vertex sequence (exact rationals or integer units) or
-    None for unit costs; the charge has the costs' number type, ``int`` when
-    unweighted.  The source is never a head; its charge is its length when
-    unweighted and 0 with costs, since its interval has none.
-    """
-    if head.kind == KIND_SINK:
-        return 0
-    if costs is None:
-        return len(head.seq)
-    return sum(costs[i - 1] for i in head.real_seq)
-
-
 def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
     """Length of an arc of the stated class.
 
     Unweighted: a jump arc pays the full head sequence, a slide arc pays 1
     for the single new vertex, and arcs into the sink are free.  Weighted:
     the same shape with per-vertex costs; the slide arc pays the cost of the
-    vertex it appends.
+    vertex it appends.  ``costs`` is a per-vertex sequence (exact rationals
+    or integer units) or None for unit costs.  This is the reference the
+    tests hold ``_Plan.arcs``'s lengths to.
     """
     if cls == ARC_E1:
         k2 = len(s.seq)
@@ -555,13 +538,14 @@ def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
     if cls == ARC_E0:
         if s.kind == KIND_SINK or s2.kind == KIND_SOURCE or not s.hi < s2.lo:
             raise NotArcError("not a jump arc")
-        return Fraction(_jump_length(s2, costs))
+        seq = s2.real_seq  # empty for the sink
+        return Fraction(len(seq) if costs is None else sum(costs[i - 1] for i in seq))
     raise NotArcError(f"unknown arc class {cls!r}")
 
 
 class _Plan:
     """What both DAG engines search, built once per solve: the context, the
-    budget check (the only one), the nodes and the arc charges.
+    budget check (the only one), the nodes and the cost table.
 
     The enumeration is kept per id (``_enumerate_with_ctx``): ``seqs[i]``
     is node i's sequence and ``roles[i]``, one byte of a ``bytearray``, is
@@ -581,19 +565,19 @@ class _Plan:
     and runs the literal window checks.
 
     The searches run in integer units: ``scale`` is the least common
-    multiple of the cost denominators (1 when unweighted), a cost ``c`` is
-    the integer ``c * scale``, and a path length in units divided by
-    ``scale`` is its exact rational length.  ``units[p]`` is the cost of
-    position p in units, 0 at the dummies' positions 0 and n+1, so a slide
-    arc into big node i pays ``units[seqs[i][-1]]``.  ``jump[i]`` is node
-    i's charge as the head of a jump arc, as ``_jump_length`` defines it:
-    the sum of its units, or its length when unweighted, and 0 for the sink.
+    multiple of the cost denominators, a cost ``c`` is the integer ``c *
+    scale``, and a path length in units divided by ``scale`` is its exact
+    rational length.  An unweighted plan, or one whose model has no costs,
+    charges every vertex 1 with ``scale`` 1.  ``units[p]`` is the cost of
+    position p in units, 0 at the dummies' positions 0 and n+1, and it is
+    the plan's one cost table: a slide arc into big node i pays
+    ``units[seqs[i][-1]]``, and a jump arc into node i pays the sum of
+    ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
+    head's jump charge where it reads it: ``arcs`` once per head it lists,
+    ``fast._sweep`` once per head that some class has a jump arc into.
     """
 
-    __slots__ = (
-        "ctx", "model", "weighted", "seqs", "roles", "scale", "units", "jump",
-        "_arcs",
-    )
+    __slots__ = ("ctx", "model", "seqs", "roles", "scale", "units", "_arcs")
 
     def __init__(
         self, model: ProperIntervalModel, k: int, variant: str, weighted: bool,
@@ -606,7 +590,6 @@ class _Plan:
                 f"(n={ctx.n}, k={k}, variant={variant})"
             )
         self.model = model
-        self.weighted = weighted
         try:
             self.seqs, self.roles = _enumerate_with_ctx(ctx)
         except RecursionError:
@@ -615,17 +598,9 @@ class _Plan:
                 f"a chain is deeper than the recursion limit "
                 f"{sys.getrecursionlimit()} allows (n={ctx.n}, k={k}, variant={variant})"
             ) from None
-        if weighted:
-            costs = model.costs if model.costs is not None else (1,) * model.n
-            scale = self.scale = lcm(*(c.denominator for c in costs))
-            units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
-            self.jump = [sum(map(units.__getitem__, seq)) for seq in self.seqs]
-        else:
-            self.scale = 1
-            units = [0, *(1,) * model.n, 0]
-            self.jump = [len(seq) for seq in self.seqs]
-        self.jump[-1] = 0  # arcs into the sink are free
-        self.units = units
+        costs = model.costs if weighted and model.costs is not None else (1,) * model.n
+        scale = self.scale = lcm(*(c.denominator for c in costs))
+        self.units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
         self._arcs: list[tuple[int, int, str, int]] | None = None
 
     @property
@@ -636,14 +611,11 @@ class _Plan:
 
     def digraph(self) -> DerivedDigraph:
         """Every node and arc, with exact rational arc lengths."""
-        ctx = self.ctx
         arcs = tuple(
             DagArc(tail, head, cls, Fraction(length, self.scale))
             for tail, head, cls, length in self.arcs()
         )
-        return DerivedDigraph(
-            tuple(self.nodes), arcs, ctx.variant, ctx.k, self.weighted, ctx.n
-        )
+        return DerivedDigraph(tuple(self.nodes), arcs)
 
     def solution(
         self, path: list[int], length: int, engine: str, stats: dict[str, int]
@@ -688,13 +660,14 @@ class _Plan:
             for tail in tails_by_overlap.get(seq[:-1], ()):
                 arcs.append((tail, head, ARC_E1, length))
 
-        # Jump-arc heads, as (id, seq) in id order and so by lo: never the
-        # source, and condition (4) once per node.
+        # Jump-arc heads, as (id, seq, charge) in id order and so by lo:
+        # never the source, and condition (4) and the charge once per node.
         by_lo = [
-            (i, seqs[i]) for i in range(1, len(seqs))
+            (i, seqs[i], sum(map(units.__getitem__, seqs[i])))
+            for i in range(1, len(seqs))
             if not roles[i] & _BIG or _head_ok(ctx, seqs[i])
         ]
-        los = [seq[0] for _, seq in by_lo]
+        los = [seq[0] for _, seq, _ in by_lo]
         for tail in range(len(seqs) - 1):
             # Tails: never the sink, and condition (3) once per node.
             seq = seqs[tail]
@@ -708,8 +681,8 @@ class _Plan:
             lo_min, lo_max = _e0_window(ctx, tail_hi=seq[-1])
             first = bisect.bisect_left(los, lo_min)
             last = bisect.bisect_right(los, lo_max, first)
-            for head, _ in _gap_covered(ctx, seq, by_lo[first:last]):
-                arcs.append((tail, head, ARC_E0, self.jump[head]))
+            for head, _, charge in _gap_covered(ctx, seq, by_lo[first:last]):
+                arcs.append((tail, head, ARC_E0, charge))
         arcs.sort()
         return arcs
 

@@ -112,3 +112,49 @@ def oracle_min_set(adj, k, variant, costs=None):
             if best is None or cost < best[0]:
                 best = (cost, combo)
     return best
+
+
+def frontier_min_literal(model, k, variant, weighted=False, cap_states=20_000):
+    """Least cost of a k-dominating (``kdom``) or total k-dominating set, or
+    None when there is none, by a left-to-right scan of in/out decisions
+    that checks the definitions verbatim and shares nothing with the DAG.
+
+    Vertices are decided in sorted order.  Before vertex i is decided, the
+    decided vertices that still meet an undecided one are those meeting i:
+    in a proper model they are one block, ``lo .. i-1``.  The state keeps
+    (chosen, chosen neighbours capped at k) for each of them, with the least
+    cost per state.  A vertex is checked when it leaves the block, since all
+    its neighbours are decided by then.  More than ``cap_states`` states at
+    one vertex fail the test rather than run away.
+    """
+    ivs, n = model.intervals, model.n
+    costs = model.costs if weighted and model.costs is not None else (1,) * n
+    total = variant == "total"
+
+    def meets(a, b):
+        return max(ivs[a].left, ivs[b].left) <= min(ivs[a].right, ivs[b].right)
+
+    states = {(): 0}
+    lo = 0  # the block's first vertex
+    for i in range(n):
+        nxt_lo = i + 1
+        if i + 1 < n:
+            nxt_lo = lo
+            while not meets(nxt_lo, i + 1):
+                nxt_lo += 1
+        out = {}
+        for block, cost in states.items():
+            hits = min(sum(chosen for chosen, _ in block), k)
+            for x in (0, 1):
+                grown = [(chosen, min(h + x, k)) for chosen, h in block]
+                grown.append((x, hits))
+                left, kept = grown[:nxt_lo - lo], tuple(grown[nxt_lo - lo:])
+                if any(h < (0 if chosen and not total else k) for chosen, h in left):
+                    continue
+                c = cost + x * costs[i]
+                if kept not in out or c < out[kept]:
+                    out[kept] = c
+        if len(out) > cap_states:
+            pytest.fail(f"more than {cap_states} states at vertex {i + 1}")
+        states, lo = out, nxt_lo
+    return Fraction(states[()]) if states else None

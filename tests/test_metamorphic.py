@@ -11,6 +11,12 @@ Each relation follows from the definitions, whatever the engine:
   every intersection are kept, so the set, cost and stats are identical.
   A tiny ``a`` with a large ``b`` puts many endpoints within one unit of
   ``2**-32``, so ``model._key`` orders them on its ``Fraction`` tie path.
+* Cost scaling by a rational ``c > 0``: every set keeps its feasibility and
+  its cost is multiplied by ``c``, so the optimum is too.  An unweighted
+  model is scaled from unit costs.
+* Monotonicity: a (total) (k+1)-dominating set is (total) k-dominating, and
+  a total k-dominating set is k-dominating, so opt(k) <= opt(k+1) and
+  opt_kdom <= opt_total whenever the right side is feasible.
 """
 
 import random
@@ -79,3 +85,37 @@ def test_mirror_and_affine_relations():
                 runs += 1
                 feasible += base.feasible
     assert runs == 96 * 4 and 100 < feasible < runs, (runs, feasible)
+
+
+SCALES = (Fraction(5, 3), Fraction(1, 7), 4)
+
+
+def test_cost_scaling_and_monotonicity():
+    runs = feasible = deeper = totals = 0
+    for seed, k, m in _cases():
+        unit_costs = m.costs if m.weighted else (1,) * m.n
+        scaled = [with_costs(m, [c * x for x in unit_costs]) for c in SCALES]
+        for solve in (solve_fast, solve_naive):
+            base = {}
+            for variant in ("kdom", "total"):
+                base[variant] = got = solve(m, k, variant, m.weighted)
+                where = _where(seed, k, variant, m, f"scale {solve.__name__}")
+                for c, sm in zip(SCALES, scaled):
+                    sol = solve(sm, k, variant, True)
+                    assert sol.feasible == got.feasible, (c, where)
+                    if got.feasible:
+                        assert sol.cost == c * got.cost, (c, where)
+                more = solve(m, k + 1, variant, m.weighted)
+                where = _where(seed, k, variant, m, f"k+1 {solve.__name__}")
+                if more.feasible:
+                    assert got.feasible and got.cost <= more.cost, where
+                    deeper += 1
+                runs += 1
+                feasible += got.feasible
+            kdom, total = base["kdom"], base["total"]
+            if total.feasible:
+                where = _where(seed, k, "kdom", m, f"kdom<=total {solve.__name__}")
+                assert kdom.feasible and kdom.cost <= total.cost, where
+                totals += 1
+    assert runs == 96 * 4 and 100 < feasible < runs, (runs, feasible)
+    assert deeper > 100 and totals > 20, (deeper, totals)

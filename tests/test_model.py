@@ -457,3 +457,15 @@ def test_with_costs_checks_the_costs():
     assert with_costs(m, [0, "1/2", 2, Fraction(3, 4), 1]).costs == (
         0, Fraction(1, 2), 2, Fraction(3, 4), 1
     )
+    # Values that are not rationals end in a coded error, not a raw exception.
+    for bad in ("abc", None, float("nan"), float("inf"), "1/0", [1]):
+        with pytest.raises(ParamError):
+            with_costs(m, [bad] * m.n)
+        with pytest.raises(ParamError):
+            ProperIntervalModel(m.intervals, (1, bad, 1, 1, 1))
+    # A directly built model takes any rational value as a Fraction.
+    direct = ProperIntervalModel(m.intervals[:3], (1.5, 2, "1/3"))
+    assert direct.costs == (Fraction(3, 2), 2, Fraction(1, 3))
+    assert all(type(c) is Fraction for c in direct.costs)
+    with pytest.raises(NegativeCostError):
+        ProperIntervalModel(m.intervals[:3], (1.5, -2, 3))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pikdom.errors import ParamError, PreconditionError, TooLargeError
-from pikdom.model import derive_graph, generate_random, min_degree, with_costs
+from pikdom.fast import solve_fast
+from pikdom.model import derive_graph, generate_random, min_degree, serialize_model, with_costs
 from pikdom.oracle import (
     VertexSet,
     brute_force_min,
@@ -17,7 +18,14 @@ from pikdom.oracle import (
     is_total_k_dominating,
 )
 
-from conftest import chain_model, complete_model, make_model, oracle_min_set, pairwise_adjacency
+from conftest import (
+    chain_model,
+    complete_model,
+    frontier_min_literal,
+    make_model,
+    oracle_min_set,
+    pairwise_adjacency,
+)
 
 
 def vs(*ids):
@@ -198,3 +206,54 @@ def test_empty_model_solutions():
     for variant in ("kdom", "total"):
         sol = brute_force_min(empty, 1, variant)
         assert sol.feasible and sol.cost == 0 and sol.vertices.size == 0
+
+
+# ----------------------------------------- literal oracle past brute's range
+
+def _literal_cases(salt, count, max_n):
+    """(seed, k, model) triples from ``generate_random`` at stretch <= 8, k
+    1-3; alternate runs of three cases get mixed-denominator costs (zeros
+    among them), so every k, and every fourth case, comes both ways."""
+    rng = random.Random(salt)
+    for case in range(count):
+        k = 1 + case % 3
+        n = rng.randint(1, max_n(case, k))
+        seed = rng.randrange(10**6)
+        m = generate_random(n, seed, rng.choice((1, 2, 3, Fraction(7, 2), 5, 8)))
+        if case // 3 % 2:
+            m = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 5, 7)))
+                               for _ in range(n)])
+        yield seed, k, m
+
+
+def _literal_where(seed, k, variant, m):
+    return f"seed={seed} k={k} variant={variant}\n{serialize_model(m)}"
+
+
+def test_literal_oracle_matches_brute():
+    runs = feasible = 0
+    for seed, k, m in _literal_cases(2301, 120, lambda case, k: 11):
+        for variant in ("kdom", "total"):
+            want = brute_force_min(m, k, variant, m.weighted)
+            got = frontier_min_literal(m, k, variant, m.weighted)
+            assert got == want.cost, _literal_where(seed, k, variant, m)
+            runs += 1
+            feasible += want.feasible
+    assert 60 < feasible < runs, (runs, feasible)
+
+
+def test_literal_oracle_matches_fast_past_brute():
+    # One case in four runs at n up to 400 (200 at k=3), the rest up to 80.
+    def max_n(case, k):
+        return (200 if k == 3 else 400) if case % 4 == 0 else 80
+
+    runs = feasible = big = 0
+    for seed, k, m in _literal_cases(2302, 48, max_n):
+        big += m.n > 100
+        for variant in ("kdom", "total"):
+            want = solve_fast(m, k, variant, m.weighted, cap_nodes=10**18)
+            got = frontier_min_literal(m, k, variant, m.weighted)
+            assert got == want.cost, _literal_where(seed, k, variant, m)
+            runs += 1
+            feasible += want.feasible
+    assert big >= 8 and 30 < feasible < runs, (big, runs, feasible)

@@ -32,7 +32,6 @@ from pikdom.reduction import (
     _e0_arc,
     _e0_window,
     _head_ok,
-    _jump_length,
     _tail_ok,
     arc_length,
     build_digraph,
@@ -527,9 +526,10 @@ def _dummy_extended_reach(model):
 
 
 def test_flat_plan_matches_node_view():
-    # The plan keeps per-id lists; they are the public node view, and its
-    # jump charges are _jump_length's, with and without costs (zero costs
-    # among them, the source and the sink included).
+    # The plan keeps per-id lists; they are the public node view.  Its cost
+    # table is the per-vertex units between the dummies' zeros, and every
+    # jump arc it lists is as long as arc_length says, with and without
+    # costs (zero costs among them, arcs into the sink included).
     rng = random.Random(17)
     zero_costs = 0
     for n in (*range(1, 16), 20, 30):
@@ -549,7 +549,11 @@ def test_flat_plan_matches_node_view():
                              for role in plan.roles]
                     flat = list(map(DagNode, range(len(kinds)), kinds, plan.seqs))
                     assert flat == nodes
-                    assert plan.jump == [_jump_length(nd, per_vertex) for nd in nodes]
+                    assert plan.units == [0, *(per_vertex or [1] * n), 0]
+                    for tail, head, cls, length in plan.arcs():
+                        if cls == ARC_E0:
+                            want = arc_length(nodes[tail], nodes[head], ARC_E0, per_vertex)
+                            assert length == want, (tail, head)
                     assert plan.nodes == nodes
     assert zero_costs > 10
 
