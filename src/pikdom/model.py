@@ -227,8 +227,9 @@ class ProperIntervalModel:
 
 def _check_costs(costs: tuple, n: int) -> tuple[Fraction, ...]:
     """The per-vertex costs as ``Fraction``s; refuse any that are not n
-    non-negative rationals.  Only values not already a ``Fraction`` are
-    converted, as ``Interval`` converts its endpoints."""
+    non-negative rationals.  Values not already a ``Fraction`` are
+    converted, as ``Interval`` converts its endpoints; the result is always
+    a new tuple."""
     if len(costs) != n:
         raise ParamError("costs length must equal interval count")
     out = []

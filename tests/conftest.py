@@ -114,7 +114,10 @@ def oracle_min_set(adj, k, variant, costs=None):
     return best
 
 
-def frontier_min_literal(model, k, variant, weighted=False, cap_states=20_000):
+_FRONTIER_STATE_CAP = 20_000
+
+
+def frontier_min_literal(model, k, variant, weighted):
     """Least cost of a k-dominating (``kdom``) or total k-dominating set, or
     None when there is none, by a left-to-right scan of in/out decisions
     that checks the definitions verbatim and shares nothing with the DAG.
@@ -124,8 +127,8 @@ def frontier_min_literal(model, k, variant, weighted=False, cap_states=20_000):
     in a proper model they are one block, ``lo .. i-1``.  The state keeps
     (chosen, chosen neighbours capped at k) for each of them, with the least
     cost per state.  A vertex is checked when it leaves the block, since all
-    its neighbours are decided by then.  More than ``cap_states`` states at
-    one vertex fail the test rather than run away.
+    its neighbours are decided by then.  More than ``_FRONTIER_STATE_CAP``
+    states at one vertex fail the test rather than run away.
     """
     ivs, n = model.intervals, model.n
     costs = model.costs if weighted and model.costs is not None else (1,) * n
@@ -154,7 +157,7 @@ def frontier_min_literal(model, k, variant, weighted=False, cap_states=20_000):
                 c = cost + x * costs[i]
                 if kept not in out or c < out[kept]:
                     out[kept] = c
-        if len(out) > cap_states:
-            pytest.fail(f"more than {cap_states} states at vertex {i + 1}")
+        if len(out) > _FRONTIER_STATE_CAP:
+            pytest.fail(f"more than {_FRONTIER_STATE_CAP} states at vertex {i + 1}")
         states, lo = out, nxt_lo
     return Fraction(states[()]) if states else None
