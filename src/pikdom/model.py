@@ -163,17 +163,20 @@ class ProperIntervalModel:
     reach_r: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.intervals)
-        ids = self.original_ids or range(1, n + 1)
-        if sorted(ids) != list(range(1, n + 1)):
+        intervals = _tuple_of(self.intervals, "intervals")
+        if not all(isinstance(iv, Interval) for iv in intervals):
+            raise ParamError("intervals must be Interval rows")
+        n = len(intervals)
+        ids = _tuple_of(self.original_ids or range(1, n + 1), "original_ids")
+        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(1, n + 1)):
             raise ParamError("original_ids must be a permutation of 1..n")
         costs = self.costs
         if costs is not None:
             costs = _check_costs(costs, n)
         # Sort the rows by their endpoint keys, carrying costs and ids along.
-        keys = [(_key(iv.left), _key(iv.right)) for iv in self.intervals]
+        keys = [(_key(iv.left), _key(iv.right)) for iv in intervals]
         order = sorted(range(n), key=keys.__getitem__)
-        ivs = tuple(self.intervals[t] for t in order)
+        ivs = tuple(intervals[t] for t in order)
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "original_ids", tuple(ids[t] for t in order))
         if costs is not None:
@@ -225,11 +228,20 @@ class ProperIntervalModel:
         return tuple(out)
 
 
-def _check_costs(costs: tuple, n: int) -> tuple[Fraction, ...]:
+def _tuple_of(values, name: str) -> tuple:
+    """``values`` as a tuple; a value that is not iterable is refused."""
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise ParamError(f"{name} must be iterable, got {values!r}") from exc
+
+
+def _check_costs(costs, n: int) -> tuple[Fraction, ...]:
     """The per-vertex costs as ``Fraction``s; refuse any that are not n
     non-negative rationals.  Values not already a ``Fraction`` are
     converted, as ``Interval`` converts its endpoints; the result is always
     a new tuple."""
+    costs = _tuple_of(costs, "costs")
     if len(costs) != n:
         raise ParamError("costs length must equal interval count")
     out = []
@@ -248,11 +260,7 @@ def _check_costs(costs: tuple, n: int) -> tuple[Fraction, ...]:
 def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel:
     """A model of raw (interval, cost) rows in any order, which the model
     sorts by left endpoint and validates."""
-    return ProperIntervalModel(
-        tuple(intervals),
-        tuple(costs) if costs is not None else None,
-        tuple(original_ids) if original_ids is not None else (),
-    )
+    return ProperIntervalModel(intervals, costs, original_ids)
 
 
 def parse_model(text: str) -> ProperIntervalModel:
@@ -398,7 +406,7 @@ def with_costs(model: ProperIntervalModel, costs) -> ProperIntervalModel:
     The model is already sorted and validated, so only the costs are
     checked; the copy keeps its intervals, ids and reach arrays as they are.
     """
-    costs = _check_costs(tuple(costs), model.n)
+    costs = _check_costs(costs, model.n)
     out = copy.copy(model)
     object.__setattr__(out, "costs", costs)
     return out

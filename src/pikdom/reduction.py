@@ -333,7 +333,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
     roles = bytearray((_TAIL,))  # the source's
 
     def grow(
-        seq: list[int],
+        t: tuple[int, ...],
         check_small: bool,
         clean: int,
         caps: tuple[int, ...] | None,
@@ -344,7 +344,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
         # None when the subtree has no big node.  heads[i] bounds member i
         # of every big node in the subtree that passes condition (4), or
         # None when none does.
-        t = tuple(seq)
         last = t[-1]
         q = len(t)
         if check_small and q in smalls:
@@ -377,9 +376,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
                     caps = None
                 if nxt > head:
                     heads = None
-                seq.append(nxt)
-                grow(seq, check_small, clean, caps, heads)
-                seq.pop()
+                grow(t + (nxt,), check_small, clean, caps, heads)
             return
         top = min(top, cap)
         if top <= last:
@@ -387,16 +384,13 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
         tail = _tail_bound(ctx, t, clean)
         nexts = range(last + 1, top + 1)
         seqs.extend([t + (nxt,) for nxt in nexts])
-        if head >= top and tail >= top:
-            roles.extend([_BIG | _HEAD | _TAIL] * len(nexts))
-        else:
-            roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in nexts])
+        roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in nexts])
 
     # No chain has more than n members, so n + 1 caps cover every member a
     # chain reads; capping there keeps a huge k from building a huge tuple.
     no_caps = (n,) * min(2 * k, n + 1)
     for start in range(1, n + 1):
-        grow([start], True, start, no_caps, no_caps)
+        grow((start,), True, start, no_caps, no_caps)
 
     seqs.append((n + 1,))
     roles.append(_HEAD)
@@ -633,14 +627,19 @@ class _Plan:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
         (tail, head).
 
-        Slide arcs come from an index of the big nodes by their last 2k-1
-        indices.  Jump arcs are found by a scan per tail, with each part of
-        the test evaluated at the level it depends on: condition (4) once per
-        head, condition (3) once per tail, the tail's side of the gap cover
-        once per tail, and the head's side per pair (``_gap_covered``).  Only
-        the heads in the tail's window are scanned (``_e0_window``), and
-        every one of them passes condition (1).  They are built on the first
-        call and kept for later ones.
+        One pass over the tails in id order lists each tail's slide arcs,
+        then its jump arcs, so the list is built sorted.  Ids follow
+        lexicographic order, so the big nodes that begin with a tail's last
+        2k-1 indices, its slide heads, are one run of ids, found by one
+        binary search of ``seqs``; they start at the tail's second index,
+        left of every jump head.  Jump arcs are found by a scan per tail,
+        with each part of the test evaluated at the level it depends on:
+        condition (4) once per head, condition (3) once per tail, the tail's
+        side of the gap cover once per tail, and the head's side per pair
+        (``_gap_covered``, which keeps the heads' id order).  Only the heads
+        in the tail's window are scanned (``_e0_window``), and every one of
+        them passes condition (1).  They are built on the first call and
+        kept for later ones.
         """
         if self._arcs is None:
             self._arcs = self._build_arcs()
@@ -648,18 +647,6 @@ class _Plan:
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
         ctx, seqs, roles, units = self.ctx, self.seqs, self.roles, self.units
-        # Slide arcs: a tail's last 2k-1 indices are its head's first 2k-1.
-        bigs = [i for i, role in enumerate(roles) if role & _BIG]
-        tails_by_overlap: dict[tuple[int, ...], list[int]] = {}
-        for i in bigs:
-            tails_by_overlap.setdefault(seqs[i][1:], []).append(i)
-        arcs = []
-        for head in bigs:
-            seq = seqs[head]
-            length = units[seq[-1]]
-            for tail in tails_by_overlap.get(seq[:-1], ()):
-                arcs.append((tail, head, ARC_E1, length))
-
         # Jump-arc heads, as (id, seq, charge) in id order and so by lo:
         # never the source, and condition (4) and the charge once per node.
         by_lo = [
@@ -668,11 +655,21 @@ class _Plan:
             if not roles[i] & _BIG or _head_ok(ctx, seqs[i])
         ]
         los = [seq[0] for _, seq, _ in by_lo]
-        for tail in range(len(seqs) - 1):
-            # Tails: never the sink, and condition (3) once per node.
+        arcs = []
+        for tail in range(len(seqs) - 1):  # never the sink
             seq = seqs[tail]
-            if roles[tail] & _BIG and not _tail_ok(ctx, seq):
-                continue
+            if roles[tail] & _BIG:
+                # Slide heads start with the tail's last 2k-1 indices, so in
+                # id order they are the run right after that sequence; the
+                # sink, last, ends the run.
+                overlap = seq[1:]
+                head = bisect.bisect_right(seqs, overlap)
+                while seqs[head][:-1] == overlap:
+                    arcs.append((tail, head, ARC_E1, units[seqs[head][-1]]))
+                    head += 1
+                # Condition (3) once per node.
+                if not _tail_ok(ctx, seq):
+                    continue
             # A head's lo lies past the tail's reach, and no further than the
             # reach of the first position past it, or that position would be
             # a gap vertex no end set hits (see _e0_window).  Since
@@ -683,7 +680,6 @@ class _Plan:
             last = bisect.bisect_right(los, lo_max, first)
             for head, _, charge in _gap_covered(ctx, seq, by_lo[first:last]):
                 arcs.append((tail, head, ARC_E0, charge))
-        arcs.sort()
         return arcs
 
 

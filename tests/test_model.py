@@ -452,6 +452,12 @@ def test_with_costs_checks_the_costs():
     m = generate_random(5, 2, 3)
     with pytest.raises(ParamError):
         with_costs(m, [1] * 4)
+    # Costs that are not a sequence at all end in the same coded error.
+    for bad in (5, None, Fraction(1)):
+        with pytest.raises(ParamError):
+            with_costs(m, bad)
+    with pytest.raises(ParamError):
+        ProperIntervalModel(m.intervals, 5)
     with pytest.raises(NegativeCostError):
         with_costs(m, [1, 2, -1, 0, 3])
     assert with_costs(m, [0, "1/2", 2, Fraction(3, 4), 1]).costs == (
@@ -469,3 +475,24 @@ def test_with_costs_checks_the_costs():
     assert all(type(c) is Fraction for c in direct.costs)
     with pytest.raises(NegativeCostError):
         ProperIntervalModel(m.intervals[:3], (1.5, -2, 3))
+
+
+def test_model_constructor_refuses_bad_rows_and_ids():
+    m = generate_random(3, 2, 3)
+    # Intervals: an iterable of Interval rows, never converted from pairs.
+    for bad in (5, None, ((0, 1), (2, 3)), (m.intervals[0], (5, 6))):
+        with pytest.raises(ParamError):
+            ProperIntervalModel(bad)
+        with pytest.raises(ParamError):
+            build_model(bad)
+    # Ids: an iterable of the ints 1..n in some order.
+    for bad in (7, (1, 2), (1, 2, 2), (1, 2, "3"), (1, 2, 3.0), (True, 2, 3)):
+        with pytest.raises(ParamError):
+            ProperIntervalModel(m.intervals, None, bad)
+        with pytest.raises(ParamError):
+            build_model(m.intervals, None, bad)
+    # Any iterable is taken, and an omitted or empty id list is the row order.
+    ok = ProperIntervalModel(iter(m.intervals[::-1]), iter((1, 1, 1)), iter((3, 1, 2)))
+    assert (ok.intervals, ok.costs, ok.original_ids) == (m.intervals, (1, 1, 1), (2, 1, 3))
+    for ids in ((), None):
+        assert ProperIntervalModel(m.intervals, None, ids).original_ids == (1, 2, 3)

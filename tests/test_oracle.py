@@ -1,13 +1,23 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pikdom.errors import ParamError, PreconditionError, TooLargeError
 from pikdom.fast import solve_fast
-from pikdom.model import derive_graph, generate_random, min_degree, serialize_model, with_costs
+from pikdom.model import (
+    derive_graph,
+    generate_random,
+    min_degree,
+    parse_model,
+    serialize_model,
+    with_costs,
+)
 from pikdom.oracle import (
     VertexSet,
     brute_force_min,
@@ -17,6 +27,7 @@ from pikdom.oracle import (
     is_k_dominating,
     is_total_k_dominating,
 )
+from pikdom.reduction import solve_naive
 
 from conftest import (
     chain_model,
@@ -257,3 +268,46 @@ def test_literal_oracle_matches_fast_past_brute():
             runs += 1
             feasible += want.feasible
     assert big >= 8 and 30 < feasible < runs, (big, runs, feasible)
+
+
+# ------------------------------------------- the benchmark's instance shapes
+
+def _bench_run():
+    """``perfbench/run.py`` as a module, for its workload table and the
+    generator it imports; ``perfbench/`` is on ``sys.path`` for the import
+    alone, and nothing there is written."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # dataclasses look their module up here
+    sys.path.insert(0, str(bench))
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    return run
+
+
+def test_literal_oracle_on_benchmark_shapes():
+    # Every spec of every workload at the benchmark's instance seeds for
+    # seeds 1 and 2: varied lengths, gaps, clusters, touching rational
+    # endpoints, zero costs and shuffled rows.  fast runs every instance
+    # and naive the ones its workloads give it.
+    run = _bench_run()
+    count = 0
+    for name, workload in sorted(run.WORKLOADS.items()):
+        naive = "naive" in workload.engines
+        for i, spec in enumerate(workload.specs):
+            for seed in (1, 2):
+                inst = run.generate(spec, seed * 1000 + i, f"{name}-{i:02d}")
+                where = f"workload={name} spec={i} seed={seed}\n{inst.text}"
+                m = parse_model(inst.text)
+                k, variant = spec.k, spec.variant
+                want = frontier_min_literal(m, k, variant, m.weighted)
+                sol = solve_fast(m, k, variant, m.weighted)
+                assert sol.cost == want, where
+                assert find_violation(derive_graph(m), sol.vertices, k, variant) is None, where
+                if naive:
+                    assert solve_naive(m, k, variant, m.weighted).cost == want, where
+                count += 1
+    assert count == 112

@@ -95,11 +95,16 @@ def test_enumerate_p6_kdom_k1_matches_direct_scan():
 
 
 def test_enumerate_lexicographic_ids():
+    # Ids follow tuple order over the whole list, the source (0,) first and
+    # the sink (n+1,) last; naive's slide arcs are found by that order.
     m = generate_random(8, 3, 4)
-    nodes = enumerate_nodes(m, 1, "kdom")
-    seqs = [nd.seq for nd in nodes[1:-1]]
-    assert seqs == sorted(seqs)
-    assert [nd.id for nd in nodes] == list(range(len(nodes)))
+    for k in (1, 2, 3):
+        for variant in ("kdom", "total"):
+            nodes = enumerate_nodes(m, k, variant)
+            seqs = [nd.seq for nd in nodes]
+            assert seqs == sorted(set(seqs))
+            assert seqs[0] == (0,) and seqs[-1] == (m.n + 1,)
+            assert [nd.id for nd in nodes] == list(range(len(nodes)))
 
 
 def test_small_nodes_empty_for_k1_total():
@@ -683,16 +688,20 @@ def test_digraph_acyclic_and_monotone_random():
 
 
 def test_e0_arcs_match_exhaustive_pair_scan():
-    # Slide arcs too: both arc sets against every ordered node pair, and
-    # every arc length against arc_length on a weighted copy.
-    for seed in range(8):
-        n = 4 + seed % 4
-        m = generate_random(n, 99 + seed, [2, 4][seed % 2])
+    # Slide arcs too: both arc sets against every ordered node pair, every
+    # arc length against arc_length on a weighted copy, and the arcs in
+    # (tail, head) order, which naive's two passes read.
+    cases = [(4 + seed % 4, 99 + seed, [2, 4][seed % 2], seed, (1, 2)) for seed in range(8)]
+    cases += [(n, 99 + n, 6, n, (3,)) for n in (8, 9, 10)]
+    for n, model_seed, stretch, seed, ks in cases:
+        m = generate_random(n, model_seed, stretch)
         rng = random.Random(seed)
         mw = with_costs(m, [rng.randint(0, 10) for _ in range(n)])
-        for k in (1, 2):
+        for k in ks:
             for variant in ("kdom", "total"):
                 dg = build_digraph(m, k, variant)
+                pairs = [(a.tail, a.head) for a in dg.arcs]
+                assert pairs == sorted(set(pairs))
                 for cls, is_arc in (
                     (ARC_E0, lambda t, h: is_e0_arc(m, k, variant, t, h)),
                     (ARC_E1, lambda t, h: is_e1_arc(k, t, h)),
