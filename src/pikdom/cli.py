@@ -206,9 +206,12 @@ def cmd_bench(args) -> int:
         seen: dict[str, object] = {}
         for engine in engines:
             t0 = time.perf_counter()
-            sol, _ = _solve_with(
-                engine, model, args.k, args.variant, args.cap_nodes, args.cap_brute
-            )
+            try:
+                sol, _ = _solve_with(
+                    engine, model, args.k, args.variant, args.cap_nodes, args.cap_brute
+                )
+            except PikdomError as exc:
+                raise type(exc)(f"{label}: {exc}") from exc
             wall_ms = (time.perf_counter() - t0) * 1000.0
             stats = sol.stats or {}
             nodes = stats.get("nodes", 0)

@@ -35,9 +35,11 @@ Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
 per-id lists, per-position costs in integer units) from ``engine_plan``,
 which first answers the total variant's min-degree shortcut, and differ
 only in the search: ``search_naive`` materializes every arc and finds the
-least path in two passes over them, ``fast.search_fast`` runs the
-suffix-class DP.  Both hand the plan an id path, and the plan builds a
-``DagNode`` only for the nodes on it (``_Plan.solution``).
+least path in one backward pass over them, keeping each node's lowest-id
+optimal successor, ``fast.search_fast`` runs the suffix-class DP and keeps
+each node's predecessor.  Both read the path by walking those pointers and
+hand the plan an id path, and the plan builds a ``DagNode`` only for the
+nodes on it (``_Plan.solution``).
 ``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
 finds the jump arcs with the literal test, split by what each part depends on:
 the tail and head conditions once per node, the gap cover per (tail, head)
@@ -753,16 +755,17 @@ def solve_naive(
     """Shortest path over the fully materialized digraph.
 
     Among equal-cost paths the lexicographically smallest node-id sequence
-    wins, making the reported set deterministic.  Two passes over the arcs
-    find it: a backward pass gives each node's least length to the sink,
-    and a forward pass takes, from each node on the path, the lowest-id
-    head of an arc that stays optimal.
+    wins, making the reported set deterministic.  One backward pass over
+    the arcs gives each node its least length to the sink and the lowest-id
+    head of an optimal arc out of it; the path follows those heads from the
+    source.  Every path ends at the sink, the highest id, so the lowest
+    head at each step gives the least id sequence.
     """
     return search_naive(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))
 
 
 def search_naive(plan: _Plan | None) -> Solution:
-    """The two-pass least-path search over a plan from ``engine_plan``, or
+    """The one-pass least-path search over a plan from ``engine_plan``, or
     the infeasible answer when it gave none; see ``solve_naive``."""
     if plan is None:
         return infeasible_solution("naive")
@@ -772,20 +775,19 @@ def search_naive(plan: _Plan | None) -> Solution:
     unreachable = sum(plan.units) + 1
     to_sink = [unreachable] * len(plan.seqs)
     to_sink[-1] = 0
+    nxt = [0] * len(plan.seqs)
+    # Reversed, each tail's heads come in falling id order, so ``<=`` keeps
+    # the lowest-id head of an optimal arc out of it.
     for tail, head, _, length in reversed(arcs):
         d = to_sink[head] + length
-        if d < to_sink[tail]:
-            to_sink[tail] = d
+        if d <= to_sink[tail]:
+            to_sink[tail], nxt[tail] = d, head
     stats = {"nodes": len(plan.seqs), "arcs": len(arcs)}
     if to_sink[0] == unreachable:
         return infeasible_solution("naive", stats)
-    # Arcs come by tail, then head: the first optimal arc out of the path's
-    # last node goes to its lowest optimal head, which joins the path before
-    # the scan reaches that head's own arcs.
     path = [0]
-    for tail, head, _, length in arcs:
-        if tail == path[-1] and length + to_sink[head] == to_sink[tail]:
-            path.append(head)
+    while path[-1] != len(plan.seqs) - 1:
+        path.append(nxt[path[-1]])
     return plan.solution(path, to_sink[0], "naive", stats)[0]
 
 

@@ -34,6 +34,19 @@ def _case_stream(quick: bool):
         yield i, n, k, stretch
 
 
+def _fail(what: str, seed: int, case: int, k: int, variant: str, model, *details) -> bool:
+    """Print one failure with its seed, case, problem and serialized
+    instance, and return False for the caller to return."""
+    print(f"selftest: FAIL {what} seed={seed} case={case}")
+    print(f"  n={model.n} k={k} variant={variant} weighted={model.weighted}")
+    for line in details:
+        print("  " + line)
+    print("  instance:")
+    for line in serialize_model(model).splitlines():
+        print("    " + line)
+    return False
+
+
 def run_selftest(seed: int = 0, quick: bool = False) -> bool:
     checks = 0
     for i, n, k, stretch in _case_stream(quick):
@@ -47,49 +60,34 @@ def run_selftest(seed: int = 0, quick: bool = False) -> bool:
         weighted_model = with_costs(model, costs)
         graph = derive_graph(model)
         for variant in (VARIANT_KDOM, VARIANT_TOTAL):
-            for m, weighted in ((model, False), (weighted_model, True)):
+            for m in (model, weighted_model):
                 sols = [
-                    brute_force_min(m, k, variant, weighted),
-                    solve_naive(m, k, variant, weighted),
-                    solve_fast(m, k, variant, weighted),
+                    brute_force_min(m, k, variant, m.weighted),
+                    solve_naive(m, k, variant, m.weighted),
+                    solve_fast(m, k, variant, m.weighted),
                 ]
                 checks += 1
                 feas = {s.feasible for s in sols}
                 costs = {s.cost for s in sols}
                 if len(feas) != 1 or (sols[0].feasible and len(costs) != 1):
-                    print(f"selftest: FAIL engine disagreement seed={seed} case={i}")
-                    print(f"  n={n} k={k} variant={variant} weighted={weighted}")
-                    for s in sols:
-                        print(f"  {s.engine}: feasible={s.feasible} cost={s.cost}")
-                    print("  instance:")
-                    for line in serialize_model(m).splitlines():
-                        print("    " + line)
-                    return False
+                    return _fail("engine disagreement", seed, i, k, variant, m, *(
+                        f"{s.engine}: feasible={s.feasible} cost={s.cost}" for s in sols
+                    ))
                 for s in sols:
                     if not s.feasible:
                         continue
                     bad = find_violation(graph, s.vertices, k, variant)
                     if bad is not None:
-                        print(
-                            f"selftest: FAIL invalid set from {s.engine} "
-                            f"seed={seed} case={i} witness={bad}"
-                        )
-                        return False
+                        return _fail(f"invalid set from {s.engine}", seed, i, k,
+                                     variant, m, f"witness={bad}")
                     if variant == VARIANT_TOTAL and not check_lemma_components(
                         graph, s.vertices, k
                     ):
-                        print(
-                            f"selftest: FAIL small component in total solution "
-                            f"({s.engine}, seed={seed}, case={i})"
-                        )
-                        return False
+                        return _fail(f"small component in total solution from {s.engine}",
+                                     seed, i, k, variant, m)
         for variant in (VARIANT_KDOM, VARIANT_TOTAL):
             checks += 1
             if not representative_independence_check(model, k, variant):
-                print(
-                    f"selftest: FAIL representative independence "
-                    f"seed={seed} case={i} variant={variant}"
-                )
-                return False
+                return _fail("representative independence", seed, i, k, variant, model)
     print(f"selftest: PASS ({checks} checks)")
     return True

@@ -446,6 +446,17 @@ def test_bench_dir_names_the_file_that_fails(capsys, tmp_path, text, message):
     assert (code, err) == (1, message.format(tmp_path / "b.txt") + "\n")
 
 
+@pytest.mark.parametrize("source", ["dir", "gen"])
+def test_bench_solve_error_names_its_instance(capsys, tmp_path, source):
+    (tmp_path / "p6.txt").write_text(P6_TEXT)
+    argv = ("--dir", str(tmp_path)) if source == "dir" else ("--n-min", "6", "--n-max", "6")
+    code, out, err = run(capsys, "bench", *argv, "--engines", "fast,brute", "--k", "1",
+                         "--cap-brute", "4")
+    label = "p6.txt" if source == "dir" else "gen-n6-r0"
+    assert (code, out) == (1, "")
+    assert err == f"error[E_TOO_LARGE]: {label}: brute force capped at n <= 4, got 6\n"
+
+
 def test_bench_dir_parses_every_file_before_solving(capsys, monkeypatch, tmp_path):
     (tmp_path / "a.txt").write_text(P6_TEXT)
     (tmp_path / "c.txt").write_text("2\n0 2\n1 x\n")
@@ -513,6 +524,22 @@ def test_selftest_injected_fault_fails(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "instance:" in out  # counterexample echoed
+
+
+@pytest.mark.parametrize("check, fault", [
+    ("find_violation", 1),
+    ("check_lemma_components", False),
+    ("representative_independence_check", False),
+])
+def test_selftest_every_failure_prints_the_instance(capsys, monkeypatch, check, fault):
+    import pikdom.selftest as selftest
+
+    monkeypatch.delenv("PIKDOM_SEED", raising=False)
+    monkeypatch.setattr(selftest, check, lambda *args: fault)
+    code, out, _ = run(capsys, "selftest", "--quick", "--seed", "0")
+    assert code == 1
+    assert "FAIL" in out and "seed=0" in out
+    assert "instance:" in out
 
 
 # ---------------------------------------------------------------- process

@@ -690,7 +690,7 @@ def test_digraph_acyclic_and_monotone_random():
 def test_e0_arcs_match_exhaustive_pair_scan():
     # Slide arcs too: both arc sets against every ordered node pair, every
     # arc length against arc_length on a weighted copy, and the arcs in
-    # (tail, head) order, which naive's two passes read.
+    # (tail, head) order, which naive's backward pass reads.
     cases = [(4 + seed % 4, 99 + seed, [2, 4][seed % 2], seed, (1, 2)) for seed in range(8)]
     cases += [(n, 99 + n, 6, n, (3,)) for n in (8, 9, 10)]
     for n, model_seed, stretch, seed, ks in cases:
@@ -812,8 +812,8 @@ def _every_path(dg):
 
 def test_naive_answer_is_least_optimal_path():
     # naive's tie-break by its definition: the least (cost, node ids) path
-    # among every source-to-sink path of the digraph.
-    feasible = tied = 0
+    # among every source-to-sink path of the digraph, at k=3 too for n <= 8.
+    feasible = tied = k3 = 0
     for n in range(1, 11):
         for seed in range(3):
             for stretch in (1, 2, 3):
@@ -823,7 +823,8 @@ def test_naive_answer_is_least_optimal_path():
                     m, [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(n)]
                 )
                 for k, variant, (model, weighted) in itertools.product(
-                    (1, 2), ("kdom", "total"), ((m, False), (mw, True))
+                    (1, 2, 3) if n <= 8 else (1, 2), ("kdom", "total"),
+                    ((m, False), (mw, True)),
                 ):
                     dg = build_digraph(model, k, variant, weighted)
                     paths = list(_every_path(dg))
@@ -832,6 +833,7 @@ def test_naive_answer_is_least_optimal_path():
                     if not paths:
                         continue
                     feasible += 1
+                    k3 += k == 3
                     cost, ids = min(paths)
                     assert sol.cost == cost
                     assert sol.vertices == path_to_vertex_set(
@@ -844,6 +846,7 @@ def test_naive_answer_is_least_optimal_path():
                     tied += len(optimal_sets) > 1
     assert feasible >= 390
     assert tied >= 120
+    assert k3 >= 140
 
 
 # ------------------------------------------------------ path_to_vertex_set
