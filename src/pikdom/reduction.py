@@ -42,11 +42,11 @@ hand the plan an id path, and the plan builds a ``DagNode`` only for the
 nodes on it (``_Plan.solution``).
 ``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
 finds the jump arcs with the literal test, split by what each part depends on:
-the tail and head conditions once per node, the gap cover per (tail, head)
-pair, vertex by vertex, against needs computed once per tail
-(``_gap_covered``, which ``_e0_arc`` also calls).  It uses no key
-thresholds and no class sharing, so the differential tests check the fast
-engine's derivation of both.
+the tail and head conditions once per node, and the gap cover once per
+tail, the gap vertices it leaves short and what each needs; each head is
+checked at those (``_gap_covered``, which ``_e0_arc`` also calls).  It
+uses no key thresholds and no class sharing, so the differential tests
+check the fast engine's derivation of both.
 """
 
 from __future__ import annotations
@@ -403,29 +403,44 @@ def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
     """Condition (2) for one tail and many heads: the heads whose members,
     with the tail's, give every gap vertex between the two at least k hits.
 
-    ``tail`` is the tail's sequence and ``heads`` are ``(id, seq)`` pairs;
-    every head must start right of the tail, so its gap is ``tail[-1] + 1 ..
-    seq[0] - 1``.  Each end set lies on its own side of the gap, so one
-    binary search counts its hits at a gap vertex m (``_hits``): the tail
-    members from ``reach_l[m]`` on, the head members up to ``reach_r[m]``.
-    The dummies' positions 0 and n+1 lie outside every gap vertex's reach
-    range, so they count no hit.  What m needs from a head, k less the
-    tail's hits, is worked out once per tail, when the first head's gap
-    reaches m.
+    ``tail`` is the tail's sequence and ``heads`` are ``(id, seq)`` pairs,
+    kept in the order given; every head must start right of the tail, so
+    its gap is ``tail[-1] + 1 .. seq[0] - 1``.  Each end set lies on its
+    own side of the gap: the tail members that meet a gap vertex m are the
+    ones from ``reach_l[m]`` on (one binary search, as in ``_hits``), and
+    the head members that meet it are the ones up to ``reach_r[m]``.  The
+    dummies' positions 0 and n+1 lie outside every gap vertex's reach
+    range, so they count no hit.
+
+    The gap vertices are walked once per tail, left to right, as far as
+    the heads' gaps reach, and only the ones the tail leaves short are
+    kept, with what each needs: ``need = k - (tail hits) > 0``.  Each head
+    is checked at every short vertex of its own gap.  Its members rise, so
+    it meets ``need`` of them at m iff its member ``need - 1`` (from 0) is
+    at most ``reach_r[m]``: one index compare, and a head with fewer than
+    ``need`` members fails.
     """
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
-    first = tail[-1] + 1
     base = ctx.k - len(tail)
-    needs: list[int] = []  # by gap vertex, from ``first`` on
+    m = tail[-1] + 1  # the first gap vertex not walked yet
+    short: list[tuple[int, int, int]] = []  # (need - 1, reach_r[v], v), by v
     covered = []
     for head in heads:
         seq = head[1]
-        for m in range(first, seq[0]):
-            if m - first == len(needs):
-                needs.append(base + bisect.bisect_left(tail, reach_l[m]))
-            if bisect.bisect_right(seq, reach_r[m]) < needs[m - first]:
+        lo, size = seq[0], len(seq)
+        while m < lo:
+            need = base + bisect.bisect_left(tail, reach_l[m])
+            if need > 0:
+                short.append((need - 1, reach_r[m], m))
+            m += 1
+        met = True
+        for i, r, v in short:
+            if v >= lo:  # past the head's gap
                 break
-        else:
+            if i >= size or seq[i] > r:
+                met = False
+                break
+        if met:
             covered.append(head)
     return covered
 
@@ -636,12 +651,13 @@ class _Plan:
         binary search of ``seqs``; they start at the tail's second index,
         left of every jump head.  Jump arcs are found by a scan per tail,
         with each part of the test evaluated at the level it depends on:
-        condition (4) once per head, condition (3) once per tail, the tail's
-        side of the gap cover once per tail, and the head's side per pair
-        (``_gap_covered``, which keeps the heads' id order).  Only the heads
-        in the tail's window are scanned (``_e0_window``), and every one of
-        them passes condition (1).  They are built on the first call and
-        kept for later ones.
+        condition (4) once per head, condition (3) once per tail, and the
+        gap cover once per tail, the gap vertices it leaves short and what
+        each needs; each head is checked at those (``_gap_covered``, which
+        keeps the heads' id order).  Only the heads in the tail's window
+        are scanned (``_e0_window``), and every one of them passes
+        condition (1).  They are built on the first call and kept for later
+        ones.
         """
         if self._arcs is None:
             self._arcs = self._build_arcs()

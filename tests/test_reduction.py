@@ -1,3 +1,4 @@
+import bisect
 import collections
 import dataclasses
 import itertools
@@ -32,6 +33,7 @@ from pikdom.reduction import (
     _e0_arc,
     _e0_window,
     _head_ok,
+    _hits,
     _tail_ok,
     arc_length,
     build_digraph,
@@ -45,6 +47,7 @@ from pikdom.reduction import (
 )
 
 from conftest import chain_model, complete_model, disjoint_model, make_model
+from test_acceptance import CORPUS_SIZE as ACCEPTANCE_SIZE, _entry as acceptance_entry
 
 
 def kinds(nodes):
@@ -297,6 +300,56 @@ def test_window_conditions_match_definitions():
                         counts["uncovered"] += not covered
     assert counts["small"] > 1000 and counts["big"] > 1000, counts
     assert counts["arc"] > 3000 and counts["uncovered"] > 5000, counts
+
+
+def _gap_cover_by_definition(ctx, tail, head):
+    return all(_hits(ctx, tail, m) + _hits(ctx, head, m) >= ctx.k
+               for m in range(tail[-1] + 1, head[0]))
+
+
+def test_gap_covered_matches_definition():
+    # _gap_covered against the gap cover written out vertex by vertex, for
+    # every tail (the source included) and every head in its jump window
+    # (the sink included), on generate_random models at k 1-3 and on the
+    # acceptance corpus at each entry's k, both variants.  The heads are
+    # passed in id order, reversed, shuffled and one at a time.
+    rng = random.Random(26)
+    models = [
+        (generate_random(n, 700 + 3 * n + j, stretch), (1, 2, 3))
+        for n in range(4, 13)
+        for j, stretch in enumerate((2, 4, Fraction(13, 2)))
+    ]
+    models += [(e.model, (e.k,)) for e in map(acceptance_entry, range(ACCEPTANCE_SIZE))]
+    counts = collections.Counter()
+    for m, ks in models:
+        for k in ks:
+            for variant in ("kdom", "total"):
+                ctx = _Ctx(m, k, variant)
+                nodes = enumerate_nodes(m, k, variant)
+                los = [nd.lo for nd in nodes]
+                for t in nodes[:-1]:
+                    lo_min, lo_max = _e0_window(ctx, tail_hi=t.hi)
+                    window = nodes[bisect.bisect_left(los, lo_min):
+                                   bisect.bisect_right(los, lo_max)]
+                    heads = [(h.id, h.seq) for h in window]
+                    want = {h: _gap_cover_by_definition(ctx, t.seq, h[1]) for h in heads}
+                    shuffled = rng.sample(heads, len(heads))
+                    for order in (heads, heads[::-1], shuffled):
+                        got = reduction_module._gap_covered(ctx, t.seq, order)
+                        assert got == [h for h in order if want[h]], (k, variant, t)
+                    for h in heads:
+                        got = reduction_module._gap_covered(ctx, t.seq, [h])
+                        assert got == ([h] if want[h] else []), (k, variant, t, h)
+                        counts["covered" if want[h] else "uncovered"] += 1
+                        counts["source tail"] += t.kind == "source"
+                        if h[1] == (ctx.n + 1,):
+                            counts["sink head"] += 1
+                        elif any(len(h[1]) < k - _hits(ctx, t.seq, v)
+                                 for v in range(t.hi + 1, h[1][0])):
+                            # fewer members than some gap vertex needs
+                            counts["short head"] += 1
+    assert counts["covered"] > 40_000 and counts["uncovered"] > 40_000, counts
+    assert min(counts["source tail"], counts["sink head"], counts["short head"]) > 5_000, counts
 
 
 def _literal_role(ctx, node):
@@ -699,11 +752,12 @@ def test_e0_arcs_match_exhaustive_pair_scan():
         mw = with_costs(m, [rng.randint(0, 10) for _ in range(n)])
         for k in ks:
             for variant in ("kdom", "total"):
+                ctx = _Ctx(m, k, variant)
                 dg = build_digraph(m, k, variant)
                 pairs = [(a.tail, a.head) for a in dg.arcs]
                 assert pairs == sorted(set(pairs))
                 for cls, is_arc in (
-                    (ARC_E0, lambda t, h: is_e0_arc(m, k, variant, t, h)),
+                    (ARC_E0, lambda t, h: _e0_arc(ctx, t, h)),
                     (ARC_E1, lambda t, h: is_e1_arc(k, t, h)),
                 ):
                     got = {(a.tail, a.head) for a in dg.arcs if a.cls == cls}
