@@ -67,9 +67,8 @@ def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brut
     if algo == "brute":
         return brute_force_min(model, k, variant, model.weighted, cap=cap_brute), None
     plan = engine_plan(model, k, variant, model.weighted, cap_nodes=cap_nodes)
-    if algo == "fast":
-        return search_fast(plan)[0], plan
-    return search_naive(plan), plan
+    search = search_fast if algo == "fast" else search_naive
+    return search(plan)[0], plan
 
 
 def _read_text(path) -> str:
@@ -81,8 +80,17 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _parse_file(path):
+    """The model in a file; a parse error names the file."""
+    text = _read_text(path)
+    try:
+        return parse_model(text)
+    except PikdomError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
-    model = parse_model(_read_text(args.instance))
+    model = _parse_file(args.instance)
     t0 = time.perf_counter()
     sol, plan = _solve_with(
         args.algo, model, args.k, args.variant, args.cap_nodes, args.cap_brute
@@ -139,7 +147,7 @@ def _parse_set_file(text: str) -> VertexSet:
 
 
 def cmd_verify(args) -> int:
-    model = parse_model(_read_text(args.instance))
+    model = _parse_file(args.instance)
     vset = _parse_set_file(_read_text(args.setfile))
     graph = derive_graph(model)
     violation = find_violation(graph, vset, args.k, args.variant)
@@ -164,14 +172,6 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _parse_file(path: Path):
-    text = _read_text(path)
-    try:
-        return parse_model(text)
-    except PikdomError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _bench_instances(args) -> list[tuple[str, object]]:

@@ -55,7 +55,7 @@ vertex.  ``reach_l`` and ``reach_r`` never decrease along the line, so going
 down ``r(m)`` only grows and ``reach_l[m]`` only falls: the first gap vertex
 with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
 and a probe is ``O(k)`` integer compares.  The naive engine keeps the
-literal test, so the differential tests check this derivation.
+literal gap cover, so the differential tests check this derivation.
 
 The dummy source and sink take the same probe.  The source's role byte
 has the tail bit alone, so it joins its class, key ``(0,)`` at ``hi`` 0,
@@ -104,19 +104,22 @@ takes part in slide classes iff it has the big bit.  A big node's head and
 tail bits are its answers to (4) and (3), which the enumeration decides
 where each range is fixed: (4) once per chain of k members
 (``reduction._caps``) and (3) once per chain of 2k-1
-(``reduction._tail_bound``), so the sweep runs no window check; the naive
-engine reads only the big bit and runs the literal checks, so the
-differential tests check the other two.  The stats' node counts (small
-nodes, big nodes, tail-eligible big nodes) are counts of role bytes.  The
-middle check is decided once per chain of k+1 members (``reduction._caps``),
-so the plan holds only big nodes that pass it.
+(``reduction._tail_bound``), so the sweep runs no window check.  The naive
+engine reads the same three bits, so the fast/naive differential cannot
+see a wrong head or tail bit; the tests hold each big node's bits to the
+literal ``reduction._head_ok`` and ``_tail_ok``.  The stats' node counts
+(small nodes, big nodes, tail-eligible big nodes) are counts of role
+bytes.  The middle check is decided once per chain of k+1 members
+(``reduction._caps``), so the plan holds only big nodes that pass it.
 Prefix and suffix keys and slide overlaps come from the sequence.  The
 sweep keeps the best path into each node and the node before it on that
 path in two lists by node id, besides the class entries above.
 Path lengths are plain ints in the plan's units; unreachable states are
 ``None``.  The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
-``DagNode`` objects only for the nodes on the path.
+``DagNode`` objects only for the nodes on the path; ``search_fast``
+returns ``(Solution, path)``, as ``reduction.search_naive`` does, with a
+path of None when the sink is unreachable.
 """
 
 from __future__ import annotations
@@ -255,13 +258,12 @@ def search_fast(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     if plan is None:
         return infeasible_solution("fast"), None
     dist, pred, stats = _sweep(plan)
-    if dist[-1] is None:  # the sink is unreachable
-        return infeasible_solution("fast", stats), None
-    # Reconstruction follows the recorded predecessors back to the source.
-    rev = [len(dist) - 1]
-    while rev[-1] != 0:
+    # Reconstruction follows the recorded predecessors back to the source,
+    # when the sink is reachable.
+    rev = None if dist[-1] is None else [len(dist) - 1]
+    while rev and rev[-1] != 0:
         rev.append(pred[rev[-1]])
-    return plan.solution(rev[::-1], dist[-1], "fast", stats)
+    return plan.solution(rev and rev[::-1], dist[-1], "fast", stats)
 
 
 def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, int]]:
@@ -366,9 +368,11 @@ def representative_independence_check(
 
     It reads the plan both engines search (``_Plan``): the classes come
     from its sequences and role bytes, as ``_sweep`` forms them, and the
-    arcs from ``_Plan.arcs``, which the naive engine searches and which
-    runs the literal window checks and gap cover.  The source and the sink
-    each form classes of their own, which hold trivially.
+    arcs from ``_Plan.arcs``, which the naive engine searches.  Those take
+    conditions (3) and (4) from the same role bytes and run the literal gap
+    cover, so this checks the sharing of the gap cover, not the bits.  The
+    source and the sink each form classes of their own, which hold
+    trivially.
     """
     plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
     seqs = plan.seqs

@@ -28,25 +28,29 @@ node appends every last index within its cap at once, and a chain whose
 small check fails at a position no later member can meet checks no small
 node in its subtree.  The head and tail conditions are decided the same
 way where their ranges are fixed, the head at k members and the tail at
-2k-1, so each big node's answers are kept in its role byte and the fast
-engine runs neither check.
+2k-1, so each big node's answers are kept in its role byte and neither
+engine runs either check.
 
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
-per-id lists, per-position costs in integer units) from ``engine_plan``,
-which first answers the total variant's min-degree shortcut, and differ
-only in the search: ``search_naive`` materializes every arc and finds the
-least path in one backward pass over them, keeping each node's lowest-id
-optimal successor, ``fast.search_fast`` runs the suffix-class DP and keeps
-each node's predecessor.  Both read the path by walking those pointers and
-hand the plan an id path, and the plan builds a ``DagNode`` only for the
-nodes on it (``_Plan.solution``).
+per-id lists with their role bytes, per-position costs in integer units)
+from ``engine_plan``, which first answers the total variant's min-degree
+shortcut, and differ only in the search: ``search_naive`` materializes
+every arc and finds the least path in one backward pass over them, keeping
+each node's lowest-id optimal successor, ``fast.search_fast`` runs the
+suffix-class DP and keeps each node's predecessor.  Both read conditions
+(3) and (4) from the role byte, walk their pointers to an id path, and
+hand it to the plan, which builds a ``DagNode`` only for the nodes on it;
+both return ``(Solution, path)``, the path None when the sink is
+unreachable (``_Plan.solution``).
 ``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
-finds the jump arcs with the literal test, split by what each part depends on:
-the tail and head conditions once per node, and the gap cover once per
-tail, the gap vertices it leaves short and what each needs; each head is
-checked at those (``_gap_covered``, which ``_e0_arc`` also calls).  It
-uses no key thresholds and no class sharing, so the differential tests
-check the fast engine's derivation of both.
+finds the jump arcs among the heads and tails the role bytes allow with
+the literal gap cover, once per tail, at the gap vertices it leaves short
+and what each needs; each head is checked at those (``_gap_covered``,
+which ``_e0_arc`` also calls).  It uses no key thresholds and no class
+sharing, so the differential tests check the fast engine's derivation of
+both.  The literal (3) and (4), ``_tail_ok`` and ``_head_ok``, stay as the
+reference the role bytes are tested against, with ``_e0_arc`` and
+``eligible_tail_bigs``.
 """
 
 from __future__ import annotations
@@ -313,8 +317,8 @@ def enumerate_nodes(
     x that passes (3) (``_tail_bound``).  The total variant's head cap is
     ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
     passes both.  The plan keeps the answers in each node's role byte (see
-    ``_Plan``); the naive engine runs the literal checks instead, as does
-    ``eligible_tail_bigs``.
+    ``_Plan``), and both engines read them there; only ``_e0_arc`` and
+    ``eligible_tail_bigs`` run the literal checks.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
@@ -523,7 +527,8 @@ def eligible_tail_bigs(
     Membership depends only on the node itself, which is what lets the fast
     engine treat one member of a suffix class as a representative for all.
     No engine or diagnostic calls it (they read bit 1 of ``_Plan.roles``);
-    it is kept for ``perfbench/run.py``'s breakdown and its tests.
+    it is kept as the literal cross-check of that bit for
+    ``perfbench/run.py``'s breakdown and its tests.
     """
     ctx = _Ctx(model, k, variant)
     return frozenset(
@@ -570,10 +575,10 @@ class _Plan:
     caps and tail bounds.  Kind strings are built only where a ``DagNode``
     is (``_KIND_OF_ROLE``).  Ids follow lexicographic order, so they are a
     topological order and sort the nodes by ``lo``.  Both engines search
-    these lists and hand ``solution`` the id path they find, which builds a
-    ``DagNode`` only for the nodes on it; ``nodes`` builds every one, for
-    ``digraph`` and ``enumerate_nodes``.  The naive engine reads only bit 2
-    and runs the literal window checks.
+    these lists, read all three bits, and hand ``solution`` the id path
+    they find, or None, which builds a ``DagNode`` only for the nodes on
+    it; ``nodes`` builds every one, for ``digraph`` and
+    ``enumerate_nodes``.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators, a cost ``c`` is the integer ``c *
@@ -629,11 +634,14 @@ class _Plan:
         return DerivedDigraph(tuple(self.nodes), arcs)
 
     def solution(
-        self, path: list[int], length: int, engine: str, stats: dict[str, int]
-    ) -> tuple[Solution, list[DagNode]]:
+        self, path: list[int] | None, length: int, engine: str, stats: dict[str, int]
+    ) -> tuple[Solution, list[DagNode] | None]:
         """The feasible answer for a source-to-sink path given by node ids,
         of ``length`` in the plan's units, and the path as ``DagNode``s:
-        the only ones a search builds."""
+        the only ones a search builds.  A ``path`` of None says the sink is
+        unreachable, and gives the infeasible answer and None."""
+        if path is None:
+            return infeasible_solution(engine, stats), None
         seqs, roles = self.seqs, self.roles
         node_path = [DagNode(i, _KIND_OF_ROLE[roles[i]], seqs[i]) for i in path]
         vset = path_to_vertex_set(node_path, self.model)
@@ -651,13 +659,15 @@ class _Plan:
         binary search of ``seqs``; they start at the tail's second index,
         left of every jump head.  Jump arcs are found by a scan per tail,
         with each part of the test evaluated at the level it depends on:
-        condition (4) once per head, condition (3) once per tail, and the
-        gap cover once per tail, the gap vertices it leaves short and what
-        each needs; each head is checked at those (``_gap_covered``, which
-        keeps the heads' id order).  Only the heads in the tail's window
-        are scanned (``_e0_window``), and every one of them passes
-        condition (1).  They are built on the first call and kept for later
-        ones.
+        conditions (4) and (3) are the head and tail bits of the role byte,
+        so the heads are the ids with the head bit, never the source, and
+        the tails the ids with the tail bit, never the sink; the gap
+        cover is walked once per tail, the gap vertices it leaves short and
+        what each needs, and each head is checked at those
+        (``_gap_covered``, which keeps the heads' id order).  Only the heads
+        in the tail's window are scanned (``_e0_window``), and every one of
+        them passes condition (1).  They are built on the first call and
+        kept for later ones.
         """
         if self._arcs is None:
             self._arcs = self._build_arcs()
@@ -665,18 +675,17 @@ class _Plan:
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
         ctx, seqs, roles, units = self.ctx, self.seqs, self.roles, self.units
-        # Jump-arc heads, as (id, seq, charge) in id order and so by lo:
-        # never the source, and condition (4) and the charge once per node.
+        # Jump-arc heads, as (id, seq, charge) in id order and so by lo: the
+        # ids with the head bit, so never the source, charged once each.
         by_lo = [
-            (i, seqs[i], sum(map(units.__getitem__, seqs[i])))
-            for i in range(1, len(seqs))
-            if not roles[i] & _BIG or _head_ok(ctx, seqs[i])
+            (i, seq, sum(map(units.__getitem__, seq)))
+            for i, (seq, role) in enumerate(zip(seqs, roles))
+            if role & _HEAD
         ]
         los = [seq[0] for _, seq, _ in by_lo]
         arcs = []
-        for tail in range(len(seqs) - 1):  # never the sink
-            seq = seqs[tail]
-            if roles[tail] & _BIG:
+        for tail, (seq, role) in enumerate(zip(seqs, roles)):
+            if role & _BIG:
                 # Slide heads start with the tail's last 2k-1 indices, so in
                 # id order they are the run right after that sequence; the
                 # sink, last, ends the run.
@@ -685,9 +694,8 @@ class _Plan:
                 while seqs[head][:-1] == overlap:
                     arcs.append((tail, head, ARC_E1, units[seqs[head][-1]]))
                     head += 1
-                # Condition (3) once per node.
-                if not _tail_ok(ctx, seq):
-                    continue
+            if not role & _TAIL:  # the sink, or a big node that fails (3)
+                continue
             # A head's lo lies past the tail's reach, and no further than the
             # reach of the first position past it, or that position would be
             # a gap vertex no end set hits (see _e0_window).  Since
@@ -777,14 +785,16 @@ def solve_naive(
     source.  Every path ends at the sink, the highest id, so the lowest
     head at each step gives the least id sequence.
     """
-    return search_naive(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))
+    return search_naive(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))[0]
 
 
-def search_naive(plan: _Plan | None) -> Solution:
-    """The one-pass least-path search over a plan from ``engine_plan``, or
-    the infeasible answer when it gave none; see ``solve_naive``."""
+def search_naive(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
+    """The one-pass least-path search over a plan from ``engine_plan`` (see
+    ``solve_naive``): the answer and the least optimal path as ``DagNode``s,
+    or the infeasible answer and None when the plan is None or the sink is
+    unreachable."""
     if plan is None:
-        return infeasible_solution("naive")
+        return infeasible_solution("naive"), None
     arcs = plan.arcs()  # sorted by (tail, head); ids are topological
     # Path lengths are plain ints in the plan's units.  A path pays each of
     # its vertices once, so no path costs ``unreachable``.
@@ -798,13 +808,12 @@ def search_naive(plan: _Plan | None) -> Solution:
         d = to_sink[head] + length
         if d <= to_sink[tail]:
             to_sink[tail], nxt[tail] = d, head
-    stats = {"nodes": len(plan.seqs), "arcs": len(arcs)}
-    if to_sink[0] == unreachable:
-        return infeasible_solution("naive", stats)
-    path = [0]
-    while path[-1] != len(plan.seqs) - 1:
+    # The path follows ``nxt`` from the source, when the sink is reachable.
+    path = None if to_sink[0] == unreachable else [0]
+    while path and path[-1] != len(plan.seqs) - 1:
         path.append(nxt[path[-1]])
-    return plan.solution(path, to_sink[0], "naive", stats)[0]
+    stats = {"nodes": len(plan.seqs), "arcs": len(arcs)}
+    return plan.solution(path, to_sink[0], "naive", stats)
 
 
 def dump_digraph(dg: DerivedDigraph) -> str:

@@ -122,6 +122,13 @@ def test_solve_parse_error_exit_1(capsys, tmp_path):
     assert "E_NOT_PROPER" in err
 
 
+def _naming(message, path):
+    """``message``, an error line, as it reads for a parse of the file at
+    ``path``: the file is named after the code."""
+    code, rest = message.split(": ", 1)
+    return f"{code}: {path}: {rest}"
+
+
 @pytest.mark.parametrize("text, message", [
     ("2\n0 2\n1 x\n", "error[E_PARSE]: line 3: bad rational literal 'x'"),
     ("2 weighted\n0 2 1\n1 3 1/0\n",
@@ -133,7 +140,20 @@ def test_solve_bad_literal_names_its_line(capsys, tmp_path, text, message):
     inst = tmp_path / "bad.txt"
     inst.write_text(text)
     code, out, err = run(capsys, "solve", str(inst), "--variant", "kdom", "--k", "1")
-    assert (code, out, err) == (1, "", message + "\n")
+    assert (code, out, err) == (1, "", _naming(message, inst) + "\n")
+
+
+def test_verify_bad_literal_names_its_file(capsys, tmp_path):
+    # verify reads two files, so a parse error must say which one is bad
+    inst = tmp_path / "bad.txt"
+    inst.write_text("2\n0 2\n1 x\n")
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("1\n")
+    code, out, err = run(capsys, "verify", str(inst), str(setfile),
+                         "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (
+        1, "", f"error[E_PARSE]: {inst}: line 3: bad rational literal 'x'\n"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -149,6 +169,8 @@ def test_huge_exponent_is_one_coded_line_at_once(capsys, tmp_path, argv, message
     start = time.perf_counter()
     code, out, err = run(capsys, *(arg.format(inst) for arg in argv))
     assert time.perf_counter() - start < 1
+    if argv[0] == "solve":
+        message = _naming(message, inst)
     assert (code, out, err) == (1, "", message + "\n")
 
 

@@ -33,6 +33,7 @@ from pikdom.reduction import (
     _e0_arc,
     _e0_window,
     _head_ok,
+    _tail_ok,
     arc_length,
     build_digraph,
     dump_digraph,
@@ -42,6 +43,7 @@ from pikdom.reduction import (
     is_e0_arc,
     is_e1_arc,
     path_to_vertex_set,
+    search_naive,
     solve_naive,
 )
 
@@ -226,6 +228,22 @@ def test_sweep_runs_no_literal_window_check(monkeypatch):
     sol, _ = search_fast(plan)
     # sink 1, source 2, small 3, and big nodes with every answer to (4), (3)
     assert sol.feasible and set(plan.roles) == {1, 2, 3, 4, 5, 6, 7}
+    assert calls == []
+
+
+def test_naive_runs_no_literal_window_check(monkeypatch):
+    # naive reads conditions (3) and (4) from the plan's role bytes too; its
+    # arcs are built on the search's first call to plan.arcs().
+    plan = engine_plan(generate_random(30, 3, 8), 3, "kdom")
+    calls = []
+    for name in ("_head_ok", "_tail_ok", "_dominated"):
+        real = getattr(reduction_module, name)
+        monkeypatch.setattr(reduction_module, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    sol, path = search_naive(plan)
+    assert sol.feasible and len(path) > 2
+    assert set(plan.roles) == {1, 2, 3, 4, 5, 6, 7}
     assert calls == []
 
 
@@ -536,12 +554,20 @@ def test_fast_matches_naive_mid_scale(k, n_min, n_max, stretch_max, data):
     mw = with_costs(m, costs)
     g = derive_graph(mw)
     for variant in ("kdom", "total"):
-        fs = solve_fast(mw, k, variant, weighted=True)
-        nv = solve_naive(mw, k, variant, weighted=True)
+        plan = engine_plan(mw, k, variant, weighted=True)
+        fs, _ = search_fast(plan)
+        nv, _ = search_naive(plan)
         where = (
             f"seed={seed} n={n} k={k} stretch={stretch} variant={variant}\n"
             + serialize_model(mw)
         )
+        # Both engines read (3) and (4) from the role byte, so their
+        # agreement cannot see a wrong bit; the literal checks can.
+        if plan is not None:
+            for seq, role in zip(plan.seqs, plan.roles):
+                if role & 4:
+                    literal = _head_ok(plan.ctx, seq) | _tail_ok(plan.ctx, seq) << 1
+                    assert role & 3 == literal, (where, seq)
         assert (fs.feasible, fs.cost) == (nv.feasible, nv.cost), where
         if fs.feasible:
             assert find_violation(g, fs.vertices, k, variant) is None, where
@@ -644,10 +670,10 @@ def test_fast_builds_dag_nodes_only_for_its_path(monkeypatch, capsys, tmp_path):
     assert sol.stats["nodes"] > 1000
     assert len(built) == len(path)
     # naive builds nodes only for its own path too
-    nv = solve_naive(m, 2, "total")
+    nv, naive_path = search_naive(engine_plan(m, 2, "total"))
     assert nv.cost == sol.cost
+    assert len(built) == len(path) + len(naive_path)
     monkeypatch.undo()
-    naive_path = [DagNode(*args) for args in built[len(path):]]
     assert naive_path[0].id == 0 and naive_path[-1].id == sol.stats["nodes"] - 1
     assert path_to_vertex_set(naive_path, m) == nv.vertices
     inst = tmp_path / "m.txt"

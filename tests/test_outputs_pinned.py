@@ -13,7 +13,8 @@ same corpus plus more k=3 rows at n 40/60: two equal-cost paths can give the
 same vertex set, so this is the direct guard on the DP's tie-breaks.
 A third digest covers the naive engine and the ``dump_digraph`` text at n
 20/30/45 (k 1-2) and n 20 (k 3), where jump-arc windows are wide enough to
-hold many heads per tail.
+hold many heads per tail.  ``PINNED_NAIVE_PATHS`` hashes naive's node path,
+as node ids, and its stats on that corpus: the guard on naive's tie-break.
 A fourth digest covers the brute-force oracle on the first corpus: its
 feasibility, cost value and type, vertex set and ``subsets_scanned``, run
 unweighted, weighted on the model without costs (one unit per vertex) and
@@ -37,7 +38,14 @@ from pikdom.errors import PikdomError
 from pikdom.fast import search_fast, solve_fast
 from pikdom.model import derive_graph, format_rational, generate_random, parse_model, with_costs
 from pikdom.oracle import brute_force_min
-from pikdom.reduction import _Ctx, build_digraph, dump_digraph, engine_plan, solve_naive
+from pikdom.reduction import (
+    _Ctx,
+    build_digraph,
+    dump_digraph,
+    engine_plan,
+    search_naive,
+    solve_naive,
+)
 
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
@@ -45,6 +53,7 @@ PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
 PINNED_BRUTE = "9d058888313844140c9959c83691ac6163072a6ef6c11538e23fcc3ecce16550"
 PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
 PINNED_PATHS = "1ae225a9af0d47c30db72bec9c50e382cb2b3f0bf8788d6211da84e78f68ccfe"
+PINNED_NAIVE_PATHS = "55c77e8f6fb7138719a53fbd095b2fc18afd17163a5f37d8377664eddb9d38b1"
 PINNED_INGEST = "115378a2c9ef74002c7512f09ebf1d8f408822a0c73efe512638d3beb7366513"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
@@ -153,19 +162,25 @@ def test_large_paths_match_pinned_digest():
     assert digest == PINNED_PATHS
 
 
-def arcs_digest() -> tuple[str, int]:
-    h = hashlib.sha256()
-    runs = 0
+def _arcs_corpus():
+    """The corpus of ``arcs_digest``: (label, weighted, model, k, variant)."""
     for n, k in ((20, 1), (20, 2), (20, 3), (30, 1), (30, 2), (45, 1), (45, 2)):
         for rep in range(2):
             seed = 70000 + 100 * n + 10 * k + rep
             for label, m, mw, k, variant in _cases(n, k, seed, rep):
                 for weighted, model in ((False, m), (True, mw)):
-                    sol = solve_naive(model, k, variant, weighted)
-                    h.update(f"{label} {weighted} {_answer(sol)}\n".encode())
-                    dg = build_digraph(model, k, variant, weighted)
-                    h.update(dump_digraph(dg).encode())
-                    runs += 1
+                    yield label, weighted, model, k, variant
+
+
+def arcs_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    runs = 0
+    for label, weighted, model, k, variant in _arcs_corpus():
+        sol = solve_naive(model, k, variant, weighted)
+        h.update(f"{label} {weighted} {_answer(sol)}\n".encode())
+        dg = build_digraph(model, k, variant, weighted)
+        h.update(dump_digraph(dg).encode())
+        runs += 1
     return h.hexdigest(), runs
 
 
@@ -173,6 +188,26 @@ def test_arcs_match_pinned_digest():
     digest, runs = arcs_digest()
     assert runs == 7 * 2 * 2 * 2
     assert digest == PINNED_ARCS
+
+
+def naive_paths_digest() -> tuple[str, int]:
+    """``naive``'s node path, as node ids, and its stats on the corpus of
+    ``arcs_digest``."""
+    h = hashlib.sha256()
+    runs = 0
+    for label, weighted, model, k, variant in _arcs_corpus():
+        sol, path = search_naive(engine_plan(model, k, variant, weighted))
+        ids = "-" if path is None else " ".join(str(nd.id) for nd in path)
+        stats = json.dumps(sol.stats, sort_keys=True)
+        h.update(f"{label} {weighted} {_answer(sol)} {ids} {stats}\n".encode())
+        runs += 1
+    return h.hexdigest(), runs
+
+
+def test_naive_paths_match_pinned_digest():
+    digest, runs = naive_paths_digest()
+    assert runs == 7 * 2 * 2 * 2
+    assert digest == PINNED_NAIVE_PATHS
 
 
 def _brute_answer(sol) -> str:

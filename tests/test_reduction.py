@@ -38,11 +38,13 @@ from pikdom.reduction import (
     arc_length,
     build_digraph,
     dump_digraph,
+    engine_plan,
     enumerate_nodes,
     is_e0_arc,
     is_e1_arc,
     path_to_vertex_set,
     projected_node_count,
+    search_naive,
     solve_naive,
 )
 
@@ -865,8 +867,9 @@ def _every_path(dg):
 
 
 def test_naive_answer_is_least_optimal_path():
-    # naive's tie-break by its definition: the least (cost, node ids) path
-    # among every source-to-sink path of the digraph, at k=3 too for n <= 8.
+    # naive's tie-break by its definition: the path it returns is the least
+    # (cost, node ids) path among every source-to-sink path of the digraph,
+    # at k=3 too for n <= 8.
     feasible = tied = k3 = 0
     for n in range(1, 11):
         for seed in range(3):
@@ -882,17 +885,16 @@ def test_naive_answer_is_least_optimal_path():
                 ):
                     dg = build_digraph(model, k, variant, weighted)
                     paths = list(_every_path(dg))
-                    sol = solve_naive(model, k, variant, weighted)
-                    assert sol.feasible == bool(paths)
+                    sol, path = search_naive(engine_plan(model, k, variant, weighted))
+                    assert sol.feasible == bool(paths) == (path is not None)
                     if not paths:
                         continue
                     feasible += 1
                     k3 += k == 3
                     cost, ids = min(paths)
                     assert sol.cost == cost
-                    assert sol.vertices == path_to_vertex_set(
-                        [dg.nodes[i] for i in ids], model
-                    )
+                    assert tuple(nd.id for nd in path) == ids
+                    assert sol.vertices == path_to_vertex_set(path, model)
                     optimal_sets = {
                         path_to_vertex_set([dg.nodes[i] for i in p], model)
                         for c, p in paths if c == cost
