@@ -69,14 +69,15 @@ Slide (E1) arcs are shared the same way, by slide class.  A slide arc
 ``t -> s`` exists iff both are big and ``t.seq[1:] == s.seq[:-1]``, so every
 head with the same first ``2k-1`` indices has a slide arc from the same
 tails, the big nodes whose last ``2k-1`` indices are those.  The DP keeps
-``slide_best[overlap] = [least dist, first id with it, tail count]``, which
-every big node joins as a tail as it joins a suffix class, and a head reads
-one entry instead of testing every tail.  ``e1_arcs`` is the sum of the
-tail counts the heads read.
+one entry ``[least dist, first id with it, tail count]`` per slide class,
+which every big node joins as a tail as it joins a suffix class.  The heads
+of one class are one run of the plan (``reduction._Plan``), and the run
+reads the entry once instead of testing every tail.  ``e1_arcs`` is the
+sum over runs of the tail count times the run's length.
 
-The sweep visits nodes in id order.  Ids follow lexicographic order, and
-every arc strictly raises ``lo``, the first index (a jump arc has
-``t.lo <= t.hi < s.lo`` and a slide arc drops ``t.lo``), so a node's
+The sweep visits nodes in id order, run by run.  Ids follow lexicographic
+order, and every arc strictly raises ``lo``, the first index (a jump arc
+has ``t.lo <= t.hi < s.lo`` and a slide arc drops ``t.lo``), so a node's
 predecessors have lower ids and this is a topological order.  A class is
 complete and final before any head reads it:
 
@@ -92,30 +93,33 @@ first), the first member of that class in id order, a jump before a slide,
 and the first slide tail in id order, which the slide class keeps; none of
 these depends on the sweep order, so the chosen path does not either.
 
-The sweep (``_sweep``) reads the plan's per-id lists, each node's sequence
-and role byte, and its one cost table, each position's cost in units: a
-head's jump charge is the sum of its positions' costs, added only when some
-class has a jump arc into it.  The naive engine
-searches the same plan from ``reduction.engine_plan``; the two engines
-differ only in the search.  The role byte (``_Plan``) is all the sweep
-asks of a node, and it compares no kind: a node probes as a head iff it
-has the head bit, joins its suffix class iff it has the tail bit, and
-takes part in slide classes iff it has the big bit.  A big node's head and
-tail bits are its answers to (4) and (3), which the enumeration decides
-where each range is fixed: (4) once per chain of k members
-(``reduction._caps``) and (3) once per chain of 2k-1
-(``reduction._tail_bound``), so the sweep runs no window check.  The naive
-engine reads the same three bits, so the fast/naive differential cannot
-see a wrong head or tail bit; the tests hold each big node's bits to the
-literal ``reduction._head_ok`` and ``_tail_ok``.  The stats' node counts
-(small nodes, big nodes, tail-eligible big nodes) are counts of role
-bytes.  The middle check is decided once per chain of k+1 members
-(``reduction._caps``), so the plan holds only big nodes that pass it.
-Prefix and suffix keys and slide overlaps come from the sequence.  The
-sweep keeps the best path into each node and the node before it on that
-path in two lists by node id, besides the class entries above.
-Path lengths are plain ints in the plan's units; unreachable states are
-``None``.  The plan turns the optimal id path into the answer
+A run is decided once.  Its nodes ``t + (x,)`` share the prefix class
+``t[:k]`` (one probe), the slide class ``t`` (one read) and every position
+of a jump charge but ``x`` (one sum over ``t``).  A node has the head bit
+iff ``x`` is at most the run's head bound, and then costs the better of
+the jump and the slide into the run, else the slide, plus ``units[x]``
+either way, which keeps the tie-break.  Each node then joins its slide
+class and, if ``x`` is at most the tail bound, its suffix class: the only
+work done per node.
+
+The sweep (``_sweep``) reads the plan's items, single nodes (source, small
+nodes, sink) with their role bytes and runs with their bounds, and its one
+cost table, each position's cost in units; it never builds the plan's
+per-id lists.  The naive engine searches the same plan from
+``reduction.engine_plan``; the two engines differ only in the search.  The
+sweep compares no kind: a node probes as a head iff it has the head bit,
+joins its suffix class iff it has the tail bit, and takes part in slide
+classes iff it is in a run.  A big node's head and tail bits are its
+answers to (4) and (3), which the enumeration decides where each range is
+fixed: (4) once per chain of k members (``reduction._caps``) and (3) once
+per chain of 2k-1 (``reduction._tail_bound``), so the sweep runs no window
+check.  The naive engine reads the same bits, so the fast/naive
+differential cannot see a wrong head or tail bit; the tests hold each big
+node's bits to the literal ``reduction._head_ok`` and ``_tail_ok``.  The
+stats' node counts come from the run bounds.  The sweep keeps the best
+path into each node and the node before it on that path in two lists by
+node id.  Path lengths are plain ints in the plan's units; unreachable
+states are ``None``.  The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
 ``DagNode`` objects only for the nodes on the path; ``search_fast``
 returns ``(Solution, path)``, as ``reduction.search_naive`` does, with a
@@ -134,7 +138,6 @@ from .reduction import (
     DagNode,
     KIND_BIG,
     KIND_SMALL,
-    _BIG,
     _Ctx,
     _e0_window,
     _HEAD,
@@ -202,7 +205,8 @@ def topo_order(nodes, k: int) -> list[int]:
 def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
     """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the head
     with sequence ``seq``, a middle node or the sink, can have, from the top
-    of its window down.
+    of its window down.  Only the head's first k indices count, so ``seq``
+    may be those alone.
 
     The head must pass condition (4); the DP probes nothing for a big head
     that fails it.  A suffix class whose members end at ``hi`` has a jump
@@ -266,14 +270,34 @@ def search_fast(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     return plan.solution(rev and rev[::-1], dist[-1], "fast", stats)
 
 
+def _best_class(ctx: _Ctx, by_hi, prefix: tuple[int, ...]) -> tuple[list | None, int]:
+    """The probe of one prefix class: the entry of the best suffix class
+    with a jump arc into the heads whose first k indices are ``prefix``, or
+    None when no class has one, and how many classes it tested.  Every class
+    in the window ends before ``prefix[0]``, so all its members have lower
+    ids and have joined it."""
+    hit = None
+    tests = 0
+    for hi, floors in _floor_walk(ctx, prefix):
+        for entry in by_hi[hi].values():
+            best, _, key = entry
+            if best is None:
+                continue
+            tests += 1
+            # equal costs go to the first class in key order
+            if _clears(key, floors) and (hit is None or (best, key) < (hit[0], hit[2])):
+                hit = entry
+    return hit, tests
+
+
 def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, int]]:
     """The DP over ``plan``: by node id, the least path length from the
     source in the plan's units and the node before it on that path (``None``
-    when unreachable), and the solve's stats."""
-    ctx, seqs, roles = plan.ctx, plan.seqs, plan.roles
-    units, k = plan.units, ctx.k
-    dist: list[int | None] = [None] * len(seqs)
-    pred: list[int | None] = [None] * len(seqs)
+    when unreachable), and the solve's stats.  It walks the plan's items,
+    single nodes and runs, and reads no per-id list."""
+    ctx, units, k = plan.ctx, plan.units, plan.ctx.k
+    dist: list[int | None] = [None] * plan.size
+    pred: list[int | None] = [None] * plan.size
     dist[0] = 0
     # Suffix classes by the hi their members share (one dict per position
     # 0..n+1, as in units), then by key: [least dist, first id with it,
@@ -285,68 +309,101 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
     # the whole run.
     prefix = hit = None
     prefix_classes = 0
-    # Slide classes: by the last 2k-1 indices of big tails, [least dist,
-    # first id with it, tail count].  Each head with those first 2k-1
-    # indices has a slide arc from every such tail, all finalized before it.
-    slide_best: dict[tuple[int, ...], list] = {}
-    repr_tests = e1_arcs = 0
+    # Slide classes, by the last 2k-1 indices c of big tails: class c is
+    # slide_best[c[:-1]][c[-1]], [least dist, first id with it, tail count].
+    # The children of a run share every index of their class but the last,
+    # so the run looks up their dict once.  The heads of a run share their
+    # first 2k-1 indices, its chain, so each has a slide arc from every tail
+    # of the chain's class, all finalized before the run.
+    slide_best: dict[tuple[int, ...], dict[int, list]] = {}
+    repr_tests = e1_arcs = bigs = tail_bigs = 0
 
     # ids are a topological order, the source first and the sink last
-    for i, seq in enumerate(seqs):
-        role = roles[i]
-        # d and p: the best path into node i and the node before it on that
-        # path; first over jump arcs only, then over slides too.  Only the
-        # source starts with a path, of length 0.
-        d, p = dist[i], None
-        if role & _HEAD:
-            if seq[:k] != prefix:
-                # Every class in the window ends before seq[0], so all its
-                # members have lower ids and have joined it.
-                prefix, hit = seq[:k], None
-                prefix_classes += 1
-                for hi, floors in _floor_walk(ctx, seq):
-                    for entry in by_hi[hi].values():
-                        best, _, key = entry
-                        if best is None:
-                            continue
-                        repr_tests += 1
-                        # equal costs go to the first class in key order
-                        if _clears(key, floors) and (
-                            hit is None or (best, key) < (hit[0], hit[2])
-                        ):
-                            hit = entry
-            if hit is not None:
-                d, p = hit[0] + sum(map(units.__getitem__, seq)), hit[1]
-        if role & _BIG:
-            tails = slide_best.get(seq[:-1])
-            if tails is not None:
-                e1_arcs += tails[2]
-                # a slide beats the jump only at a strictly lower cost
-                if tails[0] is not None:
-                    cand = tails[0] + units[seq[-1]]
-                    if d is None or cand < d:
-                        d, p = cand, tails[1]
-            # Fold this node in as a tail; equal costs keep the first id.
-            tails = slide_best.setdefault(seq[1:], [None, i, 0])
-            tails[2] += 1
-            if d is not None and (tails[0] is None or d < tails[0]):
-                tails[0], tails[1] = d, i
-        dist[i] = d
-        pred[i] = p
-        # Fold this node into its suffix class if it can be a jump arc's
-        # tail; members come in id order, so equal costs keep the first id.
-        if role & _TAIL:
-            key = suffix_key(seq, k)
-            entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
-            if d is not None and (entry[0] is None or d < entry[0]):
-                entry[0], entry[1] = d, i
+    i = 0
+    for item in plan.items:
+        if len(item) == 2:
+            # A single node: the source, a small node or the sink.  Only the
+            # source starts with a path, of length 0.
+            seq, role = item
+            d, p = dist[i], None
+            if role & _HEAD:
+                if seq[:k] != prefix:
+                    prefix = seq[:k]
+                    hit, tests = _best_class(ctx, by_hi, prefix)
+                    prefix_classes += 1
+                    repr_tests += tests
+                if hit is not None:
+                    d, p = hit[0] + sum(map(units.__getitem__, seq)), hit[1]
+            dist[i], pred[i] = d, p
+            if role & _TAIL:
+                key = suffix_key(seq, k)
+                entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
+                if d is not None and (entry[0] is None or d < entry[0]):
+                    entry[0], entry[1] = d, i
+            i += 1
+            continue
 
-    smalls = roles.count(_HEAD | _TAIL)
-    tail_bigs = roles.count(_BIG | _TAIL) + roles.count(_BIG | _HEAD | _TAIL)
+        # A run: the big nodes t + (x,) for x in xs.  Each path into one of
+        # them is a path into the run's prefix or slide class plus a charge
+        # that differs only in units[x], so the run picks its arcs once.
+        t, xs, head, tail = item
+        bigs += len(xs)
+        tail_bigs += max(0, min(tail, xs[-1]) - xs[0] + 1)
+        # The best slide into every node of the run, less units[x]: its
+        # chain's class.
+        sd = sp = None
+        tails = slide_best.get(t[:-1], {}).get(t[-1])
+        if tails is not None:
+            e1_arcs += tails[2] * len(xs)
+            if tails[0] is not None:
+                sd, sp = tails[0], tails[1]
+        # The best arc into the run's heads, x <= head, less units[x]: a
+        # jump first, a slide only at a strictly lower cost.
+        hd, hp = sd, sp
+        if head >= xs[0]:
+            if t[:k] != prefix:
+                prefix = t[:k]
+                hit, tests = _best_class(ctx, by_hi, prefix)
+                prefix_classes += 1
+                repr_tests += tests
+            if hit is not None:
+                jd = hit[0] + sum(map(units.__getitem__, t))
+                if sd is None or jd <= sd:
+                    hd, hp = jd, hit[1]
+        slides = slide_best.setdefault(t[1:], {})  # the children's classes
+        suffix = t[k:]
+        for x in xs:
+            if x <= head:
+                d, p = hd, hp
+            else:
+                d, p = sd, sp
+            if d is not None:
+                d += units[x]
+            dist[i] = d
+            pred[i] = p
+            # Fold this node in as a slide tail; equal costs keep the first id.
+            tails = slides.get(x)
+            if tails is None:
+                slides[x] = [d, i, 1]
+            else:
+                tails[2] += 1
+                if d is not None and (tails[0] is None or d < tails[0]):
+                    tails[0], tails[1] = d, i
+            # Fold it into its suffix class if it can be a jump arc's tail;
+            # members come in id order, so equal costs keep the first id.
+            if x <= tail:
+                key = suffix + (x,)
+                entry = by_hi[x].get(key)
+                if entry is None:
+                    by_hi[x][key] = [d, i, key]
+                elif d is not None and (entry[0] is None or d < entry[0]):
+                    entry[0], entry[1] = d, i
+            i += 1
+
     return dist, pred, {
-        "nodes": len(seqs),
-        "small_nodes": smalls,
-        "big_nodes": len(seqs) - 2 - smalls,
+        "nodes": plan.size,
+        "small_nodes": plan.size - 2 - bigs,
+        "big_nodes": bigs,
         "tail_eligible_bigs": tail_bigs,
         "suffix_classes": sum(map(len, by_hi)) - 1,  # not the source's class
         "prefix_classes": prefix_classes,

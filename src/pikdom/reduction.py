@@ -24,29 +24,31 @@ Enumeration grows the chains index by index and builds only those its
 window checks can keep (``enumerate_nodes`` gives the three cuts and their
 proofs): a chain of k+1 members caps each later member of the big nodes in
 its subtree from one walk of their fixed middle, a chain one short of a big
-node appends every last index within its cap at once, and a chain whose
-small check fails at a position no later member can meet checks no small
-node in its subtree.  The head and tail conditions are decided the same
-way where their ranges are fixed, the head at k members and the tail at
-2k-1, so each big node's answers are kept in its role byte and neither
-engine runs either check.
+node keeps the big nodes it is the parent of as one run, every last
+index within its cap, and a chain whose small check fails at a position no
+later member can meet checks no small node in its subtree.  The head and
+tail conditions are decided the same way where their ranges are fixed, the
+head at k members and the tail at 2k-1, so each run keeps two bounds on
+its last index that give its nodes' answers, and neither engine runs
+either check.
 
-Both DAG engines search one ``_Plan`` (context, budget check, the nodes as
-per-id lists with their role bytes, per-position costs in integer units)
+Both DAG engines search one ``_Plan`` (context, budget check, the nodes in
+id order as single nodes and runs, per-position costs in integer units)
 from ``engine_plan``, which first answers the total variant's min-degree
 shortcut, and differ only in the search: ``search_naive`` materializes
 every arc and finds the least path in one backward pass over them, keeping
 each node's lowest-id optimal successor, ``fast.search_fast`` runs the
-suffix-class DP and keeps each node's predecessor.  Both read conditions
-(3) and (4) from the role byte, walk their pointers to an id path, and
-hand it to the plan, which builds a ``DagNode`` only for the nodes on it;
-both return ``(Solution, path)``, the path None when the sink is
-unreachable (``_Plan.solution``).
+suffix-class DP, one decision per run, and keeps each node's predecessor.
+Both read conditions (3) and (4) from the role bits, walk their pointers
+to an id path, and hand it to the plan, which builds a ``DagNode`` only
+for the nodes on it; both return ``(Solution, path)``, the path None when
+the sink is unreachable (``_Plan.solution``).
 ``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
-finds the jump arcs among the heads and tails the role bytes allow with
-the literal gap cover, once per tail, at the gap vertices it leaves short
-and what each needs; each head is checked at those (``_gap_covered``,
-which ``_e0_arc`` also calls).  It uses no key thresholds and no class
+takes each big tail's slide arcs from the run whose chain is the tail's
+last 2k-1 indices, and finds the jump arcs among the heads and tails the
+role bytes allow with the literal gap cover, once per tail, at the gap
+vertices it leaves short and what each needs; each head is checked at
+those (``_gap_covered``, which ``_e0_arc`` also calls).  It uses no key thresholds and no class
 sharing, so the differential tests check the fast engine's derivation of
 both.  The literal (3) and (4), ``_tail_ok`` and ``_head_ok``, stay as the
 reference the role bytes are tested against, with ``_e0_arc`` and
@@ -59,6 +61,7 @@ import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
@@ -296,9 +299,9 @@ def enumerate_nodes(
       cap keeps the caps; one whose member does not has no big node in its
       subtree, and is grown only while its small check is live.
     * Leaf bound.  A chain of 2k-1 members reads its last cap, and every x
-      up to it is a big node ``t + (x,)``.  At k <= 2 every chain passes
-      the middle check, since each middle position meets both middle
-      members, and the bound is the chain's own reach.
+      up to it is a big node ``t + (x,)``, all kept as one run.  At k <= 2
+      every chain passes the middle check, since each middle position meets
+      both middle members, and the bound is the chain's own reach.
     * Small-check subtree cut.  If the small check of ``t`` fails at m and
       ``m < reach_l[t[-1]+1]``, no later member meets m (``reach_l`` only
       rises), so every extension fails at m too, and the subtree's small
@@ -316,18 +319,27 @@ def enumerate_nodes(
     whose big nodes are still built.  A chain of 2k-1 bounds the last index
     x that passes (3) (``_tail_bound``).  The total variant's head cap is
     ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
-    passes both.  The plan keeps the answers in each node's role byte (see
-    ``_Plan``), and both engines read them there; only ``_e0_arc`` and
-    ``eligible_tail_bigs`` run the literal checks.
+    passes both.  Each run keeps its head cap and tail bound, which give
+    its nodes' role bits (see ``_Plan``), and both engines read them there;
+    only ``_e0_arc`` and ``eligible_tail_bigs`` run the literal checks.
     """
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
-def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
-    """The enumeration indexed by node id: each node's sequence as a list,
-    and its role as a ``bytearray`` (``_Plan`` describes them).  The source
-    ``(0,)`` comes first and the sink ``(n+1,)`` last; no ``DagNode`` is
-    built (``_Plan.nodes`` builds them)."""
+def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
+    """The enumeration in id order, as single nodes and runs of big nodes,
+    and the node count.
+
+    A single node is a pair ``(seq, role)``, with its role byte (``_Plan``):
+    the source ``((0,), 2)`` first, each small node, and the sink
+    ``((n+1,), 1)`` last.  A run is a 4-tuple ``(t, xs, head, tail)``: a
+    chain ``t`` of 2k-1 members is the parent of the big nodes ``t + (x,)``
+    for x in the range ``xs``, which take consecutive ids, and the one with
+    last index x has the head bit iff ``x <= head`` and the tail bit iff
+    ``x <= tail``.  So the head bits of a run are a prefix of it, and so
+    are its tail bits.  No per-node tuple or ``DagNode`` is built (``_Plan``
+    builds them).
+    """
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
     smalls = _small_lengths(k, variant)
@@ -335,8 +347,8 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
     parent_len = 2 * k - 1  # a chain one short of a big node
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
-    seqs: list[tuple[int, ...]] = [(0,)]
-    roles = bytearray((_TAIL,))  # the source's
+    items: list[tuple] = [((0,), _TAIL)]  # the source
+    size = 1  # the nodes in items
 
     def grow(
         t: tuple[int, ...],
@@ -350,14 +362,15 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
         # None when the subtree has no big node.  heads[i] bounds member i
         # of every big node in the subtree that passes condition (4), or
         # None when none does.
+        nonlocal size
         last = t[-1]
         q = len(t)
         if check_small and q in smalls:
             m = _dominated(ctx, t, clean, last)
             clean = last + 1 if m is None else m
             if m is None:
-                seqs.append(t)
-                roles.append(_HEAD | _TAIL)
+                items.append((t, _HEAD | _TAIL))
+                size += 1
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -387,10 +400,8 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
         top = min(top, cap)
         if top <= last:
             return
-        tail = _tail_bound(ctx, t, clean)
-        nexts = range(last + 1, top + 1)
-        seqs.extend([t + (nxt,) for nxt in nexts])
-        roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in nexts])
+        items.append((t, range(last + 1, top + 1), head, _tail_bound(ctx, t, clean)))
+        size += top - last
 
     # No chain has more than n members, so n + 1 caps cover every member a
     # chain reads; capping there keeps a huge k from building a huge tuple.
@@ -398,9 +409,8 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple[int, ...]], bytearray]:
     for start in range(1, n + 1):
         grow((start,), True, start, no_caps, no_caps)
 
-    seqs.append((n + 1,))
-    roles.append(_HEAD)
-    return seqs, roles
+    items.append(((n + 1,), _HEAD))  # the sink
+    return items, size + 1
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -526,7 +536,7 @@ def eligible_tail_bigs(
 
     Membership depends only on the node itself, which is what lets the fast
     engine treat one member of a suffix class as a representative for all.
-    No engine or diagnostic calls it (they read bit 1 of ``_Plan.roles``);
+    No engine or diagnostic calls it (they read the tail bit, ``_Plan``);
     it is kept as the literal cross-check of that bit for
     ``perfbench/run.py``'s breakdown and its tests.
     """
@@ -563,22 +573,22 @@ class _Plan:
     """What both DAG engines search, built once per solve: the context, the
     budget check (the only one), the nodes and the cost table.
 
-    The enumeration is kept per id (``_enumerate_with_ctx``): ``seqs[i]``
-    is node i's sequence and ``roles[i]``, one byte of a ``bytearray``, is
-    what node i can be in the search.  Bit 0 (``_HEAD``) says it can head a
-    jump arc: every small node, the sink, and a big node that passes
-    condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's tail:
-    every small node, the source, and a big node that passes condition (3).
-    Bit 2 (``_BIG``) says it is big, so it takes part in slide arcs.  So the
-    sink's byte is 1, the source's 2 and a small node's 3, and a big node's
-    bits 0 and 1 are its window conditions, decided by the enumeration's
-    caps and tail bounds.  Kind strings are built only where a ``DagNode``
-    is (``_KIND_OF_ROLE``).  Ids follow lexicographic order, so they are a
-    topological order and sort the nodes by ``lo``.  Both engines search
-    these lists, read all three bits, and hand ``solution`` the id path
-    they find, or None, which builds a ``DagNode`` only for the nodes on
-    it; ``nodes`` builds every one, for ``digraph`` and
-    ``enumerate_nodes``.
+    The enumeration is kept in id order as ``items``, single nodes and runs
+    of big nodes (``_enumerate_with_ctx``), and ``size`` is the node count.
+    A role byte says what a node can be in the search.  Bit 0 (``_HEAD``)
+    says it can head a jump arc: every small node, the sink, and a big node
+    that passes condition (4).  Bit 1 (``_TAIL``) says it can be a jump
+    arc's tail: every small node, the source, and a big node that passes
+    condition (3).  Bit 2 (``_BIG``) says it is big, so it takes part in
+    slide arcs.  So the sink's byte is 1, the source's 2 and a small node's
+    3; a big node's bits 0 and 1 come from its run's bounds.  Kind strings
+    are built only where a ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow
+    lexicographic order, so they are a topological order and sort the nodes
+    by ``lo``.  ``fast._sweep`` reads the items; the per-id lists ``seqs``
+    and ``roles`` (a ``bytearray``) are built from them on the first read
+    (``_flatten``), for the naive engine's arcs, ``nodes`` and the tests.
+    Both engines hand ``solution`` the id path they find, or None, which
+    builds a ``DagNode`` only for the nodes on it.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators, a cost ``c`` is the integer ``c *
@@ -590,10 +600,12 @@ class _Plan:
     ``units[seqs[i][-1]]``, and a jump arc into node i pays the sum of
     ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
     head's jump charge where it reads it: ``arcs`` once per head it lists,
-    ``fast._sweep`` once per head that some class has a jump arc into.
+    ``fast._sweep`` once per run or small head that some class reaches.
     """
 
-    __slots__ = ("ctx", "model", "seqs", "roles", "scale", "units", "_arcs")
+    __slots__ = (
+        "ctx", "model", "items", "size", "scale", "units", "_first_ids", "_flat", "_arcs",
+    )
 
     def __init__(
         self, model: ProperIntervalModel, k: int, variant: str, weighted: bool,
@@ -607,7 +619,7 @@ class _Plan:
             )
         self.model = model
         try:
-            self.seqs, self.roles = _enumerate_with_ctx(ctx)
+            self.items, self.size = _enumerate_with_ctx(ctx)
         except RecursionError:
             # grow recurses once per member of a chain, up to 2k-1 deep.
             raise BudgetError(
@@ -617,13 +629,51 @@ class _Plan:
         costs = model.costs if weighted and model.costs is not None else (1,) * model.n
         scale = self.scale = lcm(*(c.denominator for c in costs))
         self.units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
+        self._first_ids: list[int] | None = None
+        self._flat: tuple[list[tuple[int, ...]], bytearray] | None = None
         self._arcs: list[tuple[int, int, str, int]] | None = None
+
+    def _starts(self) -> list[int]:
+        """Each item's first id, by item, then the node count; built on the
+        first call."""
+        if self._first_ids is None:
+            sizes = (len(item[1]) if len(item) == 4 else 1 for item in self.items)
+            self._first_ids = [0, *accumulate(sizes)]
+        return self._first_ids
+
+    def _flatten(self) -> tuple[list[tuple[int, ...]], bytearray]:
+        """The per-id lists ``seqs`` and ``roles``, built from the items."""
+        seqs: list[tuple[int, ...]] = []
+        roles = bytearray()
+        for item in self.items:
+            if len(item) == 2:
+                seqs.append(item[0])
+                roles.append(item[1])
+            else:
+                t, xs, head, tail = item
+                seqs.extend([t + (x,) for x in xs])
+                roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in xs])
+        return seqs, roles
+
+    @property
+    def seqs(self) -> list[tuple[int, ...]]:
+        """Each node's sequence, by id; built on the first read."""
+        if self._flat is None:
+            self._flat = self._flatten()
+        return self._flat[0]
+
+    @property
+    def roles(self) -> bytearray:
+        """Each node's role byte, by id; built on the first read."""
+        if self._flat is None:
+            self._flat = self._flatten()
+        return self._flat[1]
 
     @property
     def nodes(self) -> list[DagNode]:
         """Every node as a ``DagNode``, by id."""
         kinds = map(_KIND_OF_ROLE.__getitem__, self.roles)
-        return list(map(DagNode, range(len(self.seqs)), kinds, self.seqs))
+        return list(map(DagNode, range(self.size), kinds, self.seqs))
 
     def digraph(self) -> DerivedDigraph:
         """Every node and arc, with exact rational arc lengths."""
@@ -638,12 +688,21 @@ class _Plan:
     ) -> tuple[Solution, list[DagNode] | None]:
         """The feasible answer for a source-to-sink path given by node ids,
         of ``length`` in the plan's units, and the path as ``DagNode``s:
-        the only ones a search builds.  A ``path`` of None says the sink is
-        unreachable, and gives the infeasible answer and None."""
+        the only ones a search builds.  Each id is found among the items by
+        their first ids, so no per-id list is read.  A ``path`` of None says
+        the sink is unreachable, and gives the infeasible answer and None."""
         if path is None:
             return infeasible_solution(engine, stats), None
-        seqs, roles = self.seqs, self.roles
-        node_path = [DagNode(i, _KIND_OF_ROLE[roles[i]], seqs[i]) for i in path]
+        items, starts = self.items, self._starts()
+        node_path = []
+        for i in path:
+            j = bisect.bisect_right(starts, i) - 1
+            item = items[j]
+            if len(item) == 2:
+                node_path.append(DagNode(i, _KIND_OF_ROLE[item[1]], item[0]))
+            else:
+                x = item[1][i - starts[j]]
+                node_path.append(DagNode(i, KIND_BIG, item[0] + (x,)))
         vset = path_to_vertex_set(node_path, self.model)
         cost = Fraction(length, self.scale)
         return Solution(vset, cost, True, engine, stats), node_path
@@ -653,21 +712,20 @@ class _Plan:
         (tail, head).
 
         One pass over the tails in id order lists each tail's slide arcs,
-        then its jump arcs, so the list is built sorted.  Ids follow
-        lexicographic order, so the big nodes that begin with a tail's last
-        2k-1 indices, its slide heads, are one run of ids, found by one
-        binary search of ``seqs``; they start at the tail's second index,
-        left of every jump head.  Jump arcs are found by a scan per tail,
-        with each part of the test evaluated at the level it depends on:
-        conditions (4) and (3) are the head and tail bits of the role byte,
-        so the heads are the ids with the head bit, never the source, and
-        the tails the ids with the tail bit, never the sink; the gap
-        cover is walked once per tail, the gap vertices it leaves short and
-        what each needs, and each head is checked at those
-        (``_gap_covered``, which keeps the heads' id order).  Only the heads
-        in the tail's window are scanned (``_e0_window``), and every one of
-        them passes condition (1).  They are built on the first call and
-        kept for later ones.
+        then its jump arcs, so the list is built sorted.  The big nodes that
+        begin with a tail's last 2k-1 indices, its slide heads, are exactly
+        the run whose chain is those indices, looked up by that chain; they
+        start at the tail's second index, left of every jump head.  Jump
+        arcs are found by a scan per tail, with each part of the test
+        evaluated at the level it depends on: conditions (4) and (3) are the
+        head and tail bits of the role byte, so the heads are the ids with
+        the head bit, never the source, and the tails the ids with the tail
+        bit, never the sink; the gap cover is walked once per tail, the gap
+        vertices it leaves short and what each needs, and each head is
+        checked at those (``_gap_covered``, which keeps the heads' id
+        order).  Only the heads in the tail's window are scanned
+        (``_e0_window``), and every one of them passes condition (1).  They
+        are built on the first call and kept for later ones.
         """
         if self._arcs is None:
             self._arcs = self._build_arcs()
@@ -675,6 +733,12 @@ class _Plan:
 
     def _build_arcs(self) -> list[tuple[int, int, str, int]]:
         ctx, seqs, roles, units = self.ctx, self.seqs, self.roles, self.units
+        # Each run by its chain: its first id and its range of last indices.
+        runs = {
+            item[0]: (start, item[1])
+            for item, start in zip(self.items, self._starts())
+            if len(item) == 4
+        }
         # Jump-arc heads, as (id, seq, charge) in id order and so by lo: the
         # ids with the head bit, so never the source, charged once each.
         by_lo = [
@@ -686,14 +750,13 @@ class _Plan:
         arcs = []
         for tail, (seq, role) in enumerate(zip(seqs, roles)):
             if role & _BIG:
-                # Slide heads start with the tail's last 2k-1 indices, so in
-                # id order they are the run right after that sequence; the
-                # sink, last, ends the run.
-                overlap = seq[1:]
-                head = bisect.bisect_right(seqs, overlap)
-                while seqs[head][:-1] == overlap:
-                    arcs.append((tail, head, ARC_E1, units[seqs[head][-1]]))
-                    head += 1
+                # Slide heads: the run whose chain is the tail's last 2k-1
+                # indices, if there is one.
+                run = runs.get(seq[1:])
+                if run is not None:
+                    start, xs = run
+                    arcs += [(tail, head, ARC_E1, units[x])
+                             for head, x in enumerate(xs, start)]
             if not role & _TAIL:  # the sink, or a big node that fails (3)
                 continue
             # A head's lo lies past the tail's reach, and no further than the
@@ -799,9 +862,9 @@ def search_naive(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     # Path lengths are plain ints in the plan's units.  A path pays each of
     # its vertices once, so no path costs ``unreachable``.
     unreachable = sum(plan.units) + 1
-    to_sink = [unreachable] * len(plan.seqs)
+    to_sink = [unreachable] * plan.size
     to_sink[-1] = 0
-    nxt = [0] * len(plan.seqs)
+    nxt = [0] * plan.size
     # Reversed, each tail's heads come in falling id order, so ``<=`` keeps
     # the lowest-id head of an optimal arc out of it.
     for tail, head, _, length in reversed(arcs):
@@ -810,9 +873,9 @@ def search_naive(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
             to_sink[tail], nxt[tail] = d, head
     # The path follows ``nxt`` from the source, when the sink is reachable.
     path = None if to_sink[0] == unreachable else [0]
-    while path and path[-1] != len(plan.seqs) - 1:
+    while path and path[-1] != plan.size - 1:
         path.append(nxt[path[-1]])
-    stats = {"nodes": len(plan.seqs), "arcs": len(arcs)}
+    stats = {"nodes": plan.size, "arcs": len(arcs)}
     return plan.solution(path, to_sink[0], "naive", stats)
 
 

@@ -247,6 +247,35 @@ def test_naive_runs_no_literal_window_check(monkeypatch):
     assert calls == []
 
 
+def test_fast_builds_no_per_id_lists(monkeypatch):
+    # The sweep decides each run of big nodes once and never builds the
+    # plan's per-id sequence and role lists; naive and plan.nodes build
+    # them, and still list every node in id order.
+    m = generate_random(30, 1, 8)
+    costs = [Fraction(1 + i % 4, 1 + i % 3) for i in range(m.n)]
+    for model, weighted in ((m, False), (with_costs(m, costs), True)):
+        for variant in ("kdom", "total"):
+            plan = engine_plan(model, 3, variant, weighted)
+            with monkeypatch.context() as mp:
+
+                def no_lists(self):
+                    raise AssertionError("solve_fast built the per-id lists")
+
+                mp.setattr(_Plan, "_flatten", no_lists)
+                sol, path = search_fast(plan)
+                assert sol == solve_fast(model, 3, variant, weighted)
+            assert sol.feasible and sol.stats["big_nodes"] > 1000
+            assert sum(len(item) == 4 for item in plan.items) > 300
+            nodes = plan.nodes
+            assert [nd.id for nd in nodes] == list(range(plan.size))
+            seqs = [nd.seq for nd in nodes]
+            assert seqs == sorted(set(seqs)) and len(seqs) == sol.stats["nodes"]
+            assert path == [nodes[nd.id] for nd in path]
+            naive, naive_path = search_naive(plan)
+            assert (naive.cost, naive.stats["nodes"]) == (sol.cost, plan.size)
+            assert naive_path == [nodes[nd.id] for nd in naive_path]
+
+
 def test_prefix_classes_are_id_runs(monkeypatch):
     # The sweep runs in id order and keeps only the last prefix class it
     # probed, so the heads sharing their first k indices must have

@@ -586,10 +586,10 @@ def _dummy_extended_reach(model):
 
 
 def test_flat_plan_matches_node_view():
-    # The plan keeps per-id lists; they are the public node view.  Its cost
-    # table is the per-vertex units between the dummies' zeros, and every
-    # jump arc it lists is as long as arc_length says, with and without
-    # costs (zero costs among them, arcs into the sink included).
+    # The per-id lists the plan builds from its runs are the public node
+    # view.  Its cost table is the per-vertex units between the dummies'
+    # zeros, and every jump arc it lists is as long as arc_length says, with
+    # and without costs (zero costs among them, arcs into the sink included).
     rng = random.Random(17)
     zero_costs = 0
     for n in (*range(1, 16), 20, 30):
@@ -616,6 +616,53 @@ def test_flat_plan_matches_node_view():
                             assert length == want, (tail, head)
                     assert plan.nodes == nodes
     assert zero_costs > 10
+
+
+def test_runs_hold_their_invariants():
+    # The plan keeps big nodes as runs (t, xs, head, tail): the nodes t + (x,)
+    # for x in xs, with the head bit iff x <= head and the tail bit iff
+    # x <= tail.  On mid-scale instances, with and without costs: a run's
+    # ids are consecutive with x rising by one, its head bits and its tail
+    # bits each form a prefix of it, and at x = bound and x = bound + 1,
+    # where they lie in the run, the literal checks agree with the bits.
+    counts = collections.Counter()
+    rng = random.Random(28)
+    for k, ns, stretches in (
+        (1, (30, 55, 80), (3, Fraction(17, 2), 10)),
+        (2, (20, 30, 40), (Fraction(7, 2), 5, 6)),
+        (3, (12, 18, 24), (3, Fraction(9, 2), 5)),
+    ):
+        for n, seed, stretch in itertools.product(ns, range(2), stretches):
+            m = generate_random(n, 2800 + 10 * n + k + seed, stretch)
+            costs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+            for model, weighted in ((m, False), (with_costs(m, costs), True)):
+                for variant in ("kdom", "total"):
+                    plan = _Plan(model, k, variant, weighted, 10**18)
+                    ctx, seqs, roles = plan.ctx, plan.seqs, plan.roles
+                    start = 0
+                    for item in plan.items:
+                        if len(item) == 2:
+                            assert (seqs[start], roles[start]) == item
+                            start += 1
+                            continue
+                        t, xs, head, tail = item
+                        assert len(t) == 2 * k - 1 and len(xs) > 0
+                        assert xs.step == 1 and xs.start == t[-1] + 1, item
+                        ids = range(start, start + len(xs))
+                        assert [seqs[i] for i in ids] == [t + (x,) for x in xs]
+                        for bit, bound, literal in ((1, head, _head_ok), (2, tail, _tail_ok)):
+                            bits = [bool(roles[i] & bit) for i in ids]
+                            assert bits == sorted(bits, reverse=True), item
+                            assert bits == [x <= bound for x in xs], item
+                            for x in (bound, bound + 1):
+                                if x in xs:
+                                    assert literal(ctx, t + (x,)) == (x <= bound), item
+                                    counts[bit, x - bound] += 1
+                        counts["runs"] += 1
+                        start += len(xs)
+                    assert start == plan.size == len(seqs)
+    assert counts["runs"] > 5000, counts
+    assert min(counts[bit, off] for bit in (1, 2) for off in (0, 1)) > 1000, counts
 
 
 @pytest.mark.parametrize(
