@@ -8,6 +8,7 @@ uses).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,15 +144,29 @@ def brute_force_min(
     Subsets are visited by increasing cardinality, lexicographically within a
     level, so the first strictly-better candidate realizes the documented
     tie-break (cost, then cardinality, then lexicographic member list).
+    Feasibility is the literal test: every vertex that needs hits (each one
+    under the total variant, each one outside the set otherwise) has at
+    least k neighbours in the set.  ``subsets_scanned`` counts the subsets
+    in scan order up to where the scan ends.
+
     Unit-cost runs stop at the first feasible subset; that one is optimal
-    because later subsets in scan order never cost less.
+    because later subsets in scan order never cost less.  They take no
+    bound: before that subset there is no best to bound by.
 
     Weighted runs sum integer units: every cost times the least common
     multiple of the denominators (one unit per vertex on a model without
-    costs), divided back once at the end.  A subset's cost comes before its
-    feasibility check, which is skipped when the cost is not below the best
-    so far: such a subset can never be strictly better, so the tie-break
-    stands.  Every subset is still counted in ``subsets_scanned``.
+    costs), divided back once at the end.  Each level is scanned depth
+    first in the same order, carrying the chosen prefix's cost and member
+    mask (``_weighted_scan``).  The subsets that share a prefix and pick
+    their next member at id v or later cost at least the prefix plus the
+    ``need`` cheapest units among ids v..n, ``need`` being the members still
+    to pick; when that is not below the best so far, none of them is
+    checked, and neither is any later sibling block, which has fewer ids to
+    pick from.  The scan ends at the first level whose ``size`` cheapest
+    vertices cost at least the best.  Units are never negative, so no
+    skipped subset could be strictly better, and the tie-break stands.  A
+    skipped block is still added to ``subsets_scanned`` (by ``math.comb``),
+    so the counter is 2^n as if every subset had been visited.
     """
     check_k(k)
     check_variant(variant)
@@ -165,11 +180,6 @@ def brute_force_min(
         for u in graph.adj[v - 1]:
             m |= 1 << (u - 1)
         nbr_mask[v] = m
-    unit = not weighted
-    if weighted:
-        costs = model.cost_by_original() or (Fraction(1),) * n
-        scale = math.lcm(*(c.denominator for c in costs))
-        units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
 
     total = variant == VARIANT_TOTAL
     if total and n > 0:
@@ -178,35 +188,88 @@ def brute_force_min(
         if any((nbr_mask[v] & full).bit_count() < k for v in range(1, n + 1)):
             return infeasible_solution("brute", {"subsets_scanned": 0})
 
-    best: int | None = None  # cardinality, or weighted cost in units
-    best_combo: tuple[int, ...] | None = None
+    # Per vertex, its own bit (0 under the total variant, where members need
+    # hits too) and its neighbours' bits.
+    checks = [(0 if total else 1 << (v - 1), nbr_mask[v]) for v in range(1, n + 1)]
+
+    def feasible(mask: int) -> bool:
+        for own, nbrs in checks:
+            if not mask & own and (nbrs & mask).bit_count() < k:
+                return False
+        return True
+
+    if weighted:
+        costs = model.cost_by_original() or (Fraction(1),) * n
+        scale = math.lcm(*(c.denominator for c in costs))
+        units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
+        best, best_combo, scanned = _weighted_scan(n, units, feasible)
+    else:
+        scale = 1
+        best, best_combo, scanned = _unit_scan(n, feasible)
+    stats = {"subsets_scanned": scanned}
+    if best is None:
+        return infeasible_solution("brute", stats)
+    return Solution(VertexSet.of(best_combo), Fraction(best, scale), True, "brute", stats)
+
+
+def _unit_scan(n: int, feasible) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """(cardinality, subset, subsets scanned) of the first feasible subset in
+    scan order, or (None, None, 2^n) when none is."""
     scanned = 0
     for size in range(0, n + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
             scanned += 1
-            cost = size if unit else sum(map(units.__getitem__, combo))
-            if best is not None and cost >= best:
-                continue
             mask = 0
             for v in combo:
                 mask |= 1 << (v - 1)
-            ok = True
-            for v in range(1, n + 1):
-                if not total and (mask >> (v - 1)) & 1:
-                    continue
-                if (nbr_mask[v] & mask).bit_count() < k:
-                    ok = False
-                    break
-            if not ok:
+            if feasible(mask):
+                return size, combo, scanned
+    return None, None, scanned
+
+
+def _weighted_scan(
+    n: int, units: list[int], feasible
+) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """(cost in units, subset, subsets scanned) of the first cheapest
+    feasible subset in scan order, or (None, None, 2^n) when none is;
+    ``brute_force_min`` gives the bound that skips blocks of subsets."""
+    # least[v][j]: the j cheapest units among ids v..n.
+    least = [[0]] * (n + 2)
+    pool: list[int] = []
+    for v in range(n, 0, -1):
+        bisect.insort(pool, units[v])
+        least[v] = [0, *itertools.accumulate(pool)]
+    bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
+    best = math.inf  # in units
+    best_combo: tuple[int, ...] | None = None
+    scanned = 0
+    picked: list[int] = []  # the prefix
+
+    def scan(start: int, need: int, cost: int, mask: int) -> None:
+        # Every subset that extends the prefix by ``need`` ids from start..n.
+        nonlocal best, best_combo, scanned
+        for v in range(start, n - need + 2):
+            if cost + least[v][need] >= best:
+                scanned += math.comb(n - v + 1, need)
+                return
+            if need > 1:
+                picked.append(v)
+                scan(v + 1, need - 1, cost + units[v], mask | bits[v])
+                picked.pop()
                 continue
-            best = cost
-            best_combo = combo
-            if unit:
-                break
-        if unit and best is not None:
+            scanned += 1
+            c = cost + units[v]
+            if c < best and feasible(mask | bits[v]):
+                best, best_combo = c, (*picked, v)
+
+    for size in range(0, n + 1):
+        if least[1][size] >= best:
+            scanned += sum(math.comb(n, s) for s in range(size, n + 1))
             break
-    stats = {"subsets_scanned": scanned}
-    if best is None:
-        return infeasible_solution("brute", stats)
-    cost = Fraction(best) if unit else Fraction(best, scale)
-    return Solution(VertexSet.of(best_combo), cost, True, "brute", stats)
+        if size:
+            scan(1, size, 0, 0)
+        else:
+            scanned += 1
+            if feasible(0):
+                best, best_combo = 0, ()
+    return (None if best_combo is None else best), best_combo, scanned

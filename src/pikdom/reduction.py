@@ -62,7 +62,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb, inf, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
 from .model import ProperIntervalModel, format_rational, model_min_degree
@@ -161,9 +161,51 @@ def projected_node_count(n: int, k: int, variant: str) -> int:
 
     Node lengths run from the shortest small length up to the big length
     2k; only lengths up to n have sequences, so the sum stops there and
-    costs O(min(n, k)) whatever k is."""
-    first = _small_lengths(k, variant).start
-    return 2 + sum(comb(n, q) for q in range(first, min(n, 2 * k) + 1))
+    costs O(min(n, k)) binomials whatever k is.  It ignores the chain
+    condition, so the plan's budget check counts the chains
+    (``_chain_count``) before it refuses on this bound."""
+    return _binomial_count(n, k, variant, inf)
+
+
+def _binomial_count(n: int, k: int, variant: str, cap: int | float) -> int:
+    """``projected_node_count``, stopped once it passes ``cap``: at a huge k
+    the later binomials are integers of up to n bits, and the budget check
+    needs only to know that the sum is over the cap."""
+    count = 2
+    for q in range(_small_lengths(k, variant).start, min(n, 2 * k) + 1):
+        count += comb(n, q)
+        if count > cap:
+            break
+    return count
+
+
+def _chain_count(ctx: _Ctx, cap: int) -> int:
+    """The consecutively-intersecting chains of every node length, plus the
+    two dummies: what the enumeration can build at most, since it grows
+    exactly these chains and its window checks only drop some.
+
+    ``f[i]`` is the number of chains of the current length that start at
+    position i: 1 at length 1, and at the next length the sum of ``f[j]``
+    for j in ``i+1..reach_r[i]``, read off suffix sums, so each length costs
+    O(n).  The count stops once it passes ``cap`` or some length has no
+    chain (then no longer one has either), so a huge k costs at most one
+    pass per member of the longest chain."""
+    n, reach_r = ctx.n, ctx.reach_r
+    lengths = range(_small_lengths(ctx.k, ctx.variant).start, 2 * ctx.k + 1)
+    f = [0, *(1,) * n, 0]  # by position, 0 at the dummies
+    count = 2
+    for q in range(1, lengths.stop):
+        if q > 1:
+            suffix = [*accumulate(reversed(f))][::-1] + [0]  # suffix[j] = sum(f[j:])
+            f = [0, *(suffix[i + 1] - suffix[reach_r[i] + 1] for i in range(1, n + 1)), 0]
+        chains = sum(f)
+        if not chains:
+            break
+        if q in lengths:
+            count += chains
+            if count > cap:
+                break
+    return count
 
 
 def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
@@ -612,7 +654,10 @@ class _Plan:
         cap_nodes: int,
     ):
         ctx = self.ctx = _Ctx(model, k, variant)
-        if projected_node_count(ctx.n, k, variant) > cap_nodes:
+        # The binomial projection is cheap; only when it is over the cap are
+        # the chains counted.
+        if (_binomial_count(ctx.n, k, variant, cap_nodes) > cap_nodes
+                and _chain_count(ctx, cap_nodes) > cap_nodes):
             raise BudgetError(
                 f"projected node count exceeds cap {cap_nodes} "
                 f"(n={ctx.n}, k={k}, variant={variant})"

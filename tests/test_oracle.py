@@ -168,6 +168,61 @@ def test_brute_cap():
     assert brute_force_min(m6, 1, "kdom", cap=6).feasible
 
 
+def _scan_reference(m, k, variant, weighted):
+    """(feasible, cost, members, subsets scanned) by the literal scan: every
+    subset by size, then lexicographically, each checked vertex by vertex;
+    the first strictly cheaper feasible subset wins, and a unit run stops at
+    its first.  Under the total variant a line whose full set fails is
+    answered before any subset is scanned, as brute answers it."""
+    n, ids = m.n, range(1, m.n + 1)
+    nbrs = [0, *(sum(1 << (u - 1) for u in adj) for adj in derive_graph(m).adj)]
+    costs = (weighted and m.cost_by_original()) or (Fraction(1),) * n
+
+    def ok(mask):
+        needy = [v for v in ids if variant == "total" or not mask >> (v - 1) & 1]
+        return all((nbrs[v] & mask).bit_count() >= k for v in needy)
+
+    if variant == "total" and n and not ok((1 << n) - 1):
+        return False, None, (), 0
+    best, scanned = None, 0
+    for size in range(n + 1):
+        for combo in itertools.combinations(ids, size):
+            scanned += 1
+            if ok(sum(1 << (v - 1) for v in combo)):
+                cost = sum((costs[v - 1] for v in combo), Fraction(0))
+                if best is None or cost < best[0]:
+                    best = (cost, combo)
+                    if not weighted:
+                        return True, cost, combo, scanned
+    return (False, None, (), scanned) if best is None else (True, *best, scanned)
+
+
+def test_brute_matches_literal_scan():
+    # generate_random models at n 1-12 and k 1-3, both variants, each unit,
+    # weighted with zeros and ties, and weighted with mixed denominators.
+    rng = random.Random(2903)
+    runs = weighted_feasible = 0
+    for case in range(84):
+        n, k = rng.randint(1, 12), 1 + case % 3
+        seed = rng.randrange(10**6)
+        m = generate_random(n, seed, rng.choice((1, 2, 3, Fraction(7, 2), 5)))
+        tied = with_costs(m, [rng.choice((0, 0, 1, 2, 2)) for _ in range(n)])
+        mixed = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                               for _ in range(n)])
+        for model, weighted in ((m, False), (tied, True), (mixed, True)):
+            for variant in ("kdom", "total"):
+                want = _scan_reference(model, k, variant, weighted)
+                sol = brute_force_min(model, k, variant, weighted)
+                got = (sol.feasible, sol.cost, sol.vertices.members,
+                       sol.stats["subsets_scanned"])
+                where = f"seed={seed} k={k} variant={variant}\n{serialize_model(model)}"
+                assert got == want, where
+                assert sol.cost is None or type(sol.cost) is Fraction, where
+                runs += 1
+                weighted_feasible += weighted and want[0]
+    assert runs >= 500 and weighted_feasible > 100, (runs, weighted_feasible)
+
+
 # -------------------------------------------------- monotonicity / lemma
 
 @settings(max_examples=50, deadline=None)
@@ -217,6 +272,31 @@ def test_empty_model_solutions():
     for variant in ("kdom", "total"):
         sol = brute_force_min(empty, 1, variant)
         assert sol.feasible and sol.cost == 0 and sol.vertices.size == 0
+
+
+# ------------------------------------------- weighted agreement past the corpus
+
+def test_weighted_engines_agree_with_brute_at_n_15_to_18():
+    # The acceptance corpus stops at n 14.  Each k and variant at n 15-18,
+    # with costs in {0..9}/{1, 2, 3, 7}.
+    feasible = 0
+    for case, (k, variant, n) in enumerate(
+        itertools.product((1, 2, 3), ("kdom", "total"), range(15, 19))
+    ):
+        seed = 2904 + case
+        rng = random.Random(seed)
+        m = generate_random(n, seed, rng.choice((4, 5, 6, 8)))
+        m = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                           for _ in range(n)])
+        where = f"seed={seed} k={k} variant={variant}\n{serialize_model(m)}"
+        want = brute_force_min(m, k, variant, weighted=True)
+        g = derive_graph(m)
+        for sol in (want, solve_fast(m, k, variant, True), solve_naive(m, k, variant, True)):
+            assert (sol.feasible, sol.cost) == (want.feasible, want.cost), (sol.engine, where)
+            if sol.feasible:
+                assert find_violation(g, sol.vertices, k, variant) is None, (sol.engine, where)
+        feasible += want.feasible
+    assert feasible >= 12, feasible
 
 
 # ----------------------------------------- literal oracle past brute's range

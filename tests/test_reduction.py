@@ -26,9 +26,12 @@ from pikdom.oracle import brute_force_min, find_violation
 from pikdom.reduction import (
     ARC_E0,
     ARC_E1,
+    DEFAULT_NODE_CAP,
     DagNode,
     _Ctx,
     _Plan,
+    _binomial_count,
+    _chain_count,
     _dominated,
     _e0_arc,
     _e0_window,
@@ -120,10 +123,53 @@ def test_small_nodes_empty_for_k1_total():
 
 def test_projected_count_budget():
     assert projected_node_count(2, 1, "total") == 2 + 1  # C(2,2) big candidates
+    # The chain count here is 77, so a cap of 50 refuses it.
     with pytest.raises(BudgetError):
-        enumerate_nodes(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
+        enumerate_nodes(generate_random(40, 1, 3), 3, "total", cap_nodes=50)
     with pytest.raises(BudgetError):
-        build_digraph(generate_random(40, 1, 3), 3, "total", cap_nodes=100)
+        build_digraph(generate_random(40, 1, 3), 3, "total", cap_nodes=50)
+
+
+def test_chain_count_bounds_the_plan():
+    # The enumeration builds consecutively-intersecting chains of the node
+    # lengths and drops some, so their count bounds the node count; at k=1
+    # plain k-domination every chain is a node.
+    for e in map(acceptance_entry, range(ACCEPTANCE_SIZE)):
+        for variant in ("kdom", "total"):
+            count = _chain_count(_Ctx(e.model, e.k, variant), 10**18)
+            size = _Plan(e.model, e.k, variant, False, 10**18).size
+            assert count >= size, (e.idx, variant, count, size)
+            if e.k == 1 and variant == "kdom":
+                assert count == size, (e.idx, count, size)
+
+
+@pytest.mark.parametrize("n, k, variant", [
+    (300, 2, "total"), (400, 2, "total"), (100, 3, "total"), (20_000, 1, "kdom"),
+])
+def test_budget_admits_sparse_instances_the_binomial_refuses(n, k, variant):
+    model = generate_random(n, 1, 8)
+    assert projected_node_count(n, k, variant) > DEFAULT_NODE_CAP
+    plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
+    assert 0 < plan.size <= _chain_count(plan.ctx, DEFAULT_NODE_CAP) <= DEFAULT_NODE_CAP
+
+
+def test_budget_at_huge_k_stops_early():
+    # The binomial sum stops at the first length that passes the cap, and
+    # the chain count at the first length with no chain, so neither builds
+    # the n-bit binomials of a huge k.
+    n, k = 20_000, 10**6
+    assert _binomial_count(n, k, "kdom", DEFAULT_NODE_CAP) == 2 + n + comb(n, 2)
+    plan = _Plan(generate_random(n, 1, 2), k, "kdom", False, DEFAULT_NODE_CAP)
+    assert 0 < plan.size <= _chain_count(plan.ctx, DEFAULT_NODE_CAP) <= DEFAULT_NODE_CAP
+
+
+def test_budget_refuses_a_dense_runaway():
+    # Stretch near n: every k=3 chain of up to 6 of 300 near-clique
+    # intervals is a candidate, far over the cap; the count stops there.
+    model = generate_random(300, 1, 290)
+    assert _chain_count(_Ctx(model, 3, "kdom"), DEFAULT_NODE_CAP) > DEFAULT_NODE_CAP
+    with pytest.raises(BudgetError):
+        solve_fast(model, 3, "kdom")
 
 
 def test_deep_chain_is_a_budget_error():
@@ -177,7 +223,7 @@ def test_min_degree_shortcut_runs_before_budget():
         sol = solve(m, 3, "total", cap_nodes=100)
         assert not sol.feasible and sol.stats is None
         with pytest.raises(BudgetError):
-            solve(m, 3, "kdom", cap_nodes=100)
+            solve(m, 3, "kdom", cap_nodes=50)  # the chain count is 60
 
 
 def test_bad_k_is_param_error_before_budget():
