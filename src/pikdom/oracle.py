@@ -165,8 +165,8 @@ def brute_force_min(
     pick from.  The scan ends at the first level whose ``size`` cheapest
     vertices cost at least the best.  Units are never negative, so no
     skipped subset could be strictly better, and the tie-break stands.  A
-    skipped block is still added to ``subsets_scanned`` (by ``math.comb``),
-    so the counter is 2^n as if every subset had been visited.
+    weighted scan without the skips visits every subset, so
+    ``subsets_scanned`` is 2^n for every weighted run.
     """
     check_k(k)
     check_variant(variant)
@@ -202,7 +202,8 @@ def brute_force_min(
         costs = model.cost_by_original() or (Fraction(1),) * n
         scale = math.lcm(*(c.denominator for c in costs))
         units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
-        best, best_combo, scanned = _weighted_scan(n, units, feasible)
+        best, best_combo = _weighted_scan(n, units, feasible)
+        scanned = 1 << n
     else:
         scale = 1
         best, best_combo, scanned = _unit_scan(n, feasible)
@@ -229,10 +230,10 @@ def _unit_scan(n: int, feasible) -> tuple[int | None, tuple[int, ...] | None, in
 
 def _weighted_scan(
     n: int, units: list[int], feasible
-) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """(cost in units, subset, subsets scanned) of the first cheapest
-    feasible subset in scan order, or (None, None, 2^n) when none is;
-    ``brute_force_min`` gives the bound that skips blocks of subsets."""
+) -> tuple[int | None, tuple[int, ...] | None]:
+    """(cost in units, subset) of the first cheapest feasible subset in scan
+    order, or (None, None) when none is; ``brute_force_min`` gives the bound
+    that skips blocks of subsets."""
     # least[v][j]: the j cheapest units among ids v..n.
     least = [[0]] * (n + 2)
     pool: list[int] = []
@@ -242,34 +243,28 @@ def _weighted_scan(
     bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
     best = math.inf  # in units
     best_combo: tuple[int, ...] | None = None
-    scanned = 0
     picked: list[int] = []  # the prefix
 
     def scan(start: int, need: int, cost: int, mask: int) -> None:
         # Every subset that extends the prefix by ``need`` ids from start..n.
-        nonlocal best, best_combo, scanned
+        nonlocal best, best_combo
         for v in range(start, n - need + 2):
             if cost + least[v][need] >= best:
-                scanned += math.comb(n - v + 1, need)
                 return
             if need > 1:
                 picked.append(v)
                 scan(v + 1, need - 1, cost + units[v], mask | bits[v])
                 picked.pop()
                 continue
-            scanned += 1
             c = cost + units[v]
             if c < best and feasible(mask | bits[v]):
                 best, best_combo = c, (*picked, v)
 
     for size in range(0, n + 1):
         if least[1][size] >= best:
-            scanned += sum(math.comb(n, s) for s in range(size, n + 1))
             break
         if size:
             scan(1, size, 0, 0)
-        else:
-            scanned += 1
-            if feasible(0):
-                best, best_combo = 0, ()
-    return (None if best_combo is None else best), best_combo, scanned
+        elif feasible(0):
+            best, best_combo = 0, ()
+    return (None if best_combo is None else best), best_combo

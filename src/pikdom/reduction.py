@@ -62,7 +62,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, inf, lcm
+from math import comb, lcm
 
 from .errors import BudgetError, NotArcError, NotPathError
 from .model import ProperIntervalModel, format_rational, model_min_degree
@@ -161,22 +161,10 @@ def projected_node_count(n: int, k: int, variant: str) -> int:
 
     Node lengths run from the shortest small length up to the big length
     2k; only lengths up to n have sequences, so the sum stops there and
-    costs O(min(n, k)) binomials whatever k is.  It ignores the chain
-    condition, so the plan's budget check counts the chains
-    (``_chain_count``) before it refuses on this bound."""
-    return _binomial_count(n, k, variant, inf)
-
-
-def _binomial_count(n: int, k: int, variant: str, cap: int | float) -> int:
-    """``projected_node_count``, stopped once it passes ``cap``: at a huge k
-    the later binomials are integers of up to n bits, and the budget check
-    needs only to know that the sum is over the cap."""
-    count = 2
-    for q in range(_small_lengths(k, variant).start, min(n, 2 * k) + 1):
-        count += comb(n, q)
-        if count > cap:
-            break
-    return count
+    costs O(min(n, k)) whatever k is.  It ignores the chain condition; the
+    plan's budget check counts the chains (``_chain_count``) instead."""
+    first = _small_lengths(k, variant).start
+    return 2 + sum(comb(n, q) for q in range(first, min(n, 2 * k) + 1))
 
 
 def _chain_count(ctx: _Ctx, cap: int) -> int:
@@ -654,10 +642,7 @@ class _Plan:
         cap_nodes: int,
     ):
         ctx = self.ctx = _Ctx(model, k, variant)
-        # The binomial projection is cheap; only when it is over the cap are
-        # the chains counted.
-        if (_binomial_count(ctx.n, k, variant, cap_nodes) > cap_nodes
-                and _chain_count(ctx, cap_nodes) > cap_nodes):
+        if _chain_count(ctx, cap_nodes) > cap_nodes:
             raise BudgetError(
                 f"projected node count exceeds cap {cap_nodes} "
                 f"(n={ctx.n}, k={k}, variant={variant})"

@@ -30,7 +30,6 @@ from pikdom.reduction import (
     DagNode,
     _Ctx,
     _Plan,
-    _binomial_count,
     _chain_count,
     _dominated,
     _e0_arc,
@@ -154,11 +153,9 @@ def test_budget_admits_sparse_instances_the_binomial_refuses(n, k, variant):
 
 
 def test_budget_at_huge_k_stops_early():
-    # The binomial sum stops at the first length that passes the cap, and
-    # the chain count at the first length with no chain, so neither builds
-    # the n-bit binomials of a huge k.
+    # The chain count stops at the first length with no chain, so a huge k
+    # costs a few passes over the positions.
     n, k = 20_000, 10**6
-    assert _binomial_count(n, k, "kdom", DEFAULT_NODE_CAP) == 2 + n + comb(n, 2)
     plan = _Plan(generate_random(n, 1, 2), k, "kdom", False, DEFAULT_NODE_CAP)
     assert 0 < plan.size <= _chain_count(plan.ctx, DEFAULT_NODE_CAP) <= DEFAULT_NODE_CAP
 
