@@ -141,56 +141,49 @@ def brute_force_min(
 ) -> Solution:
     """Exact minimum by subset scan, the oracle for both reduction engines.
 
-    Subsets are visited by increasing cardinality, lexicographically within a
-    level, so the first strictly-better candidate realizes the documented
-    tie-break (cost, then cardinality, then lexicographic member list).
     Feasibility is the literal test: every vertex that needs hits (each one
     under the total variant, each one outside the set otherwise) has at
-    least k neighbours in the set.  ``subsets_scanned`` counts the subsets
-    in scan order up to where the scan ends.
+    least k neighbours in the set.  Costs are integer units: every cost
+    times the least common multiple of the denominators, one unit per
+    vertex when the run is unweighted or the model has no costs, divided
+    back once at the end.
 
-    Unit-cost runs stop at the first feasible subset; that one is optimal
-    because later subsets in scan order never cost less.  They take no
-    bound: before that subset there is no best to bound by.
-
-    Weighted runs sum integer units: every cost times the least common
-    multiple of the denominators (one unit per vertex on a model without
-    costs), divided back once at the end.  Each level is scanned depth
-    first in the same order, carrying the chosen prefix's cost and member
-    mask (``_weighted_scan``).  The subsets that share a prefix and pick
-    their next member at id v or later cost at least the prefix plus the
-    ``need`` cheapest units among ids v..n, ``need`` being the members still
-    to pick; when that is not below the best so far, none of them is
+    Subsets are visited by increasing cardinality, lexicographically within a
+    level, so the first strictly cheaper feasible subset realizes the
+    documented tie-break (cost, then cardinality, then lexicographic member
+    list).  Each level is scanned depth first, carrying the chosen prefix's
+    cost and member mask (``_scan``).  The subsets that share a prefix and
+    pick their next member at id v or later cost at least the prefix plus
+    the ``need`` cheapest units among ids v..n, ``need`` being the members
+    still to pick; when that is not below the best so far, none of them is
     checked, and neither is any later sibling block, which has fewer ids to
     pick from.  The scan ends at the first level whose ``size`` cheapest
     vertices cost at least the best.  Units are never negative, so no
-    skipped subset could be strictly better, and the tie-break stands.  A
-    weighted scan without the skips visits every subset, so
-    ``subsets_scanned`` is 2^n for every weighted run.
+    skipped subset could be strictly better, and the tie-break stands.
+
+    With unit costs the scan ends at the first feasible subset, of size s
+    say: until then the best is above every subset's cost and nothing is
+    skipped; after it, every later block of the level is bounded by s, and
+    so is the next level.  ``subsets_scanned`` counts the subsets checked,
+    so a unit run reports the subsets in scan order up to its first
+    feasible one.  A weighted scan without the skips visits every subset,
+    so a weighted run reports 2^n.
     """
     check_k(k)
     check_variant(variant)
     n = model.n
     if n > cap:
         raise TooLargeError(f"brute force capped at n <= {cap}, got {n}")
-    graph = derive_graph(model)
-    nbr_mask = [0] * (n + 1)
-    for v in range(1, n + 1):
-        m = 0
-        for u in graph.adj[v - 1]:
-            m |= 1 << (u - 1)
-        nbr_mask[v] = m
-
     total = variant == VARIANT_TOTAL
-    if total and n > 0:
-        # Monotonicity: if V(G) itself fails, every subset fails.
-        full = (1 << n) - 1
-        if any((nbr_mask[v] & full).bit_count() < k for v in range(1, n + 1)):
-            return infeasible_solution("brute", {"subsets_scanned": 0})
-
     # Per vertex, its own bit (0 under the total variant, where members need
     # hits too) and its neighbours' bits.
-    checks = [(0 if total else 1 << (v - 1), nbr_mask[v]) for v in range(1, n + 1)]
+    checks = [
+        (0 if total else 1 << (v - 1), sum(1 << (u - 1) for u in adj))
+        for v, adj in enumerate(derive_graph(model).adj, 1)
+    ]
+    if total and any(nbrs.bit_count() < k for _, nbrs in checks):
+        # Monotonicity: if V(G) itself fails, every subset fails.
+        return infeasible_solution("brute", {"subsets_scanned": 0})
 
     def feasible(mask: int) -> bool:
         for own, nbrs in checks:
@@ -198,42 +191,23 @@ def brute_force_min(
                 return False
         return True
 
-    if weighted:
-        costs = model.cost_by_original() or (Fraction(1),) * n
-        scale = math.lcm(*(c.denominator for c in costs))
-        units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
-        best, best_combo = _weighted_scan(n, units, feasible)
-        scanned = 1 << n
-    else:
-        scale = 1
-        best, best_combo, scanned = _unit_scan(n, feasible)
-    stats = {"subsets_scanned": scanned}
+    costs = (weighted and model.cost_by_original()) or (Fraction(1),) * n
+    scale = math.lcm(*(c.denominator for c in costs))
+    units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
+    best, best_combo, scanned = _scan(n, units, feasible)
+    stats = {"subsets_scanned": 1 << n if weighted else scanned}
     if best is None:
         return infeasible_solution("brute", stats)
     return Solution(VertexSet.of(best_combo), Fraction(best, scale), True, "brute", stats)
 
 
-def _unit_scan(n: int, feasible) -> tuple[int | None, tuple[int, ...] | None, int]:
-    """(cardinality, subset, subsets scanned) of the first feasible subset in
-    scan order, or (None, None, 2^n) when none is."""
-    scanned = 0
-    for size in range(0, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            scanned += 1
-            mask = 0
-            for v in combo:
-                mask |= 1 << (v - 1)
-            if feasible(mask):
-                return size, combo, scanned
-    return None, None, scanned
-
-
-def _weighted_scan(
+def _scan(
     n: int, units: list[int], feasible
-) -> tuple[int | None, tuple[int, ...] | None]:
-    """(cost in units, subset) of the first cheapest feasible subset in scan
-    order, or (None, None) when none is; ``brute_force_min`` gives the bound
-    that skips blocks of subsets."""
+) -> tuple[int | None, tuple[int, ...] | None, int]:
+    """(cost in units, subset, subsets checked) of the first cheapest
+    feasible subset in scan order, or (None, None, subsets checked) when
+    none is; ``brute_force_min`` gives the bound that skips blocks of
+    subsets."""
     # least[v][j]: the j cheapest units among ids v..n.
     least = [[0]] * (n + 2)
     pool: list[int] = []
@@ -241,13 +215,14 @@ def _weighted_scan(
         bisect.insort(pool, units[v])
         least[v] = [0, *itertools.accumulate(pool)]
     bits = [0] + [1 << (v - 1) for v in range(1, n + 1)]
-    best = math.inf  # in units
+    best = sum(units) + 1  # in units; above every subset's cost
     best_combo: tuple[int, ...] | None = None
+    checked = 1  # the empty subset
     picked: list[int] = []  # the prefix
 
     def scan(start: int, need: int, cost: int, mask: int) -> None:
         # Every subset that extends the prefix by ``need`` ids from start..n.
-        nonlocal best, best_combo
+        nonlocal best, best_combo, checked
         for v in range(start, n - need + 2):
             if cost + least[v][need] >= best:
                 return
@@ -257,14 +232,15 @@ def _weighted_scan(
                 picked.pop()
                 continue
             c = cost + units[v]
-            if c < best and feasible(mask | bits[v]):
-                best, best_combo = c, (*picked, v)
+            if c < best:
+                checked += 1
+                if feasible(mask | bits[v]):
+                    best, best_combo = c, (*picked, v)
 
-    for size in range(0, n + 1):
+    if feasible(0):
+        best, best_combo = 0, ()
+    for size in range(1, n + 1):
         if least[1][size] >= best:
             break
-        if size:
-            scan(1, size, 0, 0)
-        elif feasible(0):
-            best, best_combo = 0, ()
-    return (None if best_combo is None else best), best_combo
+        scan(1, size, 0, 0)
+    return (None if best_combo is None else best), best_combo, checked

@@ -199,7 +199,8 @@ def _scan_reference(m, k, variant, weighted):
 
 def test_brute_matches_literal_scan():
     # generate_random models at n 1-12 and k 1-3, both variants, each unit,
-    # weighted with zeros and ties, and weighted with mixed denominators.
+    # weighted with zeros and ties, weighted and unweighted with mixed
+    # denominators, and weighted with every cost 3.
     rng = random.Random(2903)
     runs = weighted_feasible = 0
     for case in range(84):
@@ -209,7 +210,10 @@ def test_brute_matches_literal_scan():
         tied = with_costs(m, [rng.choice((0, 0, 1, 2, 2)) for _ in range(n)])
         mixed = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
                                for _ in range(n)])
-        for model, weighted in ((m, False), (tied, True), (mixed, True)):
+        tripled = with_costs(m, [3] * n)
+        unit_runs = {}
+        for model, weighted in ((m, False), (tied, True), (mixed, True),
+                                (mixed, False), (tripled, True)):
             for variant in ("kdom", "total"):
                 want = _scan_reference(model, k, variant, weighted)
                 sol = brute_force_min(model, k, variant, weighted)
@@ -218,6 +222,11 @@ def test_brute_matches_literal_scan():
                 where = f"seed={seed} k={k} variant={variant}\n{serialize_model(model)}"
                 assert got == want, where
                 assert sol.cost is None or type(sol.cost) is Fraction, where
+                if model is m:
+                    unit_runs[variant] = got
+                if model is tripled:  # every cost 3: the unit optimum at 3x
+                    ok, cost, members, _ = unit_runs[variant]
+                    assert got[:3] == (ok, cost and 3 * cost, members), where
                 runs += 1
                 weighted_feasible += weighted and want[0]
     assert runs >= 500 and weighted_feasible > 100, (runs, weighted_feasible)
