@@ -151,23 +151,12 @@ def brute_force_min(
     Subsets are visited by increasing cardinality, lexicographically within a
     level, so the first strictly cheaper feasible subset realizes the
     documented tie-break (cost, then cardinality, then lexicographic member
-    list).  Each level is scanned depth first, carrying the chosen prefix's
-    cost and member mask (``_scan``).  The subsets that share a prefix and
-    pick their next member at id v or later cost at least the prefix plus
-    the ``need`` cheapest units among ids v..n, ``need`` being the members
-    still to pick; when that is not below the best so far, none of them is
-    checked, and neither is any later sibling block, which has fewer ids to
-    pick from.  The scan ends at the first level whose ``size`` cheapest
-    vertices cost at least the best.  Units are never negative, so no
-    skipped subset could be strictly better, and the tie-break stands.
-
-    With unit costs the scan ends at the first feasible subset, of size s
-    say: until then the best is above every subset's cost and nothing is
-    skipped; after it, every later block of the level is bounded by s, and
-    so is the next level.  ``subsets_scanned`` counts the subsets checked,
-    so a unit run reports the subsets in scan order up to its first
-    feasible one.  A weighted scan without the skips visits every subset,
-    so a weighted run reports 2^n.
+    list).  ``_scan`` checks a subset iff it costs less than the cheapest
+    feasible subset found before it in that order, and skips the rest in
+    blocks; units are never negative, so no skipped subset could be strictly
+    better, and the tie-break stands.  ``subsets_scanned`` counts the
+    subsets checked, by that one rule on every run, weighted or not; the
+    total-variant shortcut below checks none.
     """
     check_k(k)
     check_variant(variant)
@@ -195,7 +184,7 @@ def brute_force_min(
     scale = math.lcm(*(c.denominator for c in costs))
     units = [0] + [c.numerator * (scale // c.denominator) for c in costs]  # by id
     best, best_combo, scanned = _scan(n, units, feasible)
-    stats = {"subsets_scanned": 1 << n if weighted else scanned}
+    stats = {"subsets_scanned": scanned}
     if best is None:
         return infeasible_solution("brute", stats)
     return Solution(VertexSet.of(best_combo), Fraction(best, scale), True, "brute", stats)
@@ -206,8 +195,19 @@ def _scan(
 ) -> tuple[int | None, tuple[int, ...] | None, int]:
     """(cost in units, subset, subsets checked) of the first cheapest
     feasible subset in scan order, or (None, None, subsets checked) when
-    none is; ``brute_force_min`` gives the bound that skips blocks of
-    subsets."""
+    none is.
+
+    A subset is checked iff it costs less than the cheapest feasible subset
+    found before it.  Each level is scanned depth first, carrying the
+    chosen prefix's cost and member mask.  The subsets that share a prefix
+    and pick their next member at id v or later cost at least the prefix
+    plus the ``need`` cheapest units among ids v..n, ``need`` being the
+    members still to pick; when that is not below the best, none of them is
+    checked, and neither is any later sibling block, which has fewer ids to
+    pick from.  The scan ends at the first level whose ``size`` cheapest
+    vertices cost at least the best.  Each skip holds only subsets at or
+    above the best, so the subsets checked are exactly those the rule names.
+    """
     # least[v][j]: the j cheapest units among ids v..n.
     least = [[0]] * (n + 2)
     pool: list[int] = []

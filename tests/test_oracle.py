@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -170,13 +171,18 @@ def test_brute_cap():
 
 def _scan_reference(m, k, variant, weighted):
     """(feasible, cost, members, subsets scanned) by the literal scan: every
-    subset by size, then lexicographically, each checked vertex by vertex;
-    the first strictly cheaper feasible subset wins, and a unit run stops at
-    its first.  Under the total variant a line whose full set fails is
-    answered before any subset is scanned, as brute answers it."""
+    subset by size, then lexicographically.  A subset is scanned iff it costs
+    less than the cheapest feasible subset found before it, and only then is
+    it checked vertex by vertex; so the first strictly cheaper feasible
+    subset wins.  Costs are summed in integer units, each cost times the
+    least common multiple of the denominators.  Under the total variant a
+    line whose full set fails is answered before any subset is scanned, as
+    brute answers it."""
     n, ids = m.n, range(1, m.n + 1)
     nbrs = [0, *(sum(1 << (u - 1) for u in adj) for adj in derive_graph(m).adj)]
     costs = (weighted and m.cost_by_original()) or (Fraction(1),) * n
+    scale = math.lcm(*(c.denominator for c in costs))
+    units = [0, *(int(c * scale) for c in costs)]
 
     def ok(mask):
         needy = [v for v in ids if variant == "total" or not mask >> (v - 1) & 1]
@@ -187,20 +193,21 @@ def _scan_reference(m, k, variant, weighted):
     best, scanned = None, 0
     for size in range(n + 1):
         for combo in itertools.combinations(ids, size):
-            scanned += 1
-            if ok(sum(1 << (v - 1) for v in combo)):
-                cost = sum((costs[v - 1] for v in combo), Fraction(0))
-                if best is None or cost < best[0]:
+            cost = sum(map(units.__getitem__, combo))
+            if best is None or cost < best[0]:
+                scanned += 1
+                if ok(sum(1 << (v - 1) for v in combo)):
                     best = (cost, combo)
-                    if not weighted:
-                        return True, cost, combo, scanned
-    return (False, None, (), scanned) if best is None else (True, *best, scanned)
+    if best is None:
+        return False, None, (), scanned
+    return True, Fraction(best[0], scale), best[1], scanned
 
 
 def test_brute_matches_literal_scan():
     # generate_random models at n 1-12 and k 1-3, both variants, each unit,
-    # weighted with zeros and ties, weighted and unweighted with mixed
-    # denominators, and weighted with every cost 3.
+    # weighted with no costs (as the unit run, stats too), weighted with
+    # zeros and ties, weighted and unweighted with mixed denominators, and
+    # weighted with every cost 3.
     rng = random.Random(2903)
     runs = weighted_feasible = 0
     for case in range(84):
@@ -212,18 +219,21 @@ def test_brute_matches_literal_scan():
                                for _ in range(n)])
         tripled = with_costs(m, [3] * n)
         unit_runs = {}
-        for model, weighted in ((m, False), (tied, True), (mixed, True),
+        for model, weighted in ((m, False), (m, True), (tied, True), (mixed, True),
                                 (mixed, False), (tripled, True)):
             for variant in ("kdom", "total"):
                 want = _scan_reference(model, k, variant, weighted)
                 sol = brute_force_min(model, k, variant, weighted)
                 got = (sol.feasible, sol.cost, sol.vertices.members,
                        sol.stats["subsets_scanned"])
-                where = f"seed={seed} k={k} variant={variant}\n{serialize_model(model)}"
+                where = (f"seed={seed} k={k} variant={variant} weighted={weighted}\n"
+                         f"{serialize_model(model)}")
                 assert got == want, where
                 assert sol.cost is None or type(sol.cost) is Fraction, where
-                if model is m:
+                if model is m and not weighted:
                     unit_runs[variant] = got
+                if model is m and weighted:  # no costs: the unit run, stats too
+                    assert got == unit_runs[variant], where
                 if model is tripled:  # every cost 3: the unit optimum at 3x
                     ok, cost, members, _ = unit_runs[variant]
                     assert got[:3] == (ok, cost and 3 * cost, members), where
@@ -308,15 +318,47 @@ def test_weighted_engines_agree_with_brute_at_n_15_to_18():
     assert feasible >= 12, feasible
 
 
+def test_engines_agree_with_brute_at_k_4_to_6():
+    # Answers past k=3: n 2k-2 to 14 at stretches 5, 8 and 13/2, each with
+    # unit costs and, solved weighted, costs in {0..9}/{1, 2, 3, 7}.
+    runs = feasible = 0
+    for case, (k, stretch) in enumerate(
+        itertools.product((4, 5, 6), (5, 8, Fraction(13, 2)))
+    ):
+        for n in range(2 * k - 2, 15):
+            seed = 3100 + 100 * case + n
+            rng = random.Random(seed)
+            m = generate_random(n, seed, stretch)
+            mixed = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                                   for _ in range(n)])
+            g = derive_graph(m)
+            for model, weighted in ((m, False), (mixed, True)):
+                for variant in ("kdom", "total"):
+                    where = (f"seed={seed} k={k} variant={variant} weighted={weighted}\n"
+                             f"{serialize_model(model)}")
+                    want = brute_force_min(model, k, variant, weighted)
+                    for sol in (want, solve_fast(model, k, variant, weighted),
+                                solve_naive(model, k, variant, weighted)):
+                        assert (sol.feasible, sol.cost) == (want.feasible, want.cost), (
+                            sol.engine, where)
+                        if sol.feasible:
+                            assert find_violation(g, sol.vertices, k, variant) is None, (
+                                sol.engine, where)
+                    runs += 1
+                    feasible += want.feasible
+    assert runs == 252 and 100 <= feasible < runs, (runs, feasible)
+
+
 # ----------------------------------------- literal oracle past brute's range
 
-def _literal_cases(salt, count, max_n):
+def _literal_cases(salt, count, max_n, ks=(1, 2, 3)):
     """(seed, k, model) triples from ``generate_random`` at stretch <= 8, k
-    1-3; alternate runs of three cases get mixed-denominator costs (zeros
-    among them), so every k, and every fourth case, comes both ways."""
+    cycling through ``ks``; alternate runs of three cases get
+    mixed-denominator costs (zeros among them), so with k 1-3 every k, and
+    every fourth case, comes both ways."""
     rng = random.Random(salt)
     for case in range(count):
-        k = 1 + case % 3
+        k = ks[case % len(ks)]
         n = rng.randint(1, max_n(case, k))
         seed = rng.randrange(10**6)
         m = generate_random(n, seed, rng.choice((1, 2, 3, Fraction(7, 2), 5, 8)))
@@ -351,12 +393,22 @@ def test_literal_oracle_matches_fast_past_brute():
     for seed, k, m in _literal_cases(2302, 48, max_n):
         big += m.n > 100
         for variant in ("kdom", "total"):
-            want = solve_fast(m, k, variant, m.weighted, cap_nodes=10**18)
+            want = solve_fast(m, k, variant, m.weighted)
             got = frontier_min_literal(m, k, variant, m.weighted)
             assert got == want.cost, _literal_where(seed, k, variant, m)
             runs += 1
             feasible += want.feasible
     assert big >= 8 and 30 < feasible < runs, (big, runs, feasible)
+    # k=4 at n up to 60, on its own stream.
+    runs = feasible = 0
+    for seed, k, m in _literal_cases(2304, 24, lambda case, k: 60, ks=(4,)):
+        for variant in ("kdom", "total"):
+            want = solve_fast(m, k, variant, m.weighted)
+            got = frontier_min_literal(m, k, variant, m.weighted)
+            assert got == want.cost, _literal_where(seed, k, variant, m)
+            runs += 1
+            feasible += want.feasible
+    assert 12 < feasible < runs, (runs, feasible)
 
 
 # ------------------------------------------- the benchmark's instance shapes
