@@ -24,9 +24,10 @@ from .model import (
     generate_random,
     parse_model,
     parse_rational,
+    payload_lines,
     serialize_model,
 )
-from .oracle import BRUTE_CAP_DEFAULT, VertexSet, brute_force_min, find_violation
+from .oracle import BRUTE_CAP_DEFAULT, VARIANTS, VertexSet, brute_force_min, find_violation
 from .reduction import (
     DEFAULT_NODE_CAP,
     build_digraph,
@@ -71,20 +72,13 @@ def _solve_with(algo: str, model, k: int, variant: str, cap_nodes: int, cap_brut
     return search(plan)[0], plan
 
 
-def _read_text(path) -> str:
-    """A file's text, decoded as UTF-8; bytes that do not decode are a parse
-    error naming the file."""
+def _parse_file(path, parse=parse_model):
+    """``parse`` of a file's text, decoded as UTF-8.  Every error in reading
+    it, bytes that do not decode included, names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-
-
-def _parse_file(path):
-    """The model in a file; a parse error names the file."""
-    text = _read_text(path)
-    try:
-        return parse_model(text)
     except PikdomError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -134,21 +128,19 @@ def cmd_solve(args) -> int:
 
 
 def _parse_set_file(text: str) -> VertexSet:
+    """A set file: one vertex id per payload line, read as instances are."""
     ids = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        payload = raw.split("#", 1)[0].strip()
-        if not payload:
-            continue
+    for lineno, payload in payload_lines(text):
         try:
             ids.append(int(payload))
         except ValueError as exc:
-            raise ParseError(f"set file line {lineno}: bad vertex id {payload!r}") from exc
+            raise ParseError(f"line {lineno}: bad vertex id {payload!r}") from exc
     return VertexSet.of(ids)
 
 
 def cmd_verify(args) -> int:
     model = _parse_file(args.instance)
-    vset = _parse_set_file(_read_text(args.setfile))
+    vset = _parse_file(args.setfile, _parse_set_file)
     graph = derive_graph(model)
     violation = find_violation(graph, vset, args.k, args.variant)
     if args.format == "json":
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_problem_flags(p):
-        p.add_argument("--variant", choices=("kdom", "total"), required=True)
+        p.add_argument("--variant", choices=VARIANTS, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n-min", type=int, default=8)
     p_bench.add_argument("--n-max", type=int, default=12)
     p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("--variant", choices=("kdom", "total"), default="total")
+    p_bench.add_argument("--variant", choices=VARIANTS, default="total")
     p_bench.add_argument("--k", type=int, default=1)
     p_bench.add_argument("--engines", default="fast,naive")
     p_bench.add_argument("--seed", type=int, default=0)

@@ -1,5 +1,8 @@
 """Proper interval models: parsing, validation, derived graphs, generation.
 
+Instance texts, and the CLI's set files, are read through ``payload_lines``,
+the one rule for where a line ends and what on it counts.
+
 A model is an ordered family of closed intervals on the line, none containing
 another.  All endpoint arithmetic is exact (``fractions.Fraction``): the
 node/arc enumeration downstream depends on exact intersection tests, so
@@ -154,6 +157,10 @@ class ProperIntervalModel:
     finds them: ``reach_r[i]`` walks right from ``reach_r[i-1]``, and the
     first interval whose walk reaches position j is ``reach_l[j]``.  They
     follow from the intervals, so they take no part in equality or repr.
+
+    Validation checks each adjacent pair of sorted rows once; the first pair
+    out of order raises ``DuplicateIntervalError`` if the two rows coincide,
+    and ``NotProperError`` otherwise.
     """
 
     intervals: tuple[Interval, ...]
@@ -184,15 +191,11 @@ class ProperIntervalModel:
         lefts = [keys[t][0] for t in order]
         rights = [keys[t][1] for t in order]
         for i in range(1, n):
-            if lefts[i - 1] == lefts[i] and rights[i - 1] == rights[i]:
-                a = ivs[i - 1]
-                raise DuplicateIntervalError(f"coincident intervals [{a.left}, {a.right}]")
-        for i in range(1, n):
             if not (lefts[i - 1] < lefts[i] and rights[i - 1] < rights[i]):
-                a, b = ivs[i - 1], ivs[i]
-                raise NotProperError(
-                    f"containment between [{a.left}, {a.right}] and [{b.left}, {b.right}]"
-                )
+                a, b = (f"[{iv.left}, {iv.right}]" for iv in ivs[i - 1 : i + 1])
+                if ivs[i - 1] == ivs[i]:
+                    raise DuplicateIntervalError(f"coincident intervals {a}")
+                raise NotProperError(f"containment between {a} and {b}")
         reach_l = list(range(n))  # a position no earlier walk reaches
         reach_r = [0] * n
         hi = 0
@@ -263,19 +266,23 @@ def build_model(intervals, costs=None, original_ids=None) -> ProperIntervalModel
     return ProperIntervalModel(intervals, costs, original_ids)
 
 
-def parse_model(text: str) -> ProperIntervalModel:
-    """Parse the line-oriented instance format.
+def payload_lines(text: str) -> list[tuple[int, str]]:
+    r"""``(line number, payload)`` of each line of ``text`` with a payload: the
+    part before the line's first ``#``, stripped.  A line ends at ``\n``,
+    ``\r\n`` or ``\r``, as Python's text files read, and every line counts."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    pairs = ((i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(lines, 1))
+    return [(i, payload) for i, payload in pairs if payload]
 
-    Format: ``#`` starts a comment anywhere on a line.  The first payload
-    line is ``n`` optionally followed by the token ``weighted``; the next n
-    lines are ``left right`` or, when weighted, ``left right cost``.  A bad
-    row's error names its line in the file, comment and blank lines counted.
+
+def parse_model(text: str) -> ProperIntervalModel:
+    """Parse the line-oriented instance format, read by ``payload_lines``.
+
+    The first payload line is ``n`` optionally followed by the token
+    ``weighted``; the next n lines are ``left right`` or, when weighted,
+    ``left right cost``.  A bad row's error names its line in the file.
     """
-    rows = []  # (file line number, payload)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        payload = raw.split("#", 1)[0].strip()
-        if payload:
-            rows.append((lineno, payload))
+    rows = payload_lines(text)
     if not rows:
         raise ParseError("empty instance")
     (_, header), body = rows[0], rows[1:]

@@ -644,7 +644,7 @@ class _Plan:
         ctx = self.ctx = _Ctx(model, k, variant)
         if _chain_count(ctx, cap_nodes) > cap_nodes:
             raise BudgetError(
-                f"projected node count exceeds cap {cap_nodes} "
+                f"chain count exceeds cap {cap_nodes} "
                 f"(n={ctx.n}, k={k}, variant={variant})"
             )
         self.model = model

@@ -156,6 +156,28 @@ def test_verify_bad_literal_names_its_file(capsys, tmp_path):
     )
 
 
+def test_verify_bad_set_id_names_the_set_file(capsys, p6_file, tmp_path):
+    setfile = tmp_path / "set.txt"
+    setfile.write_text("# witness\n1\nx\n")
+    code, out, err = run(capsys, "verify", p6_file, str(setfile),
+                         "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (1, "", f"error[E_PARSE]: {setfile}: line 3: bad vertex id 'x'\n")
+
+
+def test_instance_and_set_files_number_lines_alike(capsys, p6_file, tmp_path):
+    # Comments, blank lines, a trailing form feed and CRLF ends: the one line
+    # reader numbers the bad line 6 whichever grammar reads the text.
+    layout = tmp_path / "layout.txt"
+    layout.write_bytes(b"# comment\r\n\r\n1\f\r\n# comment\r\n\r\nx\f\r\n")
+    code, out, err = run(capsys, "solve", str(layout), "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (
+        1, "", f"error[E_PARSE]: {layout}: line 6: expected 2 fields, got 1\n"
+    )
+    code, out, err = run(capsys, "verify", p6_file, str(layout),
+                         "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (1, "", f"error[E_PARSE]: {layout}: line 6: bad vertex id 'x'\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("solve", "{}", "--variant", "kdom", "--k", "1"),
      "error[E_PARSE]: line 2: bad rational literal '1e30000000'"),
@@ -193,10 +215,12 @@ def test_help_exit_0(capsys):
 def test_solve_budget_exit_1(capsys, tmp_path):
     inst = tmp_path / "dense.txt"
     inst.write_text("6\n1 7\n2 8\n3 9\n4 10\n5 11\n6 12\n")
-    code, _, err = run(capsys, "solve", str(inst), "--variant", "total", "--k", "2",
-                       "--cap-nodes", "3")
-    assert code == 1
-    assert "E_BUDGET" in err
+    code, out, err = run(capsys, "solve", str(inst), "--variant", "total", "--k", "2",
+                         "--cap-nodes", "3")
+    # The refusal counts chains before the enumeration; it projects nothing.
+    assert (code, out, err) == (
+        1, "", "error[E_BUDGET]: chain count exceeds cap 3 (n=6, k=2, variant=total)\n"
+    )
 
 
 def test_solve_deep_chain_exit_1(capsys, tmp_path):

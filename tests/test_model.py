@@ -28,6 +28,7 @@ from pikdom.model import (
     parse_rational,
     model_min_degree,
     parse_model,
+    payload_lines,
     serialize_model,
     with_costs,
 )
@@ -95,6 +96,43 @@ def test_parse_comments_and_decimals():
     assert m.n == 2
     assert m.intervals[0].left == Fraction(1, 2)
     assert m.intervals[0].right == Fraction(9, 4)
+
+
+@pytest.mark.parametrize("end, breaks", [
+    ("\n", True), ("\r\n", True), ("\r", True),
+    ("\f", False), ("\v", False), ("\x1c", False), ("\u2028", False),
+])
+def test_payload_lines_break_only_at_newline_ends(end, breaks):
+    text = end.join(["# c", "2", "", "0 2  # row", "1 3"]) + end
+    if breaks:
+        assert payload_lines(text) == [(2, "2"), (4, "0 2"), (5, "1 3")]
+    else:
+        # One line: the comment runs to its end, so it has no payload.
+        assert payload_lines(text) == []
+        assert payload_lines("x" + text) == [(1, "x")]
+
+
+def test_payload_lines_number_past_other_breaks():
+    # A form feed is whitespace inside a line, not a line end.
+    assert payload_lines("2\n0 2\f\n1 x\n") == [(1, "2"), (2, "0 2"), (3, "1 x")]
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse_model("2\n0 2\f\n1 x\n")
+
+
+def test_parse_reads_lf_crlf_and_cr_alike():
+    lf = "# c\n3 weighted\n\n5 9 1\n0 4 2  # row\n3.5 6 1/2\n"
+    models = [parse_model(lf.replace("\n", end)) for end in ("\n", "\r\n", "\r")]
+    assert models[0] == models[1] == models[2]
+    assert models[0].original_ids == (2, 3, 1)
+
+
+def test_first_bad_row_pair_decides_the_error():
+    # Each adjacent pair of sorted rows is checked once, in order: a
+    # containment sorted before a duplicate is reported, and vice versa.
+    with pytest.raises(NotProperError, match=r"^containment between \[0, 10\] and \[1, 2\]$"):
+        build_model([Interval(0, 10), Interval(1, 2), Interval(5, 6), Interval(5, 6)])
+    with pytest.raises(DuplicateIntervalError, match=r"^coincident intervals \[0, 2\]$"):
+        build_model([Interval(0, 2), Interval(0, 2), Interval(5, 9), Interval(6, 7)])
 
 
 def test_parse_records_permutation():
