@@ -23,6 +23,7 @@ from .fast import (
     suffix_partition,
     topo_order,
 )
+from .frontier import solve_frontier
 from .model import (
     DerivedGraph,
     Interval,

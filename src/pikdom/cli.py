@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParamError, ParseError, PikdomError
+from .errors import ParamError, ParseError, PikdomError, VertexIndexError
 from .fast import search_fast
 from .model import (
     derive_graph,
@@ -127,20 +127,24 @@ def cmd_solve(args) -> int:
     return EXIT_OK if sol.feasible else EXIT_INFEASIBLE
 
 
-def _parse_set_file(text: str) -> VertexSet:
-    """A set file: one vertex id per payload line, read as instances are."""
+def _parse_set_file(text: str, n: int) -> VertexSet:
+    """A set file of an n-vertex instance: one vertex id in 1..n per payload
+    line, read as instances are."""
     ids = []
     for lineno, payload in payload_lines(text):
         try:
-            ids.append(int(payload))
+            v = int(payload)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad vertex id {payload!r}") from exc
+        if not 1 <= v <= n:
+            raise VertexIndexError(f"line {lineno}: vertex {v} out of range 1..{n}")
+        ids.append(v)
     return VertexSet.of(ids)
 
 
 def cmd_verify(args) -> int:
     model = _parse_file(args.instance)
-    vset = _parse_file(args.setfile, _parse_set_file)
+    vset = _parse_file(args.setfile, functools.partial(_parse_set_file, n=model.n))
     graph = derive_graph(model)
     violation = find_violation(graph, vset, args.k, args.variant)
     if args.format == "json":

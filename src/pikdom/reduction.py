@@ -35,24 +35,26 @@ either check.
 Both DAG engines search one ``_Plan`` (context, budget check, the nodes in
 id order as single nodes and runs, per-position costs in integer units)
 from ``engine_plan``, which first answers the total variant's min-degree
-shortcut, and differ only in the search: ``search_naive`` materializes
-every arc and finds the least path in one backward pass over them, keeping
-each node's lowest-id optimal successor, ``fast.search_fast`` runs the
-suffix-class DP, one decision per run, and keeps each node's predecessor.
+shortcut, and differ only in the search: ``search_naive`` tests every arc
+and keeps none, searching the tails in reverse id order and relaxing each
+tail's out-arcs as it finds them, so it keeps each node's lowest-id optimal
+successor; ``fast.search_fast`` runs the suffix-class DP, one decision per
+run, and keeps each node's predecessor.
 Both read conditions (3) and (4) from the role bits, walk their pointers
 to an id path, and hand it to the plan, which builds a ``DagNode`` only
 for the nodes on it; both return ``(Solution, path)``, the path None when
 the sink is unreachable (``_Plan.solution``).
-``enumerate_nodes`` and ``build_digraph`` read the same plan.  ``naive``
-takes each big tail's slide arcs from the run whose chain is the tail's
-last 2k-1 indices, and finds the jump arcs among the heads and tails the
-role bytes allow with the literal gap cover, once per tail, at the gap
-vertices it leaves short and what each needs; each head is checked at
-those (``_gap_covered``, which ``_e0_arc`` also calls).  It uses no key thresholds and no class
-sharing, so the differential tests check the fast engine's derivation of
-both.  The literal (3) and (4), ``_tail_ok`` and ``_head_ok``, stay as the
-reference the role bytes are tested against, with ``_e0_arc`` and
-``eligible_tail_bigs``.
+``enumerate_nodes`` and ``build_digraph`` read the same plan.  One
+per-tail arc finder, ``_Plan._out_arcs``, serves ``naive`` and the arc
+list of ``_Plan.arcs``: it takes a big tail's slide arcs from the run whose
+chain is the tail's last 2k-1 indices, and finds the jump arcs among the
+heads and tails the role bytes allow with the literal gap cover, once per
+tail, at the gap vertices it leaves short and what each needs; each head
+is checked at those (``_gap_covered``, which ``_e0_arc`` also calls).
+``naive`` uses no key thresholds and no class sharing, so the differential
+tests check the fast engine's derivation of both.  The literal (3) and (4),
+``_tail_ok`` and ``_head_ok``, stay as the reference the role bytes are
+tested against, with ``_e0_arc`` and ``eligible_tail_bigs``.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ _KIND_OF_ROLE = (None, KIND_SINK, KIND_SOURCE, KIND_SMALL, *(KIND_BIG,) * 4)
 
 ARC_E0 = "E0"
 ARC_E1 = "E1"
+
+_NO_SLIDES = (0, range(0))  # a node with no slide arcs out: no heads from id 0
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -629,12 +633,14 @@ class _Plan:
     the plan's one cost table: a slide arc into big node i pays
     ``units[seqs[i][-1]]``, and a jump arc into node i pays the sum of
     ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
-    head's jump charge where it reads it: ``arcs`` once per head it lists,
-    ``fast._sweep`` once per run or small head that some class reaches.
+    head's jump charge where it reads it: ``_out_arcs`` once per head in its
+    index, ``fast._sweep`` once per run or small head that some class
+    reaches.
     """
 
     __slots__ = (
         "ctx", "model", "items", "size", "scale", "units", "_first_ids", "_flat", "_arcs",
+        "_arc_index",
     )
 
     def __init__(
@@ -662,6 +668,7 @@ class _Plan:
         self._first_ids: list[int] | None = None
         self._flat: tuple[list[tuple[int, ...]], bytearray] | None = None
         self._arcs: list[tuple[int, int, str, int]] | None = None
+        self._arc_index: tuple[dict, list, list[int]] | None = None
 
     def _starts(self) -> list[int]:
         """Each item's first id, by item, then the node count; built on the
@@ -739,14 +746,36 @@ class _Plan:
 
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
-        (tail, head).
+        (tail, head), for ``digraph`` and the tests; ``search_naive`` builds
+        no such list.
 
-        One pass over the tails in id order lists each tail's slide arcs,
-        then its jump arcs, so the list is built sorted.  The big nodes that
-        begin with a tail's last 2k-1 indices, its slide heads, are exactly
-        the run whose chain is those indices, looked up by that chain; they
-        start at the tail's second index, left of every jump head.  Jump
-        arcs are found by a scan per tail, with each part of the test
+        One pass over the tails in id order lists each tail's out-arcs
+        (``_out_arcs``), slide arcs before jump arcs, so the list is built
+        sorted.  It is built on the first call and kept for later ones.
+        """
+        if self._arcs is None:
+            self._arcs = self._build_arcs()
+        return self._arcs
+
+    def _build_arcs(self) -> list[tuple[int, int, str, int]]:
+        units, out_arcs = self.units, self._out_arcs
+        arcs = []
+        for tail, (seq, role) in enumerate(zip(self.seqs, self.roles)):
+            start, xs, jumps = out_arcs(seq, role)
+            arcs += [(tail, head, ARC_E1, units[x]) for head, x in enumerate(xs, start)]
+            arcs += [(tail, head, ARC_E0, charge) for head, _, charge in jumps]
+        return arcs
+
+    def _out_arcs(self, seq: tuple[int, ...], role: int) -> tuple[int, range, list]:
+        """The out-arcs of the node with sequence ``seq`` and role byte
+        ``role``, in head id order, as ``(start, xs, jumps)``: the slide
+        heads are the ids from ``start`` on, one per last index in ``xs``,
+        and ``jumps`` are the jump heads as ``(id, seq, charge)``.
+
+        The slide heads, the big nodes that begin with a big tail's last
+        2k-1 indices, are exactly the run whose chain is those indices,
+        looked up by that chain; they start at the tail's second index, left
+        of every jump head.  Jump arcs are found with each part of the test
         evaluated at the level it depends on: conditions (4) and (3) are the
         head and tail bits of the role byte, so the heads are the ids with
         the head bit, never the source, and the tails the ids with the tail
@@ -754,52 +783,38 @@ class _Plan:
         vertices it leaves short and what each needs, and each head is
         checked at those (``_gap_covered``, which keeps the heads' id
         order).  Only the heads in the tail's window are scanned
-        (``_e0_window``), and every one of them passes condition (1).  They
-        are built on the first call and kept for later ones.
+        (``_e0_window``), and every one of them passes condition (1).  The
+        run index and the heads by ``lo`` are built once per plan.
         """
-        if self._arcs is None:
-            self._arcs = self._build_arcs()
-        return self._arcs
-
-    def _build_arcs(self) -> list[tuple[int, int, str, int]]:
-        ctx, seqs, roles, units = self.ctx, self.seqs, self.roles, self.units
-        # Each run by its chain: its first id and its range of last indices.
-        runs = {
-            item[0]: (start, item[1])
-            for item, start in zip(self.items, self._starts())
-            if len(item) == 4
-        }
-        # Jump-arc heads, as (id, seq, charge) in id order and so by lo: the
-        # ids with the head bit, so never the source, charged once each.
-        by_lo = [
-            (i, seq, sum(map(units.__getitem__, seq)))
-            for i, (seq, role) in enumerate(zip(seqs, roles))
-            if role & _HEAD
-        ]
-        los = [seq[0] for _, seq, _ in by_lo]
-        arcs = []
-        for tail, (seq, role) in enumerate(zip(seqs, roles)):
-            if role & _BIG:
-                # Slide heads: the run whose chain is the tail's last 2k-1
-                # indices, if there is one.
-                run = runs.get(seq[1:])
-                if run is not None:
-                    start, xs = run
-                    arcs += [(tail, head, ARC_E1, units[x])
-                             for head, x in enumerate(xs, start)]
-            if not role & _TAIL:  # the sink, or a big node that fails (3)
-                continue
-            # A head's lo lies past the tail's reach, and no further than the
-            # reach of the first position past it, or that position would be
-            # a gap vertex no end set hits (see _e0_window).  Since
-            # lo_min = reach_r[seq[-1]] + 1, condition (1) holds for every
-            # head in the window.
-            lo_min, lo_max = _e0_window(ctx, tail_hi=seq[-1])
-            first = bisect.bisect_left(los, lo_min)
-            last = bisect.bisect_right(los, lo_max, first)
-            for head, _, charge in _gap_covered(ctx, seq, by_lo[first:last]):
-                arcs.append((tail, head, ARC_E0, charge))
-        return arcs
+        if self._arc_index is None:
+            # Each run by its chain: its first id and its range of last
+            # indices.  Jump-arc heads, as (id, seq, charge) in id order and
+            # so by lo: the ids with the head bit, charged once each.
+            units = self.units
+            runs = {
+                item[0]: (start, item[1])
+                for item, start in zip(self.items, self._starts())
+                if len(item) == 4
+            }
+            by_lo = [
+                (i, s, sum(map(units.__getitem__, s)))
+                for i, (s, r) in enumerate(zip(self.seqs, self.roles))
+                if r & _HEAD
+            ]
+            self._arc_index = runs, by_lo, [s[0] for _, s, _ in by_lo]
+        runs, by_lo, los = self._arc_index
+        start, xs = (role & _BIG and runs.get(seq[1:])) or _NO_SLIDES
+        if not role & _TAIL:  # the sink, or a big node that fails (3)
+            return start, xs, []
+        # A head's lo lies past the tail's reach, and no further than the
+        # reach of the first position past it, or that position would be a
+        # gap vertex no end set hits (see _e0_window).  Since lo_min =
+        # reach_r[seq[-1]] + 1, condition (1) holds for every head in the
+        # window.
+        lo_min, lo_max = _e0_window(self.ctx, tail_hi=seq[-1])
+        first = bisect.bisect_left(los, lo_min)
+        last = bisect.bisect_right(los, lo_max, first)
+        return start, xs, _gap_covered(self.ctx, seq, by_lo[first:last])
 
 
 def engine_plan(
@@ -829,7 +844,7 @@ def build_digraph(
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> DerivedDigraph:
-    """Materialize every node and every arc (the naive engine's input)."""
+    """Materialize every node and every arc (what ``--dump-dag`` writes)."""
     return _Plan(model, k, variant, weighted, cap_nodes).digraph()
 
 
@@ -869,14 +884,16 @@ def solve_naive(
     *,
     cap_nodes: int = DEFAULT_NODE_CAP,
 ) -> Solution:
-    """Shortest path over the fully materialized digraph.
+    """Shortest path over the derived digraph, every arc of it tested.
 
     Among equal-cost paths the lexicographically smallest node-id sequence
-    wins, making the reported set deterministic.  One backward pass over
-    the arcs gives each node its least length to the sink and the lowest-id
-    head of an optimal arc out of it; the path follows those heads from the
-    source.  Every path ends at the sink, the highest id, so the lowest
-    head at each step gives the least id sequence.
+    wins, making the reported set deterministic.  One backward pass, over
+    the tails in reverse id order, relaxes each tail's out-arcs as they are
+    found and keeps none of them; it gives each node its least length to
+    the sink and the lowest-id head of an optimal arc out of it, and the
+    path follows those heads from the source.  Every path ends at the sink,
+    the highest id, so the lowest head at each step gives the least id
+    sequence.
     """
     return search_naive(engine_plan(model, k, variant, weighted, cap_nodes=cap_nodes))[0]
 
@@ -885,27 +902,44 @@ def search_naive(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     """The one-pass least-path search over a plan from ``engine_plan`` (see
     ``solve_naive``): the answer and the least optimal path as ``DagNode``s,
     or the infeasible answer and None when the plan is None or the sink is
-    unreachable."""
+    unreachable.
+
+    The tails are searched in reverse id order, and each tail's out-arcs
+    are relaxed as ``_Plan._out_arcs`` finds them: every arc is tested, and
+    none is kept, so no arc list is built.  ``stats["arcs"]`` counts the
+    arcs relaxed, which are the arcs of ``_Plan.arcs``."""
     if plan is None:
         return infeasible_solution("naive"), None
-    arcs = plan.arcs()  # sorted by (tail, head); ids are topological
+    units, seqs, roles, out_arcs = plan.units, plan.seqs, plan.roles, plan._out_arcs
     # Path lengths are plain ints in the plan's units.  A path pays each of
     # its vertices once, so no path costs ``unreachable``.
-    unreachable = sum(plan.units) + 1
+    unreachable = sum(units) + 1
     to_sink = [unreachable] * plan.size
     to_sink[-1] = 0
     nxt = [0] * plan.size
-    # Reversed, each tail's heads come in falling id order, so ``<=`` keeps
-    # the lowest-id head of an optimal arc out of it.
-    for tail, head, _, length in reversed(arcs):
-        d = to_sink[head] + length
-        if d <= to_sink[tail]:
-            to_sink[tail], nxt[tail] = d, head
+    relaxed = 0
+    # Ids are topological, so every head's length is final before its
+    # tails are searched; the sink, the last id, has no out-arcs.  A tail's
+    # heads come in rising id order, so ``<`` keeps the lowest-id head of
+    # an optimal arc out of it.
+    for tail in range(plan.size - 2, -1, -1):
+        start, xs, jumps = out_arcs(seqs[tail], roles[tail])
+        relaxed += len(xs) + len(jumps)
+        best, best_head = unreachable, 0
+        for head, x in enumerate(xs, start):
+            d = to_sink[head] + units[x]
+            if d < best:
+                best, best_head = d, head
+        for head, _, charge in jumps:
+            d = to_sink[head] + charge
+            if d < best:
+                best, best_head = d, head
+        to_sink[tail], nxt[tail] = best, best_head
     # The path follows ``nxt`` from the source, when the sink is reachable.
     path = None if to_sink[0] == unreachable else [0]
     while path and path[-1] != plan.size - 1:
         path.append(nxt[path[-1]])
-    stats = {"nodes": plan.size, "arcs": len(arcs)}
+    stats = {"nodes": plan.size, "arcs": relaxed}
     return plan.solution(path, to_sink[0], "naive", stats)
 
 

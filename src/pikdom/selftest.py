@@ -1,4 +1,4 @@
-"""Randomized self-test: three-engine agreement plus module invariants.
+"""Randomized self-test: engine agreement plus module invariants.
 
 Runs at desk scale so a user can sanity-check an installation in seconds.
 Every instance is derived deterministically from the base seed; on failure
@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .fast import representative_independence_check, solve_fast
+from .frontier import solve_frontier
 from .model import derive_graph, generate_random, serialize_model, with_costs
 from .oracle import (
     VARIANT_KDOM,
@@ -65,6 +66,7 @@ def run_selftest(seed: int = 0, quick: bool = False) -> bool:
                     brute_force_min(m, k, variant, m.weighted),
                     solve_naive(m, k, variant, m.weighted),
                     solve_fast(m, k, variant, m.weighted),
+                    solve_frontier(m, k, variant, m.weighted),
                 ]
                 checks += 1
                 feas = {s.feasible for s in sols}

@@ -20,6 +20,7 @@ from pikdom.fast import (
     solve_fast,
     topo_order,
 )
+from pikdom.frontier import solve_frontier
 from pikdom.model import derive_graph, generate_random, min_degree, with_costs
 from pikdom.oracle import (
     Solution,
@@ -59,10 +60,11 @@ class Run:
     brute: Solution
     naive: Solution
     fast: Solution
+    frontier: Solution
 
     @property
     def solutions(self):
-        return (self.brute, self.naive, self.fast)
+        return (self.brute, self.naive, self.fast, self.frontier)
 
 
 def _entry(i: int) -> Entry:
@@ -95,6 +97,7 @@ def engine_runs(corpus):
                         brute_force_min(model, e.k, variant, weighted),
                         solve_naive(model, e.k, variant, weighted),
                         solve_fast(model, e.k, variant, weighted),
+                        solve_frontier(model, e.k, variant, weighted),
                     )
                 )
     return runs
@@ -121,7 +124,7 @@ def test_criterion_1_three_engine_agreement(engine_runs):
     assert mismatches == 0
     n_models = len({r.entry.idx for r in engine_runs})
     print(
-        f"ACCEPTANCE 1: PASS - {n_models} models, {len(engine_runs)} engine triples, "
+        f"ACCEPTANCE 1: PASS - {n_models} models, {len(engine_runs)} runs of 4 engines, "
         f"0 cost mismatches, {verified} sets verified"
     )
 

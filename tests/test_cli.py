@@ -164,6 +164,18 @@ def test_verify_bad_set_id_names_the_set_file(capsys, p6_file, tmp_path):
     assert (code, out, err) == (1, "", f"error[E_PARSE]: {setfile}: line 3: bad vertex id 'x'\n")
 
 
+def test_verify_out_of_range_id_names_the_set_file_and_line(capsys, tmp_path):
+    # The range check runs where the set file is read, so the error names
+    # the file and the line, as a bad literal's does.
+    inst, big = tmp_path / "inst.txt", tmp_path / "big.txt"
+    inst.write_text("2\n0 2\n1 3\n")
+    big.write_text("1\n99\n")
+    code, out, err = run(capsys, "verify", str(inst), str(big), "--variant", "kdom", "--k", "1")
+    assert (code, out, err) == (
+        1, "", f"error[E_INDEX]: {big}: line 2: vertex 99 out of range 1..2\n"
+    )
+
+
 def test_instance_and_set_files_number_lines_alike(capsys, p6_file, tmp_path):
     # Comments, blank lines, a trailing form feed and CRLF ends: the one line
     # reader numbers the bad line 6 whichever grammar reads the text.

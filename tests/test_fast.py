@@ -21,6 +21,7 @@ from pikdom.fast import (
     topo_order,
 )
 from pikdom.cli import main
+from pikdom.frontier import solve_frontier
 from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
@@ -47,7 +48,13 @@ from pikdom.reduction import (
     solve_naive,
 )
 
-from conftest import chain_model, complete_model, make_model, printed_rule_cost
+from conftest import (
+    chain_model,
+    complete_model,
+    frontier_min_literal,
+    make_model,
+    printed_rule_cost,
+)
 
 
 # ------------------------------------------------------------- tail bigs
@@ -232,8 +239,8 @@ def test_sweep_runs_no_literal_window_check(monkeypatch):
 
 
 def test_naive_runs_no_literal_window_check(monkeypatch):
-    # naive reads conditions (3) and (4) from the plan's role bytes too; its
-    # arcs are built on the search's first call to plan.arcs().
+    # naive reads conditions (3) and (4) from the plan's role bytes too, as
+    # it finds each tail's arcs.
     plan = engine_plan(generate_random(30, 3, 8), 3, "kdom")
     calls = []
     for name in ("_head_ok", "_tail_ok", "_dominated"):
@@ -601,6 +608,14 @@ def test_fast_matches_naive_mid_scale(k, n_min, n_max, stretch_max, data):
         if fs.feasible:
             assert find_violation(g, fs.vertices, k, variant) is None, where
             assert fs.cost == sum(costs[v - 1] for v in fs.vertices), where
+        # The frontier shares no code with the DAG; the literal scan checks
+        # the definitions verbatim.
+        fr = solve_frontier(mw, k, variant, weighted=True)
+        assert (fr.feasible, fr.cost) == (fs.feasible, fs.cost), where
+        assert fr.cost == frontier_min_literal(mw, k, variant, True), where
+        if fr.feasible:
+            assert find_violation(g, fr.vertices, k, variant) is None, where
+            assert fr.cost == sum(costs[v - 1] for v in fr.vertices), where
 
 
 def test_fast_e1_count_matches_naive_digraph():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pikdom.errors import ParamError, PreconditionError, TooLargeError
 from pikdom.fast import solve_fast
+from pikdom.frontier import solve_frontier
 from pikdom.model import (
     derive_graph,
     generate_random,
@@ -338,7 +339,8 @@ def test_engines_agree_with_brute_at_k_4_to_6():
                              f"{serialize_model(model)}")
                     want = brute_force_min(model, k, variant, weighted)
                     for sol in (want, solve_fast(model, k, variant, weighted),
-                                solve_naive(model, k, variant, weighted)):
+                                solve_naive(model, k, variant, weighted),
+                                solve_frontier(model, k, variant, weighted)):
                         assert (sol.feasible, sol.cost) == (want.feasible, want.cost), (
                             sol.engine, where)
                         if sol.feasible:
@@ -432,8 +434,8 @@ def _bench_run():
 def test_literal_oracle_on_benchmark_shapes():
     # Every spec of every workload at the benchmark's instance seeds for
     # seeds 1 and 2: varied lengths, gaps, clusters, touching rational
-    # endpoints, zero costs and shuffled rows.  fast runs every instance
-    # and naive the ones its workloads give it.
+    # endpoints, zero costs and shuffled rows.  fast and the frontier run
+    # every instance and naive the ones its workloads give it.
     run = _bench_run()
     count = 0
     for name, workload in sorted(run.WORKLOADS.items()):
@@ -450,5 +452,8 @@ def test_literal_oracle_on_benchmark_shapes():
                 assert find_violation(derive_graph(m), sol.vertices, k, variant) is None, where
                 if naive:
                     assert solve_naive(m, k, variant, m.weighted).cost == want, where
+                fr = solve_frontier(m, k, variant, m.weighted)
+                assert fr.cost == want, where
+                assert find_violation(derive_graph(m), fr.vertices, k, variant) is None, where
                 count += 1
     assert count == 112

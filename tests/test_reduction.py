@@ -995,6 +995,52 @@ def test_naive_answer_is_least_optimal_path():
     assert k3 >= 140
 
 
+def _backward_pass_over_arc_list(plan):
+    """The least path read off ``plan.arcs()``: one pass over the sorted
+    list, reversed, keeping each tail's lowest-id optimal head with ``<=``;
+    the answer as the naive engine reports it, and the path's ids."""
+    arcs = plan.arcs()
+    unreachable = sum(plan.units) + 1
+    to_sink = [unreachable] * plan.size
+    to_sink[-1] = 0
+    nxt = [0] * plan.size
+    for tail, head, _, length in reversed(arcs):
+        if to_sink[head] + length <= to_sink[tail]:
+            to_sink[tail], nxt[tail] = to_sink[head] + length, head
+    path = None if to_sink[0] == unreachable else [0]
+    while path and path[-1] != plan.size - 1:
+        path.append(nxt[path[-1]])
+    stats = {"nodes": plan.size, "arcs": len(arcs)}
+    return plan.solution(path, to_sink[0], "naive", stats)[0], path
+
+
+def test_naive_builds_no_arc_list():
+    # search_naive relaxes each tail's arcs as it finds them and keeps no
+    # list; its answer, path and arc count equal a backward pass over the
+    # sorted list.  k 1-3, both variants, unit and mixed-denominator costs,
+    # and plans built past the min-degree shortcut, so some sinks are
+    # unreachable.
+    rng = random.Random(33)
+    runs = infeasible = 0
+    for n in range(2, 15):
+        m = generate_random(n, 3300 + n, [1, 2, 3, Fraction(7, 2), 5][n % 5])
+        mw = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                            for _ in range(n)])
+        for k, variant, (model, weighted) in itertools.product(
+            (1, 2, 3), ("kdom", "total"), ((m, False), (mw, True))
+        ):
+            plan = _Plan(model, k, variant, weighted, DEFAULT_NODE_CAP)
+            sol, path = search_naive(plan)
+            assert plan._arcs is None, (n, k, variant, weighted)
+            want, want_path = _backward_pass_over_arc_list(plan)
+            assert sol == want, (n, k, variant, weighted)
+            assert (None if path is None else [nd.id for nd in path]) == want_path
+            assert sol.stats["arcs"] == len(plan.arcs())
+            runs += 1
+            infeasible += not sol.feasible
+    assert runs == 156 and 10 <= infeasible < runs, (runs, infeasible)
+
+
 # ------------------------------------------------------ path_to_vertex_set
 
 def test_path_to_vertex_set_examples():
