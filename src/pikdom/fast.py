@@ -425,7 +425,7 @@ def representative_independence_check(
 
     It reads the plan both engines search (``_Plan``): the classes come
     from its sequences and role bytes, as ``_sweep`` forms them, and the
-    arcs from ``_Plan.arcs``, which the naive engine searches.  Those take
+    arcs from ``_Plan.arcs``, the ones the naive engine searches.  Those take
     conditions (3) and (4) from the same role bytes and run the literal gap
     cover, so this checks the sharing of the gap cover, not the bits.  The
     source and the sink each form classes of their own, which hold

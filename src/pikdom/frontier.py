@@ -44,7 +44,6 @@ import bisect
 from array import array
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 
 from .errors import TooLargeError
 from .model import ProperIntervalModel
@@ -99,8 +98,7 @@ def solve_frontier(
     for i in range(n):
         cover_from = reach_l[i + 1] if i + 1 < n else n  # no later vertex
         cap_i = reach_r[i]
-        index: dict = {}  # state -> its place in ``found``
-        found: list[list] = []  # [state, cost, predecessor code]
+        found: dict = {}  # state -> [cost, predecessor code]
         # Predecessors are tried in string order: each state j with i out
         # (code j), then each with i in (code len(states) + j).  A strict
         # ``<`` keeps the first of least cost.
@@ -121,22 +119,23 @@ def solve_frontier(
                 p = p[bisect.bisect_left(p, cover_from):][-k:]
                 c = dist[j] + add
                 key = (p, b)
-                at = index.get(key)
-                if at is None:
+                entry = found.get(key)
+                if entry is None:
                     if len(found) >= cap_states:
                         raise TooLargeError(
                             f"frontier states after vertex {i + 1} exceed cap "
                             f"{cap_states} (n={n}, k={k}, variant={variant})"
                         )
-                    index[key] = len(found)
-                    found.append([key, c, base + j])
-                elif c < found[at][1]:
-                    found[at][1:] = c, base + j
-        found.sort(key=itemgetter(2))
+                    found[key] = [c, base + j]
+                elif c < entry[0]:
+                    entry[:] = c, base + j
+        # Each predecessor code gives one state, so sorting by code never
+        # compares two states.
+        order = sorted((code, state, c) for state, (c, code) in found.items())
         prev = len(states)
-        back.append((array("q", [f[2] % prev for f in found]),
-                     bytearray(f[2] >= prev for f in found)))
-        states, dist = [f[0] for f in found], [f[1] for f in found]
+        back.append((array("q", [code % prev for code, _, _ in order]),
+                     bytearray(code >= prev for code, _, _ in order)))
+        states, dist = [state for _, state, _ in order], [c for _, _, c in order]
         peak, count = max(peak, len(states)), count + len(states)
         if not states:
             break

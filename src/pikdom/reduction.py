@@ -32,25 +32,29 @@ head at k members and the tail at 2k-1, so each run keeps two bounds on
 its last index that give its nodes' answers, and neither engine runs
 either check.
 
-Both DAG engines search one ``_Plan`` (context, budget check, the nodes in
-id order as single nodes and runs, per-position costs in integer units)
-from ``engine_plan``, which first answers the total variant's min-degree
-shortcut, and differ only in the search: ``search_naive`` tests every arc
-and keeps none, searching the tails in reverse id order and relaxing each
-tail's out-arcs as it finds them, so it keeps each node's lowest-id optimal
-successor; ``fast.search_fast`` runs the suffix-class DP, one decision per
-run, and keeps each node's predecessor.
+Both DAG engines search one ``_Plan`` from ``engine_plan``, which first
+answers the total variant's min-degree shortcut.  The plan works out each
+of its tables once: when built, the context, the budget check, the nodes
+in id order as single nodes and runs with each one's first id, and the
+per-position costs in integer units; when first read, the per-id lists
+and naive's arc index.  The engines differ only in the search:
+``search_naive`` tests every arc and keeps none, searching the tails in
+reverse id order and relaxing each tail's out-arcs as it finds them, so
+it keeps each node's lowest-id optimal successor; ``fast.search_fast``
+runs the suffix-class DP, one decision per run, and keeps each node's
+predecessor.
 Both read conditions (3) and (4) from the role bits, walk their pointers
 to an id path, and hand it to the plan, which builds a ``DagNode`` only
 for the nodes on it; both return ``(Solution, path)``, the path None when
 the sink is unreachable (``_Plan.solution``).
 ``enumerate_nodes`` and ``build_digraph`` read the same plan.  One
-per-tail arc finder, ``_Plan._out_arcs``, serves ``naive`` and the arc
-list of ``_Plan.arcs``: it takes a big tail's slide arcs from the run whose
-chain is the tail's last 2k-1 indices, and finds the jump arcs among the
-heads and tails the role bytes allow with the literal gap cover, once per
-tail, at the gap vertices it leaves short and what each needs; each head
-is checked at those (``_gap_covered``, which ``_e0_arc`` also calls).
+per-tail arc finder, ``_Plan._out_arcs``, serves ``naive`` and
+``_Plan.arcs``, which builds the sorted arc list on each call and keeps
+none: it takes a big tail's slide arcs from the run whose chain is the
+tail's last 2k-1 indices, and finds the jump arcs among the heads and
+tails the role bytes allow with the literal gap cover, once per tail, at
+the gap vertices it leaves short and what each needs; each head is
+checked at those (``_gap_covered``, which ``_e0_arc`` also calls).
 ``naive`` uses no key thresholds and no class sharing, so the differential
 tests check the fast engine's derivation of both.  The literal (3) and (4),
 ``_tail_ok`` and ``_head_ok``, stay as the reference the role bytes are
@@ -63,6 +67,7 @@ import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, lcm
 
@@ -360,9 +365,8 @@ def enumerate_nodes(
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
-def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
-    """The enumeration in id order, as single nodes and runs of big nodes,
-    and the node count.
+def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
+    """The enumeration in id order, as single nodes and runs of big nodes.
 
     A single node is a pair ``(seq, role)``, with its role byte (``_Plan``):
     the source ``((0,), 2)`` first, each small node, and the sink
@@ -382,7 +386,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
     items: list[tuple] = [((0,), _TAIL)]  # the source
-    size = 1  # the nodes in items
 
     def grow(
         t: tuple[int, ...],
@@ -396,7 +399,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
         # None when the subtree has no big node.  heads[i] bounds member i
         # of every big node in the subtree that passes condition (4), or
         # None when none does.
-        nonlocal size
         last = t[-1]
         q = len(t)
         if check_small and q in smalls:
@@ -404,7 +406,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
             clean = last + 1 if m is None else m
             if m is None:
                 items.append((t, _HEAD | _TAIL))
-                size += 1
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -435,7 +436,6 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
         if top <= last:
             return
         items.append((t, range(last + 1, top + 1), head, _tail_bound(ctx, t, clean)))
-        size += top - last
 
     # No chain has more than n members, so n + 1 caps cover every member a
     # chain reads; capping there keeps a huge k from building a huge tuple.
@@ -444,7 +444,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
         grow((start,), True, start, no_caps, no_caps)
 
     items.append(((n + 1,), _HEAD))  # the sink
-    return items, size + 1
+    return items
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -608,21 +608,23 @@ class _Plan:
     budget check (the only one), the nodes and the cost table.
 
     The enumeration is kept in id order as ``items``, single nodes and runs
-    of big nodes (``_enumerate_with_ctx``), and ``size`` is the node count.
-    A role byte says what a node can be in the search.  Bit 0 (``_HEAD``)
-    says it can head a jump arc: every small node, the sink, and a big node
-    that passes condition (4).  Bit 1 (``_TAIL``) says it can be a jump
-    arc's tail: every small node, the source, and a big node that passes
+    of big nodes (``_enumerate_with_ctx``).  ``starts[j]`` is the id of item
+    j's first node, and ``starts[-1]`` is ``size``, the node count.  A role
+    byte says what a node can be in the search.  Bit 0 (``_HEAD``) says it
+    can head a jump arc: every small node, the sink, and a big node that
+    passes condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's
+    tail: every small node, the source, and a big node that passes
     condition (3).  Bit 2 (``_BIG``) says it is big, so it takes part in
     slide arcs.  So the sink's byte is 1, the source's 2 and a small node's
     3; a big node's bits 0 and 1 come from its run's bounds.  Kind strings
     are built only where a ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow
     lexicographic order, so they are a topological order and sort the nodes
     by ``lo``.  ``fast._sweep`` reads the items; the per-id lists ``seqs``
-    and ``roles`` (a ``bytearray``) are built from them on the first read
-    (``_flatten``), for the naive engine's arcs, ``nodes`` and the tests.
-    Both engines hand ``solution`` the id path they find, or None, which
-    builds a ``DagNode`` only for the nodes on it.
+    and ``roles`` (a ``bytearray``), which the naive engine, ``nodes`` and
+    the tests read, and the naive engine's arc index are cached properties,
+    built from the items when first read.  Both engines hand ``solution``
+    the id path they find, or None, which builds a ``DagNode`` only for the
+    nodes on it.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators, a cost ``c`` is the integer ``c *
@@ -638,11 +640,6 @@ class _Plan:
     reaches.
     """
 
-    __slots__ = (
-        "ctx", "model", "items", "size", "scale", "units", "_first_ids", "_flat", "_arcs",
-        "_arc_index",
-    )
-
     def __init__(
         self, model: ProperIntervalModel, k: int, variant: str, weighted: bool,
         cap_nodes: int,
@@ -655,30 +652,22 @@ class _Plan:
             )
         self.model = model
         try:
-            self.items, self.size = _enumerate_with_ctx(ctx)
+            items = self.items = _enumerate_with_ctx(ctx)
         except RecursionError:
             # grow recurses once per member of a chain, up to 2k-1 deep.
             raise BudgetError(
                 f"a chain is deeper than the recursion limit "
                 f"{sys.getrecursionlimit()} allows (n={ctx.n}, k={k}, variant={variant})"
             ) from None
+        sizes = (len(item[1]) if len(item) == 4 else 1 for item in items)
+        self.starts = [*accumulate(sizes, initial=0)]
+        self.size = self.starts[-1]
         costs = model.costs if weighted and model.costs is not None else (1,) * model.n
         scale = self.scale = lcm(*(c.denominator for c in costs))
         self.units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
-        self._first_ids: list[int] | None = None
-        self._flat: tuple[list[tuple[int, ...]], bytearray] | None = None
-        self._arcs: list[tuple[int, int, str, int]] | None = None
-        self._arc_index: tuple[dict, list, list[int]] | None = None
 
-    def _starts(self) -> list[int]:
-        """Each item's first id, by item, then the node count; built on the
-        first call."""
-        if self._first_ids is None:
-            sizes = (len(item[1]) if len(item) == 4 else 1 for item in self.items)
-            self._first_ids = [0, *accumulate(sizes)]
-        return self._first_ids
-
-    def _flatten(self) -> tuple[list[tuple[int, ...]], bytearray]:
+    @cached_property
+    def _flat(self) -> tuple[list[tuple[int, ...]], bytearray]:
         """The per-id lists ``seqs`` and ``roles``, built from the items."""
         seqs: list[tuple[int, ...]] = []
         roles = bytearray()
@@ -694,16 +683,12 @@ class _Plan:
 
     @property
     def seqs(self) -> list[tuple[int, ...]]:
-        """Each node's sequence, by id; built on the first read."""
-        if self._flat is None:
-            self._flat = self._flatten()
+        """Each node's sequence, by id."""
         return self._flat[0]
 
     @property
     def roles(self) -> bytearray:
-        """Each node's role byte, by id; built on the first read."""
-        if self._flat is None:
-            self._flat = self._flatten()
+        """Each node's role byte, by id."""
         return self._flat[1]
 
     @property
@@ -730,7 +715,7 @@ class _Plan:
         the sink is unreachable, and gives the infeasible answer and None."""
         if path is None:
             return infeasible_solution(engine, stats), None
-        items, starts = self.items, self._starts()
+        items, starts = self.items, self.starts
         node_path = []
         for i in path:
             j = bisect.bisect_right(starts, i) - 1
@@ -747,17 +732,12 @@ class _Plan:
     def arcs(self) -> list[tuple[int, int, str, int]]:
         """Every arc as ``(tail, head, class, length in units)``, sorted by
         (tail, head), for ``digraph`` and the tests; ``search_naive`` builds
-        no such list.
+        no such list, and the plan keeps none.
 
         One pass over the tails in id order lists each tail's out-arcs
         (``_out_arcs``), slide arcs before jump arcs, so the list is built
-        sorted.  It is built on the first call and kept for later ones.
+        sorted.
         """
-        if self._arcs is None:
-            self._arcs = self._build_arcs()
-        return self._arcs
-
-    def _build_arcs(self) -> list[tuple[int, int, str, int]]:
         units, out_arcs = self.units, self._out_arcs
         arcs = []
         for tail, (seq, role) in enumerate(zip(self.seqs, self.roles)):
@@ -765,6 +745,25 @@ class _Plan:
             arcs += [(tail, head, ARC_E1, units[x]) for head, x in enumerate(xs, start)]
             arcs += [(tail, head, ARC_E0, charge) for head, _, charge in jumps]
         return arcs
+
+    @cached_property
+    def _arc_index(self) -> tuple[dict, list, list[int]]:
+        """What ``_out_arcs`` looks up: each run by its chain, as its first
+        id and its range of last indices; the jump-arc heads, as ``(id, seq,
+        charge)`` in id order and so by lo, which are the ids with the head
+        bit, each charged once; and their los."""
+        units = self.units
+        runs = {
+            item[0]: (start, item[1])
+            for item, start in zip(self.items, self.starts)
+            if len(item) == 4
+        }
+        by_lo = [
+            (i, s, sum(map(units.__getitem__, s)))
+            for i, (s, r) in enumerate(zip(self.seqs, self.roles))
+            if r & _HEAD
+        ]
+        return runs, by_lo, [s[0] for _, s, _ in by_lo]
 
     def _out_arcs(self, seq: tuple[int, ...], role: int) -> tuple[int, range, list]:
         """The out-arcs of the node with sequence ``seq`` and role byte
@@ -784,24 +783,9 @@ class _Plan:
         checked at those (``_gap_covered``, which keeps the heads' id
         order).  Only the heads in the tail's window are scanned
         (``_e0_window``), and every one of them passes condition (1).  The
-        run index and the heads by ``lo`` are built once per plan.
+        run index and the heads by ``lo`` are built once per plan
+        (``_arc_index``).
         """
-        if self._arc_index is None:
-            # Each run by its chain: its first id and its range of last
-            # indices.  Jump-arc heads, as (id, seq, charge) in id order and
-            # so by lo: the ids with the head bit, charged once each.
-            units = self.units
-            runs = {
-                item[0]: (start, item[1])
-                for item, start in zip(self.items, self._starts())
-                if len(item) == 4
-            }
-            by_lo = [
-                (i, s, sum(map(units.__getitem__, s)))
-                for i, (s, r) in enumerate(zip(self.seqs, self.roles))
-                if r & _HEAD
-            ]
-            self._arc_index = runs, by_lo, [s[0] for _, s, _ in by_lo]
         runs, by_lo, los = self._arc_index
         start, xs = (role & _BIG and runs.get(seq[1:])) or _NO_SLIDES
         if not role & _TAIL:  # the sink, or a big node that fails (3)

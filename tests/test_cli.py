@@ -275,7 +275,7 @@ def test_solve_dump_dag(capsys, tmp_path):
 def test_solve_dump_dag_builds_one_plan(capsys, monkeypatch, p6_file, tmp_path,
                                         algo, variant, k):
     built = {"plans": 0, "arcs": 0}
-    init, build_arcs = reduction._Plan.__init__, reduction._Plan._build_arcs
+    init, arcs = reduction._Plan.__init__, reduction._Plan.arcs
 
     def counted_init(self, *args):
         built["plans"] += 1
@@ -283,10 +283,10 @@ def test_solve_dump_dag_builds_one_plan(capsys, monkeypatch, p6_file, tmp_path,
 
     def counted_arcs(self):
         built["arcs"] += 1
-        return build_arcs(self)
+        return arcs(self)
 
     monkeypatch.setattr(reduction._Plan, "__init__", counted_init)
-    monkeypatch.setattr(reduction._Plan, "_build_arcs", counted_arcs)
+    monkeypatch.setattr(reduction._Plan, "arcs", counted_arcs)
     dump = tmp_path / "dag.txt"
     code, _, _ = run(capsys, "solve", p6_file, "--variant", variant, "--k", str(k),
                      "--algo", algo, "--dump-dag", str(dump))

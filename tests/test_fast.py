@@ -268,7 +268,7 @@ def test_fast_builds_no_per_id_lists(monkeypatch):
                 def no_lists(self):
                     raise AssertionError("solve_fast built the per-id lists")
 
-                mp.setattr(_Plan, "_flatten", no_lists)
+                mp.setattr(_Plan, "_flat", property(no_lists))
                 sol, path = search_fast(plan)
                 assert sol == solve_fast(model, 3, variant, weighted)
             assert sol.feasible and sol.stats["big_nodes"] > 1000

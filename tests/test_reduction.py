@@ -471,6 +471,36 @@ def test_plan_flags_match_literal_checks():
     assert min(counts[2, "total", want] for want in range(4)) > 5000, counts
 
 
+def test_plan_starts_are_first_ids():
+    # starts[j] is the id of item j's first node, so a run's nodes take the
+    # ids from starts[j] to starts[j + 1] - 1, and starts[-1] is the node
+    # count.  Corpus of test_plan_flags_match_literal_checks.
+    runs = 0
+    for n in range(1, 40):
+        for seed in range(3):
+            for stretch in (1, 2, 3, 5, 8, Fraction(7, 2)):
+                m = generate_random(n, 100 * n + seed, stretch)
+                for k in (1, 2, 3, 4):
+                    if stretch == 8 and n > {3: 24, 4: 14}.get(k, n):
+                        continue
+                    for variant in ("kdom", "total"):
+                        plan = _Plan(m, k, variant, False, 10**18)
+                        nodes, starts = plan.nodes, plan.starts
+                        label = (n, seed, stretch, k, variant)
+                        assert len(starts) == len(plan.items) + 1, label
+                        assert plan.size == starts[-1] == len(plan.seqs), label
+                        for j, item in enumerate(plan.items):
+                            if len(item) == 2:
+                                want = [item[0]]
+                            else:
+                                want = [item[0] + (x,) for x in item[1]]
+                                runs += 1
+                            got = nodes[starts[j]:starts[j + 1]]
+                            assert [nd.seq for nd in got] == want, (label, j)
+                            assert got[0].id == starts[j], (label, j)
+    assert runs > 10_000, runs
+
+
 def test_enumeration_cuts_lose_no_node():
     # The leaf bound and the small-check subtree cut against the uncut
     # enumeration, kinds and order included.  At k <= 2 every chain passes
@@ -1014,12 +1044,15 @@ def _backward_pass_over_arc_list(plan):
     return plan.solution(path, to_sink[0], "naive", stats)[0], path
 
 
-def test_naive_builds_no_arc_list():
-    # search_naive relaxes each tail's arcs as it finds them and keeps no
+def test_naive_builds_no_arc_list(monkeypatch):
+    # search_naive relaxes each tail's arcs as it finds them and builds no
     # list; its answer, path and arc count equal a backward pass over the
     # sorted list.  k 1-3, both variants, unit and mixed-denominator costs,
     # and plans built past the min-degree shortcut, so some sinks are
     # unreachable.
+    def no_list(self):
+        raise AssertionError("search_naive built the arc list")
+
     rng = random.Random(33)
     runs = infeasible = 0
     for n in range(2, 15):
@@ -1030,8 +1063,9 @@ def test_naive_builds_no_arc_list():
             (1, 2, 3), ("kdom", "total"), ((m, False), (mw, True))
         ):
             plan = _Plan(model, k, variant, weighted, DEFAULT_NODE_CAP)
-            sol, path = search_naive(plan)
-            assert plan._arcs is None, (n, k, variant, weighted)
+            with monkeypatch.context() as mp:
+                mp.setattr(_Plan, "arcs", no_list)
+                sol, path = search_naive(plan)
             want, want_path = _backward_pass_over_arc_list(plan)
             assert sol == want, (n, k, variant, weighted)
             assert (None if path is None else [nd.id for nd in path]) == want_path
