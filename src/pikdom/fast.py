@@ -118,8 +118,9 @@ differential cannot see a wrong head or tail bit; the tests hold each big
 node's bits to the literal ``reduction._head_ok`` and ``_tail_ok``.  The
 stats' node counts come from the run bounds.  The sweep keeps the best
 path into each node and the node before it on that path in two lists by
-node id.  Path lengths are plain ints in the plan's units; unreachable
-states are ``None``.  The plan turns the optimal id path into the answer
+node id.  Path lengths are plain ints in the plan's units; one at or
+above the plan's ``unreachable`` is unreached, and has no predecessor.
+The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
 ``DagNode`` objects only for the nodes on the path; ``search_fast``
 returns ``(Solution, path)``, as ``reduction.search_naive`` does, with a
@@ -217,17 +218,14 @@ def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
     lo = seq[0]
     hi_min, hi_max = _e0_window(ctx, head_lo=lo)
     k, reach_l = ctx.k, ctx.reach_l
-    # No key has more than n members, so n + 1 floors already fail every
-    # key; capping there keeps a huge k from building a huge tuple.
-    cap = min(k, ctx.n + 1)
     floors: tuple[int, ...] = ()
     m = lo - 1  # the next gap vertex to fold in
     for hi in range(hi_max, hi_min - 1, -1):
-        # Once the cap is reached, no lower gap vertex can raise a floor.
-        while m > hi and len(floors) < cap:
+        # Once k floors are set, no lower gap vertex can raise one.
+        while m > hi and len(floors) < k:
             need = k - _hits(ctx, seq, m)
             if need > len(floors):
-                floors += (reach_l[m],) * (min(need, cap) - len(floors))
+                floors += (reach_l[m],) * (need - len(floors))
             m -= 1
         yield hi, floors
 
@@ -264,24 +262,24 @@ def search_fast(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     dist, pred, stats = _sweep(plan)
     # Reconstruction follows the recorded predecessors back to the source,
     # when the sink is reachable.
-    rev = None if dist[-1] is None else [len(dist) - 1]
+    rev = None if dist[-1] >= plan.unreachable else [len(dist) - 1]
     while rev and rev[-1] != 0:
         rev.append(pred[rev[-1]])
     return plan.solution(rev and rev[::-1], dist[-1], "fast", stats)
 
 
-def _best_class(ctx: _Ctx, by_hi, prefix: tuple[int, ...]) -> tuple[list | None, int]:
-    """The probe of one prefix class: the entry of the best suffix class
-    with a jump arc into the heads whose first k indices are ``prefix``, or
-    None when no class has one, and how many classes it tested.  Every class
-    in the window ends before ``prefix[0]``, so all its members have lower
-    ids and have joined it."""
+def _best_class(ctx: _Ctx, by_hi, prefix: tuple, unreachable: int) -> tuple[list | None, int]:
+    """The probe of one prefix class: the entry of the best reached suffix
+    class (least length below ``unreachable``) with a jump arc into the
+    heads whose first k indices are ``prefix``, or None, and how many
+    reached classes it tested.  Every class in the window ends before
+    ``prefix[0]``, so all its members have lower ids and have joined it."""
     hit = None
     tests = 0
     for hi, floors in _floor_walk(ctx, prefix):
         for entry in by_hi[hi].values():
             best, _, key = entry
-            if best is None:
+            if best >= unreachable:
                 continue
             tests += 1
             # equal costs go to the first class in key order
@@ -290,13 +288,13 @@ def _best_class(ctx: _Ctx, by_hi, prefix: tuple[int, ...]) -> tuple[list | None,
     return hit, tests
 
 
-def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, int]]:
+def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     """The DP over ``plan``: by node id, the least path length from the
-    source in the plan's units and the node before it on that path (``None``
-    when unreachable), and the solve's stats.  It walks the plan's items,
-    single nodes and runs, and reads no per-id list."""
-    ctx, units, k = plan.ctx, plan.units, plan.ctx.k
-    dist: list[int | None] = [None] * plan.size
+    source in the plan's units and the node before it on that path (at or
+    above ``plan.unreachable`` and ``None`` when unreached), and the solve's
+    stats.  It walks the plan's items and reads no per-id list."""
+    ctx, units, k, unreachable = plan.ctx, plan.units, plan.ctx.k, plan.unreachable
+    dist = [unreachable] * plan.size
     pred: list[int | None] = [None] * plan.size
     dist[0] = 0
     # Suffix classes by the hi their members share (one dict per position
@@ -329,7 +327,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
             if role & _HEAD:
                 if seq[:k] != prefix:
                     prefix = seq[:k]
-                    hit, tests = _best_class(ctx, by_hi, prefix)
+                    hit, tests = _best_class(ctx, by_hi, prefix, unreachable)
                     prefix_classes += 1
                     repr_tests += tests
                 if hit is not None:
@@ -337,8 +335,8 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
             dist[i], pred[i] = d, p
             if role & _TAIL:
                 key = suffix_key(seq, k)
-                entry = by_hi[seq[-1]].setdefault(key, [None, i, key])
-                if d is not None and (entry[0] is None or d < entry[0]):
+                entry = by_hi[seq[-1]].setdefault(key, [d, i, key])
+                if d < entry[0]:
                     entry[0], entry[1] = d, i
             i += 1
             continue
@@ -350,12 +348,12 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         bigs += len(xs)
         tail_bigs += max(0, min(tail, xs[-1]) - xs[0] + 1)
         # The best slide into every node of the run, less units[x]: its
-        # chain's class.
-        sd = sp = None
+        # chain's class, when it has a reached tail.
+        sd, sp = unreachable, None
         tails = slide_best.get(t[:-1], {}).get(t[-1])
         if tails is not None:
             e1_arcs += tails[2] * len(xs)
-            if tails[0] is not None:
+            if tails[0] < unreachable:
                 sd, sp = tails[0], tails[1]
         # The best arc into the run's heads, x <= head, less units[x]: a
         # jump first, a slide only at a strictly lower cost.
@@ -363,12 +361,12 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
         if head >= xs[0]:
             if t[:k] != prefix:
                 prefix = t[:k]
-                hit, tests = _best_class(ctx, by_hi, prefix)
+                hit, tests = _best_class(ctx, by_hi, prefix, unreachable)
                 prefix_classes += 1
                 repr_tests += tests
             if hit is not None:
                 jd = hit[0] + sum(map(units.__getitem__, t))
-                if sd is None or jd <= sd:
+                if jd <= sd:
                     hd, hp = jd, hit[1]
         slides = slide_best.setdefault(t[1:], {})  # the children's classes
         suffix = t[k:]
@@ -377,8 +375,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                 d, p = hd, hp
             else:
                 d, p = sd, sp
-            if d is not None:
-                d += units[x]
+            d += units[x]
             dist[i] = d
             pred[i] = p
             # Fold this node in as a slide tail; equal costs keep the first id.
@@ -387,7 +384,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                 slides[x] = [d, i, 1]
             else:
                 tails[2] += 1
-                if d is not None and (tails[0] is None or d < tails[0]):
+                if d < tails[0]:
                     tails[0], tails[1] = d, i
             # Fold it into its suffix class if it can be a jump arc's tail;
             # members come in id order, so equal costs keep the first id.
@@ -396,7 +393,7 @@ def _sweep(plan: _Plan) -> tuple[list[int | None], list[int | None], dict[str, i
                 entry = by_hi[x].get(key)
                 if entry is None:
                     by_hi[x][key] = [d, i, key]
-                elif d is not None and (entry[0] is None or d < entry[0]):
+                elif d < entry[0]:
                     entry[0], entry[1] = d, i
             i += 1
 

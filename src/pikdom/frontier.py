@@ -83,11 +83,13 @@ def solve_frontier(
     predecessor and its in/out bit.  ``stats`` has ``states_peak``, the
     most states kept after any one vertex, and ``states_total``, the sum
     over the vertices.  More than ``cap_states`` states after one vertex
-    raise ``TooLargeError``.
+    raise ``TooLargeError``.  k is clamped to n + 1, as in ``_Ctx``: no
+    vertex has n neighbours, so a larger k asks what n + 1 asks.
     """
     check_k(k)
     check_variant(variant)
     n, reach_l, reach_r = model.n, model.reach_l, model.reach_r
+    asked, k = k, min(k, n + 1)  # errors name the caller's k
     costs = model.costs if weighted and model.costs is not None else (1,) * n
     scale = lcm(*(c.denominator for c in costs))
     units = [c.numerator * (scale // c.denominator) for c in costs]
@@ -124,7 +126,7 @@ def solve_frontier(
                     if len(found) >= cap_states:
                         raise TooLargeError(
                             f"frontier states after vertex {i + 1} exceed cap "
-                            f"{cap_states} (n={n}, k={k}, variant={variant})"
+                            f"{cap_states} (n={n}, k={asked}, variant={variant})"
                         )
                     found[key] = [c, base + j]
                 elif c < entry[0]:

@@ -143,7 +143,8 @@ class _Ctx:
     reach arrays (``ProperIntervalModel.reach_l``/``reach_r``, swept once
     when the model was built) shifted up by one; no endpoint is compared
     here.  The source and sink intervals meet nothing else, so positions 0
-    and n+1 each reach only themselves.
+    and n+1 each reach only themselves.  ``k`` is clamped to n + 1: no
+    vertex has n neighbours, so a larger k asks what n + 1 asks.
     """
 
     __slots__ = ("n", "k", "variant", "reach_l", "reach_r")
@@ -152,7 +153,7 @@ class _Ctx:
         check_k(k)
         check_variant(variant)
         self.n = model.n
-        self.k = k
+        self.k = min(k, model.n + 1)
         self.variant = variant
         sink = model.n + 1
         self.reach_l = [0, *(p + 1 for p in model.reach_l), sink]
@@ -185,8 +186,8 @@ def _chain_count(ctx: _Ctx, cap: int) -> int:
     position i: 1 at length 1, and at the next length the sum of ``f[j]``
     for j in ``i+1..reach_r[i]``, read off suffix sums, so each length costs
     O(n).  The count stops once it passes ``cap`` or some length has no
-    chain (then no longer one has either), so a huge k costs at most one
-    pass per member of the longest chain."""
+    chain (then no longer one has either), so it costs at most one pass per
+    member of the longest chain."""
     n, reach_r = ctx.n, ctx.reach_r
     lengths = range(_small_lengths(ctx.k, ctx.variant).start, 2 * ctx.k + 1)
     f = [0, *(1,) * n, 0]  # by position, 0 at the dummies
@@ -437,9 +438,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
             return
         items.append((t, range(last + 1, top + 1), head, _tail_bound(ctx, t, clean)))
 
-    # No chain has more than n members, so n + 1 caps cover every member a
-    # chain reads; capping there keeps a huge k from building a huge tuple.
-    no_caps = (n,) * min(2 * k, n + 1)
+    no_caps = (n,) * (2 * k)
     for start in range(1, n + 1):
         grow((start,), True, start, no_caps, no_caps)
 
@@ -637,7 +636,8 @@ class _Plan:
     ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
     head's jump charge where it reads it: ``_out_arcs`` once per head in its
     index, ``fast._sweep`` once per run or small head that some class
-    reaches.
+    reaches.  A path pays each vertex once, so a length at or above
+    ``unreachable``, ``sum(units) + 1``, marks a node no path reaches.
     """
 
     def __init__(
@@ -665,6 +665,7 @@ class _Plan:
         costs = model.costs if weighted and model.costs is not None else (1,) * model.n
         scale = self.scale = lcm(*(c.denominator for c in costs))
         self.units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
+        self.unreachable = sum(self.units) + 1
 
     @cached_property
     def _flat(self) -> tuple[list[tuple[int, ...]], bytearray]:
@@ -891,13 +892,12 @@ def search_naive(plan: _Plan | None) -> tuple[Solution, list[DagNode] | None]:
     The tails are searched in reverse id order, and each tail's out-arcs
     are relaxed as ``_Plan._out_arcs`` finds them: every arc is tested, and
     none is kept, so no arc list is built.  ``stats["arcs"]`` counts the
-    arcs relaxed, which are the arcs of ``_Plan.arcs``."""
+    arcs relaxed, which are the arcs of ``_Plan.arcs``.  A node with no
+    path to the sink keeps the length ``plan.unreachable``."""
     if plan is None:
         return infeasible_solution("naive"), None
     units, seqs, roles, out_arcs = plan.units, plan.seqs, plan.roles, plan._out_arcs
-    # Path lengths are plain ints in the plan's units.  A path pays each of
-    # its vertices once, so no path costs ``unreachable``.
-    unreachable = sum(units) + 1
+    unreachable = plan.unreachable
     to_sink = [unreachable] * plan.size
     to_sink[-1] = 0
     nxt = [0] * plan.size

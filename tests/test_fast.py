@@ -348,15 +348,16 @@ def _swept(model, k, variant, weighted=False):
     return None if plan is None else (plan, *_sweep(plan))
 
 
-def _class_reps(model, k, variant, nodes, dist):
+def _class_reps(model, k, variant, nodes, dist, unreachable):
     """``(least dist, representative)`` for the source and for every suffix
-    class with a reached member: the class minimum recomputed from ``dist``,
-    and the class's first member."""
+    class with a reached member, one whose dist is below ``unreachable``:
+    the class minimum recomputed from ``dist``, and the class's first
+    member."""
     middle = nodes[1:-1]
     eligible = eligible_tail_bigs(middle, model, k, variant)
     reps = [(0, nodes[0])]
     for cl in suffix_partition(middle, k, eligible):
-        values = [dist[i] for i in cl.members if dist[i] is not None]
+        values = [dist[i] for i in cl.members if dist[i] < unreachable]
         if values:
             reps.append((min(values), nodes[cl.members[0]]))
     return reps
@@ -384,7 +385,7 @@ def test_fast_dp_invariants_via_sweep():
                 nodes = plan.nodes
                 assert (dist[0], pred[0]) == (0, None)
                 for nd in nodes[1:]:
-                    if dist[nd.id] is None:
+                    if dist[nd.id] >= plan.unreachable:
                         assert pred[nd.id] is None
                         continue
                     t = nodes[pred[nd.id]]
@@ -398,9 +399,9 @@ def test_fast_dp_invariants_via_sweep():
                 cands = [
                     dist[nd.id]
                     for nd in nodes[:-1]
-                    if dist[nd.id] is not None and is_e0_arc(m, k, variant, nd, sink)
+                    if dist[nd.id] < plan.unreachable and is_e0_arc(m, k, variant, nd, sink)
                 ]
-                assert dist[sink.id] == min(cands, default=None)
+                assert dist[sink.id] == min(cands, default=plan.unreachable)
 
 
 def test_fast_dist_matches_literal_recomputation():
@@ -428,8 +429,9 @@ def test_fast_dist_matches_literal_recomputation():
                     plan, dist, _, stats = swept
                     nodes = plan.nodes
                     assert len(dist) == len(nodes)
-                    reps = _class_reps(model, k, variant, nodes, dist)
-                    bigs = [t for t in nodes if t.kind == KIND_BIG and dist[t.id] is not None]
+                    reps = _class_reps(model, k, variant, nodes, dist, plan.unreachable)
+                    bigs = [t for t in nodes
+                            if t.kind == KIND_BIG and dist[t.id] < plan.unreachable]
                     prefixes = {nodes[-1].seq[:k]}
                     for nd in nodes[1:-1]:
                         if weighted:
@@ -442,7 +444,8 @@ def test_fast_dist_matches_literal_recomputation():
                         want = min([v for v in (jump, *slides) if v is not None], default=None)
                         if nd.kind == "small" or _head_ok(ctx, nd.seq):
                             prefixes.add(nd.seq[:k])
-                        assert dist[nd.id] == want, (n, k, variant, weighted, nd.seq)
+                        got = dist[nd.id] if dist[nd.id] < plan.unreachable else None
+                        assert got == want, (n, k, variant, weighted, nd.seq)
                         checked[jump is None] += 1
                     assert stats["prefix_classes"] == len(prefixes)
     assert min(checked.values()) > 5000
@@ -667,11 +670,11 @@ def test_fast_slide_steps_take_the_first_least_tail():
             for variant in ("kdom", "total"):
                 for model, weighted in ((m, False), (mw, True)):
                     swept = _swept(model, k, variant, weighted)
-                    if swept is None or swept[1][-1] is None:
+                    if swept is None or swept[1][-1] >= swept[0].unreachable:
                         continue
                     plan, dist, pred, _ = swept
                     nodes = plan.nodes
-                    reps = _class_reps(model, k, variant, nodes, dist)
+                    reps = _class_reps(model, k, variant, nodes, dist, plan.unreachable)
                     by_overlap = {}
                     for nd in nodes:
                         if nd.kind == KIND_BIG:
@@ -684,7 +687,8 @@ def test_fast_slide_steps_take_the_first_least_tail():
                     for a, b in zip(path, path[1:]):
                         if not is_e1_arc(k, a, b):
                             continue
-                        tails = [t for t in by_overlap[b.seq[:-1]] if dist[t] is not None]
+                        tails = [t for t in by_overlap[b.seq[:-1]]
+                                 if dist[t] < plan.unreachable]
                         least = min(dist[t] for t in tails)
                         firsts = [t for t in tails if dist[t] == least]
                         assert a.id == min(firsts), (n, k, variant, weighted, b.seq)

@@ -11,7 +11,8 @@ import pytest
 
 import pikdom.reduction as reduction_module
 from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
-from pikdom.fast import solve_fast
+from pikdom.fast import search_fast, solve_fast
+from pikdom.frontier import solve_frontier
 from pikdom.model import (
     Interval,
     ProperIntervalModel,
@@ -202,14 +203,57 @@ def test_projection_cost_does_not_grow_with_k():
     assert peak < 10**6
 
 
-@pytest.mark.parametrize("solve", [solve_fast, solve_naive])
+@pytest.mark.parametrize("solve", [solve_fast, solve_naive, solve_frontier])
 def test_huge_k_answers_on_three_intervals(solve):
     # Every vertex inside the set is k-dominated, so the whole line is the
     # only k-dominating set once k exceeds every degree; no total one exists.
+    # Every engine clamps k to n + 1, so neither k allocates anything of
+    # its size.
     m = chain_model(3)
-    sol = solve(m, 10**18, "kdom")
-    assert sol.feasible and sol.cost == 3 and list(sol.vertices) == [1, 2, 3]
-    assert not solve(m, 10**18, "total").feasible
+    for k in (10**8, 10**18):
+        sol = solve(m, k, "kdom")
+        assert sol.feasible and sol.cost == 3 and list(sol.vertices) == [1, 2, 3]
+        assert not solve(m, k, "total").feasible
+
+
+def _engine_outputs(model, k, variant, weighted):
+    """All that the engines report at k: fast's and naive's answers with
+    their stats and node paths, the dumped DAG, and the frontier's answer
+    with its stats."""
+    plan = engine_plan(model, k, variant, weighted)
+    return (
+        search_fast(plan),
+        search_naive(plan),
+        dump_digraph(build_digraph(model, k, variant, weighted)),
+        solve_frontier(model, k, variant, weighted),
+    )
+
+
+def test_k_past_n_plus_one_asks_what_n_plus_one_asks():
+    # No vertex has n neighbours, so any k past n + 1 asks what n + 1 asks:
+    # every engine's full output is the one at n + 1.  n 0-9, both
+    # variants, unit and mixed-denominator costs.
+    rng = random.Random(43)
+    runs = 0
+    for n in range(10):
+        for seed, stretch in ((0, 2), (1, Fraction(9, 2)), (2, 7)):
+            m = generate_random(n, 4300 + 10 * n + seed, stretch) if n else ProperIntervalModel(())
+            mw = with_costs(m, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))
+                                for _ in range(n)])
+            for variant in ("kdom", "total"):
+                for model, weighted in ((m, False), (mw, True)):
+                    want = _engine_outputs(model, n + 1, variant, weighted)
+                    # fast's and the frontier's sets: the whole line, or
+                    # none for total past the empty graph
+                    sets = [list(sol.vertices) for sol in (want[0][0], want[3])
+                            if sol.feasible]
+                    whole = [*range(1, n + 1)]
+                    assert sets == ([whole, whole] if variant == "kdom" or n == 0 else [])
+                    for k in (n + 2, n + 5, 4 * n + 3):
+                        got = _engine_outputs(model, k, variant, weighted)
+                        assert got == want, (n, seed, k, variant, weighted)
+                        runs += 1
+    assert runs == 10 * 3 * 2 * 2 * 3
 
 
 def test_min_degree_shortcut_runs_before_budget():
