@@ -8,6 +8,7 @@ from .errors import (
     NotArcError,
     NotPathError,
     NotProperError,
+    OutOfMemoryError,
     ParamError,
     ParseError,
     PikdomError,

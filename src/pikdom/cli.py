@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParamError, ParseError, PikdomError, VertexIndexError
+from .errors import OutOfMemoryError, ParamError, ParseError, PikdomError, VertexIndexError
 from .fast import search_fast
 from .model import (
     derive_graph,
@@ -335,6 +335,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[E_IO]: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        pass
+    # An allocation failed.  Its traceback held the failed command's frames,
+    # and with them its tables; leaving the handler freed them, so the error
+    # line can be built and printed.
+    exc = OutOfMemoryError("out of memory: the command needs more than the process may allocate")
+    print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

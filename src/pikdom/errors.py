@@ -55,3 +55,10 @@ class NotPathError(PikdomError):
 
 class BudgetError(PikdomError):
     code = "E_BUDGET"
+
+
+class OutOfMemoryError(PikdomError):
+    """An allocation failed: the work the input asks for does not fit in the
+    memory the process may use."""
+
+    code = "E_MEMORY"

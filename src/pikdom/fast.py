@@ -29,9 +29,9 @@ about one clique's width (``reduction._e0_window`` gives the bounds and
 their derivation), so the probes per prefix class are bounded by the
 classes ending in one clique rather than by all classes.
 
-A probe compares the class key against per-head thresholds instead of
-running the literal jump-arc test (``_floor_walk`` and ``_clears``).  Of
-the test's four conditions:
+A probe (``_best_class``) compares the class key against per-head
+thresholds instead of running the literal jump-arc test.  Of the test's
+four conditions:
 
 * (1), disjoint ends, holds for every ``hi`` inside the window;
 * (3), the tail condition, holds for every class member, because only
@@ -40,9 +40,10 @@ the test's four conditions:
   plan before any probe;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
   (``t.hi < m < s.lo``) meets the members of each end set inside its reach
-  range ``reach_l[m]..reach_r[m]``, which ``reduction._hits`` counts: the
-  head members ``<= reach_r[m]`` and the tail members ``>= reach_l[m]``.
-  So it needs ``r(m) = k - _hits(ctx, s.seq, m)`` tail members
+  range ``reach_l[m]..reach_r[m]``, as ``reduction._hits`` counts them:
+  every head member lies right of ``m``, so it meets the ``c(m)`` of them
+  ``<= reach_r[m]``, one binary search over the head's first ``k``
+  indices.  So it needs ``r(m) = k - c(m)`` tail members
   ``>= reach_l[m]``, which holds iff ``len(key) >= r(m)`` and
   ``key[-r(m)] >= reach_l[m]``: only the last ``k`` members can count.
   With ``T_r`` the largest ``reach_l[m]`` over the gap vertices with
@@ -50,12 +51,14 @@ the test's four conditions:
   ``key[-r] >= T_r`` for every set ``T_r``, because ``key[-r]`` falls as
   ``r`` grows.
 
-The window is walked from its top ``hi`` down, so each step adds one gap
-vertex.  ``reach_l`` and ``reach_r`` never decrease along the line, so going
-down ``r(m)`` only grows and ``reach_l[m]`` only falls: the first gap vertex
-with ``r(m) >= r`` fixes ``T_r`` for good, there are at most ``k`` floors,
-and a probe is ``O(k)`` integer compares.  The naive engine keeps the
-literal gap cover, so the differential tests check this derivation.
+The probe is one loop over the window, from its top ``hi`` down: each step
+folds the gap vertices above ``hi`` into the floors and tests the classes
+ending at ``hi`` against them.  ``reach_l`` and ``reach_r`` never decrease
+along the line, so going down ``r(m)`` only grows and ``reach_l[m]`` only
+falls: the first gap vertex with ``r(m) >= r`` fixes ``T_r`` for good,
+there are at most ``k`` floors, and a class's test is ``O(k)`` integer
+compares.  The naive engine keeps the literal gap cover, so the
+differential tests check this derivation.
 
 The dummy source and sink take the same probe.  The source's role byte
 has the tail bit alone, so it joins its class, key ``(0,)`` at ``hi`` 0,
@@ -129,6 +132,7 @@ path of None when the sink is unreachable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import ProperIntervalModel
@@ -142,7 +146,6 @@ from .reduction import (
     _Ctx,
     _e0_window,
     _HEAD,
-    _hits,
     _Plan,
     _TAIL,
     engine_plan,
@@ -203,44 +206,6 @@ def topo_order(nodes, k: int) -> list[int]:
     return [i for bucket in buckets for i in bucket]
 
 
-def _floor_walk(ctx: _Ctx, seq: tuple[int, ...]):
-    """Yield ``(hi, floors)`` for every ``t.hi`` a jump arc into the head
-    with sequence ``seq``, a middle node or the sink, can have, from the top
-    of its window down.  Only the head's first k indices count, so ``seq``
-    may be those alone.
-
-    The head must pass condition (4); the DP probes nothing for a big head
-    that fails it.  A suffix class whose members end at ``hi`` has a jump
-    arc into the head iff ``_clears(key, floors)``.  ``floors[r-1]`` is the
-    least value ``key[-r]`` may take.  The module docstring derives the
-    rule.
-    """
-    lo = seq[0]
-    hi_min, hi_max = _e0_window(ctx, head_lo=lo)
-    k, reach_l = ctx.k, ctx.reach_l
-    floors: tuple[int, ...] = ()
-    m = lo - 1  # the next gap vertex to fold in
-    for hi in range(hi_max, hi_min - 1, -1):
-        # Once k floors are set, no lower gap vertex can raise one.
-        while m > hi and len(floors) < k:
-            need = k - _hits(ctx, seq, m)
-            if need > len(floors):
-                floors += (reach_l[m],) * (need - len(floors))
-            m -= 1
-        yield hi, floors
-
-
-def _clears(key: tuple[int, ...], floors: tuple[int, ...]) -> bool:
-    """The key-threshold probe: does a class with suffix key ``key`` meet
-    the floors ``_floor_walk`` gave for its ``hi``?"""
-    if len(key) < len(floors):
-        return False
-    for r, floor in enumerate(floors, 1):
-        if key[-r] < floor:
-            return False
-    return True
-
-
 def solve_fast(
     model: ProperIntervalModel,
     k: int,
@@ -272,19 +237,42 @@ def _best_class(ctx: _Ctx, by_hi, prefix: tuple, unreachable: int) -> tuple[list
     """The probe of one prefix class: the entry of the best reached suffix
     class (least length below ``unreachable``) with a jump arc into the
     heads whose first k indices are ``prefix``, or None, and how many
-    reached classes it tested.  Every class in the window ends before
-    ``prefix[0]``, so all its members have lower ids and have joined it."""
-    hit = None
+    reached classes it tested.  The heads pass condition (4).  Every class
+    in the window ends before ``prefix[0]``, so all its members have lower
+    ids and have joined it.
+
+    One loop walks the window from its top ``hi`` down: the gap vertices
+    above ``hi`` fold into ``floors``, where ``floors[r-1]`` is the least
+    value ``key[-r]`` may take, and the classes ending at ``hi`` are tested
+    against them.  The module docstring derives the rule."""
+    k, reach_l, reach_r = ctx.k, ctx.reach_l, ctx.reach_r
+    hi_min, hi_max = _e0_window(ctx, head_lo=prefix[0])
+    floors: list[int] = []
+    m = prefix[0] - 1  # the next gap vertex to fold in
+    hit, hit_best, hit_key = None, unreachable, ()
     tests = 0
-    for hi, floors in _floor_walk(ctx, prefix):
+    for hi in range(hi_max, hi_min - 1, -1):
+        # Once k floors are set, no lower gap vertex can raise one.
+        while m > hi and len(floors) < k:
+            floors += [reach_l[m]] * (k - bisect_right(prefix, reach_r[m]) - len(floors))
+            m -= 1
+        depth = len(floors)
         for entry in by_hi[hi].values():
             best, _, key = entry
             if best >= unreachable:
                 continue
             tests += 1
-            # equal costs go to the first class in key order
-            if _clears(key, floors) and (hit is None or (best, key) < (hit[0], hit[2])):
-                hit = entry
+            # Skip a class the hit beats (equal costs go to the first class
+            # in key order) or whose key is too short for the floors.
+            if best > hit_best or best == hit_best and key > hit_key or len(key) < depth:
+                continue
+            r = 0
+            for floor in floors:
+                r -= 1
+                if key[r] < floor:
+                    break
+            else:
+                hit, hit_best, hit_key = entry, best, key
     return hit, tests
 
 
@@ -298,8 +286,10 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     pred: list[int | None] = [None] * plan.size
     dist[0] = 0
     # Suffix classes by the hi their members share (one dict per position
-    # 0..n+1, as in units), then by key: [least dist, first id with it,
-    # key].  The source joins its class (0,) at hi 0 as every tail does.
+    # 0..n+1, as in units), then by their key less its last index, which is
+    # that hi: [least dist, first id with it, key].  The children of a run
+    # share that shorter key, t[k:].  The source joins its class (0,), dict
+    # key (), at hi 0 as every tail does.
     by_hi: list[dict[tuple[int, ...], list]] = [{} for _ in units]
     # The last prefix class probed, a head's first k indices, and the entry
     # of the best class with a jump arc into each of its heads, or None when
@@ -314,6 +304,7 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     # first 2k-1 indices, its chain, so each has a slide arc from every tail
     # of the chain's class, all finalized before the run.
     slide_best: dict[tuple[int, ...], dict[int, list]] = {}
+    no_tails: dict[int, list] = {}  # read, never written
     repr_tests = e1_arcs = bigs = tail_bigs = 0
 
     # ids are a topological order, the source first and the sink last
@@ -335,7 +326,7 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
             dist[i], pred[i] = d, p
             if role & _TAIL:
                 key = suffix_key(seq, k)
-                entry = by_hi[seq[-1]].setdefault(key, [d, i, key])
+                entry = by_hi[seq[-1]].setdefault(key[:-1], [d, i, key])
                 if d < entry[0]:
                     entry[0], entry[1] = d, i
             i += 1
@@ -350,7 +341,7 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
         # The best slide into every node of the run, less units[x]: its
         # chain's class, when it has a reached tail.
         sd, sp = unreachable, None
-        tails = slide_best.get(t[:-1], {}).get(t[-1])
+        tails = slide_best.get(t[:-1], no_tails).get(t[-1])
         if tails is not None:
             e1_arcs += tails[2] * len(xs)
             if tails[0] < unreachable:
@@ -369,7 +360,7 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
                 if jd <= sd:
                     hd, hp = jd, hit[1]
         slides = slide_best.setdefault(t[1:], {})  # the children's classes
-        suffix = t[k:]
+        suffix = t[k:]  # each child's class key less its last index, x
         for x in xs:
             if x <= head:
                 d, p = hd, hp
@@ -389,10 +380,9 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
             # Fold it into its suffix class if it can be a jump arc's tail;
             # members come in id order, so equal costs keep the first id.
             if x <= tail:
-                key = suffix + (x,)
-                entry = by_hi[x].get(key)
+                entry = by_hi[x].get(suffix)
                 if entry is None:
-                    by_hi[x][key] = [d, i, key]
+                    by_hi[x][suffix] = [d, i, suffix + (x,)]
                 elif d < entry[0]:
                     entry[0], entry[1] = d, i
             i += 1

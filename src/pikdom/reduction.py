@@ -250,7 +250,7 @@ def _caps(
     over the positions with ``d(m) >= j``, which is the first such
     position's, as ``reach_r`` rises with m; nothing passes when some
     ``d(m) > ranks``, or when a cap at or before ``t[-1]`` leaves no room.
-    ``fast._floor_walk`` makes the same argument for the gap cover.
+    ``fast._best_class`` makes the same argument for the gap cover.
     """
     k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
     floor = t[-1]

@@ -5,7 +5,10 @@ in-test enumeration (direct interval arithmetic, subset scans), never by the
 code paths under test.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +164,19 @@ def frontier_min_literal(model, k, variant, weighted):
             pytest.fail(f"more than {_FRONTIER_STATE_CAP} states at vertex {i + 1}")
         states, lo = out, nxt_lo
     return Fraction(states[()]) if states else None
+
+
+def bench_run():
+    """``perfbench/run.py`` as a module, for its workload table and the
+    generator it imports; ``perfbench/`` is on ``sys.path`` for the import
+    alone, and nothing there is written."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # dataclasses look their module up here
+    sys.path.insert(0, str(bench))
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    return run

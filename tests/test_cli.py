@@ -9,7 +9,7 @@ import pytest
 
 from pikdom import cli, reduction
 from pikdom.cli import main
-from pikdom.model import parse_model, serialize_model
+from pikdom.model import generate_random, parse_model, serialize_model
 from pikdom.reduction import build_digraph, dump_digraph
 
 P6_TEXT = "6\n1 2.2\n2 3.2\n3 4.2\n4 5.2\n5 6.2\n6 7.2\n"
@@ -246,6 +246,27 @@ def test_solve_deep_chain_exit_1(capsys, tmp_path):
                          "--cap-nodes", "1" + "0" * 1000)
     assert code == 1 and out == ""
     assert err.startswith("error[E_BUDGET]: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs an enforced RLIMIT_AS")
+def test_solve_out_of_memory_is_one_coded_line(tmp_path):
+    # The chain cap admits this instance, but its DAG needs about twice the
+    # 200 MiB of address space the child allows itself: the solve ends in
+    # one E_MEMORY line and exit 1, not a MemoryError traceback.
+    inst = tmp_path / "big.txt"
+    inst.write_text(serialize_model(generate_random(40000, 1, 8)))
+    script = (
+        "import resource, sys\n"
+        "from pikdom.cli import main\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, hard))\n"
+        f"sys.exit(main(['solve', {str(inst)!r}, '--variant', 'kdom', '--k', '2']))\n"
+    )
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error[E_MEMORY]: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_solve_missing_file(capsys):

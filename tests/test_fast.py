@@ -10,8 +10,7 @@ import pikdom.fast as fast_module
 import pikdom.reduction as reduction_module
 from pikdom.fast import (
     SuffixClass,
-    _clears,
-    _floor_walk,
+    _best_class,
     _sweep,
     representative_independence_check,
     search_fast,
@@ -475,10 +474,20 @@ def test_fast_representative_tests_pinned(n, seed, stretch, k, variant, cost, pr
     assert sol.stats["representative_tests"] == probes
 
 
+def _probe_table(ctx, classes):
+    """A ``_best_class`` table holding only ``classes``, (key, member id)
+    pairs, each reached at length 0, keyed as ``_sweep`` keys its own."""
+    by_hi = [{} for _ in range(ctx.n + 2)]
+    for key, member in classes:
+        by_hi[key[-1]][key[:-1]] = [0, member, key]
+    return by_hi
+
+
 def test_threshold_probe_matches_jump_arc_test():
-    # For every head that passes condition (4) and every class whose hi lies
-    # in its window, the key-threshold probe answers as the literal jump-arc
-    # test does on the class representative.  The heads are the middle nodes
+    # For every head that passes condition (4) and every class, the probe
+    # of a table holding that class alone tests it iff its hi lies in the
+    # head's window, and returns it iff the literal jump-arc test finds an
+    # arc from the class representative.  The heads are the middle nodes
     # and the sink; the classes are the suffix classes and the source's own
     # class (key (0,), hi 0), as in the DP.  A big node that fails (4) is
     # never probed: the literal test finds no jump arc into it from any class
@@ -496,38 +505,62 @@ def test_threshold_probe_matches_jump_arc_test():
                     nodes = enumerate_nodes(m, k, variant)
                     middle = nodes[1:-1]
                     eligible = eligible_tail_bigs(middle, m, k, variant)
-                    by_hi = {0: [SuffixClass((0,), (nodes[0].id,))]}
-                    for cl in suffix_partition(middle, k, eligible):
-                        by_hi.setdefault(cl.key[-1], []).append(cl)
+                    classes = [SuffixClass((0,), (nodes[0].id,)),
+                               *suffix_partition(middle, k, eligible)]
                     for nd in middle + [nodes[-1]]:
                         hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
                         if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
-                            for hi in range(hi_min, hi_max + 1):
-                                for cl in by_hi.get(hi, ()):
+                            for cl in classes:
+                                if hi_min <= cl.key[-1] <= hi_max:
                                     for t in cl.members:
                                         assert not _e0_arc(ctx, nodes[t], nd)
                                         failing_pairs += 1
                             continue
-                        walk = list(_floor_walk(ctx, nd.seq))
-                        his = [hi for hi, _ in walk]
-                        assert his == list(range(hi_max, hi_min - 1, -1))
-                        for hi, floors in walk:
-                            for cl in by_hi.get(hi, ()):
-                                want = _e0_arc(ctx, nodes[cl.members[0]], nd)
-                                assert _clears(cl.key, floors) == want, (
-                                    n, seed, k, variant, cl.key, nd.seq
-                                )
-                                checked[want] += 1
-                                short_keys += len(cl.key) < k
-                                if cl.key == (0,):
-                                    dummies["source"][want] += 1
-                                if nd is nodes[-1]:
-                                    dummies["sink"][want] += 1
+                        for cl in classes:
+                            rep = cl.members[0]
+                            table = _probe_table(ctx, [(cl.key, rep)])
+                            hit, tests = _best_class(ctx, table, nd.seq[:k], 1)
+                            want = _e0_arc(ctx, nodes[rep], nd)
+                            where = (n, seed, k, variant, cl.key, nd.seq)
+                            assert tests == (hi_min <= cl.key[-1] <= hi_max), where
+                            assert hit == (table[cl.key[-1]][cl.key[:-1]] if want else None), where
+                            if not tests:
+                                continue
+                            checked[want] += 1
+                            short_keys += len(cl.key) < k
+                            if cl.key == (0,):
+                                dummies["source"][want] += 1
+                            if nd is nodes[-1]:
+                                dummies["sink"][want] += 1
     assert min(checked.values()) > 1000
     assert min(dummies["source"].values()) > 500
     assert min(dummies["sink"].values()) > 100
     assert failing_pairs > 100
     assert short_keys > 100
+
+
+@pytest.mark.parametrize("first, second, winner", [
+    ((4, 7), (5, 6), (4, 7)),  # the lesser key is walked first, at hi 7
+    ((5, 7), (4, 6), (4, 6)),  # the lesser key is walked second, at hi 6
+])
+def test_threshold_probe_ties_go_to_the_lesser_key(first, second, winner):
+    # Two classes at different hi, both with a jump arc into the sink and
+    # both reached at the same length: the probe returns the lesser key,
+    # whichever of the two its walk down the window meets first.
+    m = make_model([(0, 3), (3, 6), (5, 8), (9, 12), (10, 13), (11, 14), (12, 15)])
+    k = 2
+    ctx = _Ctx(m, k, "kdom")
+    nodes = enumerate_nodes(m, k, "kdom")
+    middle = nodes[1:-1]
+    classes = suffix_partition(middle, k, eligible_tail_bigs(middle, m, k, "kdom"))
+    reps = {cl.key: cl.members[0] for cl in classes if cl.key in (first, second)}
+    sink = nodes[-1]
+    for key, rep in reps.items():
+        assert _e0_arc(ctx, nodes[rep], sink), key
+    table = _probe_table(ctx, reps.items())
+    hit, tests = _best_class(ctx, table, sink.seq[:k], 1)
+    assert tests == 2
+    assert hit == [0, reps[winner], winner]
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -1,10 +1,7 @@
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +29,7 @@ from pikdom.oracle import (
 from pikdom.reduction import solve_naive
 
 from conftest import (
+    bench_run,
     chain_model,
     complete_model,
     frontier_min_literal,
@@ -415,28 +413,12 @@ def test_literal_oracle_matches_fast_past_brute():
 
 # ------------------------------------------- the benchmark's instance shapes
 
-def _bench_run():
-    """``perfbench/run.py`` as a module, for its workload table and the
-    generator it imports; ``perfbench/`` is on ``sys.path`` for the import
-    alone, and nothing there is written."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = run  # dataclasses look their module up here
-    sys.path.insert(0, str(bench))
-    try:
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(str(bench))
-    return run
-
-
 def test_literal_oracle_on_benchmark_shapes():
     # Every spec of every workload at the benchmark's instance seeds for
     # seeds 1 and 2: varied lengths, gaps, clusters, touching rational
     # endpoints, zero costs and shuffled rows.  fast and the frontier run
     # every instance and naive the ones its workloads give it.
-    run = _bench_run()
+    run = bench_run()
     count = 0
     for name, workload in sorted(run.WORKLOADS.items()):
         naive = "naive" in workload.engines

@@ -24,6 +24,10 @@ seeded texts with shuffled rows (integer, decimal, exponent and ``p/q``
 spellings, negative endpoints, touching endpoints spelled two ways,
 endpoints 2^-40 and 2^-60 apart), with ``derive_graph`` adjacency and the
 DAG context's reach arrays, and the exact error line of each bad text.
+``PINNED_BENCH`` hashes ``fast``'s answer, whole stats dict and node path
+on the benchmark's own instances (every perfbench workload spec, seeds 1
+and 2), whose clusters, touching rational endpoints and zero costs the
+``generate_random`` corpora never draw.
 
 When an intended change moves an answer, re-pin ``PINNED`` and say why in
 the change's notes.
@@ -47,6 +51,8 @@ from pikdom.reduction import (
     solve_naive,
 )
 
+from conftest import bench_run
+
 PINNED = "26bdb24d204f54b4f3f2659bedce8b7f556e2e4492c4f696f4e03d08186fc13a"
 PINNED_LARGE = "22d14d2784209b031bb0edc781653109e9d7100b8748053e068df049114f4a74"
 PINNED_ARCS = "d9fe33cb24ac05d807dc5214240a1338f376648375912c62743f07a262ef327d"
@@ -54,6 +60,7 @@ PINNED_BRUTE = "99e7581e25dda8f33c1afe62c8bc2ddae3b543faf3fa27c036c0a36ce923d9a5
 PINNED_STATS = "e89115cf159d06e7010015e538a3656c4b262150caf28616a3a660d756a5afaa"
 PINNED_PATHS = "1ae225a9af0d47c30db72bec9c50e382cb2b3f0bf8788d6211da84e78f68ccfe"
 PINNED_NAIVE_PATHS = "55c77e8f6fb7138719a53fbd095b2fc18afd17163a5f37d8377664eddb9d38b1"
+PINNED_BENCH = "21b6c9c7a87cd4b874e2ff03ec0f9cd9203cf2ba2361db6ca2056a10e3191051"
 PINNED_INGEST = "115378a2c9ef74002c7512f09ebf1d8f408822a0c73efe512638d3beb7366513"
 
 _STRETCHES = (2, Fraction(5, 2), 3, 4, Fraction(17, 3), 7)
@@ -234,6 +241,32 @@ def test_brute_outputs_match_pinned_digest():
     assert runs == 8 * 3 * 3 * 2 * 3
     assert zero_costs > 20
     assert digest == PINNED_BRUTE
+
+
+def bench_digest() -> tuple[str, int]:
+    """``fast``'s answer, whole stats dict and node path, as node ids, on
+    the instances ``test_literal_oracle_on_benchmark_shapes`` draws: every
+    spec of every perfbench workload at seeds 1 and 2."""
+    run = bench_run()
+    h = hashlib.sha256()
+    runs = 0
+    for name, workload in sorted(run.WORKLOADS.items()):
+        for i, spec in enumerate(workload.specs):
+            for seed in (1, 2):
+                inst = run.generate(spec, seed * 1000 + i, f"{name}-{i:02d}")
+                m = parse_model(inst.text)
+                sol, path = search_fast(engine_plan(m, spec.k, spec.variant, m.weighted))
+                ids = "-" if path is None else " ".join(str(nd.id) for nd in path)
+                stats = json.dumps(sol.stats, sort_keys=True)
+                h.update(f"{inst.name} {seed} {_answer(sol)} {ids} {stats}\n".encode())
+                runs += 1
+    return h.hexdigest(), runs
+
+
+def test_bench_shapes_match_pinned_digest():
+    digest, runs = bench_digest()
+    assert runs == 112
+    assert digest == PINNED_BENCH
 
 
 # ------------------------------------------------------------------ ingest
