@@ -8,6 +8,7 @@ wall-clock timings therefore go to stderr.  Exit codes: 0 solved/valid/pass,
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import functools
 import json
 import os
@@ -174,7 +175,10 @@ def _bench_instances(args) -> list[tuple[str, object]]:
     """Every (label, model) of the run, all parsed before the first solve,
     so a bad file ends the run before any row is computed."""
     if args.dir is not None:
-        paths = sorted(Path(args.dir).glob("*.txt"))
+        # Listing raises the OSError that names a missing path or a file,
+        # in both of which a glob would find nothing.
+        names = fnmatch.filter(os.listdir(args.dir), "*.txt")
+        paths = sorted(Path(args.dir, name) for name in names)
         if not paths:
             raise ParseError(f"no *.txt instances in {args.dir}")
         return [(p.name, _parse_file(p)) for p in paths]

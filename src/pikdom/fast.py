@@ -119,7 +119,9 @@ per chain of 2k-1 (``reduction._tail_bound``), so the sweep runs no window
 check.  The naive engine reads the same bits, so the fast/naive
 differential cannot see a wrong head or tail bit; the tests hold each big
 node's bits to the literal ``reduction._head_ok`` and ``_tail_ok``.  The
-stats' node counts come from the run bounds.  The sweep keeps the best
+stats' small and big node counts come from the run lengths, and
+``tail_eligible_bigs`` counts the big nodes as they join their suffix
+classes, in the run loop's tail branch.  The sweep keeps the best
 path into each node and the node before it on that path in two lists by
 node id.  Path lengths are plain ints in the plan's units; one at or
 above the plan's ``unreachable`` is unreached, and has no predecessor.
@@ -280,7 +282,9 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     """The DP over ``plan``: by node id, the least path length from the
     source in the plan's units and the node before it on that path (at or
     above ``plan.unreachable`` and ``None`` when unreached), and the solve's
-    stats.  It walks the plan's items and reads no per-id list."""
+    stats.  It walks the plan's items and reads no per-id list.  A run's
+    big nodes are counted from its length and its tail-eligible ones one
+    by one, as each joins its suffix class."""
     ctx, units, k, unreachable = plan.ctx, plan.units, plan.ctx.k, plan.unreachable
     dist = [unreachable] * plan.size
     pred: list[int | None] = [None] * plan.size
@@ -337,7 +341,6 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
         # that differs only in units[x], so the run picks its arcs once.
         t, xs, head, tail = item
         bigs += len(xs)
-        tail_bigs += max(0, min(tail, xs[-1]) - xs[0] + 1)
         # The best slide into every node of the run, less units[x]: its
         # chain's class, when it has a reached tail.
         sd, sp = unreachable, None
@@ -380,6 +383,7 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
             # Fold it into its suffix class if it can be a jump arc's tail;
             # members come in id order, so equal costs keep the first id.
             if x <= tail:
+                tail_bigs += 1
                 entry = by_hi[x].get(suffix)
                 if entry is None:
                     by_hi[x][suffix] = [d, i, suffix + (x,)]

@@ -291,8 +291,11 @@ def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
         return reach_r[t[k - 1]]
     if k <= 2:
         return n
-    caps = _caps(ctx, t, max(t[k], clean), t[-1], 1)
-    return 0 if caps is None else min(caps[0], max(reach_r[t[k]], t[-1]) + 1)
+    caps = _caps(ctx, t, t[k] if t[k] > clean else clean, t[-1], 1)
+    if caps is None:
+        return 0
+    bound = (reach_r[t[k]] if reach_r[t[k]] > t[-1] else t[-1]) + 1
+    return caps[0] if caps[0] < bound else bound
 
 
 def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
@@ -414,10 +417,10 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
             if total:
                 heads = heads[:q] + (reach_r[t[0]],) + heads[q + 1:]
             else:
-                bounds = _caps(ctx, t, max(t[0], clean), last, k)
+                bounds = _caps(ctx, t, t[0] if t[0] > clean else clean, last, k)
                 heads = None if bounds is None else heads[:q] + tuple(bounds)
         if q == caps_len:
-            bounds = _caps(ctx, t, max(t[k - 1], clean), last, k - 1)
+            bounds = _caps(ctx, t, t[k - 1] if t[k - 1] > clean else clean, last, k - 1)
             caps = None if bounds is None else caps[:q] + tuple(bounds)
         top = reach_r[last]
         cap = last if caps is None else caps[q]  # the next member's
@@ -433,7 +436,8 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
                     heads = None
                 grow(t + (nxt,), check_small, clean, caps, heads)
             return
-        top = min(top, cap)
+        if cap < top:  # a compare, not min(): this runs once per chain
+            top = cap
         if top <= last:
             return
         items.append((t, range(last + 1, top + 1), head, _tail_bound(ctx, t, clean)))

@@ -553,6 +553,17 @@ def test_bench_empty_dir_exit_1(capsys, tmp_path):
     assert "E_PARSE" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_dir_not_a_directory_is_one_io_line(capsys, tmp_path, kind):
+    path = tmp_path / "instances"
+    if kind == "file":
+        path.write_text(P6_TEXT)
+    code, out, err = run(capsys, "bench", "--dir", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[E_IO]: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--engines", ""),
     ("--n-min", "5", "--n-max", "4"),

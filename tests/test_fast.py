@@ -21,7 +21,13 @@ from pikdom.fast import (
 )
 from pikdom.cli import main
 from pikdom.frontier import solve_frontier
-from pikdom.model import derive_graph, generate_random, serialize_model, with_costs
+from pikdom.model import (
+    derive_graph,
+    generate_random,
+    parse_model,
+    serialize_model,
+    with_costs,
+)
 from pikdom.oracle import brute_force_min, check_lemma_components, find_violation
 from pikdom.reduction import (
     ARC_E0,
@@ -48,6 +54,7 @@ from pikdom.reduction import (
 )
 
 from conftest import (
+    bench_run,
     chain_model,
     complete_model,
     frontier_min_literal,
@@ -458,7 +465,57 @@ def test_fast_work_counter_bound():
             st = sol.stats
             middle = st["small_nodes"] + st["big_nodes"]
             assert st["representative_tests"] <= middle * st["suffix_classes"]
-            assert st["representative_tests"] <= (middle + 2) * st["suffix_classes"]
+            # Each probe tests each reached class at most once, the
+            # source's class included.
+            assert st["representative_tests"] <= (
+                st["prefix_classes"] * (st["suffix_classes"] + 1)
+            )
+
+
+def _literal_node_counts(m, k, variant):
+    """The node-count stats of ``solve_fast``, counted from the literal
+    enumeration, tail check and suffix partition."""
+    nodes = enumerate_nodes(m, k, variant)
+    middle = nodes[1:-1]
+    eligible = eligible_tail_bigs(middle, m, k, variant)
+    bigs = sum(nd.kind == KIND_BIG for nd in middle)
+    return {
+        "nodes": len(nodes),
+        "small_nodes": len(middle) - bigs,
+        "big_nodes": bigs,
+        "tail_eligible_bigs": len(eligible),
+        "suffix_classes": len(suffix_partition(middle, k, eligible)),
+    }
+
+
+def test_fast_node_counts_match_literal_counts():
+    runs = 0
+    for n in range(5, 31):
+        m = generate_random(n, 2400 + n, [2, 3, 5, 8][n % 4])
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                sol = solve_fast(m, k, variant)
+                if sol.stats is None:  # no plan: some vertex has under k neighbors
+                    continue
+                want = _literal_node_counts(m, k, variant)
+                assert {key: sol.stats[key] for key in want} == want, (n, k, variant)
+                runs += 1
+    assert runs > 100
+
+
+def test_fast_node_counts_match_literal_counts_on_bench_shapes():
+    run = bench_run()
+    tails = 0
+    for name, workload in sorted(run.WORKLOADS.items()):
+        for i, spec in enumerate(workload.specs):
+            for seed in (1, 2):
+                inst = run.generate(spec, seed * 1000 + i, f"{name}-{i:02d}")
+                m = parse_model(inst.text)
+                sol = solve_fast(m, spec.k, spec.variant, m.weighted)
+                want = _literal_node_counts(m, spec.k, spec.variant)
+                assert {key: sol.stats[key] for key in want} == want, (inst.name, seed)
+                tails += want["tail_eligible_bigs"]
+    assert tails > 0
 
 
 @pytest.mark.parametrize(
