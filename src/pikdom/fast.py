@@ -60,13 +60,12 @@ there are at most ``k`` floors, and a class's test is ``O(k)`` integer
 compares.  The naive engine keeps the literal gap cover, so the
 differential tests check this derivation.
 
-The dummy source and sink take the same probe.  The source's role byte
-has the tail bit alone, so it joins its class, key ``(0,)`` at ``hi`` 0,
-as every tail does, and no other node ends at 0; the sink's has the head
-bit alone, and it is the sweep's last head.  Neither meets a gap vertex:
-the source clears only an empty floor tuple, which is the literal test's
-"the head alone covers the gap", and the sink's floors ask everything of
-the tail.
+The dummy source and sink take the same probe.  The source, where every
+path starts, is seeded before the sweep in its class, key ``(0,)`` at
+``hi`` 0, and no other node ends at 0; the sink is a head like any other,
+the sweep's last.  Neither meets a gap vertex: the source clears only an
+empty floor tuple, which is the literal test's "the head alone covers the
+gap", and the sink's floors ask everything of the tail.
 
 Slide (E1) arcs are shared the same way, by slide class.  A slide arc
 ``t -> s`` exists iff both are big and ``t.seq[1:] == s.seq[:-1]``, so every
@@ -96,34 +95,34 @@ first), the first member of that class in id order, a jump before a slide,
 and the first slide tail in id order, which the slide class keeps; none of
 these depends on the sweep order, so the chosen path does not either.
 
-A run is decided once.  Its nodes ``t + (x,)`` share the prefix class
-``t[:k]`` (one probe), the slide class ``t`` (one read) and every position
-of a jump charge but ``x`` (one sum over ``t``).  A node has the head bit
-iff ``x`` is at most the run's head bound, and then costs the better of
-the jump and the slide into the run, else the slide, plus ``units[x]``
-either way, which keeps the tie-break.  Each node then joins its slide
-class and, if ``x`` is at most the tail bound, its suffix class: the only
-work done per node.
+A run of the plan is decided once.  Its nodes ``t + (x,)`` share the
+prefix class (one probe), the slide class ``t`` when they are big (one
+read) and every position of a jump charge but ``x`` (one sum over ``t``).
+A node has the head bit iff ``x`` is at most the run's head bound, and
+then costs the better of the jump and the slide into the run, else the
+slide, plus ``units[x]`` either way, which keeps the tie-break.  Each big
+node then joins its slide class, and each node with ``x`` at most the
+tail bound its suffix class: the only work done per node.
 
-The sweep (``_sweep``) reads the plan's items, single nodes (source, small
-nodes, sink) with their role bytes and runs with their bounds, and its one
-cost table, each position's cost in units; it never builds the plan's
-per-id lists.  The naive engine searches the same plan from
+The sweep (``_sweep``) reads the plan's items, runs with their bounds, and
+its one cost table, each position's cost in units; it never builds the
+plan's per-id lists.  A small node or the sink is a run of one, decided by
+the same loop.  The naive engine searches the same plan from
 ``reduction.engine_plan``; the two engines differ only in the search.  The
 sweep compares no kind: a node probes as a head iff it has the head bit,
 joins its suffix class iff it has the tail bit, and takes part in slide
-classes iff it is in a run.  A big node's head and tail bits are its
-answers to (4) and (3), which the enumeration decides where each range is
-fixed: (4) once per chain of k members (``reduction._caps``) and (3) once
-per chain of 2k-1 (``reduction._tail_bound``), so the sweep runs no window
-check.  The naive engine reads the same bits, so the fast/naive
-differential cannot see a wrong head or tail bit; the tests hold each big
-node's bits to the literal ``reduction._head_ok`` and ``_tail_ok``.  The
-stats' small and big node counts come from the run lengths, and
-``tail_eligible_bigs`` counts the big nodes as they join their suffix
-classes, in the run loop's tail branch.  The sweep keeps the best
-path into each node and the node before it on that path in two lists by
-node id.  Path lengths are plain ints in the plan's units; one at or
+classes iff its run's chain has 2k-1 members.  A big node's head and tail
+bits are its answers to (4) and (3), which the enumeration decides where
+each range is fixed: (4) once per chain of k members (``reduction._caps``)
+and (3) once per chain of 2k-1 (``reduction._tail_bound``), so the sweep
+runs no window check.  The naive engine reads the same bits, so the
+fast/naive differential cannot see a wrong head or tail bit; the tests
+hold each big node's bits to the literal ``reduction._head_ok`` and
+``_tail_ok``.  The stats' small and big node counts come from the run
+lengths, and ``tail_eligible_bigs`` counts the big nodes as they join
+their suffix classes, in the node loop's tail branch.  The sweep keeps the
+best path into each node and the node before it on that path in two lists
+by node id.  Path lengths are plain ints in the plan's units; one at or
 above the plan's ``unreachable`` is unreached, and has no predecessor.
 The plan turns the optimal id path into the answer
 (``_Plan.solution``), dividing by its ``scale`` once and building
@@ -282,19 +281,25 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     """The DP over ``plan``: by node id, the least path length from the
     source in the plan's units and the node before it on that path (at or
     above ``plan.unreachable`` and ``None`` when unreached), and the solve's
-    stats.  It walks the plan's items and reads no per-id list.  A run's
-    big nodes are counted from its length and its tail-eligible ones one
-    by one, as each joins its suffix class."""
+    stats.  It seeds the source, then walks the plan's other items, each a
+    run of one or more nodes, in one loop, and reads no per-id list.  A
+    run's big nodes are counted from its length and its tail-eligible ones
+    one by one, as each joins its suffix class."""
     ctx, units, k, unreachable = plan.ctx, plan.units, plan.ctx.k, plan.unreachable
+    big_len = 2 * k - 1
     dist = [unreachable] * plan.size
     pred: list[int | None] = [None] * plan.size
-    dist[0] = 0
     # Suffix classes by the hi their members share (one dict per position
     # 0..n+1, as in units), then by their key less its last index, which is
-    # that hi: [least dist, first id with it, key].  The children of a run
-    # share that shorter key, t[k:].  The source joins its class (0,), dict
-    # key (), at hi 0 as every tail does.
+    # that hi: [least dist, first id with it, key].  The nodes of an item
+    # share that shorter key, t's last k-1 indices (``cut``: all of a
+    # shorter t, none at k = 1).  The source, the first item, is the one
+    # node a path starts at: it is seeded here with length 0, in its class
+    # (0,), dict key (), at hi 0.
     by_hi: list[dict[tuple[int, ...], list]] = [{} for _ in units]
+    dist[0] = 0
+    by_hi[0][()] = [0, 0, (0,)]
+    cut = slice(1 - k, None) if k > 1 else slice(0, 0)
     # The last prefix class probed, a head's first k indices, and the entry
     # of the best class with a jump arc into each of its heads, or None when
     # no class has one.  A prefix class is a run of ids, so one probe serves
@@ -312,49 +317,34 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
     repr_tests = e1_arcs = bigs = tail_bigs = 0
 
     # ids are a topological order, the source first and the sink last
-    i = 0
-    for item in plan.items:
-        if len(item) == 2:
-            # A single node: the source, a small node or the sink.  Only the
-            # source starts with a path, of length 0.
-            seq, role = item
-            d, p = dist[i], None
-            if role & _HEAD:
-                if seq[:k] != prefix:
-                    prefix = seq[:k]
-                    hit, tests = _best_class(ctx, by_hi, prefix, unreachable)
-                    prefix_classes += 1
-                    repr_tests += tests
-                if hit is not None:
-                    d, p = hit[0] + sum(map(units.__getitem__, seq)), hit[1]
-            dist[i], pred[i] = d, p
-            if role & _TAIL:
-                key = suffix_key(seq, k)
-                entry = by_hi[seq[-1]].setdefault(key[:-1], [d, i, key])
-                if d < entry[0]:
-                    entry[0], entry[1] = d, i
-            i += 1
-            continue
-
-        # A run: the big nodes t + (x,) for x in xs.  Each path into one of
-        # them is a path into the run's prefix or slide class plus a charge
-        # that differs only in units[x], so the run picks its arcs once.
-        t, xs, head, tail = item
-        bigs += len(xs)
-        # The best slide into every node of the run, less units[x]: its
+    items = iter(plan.items)
+    next(items)  # the source, seeded above
+    i = 1
+    for t, lo, hi, head, tail in items:
+        # The nodes t + (x,) for lo <= x <= hi: a run of big nodes when t
+        # has 2k-1 members, else one small node or the sink.  Each path into
+        # one of them is a path into the item's prefix class or, in a run,
+        # its slide class, plus a charge that differs only in units[x], so
+        # the item picks its arcs once.
+        big = len(t) == big_len
+        # The best slide into every node of a run, less units[x]: its
         # chain's class, when it has a reached tail.
         sd, sp = unreachable, None
-        tails = slide_best.get(t[:-1], no_tails).get(t[-1])
-        if tails is not None:
-            e1_arcs += tails[2] * len(xs)
-            if tails[0] < unreachable:
-                sd, sp = tails[0], tails[1]
-        # The best arc into the run's heads, x <= head, less units[x]: a
+        if big:
+            bigs += hi - lo + 1
+            tails = slide_best.get(t[:-1], no_tails).get(t[-1])
+            if tails is not None:
+                e1_arcs += tails[2] * (hi - lo + 1)
+                if tails[0] < unreachable:
+                    sd, sp = tails[0], tails[1]
+            slides = slide_best.setdefault(t[1:], {})  # the children's classes
+        # The best arc into the item's heads, x <= head, less units[x]: a
         # jump first, a slide only at a strictly lower cost.
         hd, hp = sd, sp
-        if head >= xs[0]:
-            if t[:k] != prefix:
-                prefix = t[:k]
+        if head >= lo:
+            first = t[:k] if len(t) >= k else t + (lo,)  # the heads' first k indices
+            if first != prefix:
+                prefix = first
                 hit, tests = _best_class(ctx, by_hi, prefix, unreachable)
                 prefix_classes += 1
                 repr_tests += tests
@@ -362,9 +352,8 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
                 jd = hit[0] + sum(map(units.__getitem__, t))
                 if jd <= sd:
                     hd, hp = jd, hit[1]
-        slides = slide_best.setdefault(t[1:], {})  # the children's classes
-        suffix = t[k:]  # each child's class key less its last index, x
-        for x in xs:
+        suffix = t[cut]  # each node's class key less its last index, x
+        for x in range(lo, hi + 1):
             if x <= head:
                 d, p = hd, hp
             else:
@@ -372,18 +361,20 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
             d += units[x]
             dist[i] = d
             pred[i] = p
-            # Fold this node in as a slide tail; equal costs keep the first id.
-            tails = slides.get(x)
-            if tails is None:
-                slides[x] = [d, i, 1]
-            else:
-                tails[2] += 1
-                if d < tails[0]:
-                    tails[0], tails[1] = d, i
+            # Fold a big node in as a slide tail; equal costs keep the first
+            # id.
+            if big:
+                tails = slides.get(x)
+                if tails is None:
+                    slides[x] = [d, i, 1]
+                else:
+                    tails[2] += 1
+                    if d < tails[0]:
+                        tails[0], tails[1] = d, i
             # Fold it into its suffix class if it can be a jump arc's tail;
             # members come in id order, so equal costs keep the first id.
             if x <= tail:
-                tail_bigs += 1
+                tail_bigs += big
                 entry = by_hi[x].get(suffix)
                 if entry is None:
                     by_hi[x][suffix] = [d, i, suffix + (x,)]

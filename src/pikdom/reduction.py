@@ -35,7 +35,7 @@ either check.
 Both DAG engines search one ``_Plan`` from ``engine_plan``, which first
 answers the total variant's min-degree shortcut.  The plan works out each
 of its tables once: when built, the context, the budget check, the nodes
-in id order as single nodes and runs with each one's first id, and the
+in id order as runs of one shape with each run's first id, and the
 per-position costs in integer units; when first read, the per-id lists
 and naive's arc index.  The engines differ only in the search:
 ``search_naive`` tests every arc and keeps none, searching the tails in
@@ -370,17 +370,17 @@ def enumerate_nodes(
 
 
 def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
-    """The enumeration in id order, as single nodes and runs of big nodes.
+    """The enumeration in id order, as runs ``(t, lo, hi, head, tail)``.
 
-    A single node is a pair ``(seq, role)``, with its role byte (``_Plan``):
-    the source ``((0,), 2)`` first, each small node, and the sink
-    ``((n+1,), 1)`` last.  A run is a 4-tuple ``(t, xs, head, tail)``: a
-    chain ``t`` of 2k-1 members is the parent of the big nodes ``t + (x,)``
-    for x in the range ``xs``, which take consecutive ids, and the one with
-    last index x has the head bit iff ``x <= head`` and the tail bit iff
-    ``x <= tail``.  So the head bits of a run are a prefix of it, and so
-    are its tail bits.  No per-node tuple or ``DagNode`` is built (``_Plan``
-    builds them).
+    A run is the nodes ``t + (x,)`` for ``lo <= x <= hi``, which take
+    consecutive ids; the one with last index x has the head bit iff ``x <=
+    head`` and the tail bit iff ``x <= tail``, and the big bit iff ``t`` has
+    2k-1 members (``_Plan``).  So the head bits of a run are a prefix of
+    it, and so are its tail bits.  A chain ``t`` of 2k-1 members keeps its
+    big nodes as one run from ``t[-1] + 1``; every other run is one node:
+    the source ``((), 0, 0, -1, 0)`` first, each small node ``(parent, x,
+    x, x, x)`` and the sink ``((), n+1, n+1, n+1, n)`` last.  No per-node
+    tuple or ``DagNode`` is built (``_Plan`` builds them).
     """
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
@@ -389,27 +389,28 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
     parent_len = 2 * k - 1  # a chain one short of a big node
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
-    items: list[tuple] = [((0,), _TAIL)]  # the source
+    items: list[tuple] = [((), 0, 0, -1, 0)]  # the source
 
     def grow(
-        t: tuple[int, ...],
+        parent: tuple[int, ...],
+        last: int,
         check_small: bool,
         clean: int,
         caps: tuple[int, ...] | None,
         heads: tuple[int, ...] | None,
     ) -> None:
-        # clean: the first position that may lack hits.  caps[i] bounds
-        # member i of every big node in the subtree (the middle caps), or
-        # None when the subtree has no big node.  heads[i] bounds member i
-        # of every big node in the subtree that passes condition (4), or
-        # None when none does.
-        last = t[-1]
+        # The chain t is parent + (last,).  clean: the first position that
+        # may lack hits.  caps[i] bounds member i of every big node in the
+        # subtree (the middle caps), or None when the subtree has no big
+        # node.  heads[i] bounds member i of every big node in the subtree
+        # that passes condition (4), or None when none does.
+        t = parent + (last,)
         q = len(t)
         if check_small and q in smalls:
             m = _dominated(ctx, t, clean, last)
             clean = last + 1 if m is None else m
             if m is None:
-                items.append((t, _HEAD | _TAIL))
+                items.append((parent, last, last, last, last))
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -434,19 +435,19 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
                     caps = None
                 if nxt > head:
                     heads = None
-                grow(t + (nxt,), check_small, clean, caps, heads)
+                grow(t, nxt, check_small, clean, caps, heads)
             return
         if cap < top:  # a compare, not min(): this runs once per chain
             top = cap
         if top <= last:
             return
-        items.append((t, range(last + 1, top + 1), head, _tail_bound(ctx, t, clean)))
+        items.append((t, last + 1, top, head, _tail_bound(ctx, t, clean)))
 
     no_caps = (n,) * (2 * k)
     for start in range(1, n + 1):
-        grow((start,), True, start, no_caps, no_caps)
+        grow((), start, True, start, no_caps, no_caps)
 
-    items.append(((n + 1,), _HEAD))  # the sink
+    items.append(((), n + 1, n + 1, n + 1, n))  # the sink
     return items
 
 
@@ -610,24 +611,25 @@ class _Plan:
     """What both DAG engines search, built once per solve: the context, the
     budget check (the only one), the nodes and the cost table.
 
-    The enumeration is kept in id order as ``items``, single nodes and runs
-    of big nodes (``_enumerate_with_ctx``).  ``starts[j]`` is the id of item
-    j's first node, and ``starts[-1]`` is ``size``, the node count.  A role
-    byte says what a node can be in the search.  Bit 0 (``_HEAD``) says it
-    can head a jump arc: every small node, the sink, and a big node that
-    passes condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's
-    tail: every small node, the source, and a big node that passes
-    condition (3).  Bit 2 (``_BIG``) says it is big, so it takes part in
-    slide arcs.  So the sink's byte is 1, the source's 2 and a small node's
-    3; a big node's bits 0 and 1 come from its run's bounds.  Kind strings
-    are built only where a ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow
-    lexicographic order, so they are a topological order and sort the nodes
-    by ``lo``.  ``fast._sweep`` reads the items; the per-id lists ``seqs``
-    and ``roles`` (a ``bytearray``), which the naive engine, ``nodes`` and
-    the tests read, and the naive engine's arc index are cached properties,
-    built from the items when first read.  Both engines hand ``solution``
-    the id path they find, or None, which builds a ``DagNode`` only for the
-    nodes on it.
+    The enumeration is kept in id order as ``items``, runs ``(t, lo, hi,
+    head, tail)`` of the nodes ``t + (x,)`` for ``lo <= x <= hi``
+    (``_enumerate_with_ctx``).  ``starts[j]`` is the id of item j's first
+    node, and ``starts[-1]`` is ``size``, the node count.  A role byte says
+    what a node can be in the search.  Bit 0 (``_HEAD``) says it can head a
+    jump arc: every small node, the sink, and a big node that passes
+    condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's tail:
+    every small node, the source, and a big node that passes condition (3).
+    Bit 2 (``_BIG``) says it is big, so it takes part in slide arcs.  Every
+    bit comes from the node's run: bit 0 iff ``x <= head``, bit 1 iff ``x <=
+    tail`` and bit 2 iff ``t`` has 2k-1 members, which gives the sink 1, the
+    source 2 and a small node 3.  Kind strings are built only where a
+    ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow lexicographic order, so
+    they are a topological order and sort the nodes by ``lo``.
+    ``fast._sweep`` reads the items; the per-id lists ``seqs`` and ``roles``
+    (a ``bytearray``), which the naive engine, ``nodes`` and the tests read,
+    and the naive engine's arc index are cached properties, built from the
+    items when first read.  Both engines hand ``solution`` the id path they
+    find, or None, which builds a ``DagNode`` only for the nodes on it.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators, a cost ``c`` is the integer ``c *
@@ -639,9 +641,9 @@ class _Plan:
     ``units[seqs[i][-1]]``, and a jump arc into node i pays the sum of
     ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
     head's jump charge where it reads it: ``_out_arcs`` once per head in its
-    index, ``fast._sweep`` once per run or small head that some class
-    reaches.  A path pays each vertex once, so a length at or above
-    ``unreachable``, ``sum(units) + 1``, marks a node no path reaches.
+    index, ``fast._sweep`` once per run whose heads some class reaches.  A
+    path pays each vertex once, so a length at or above ``unreachable``,
+    ``sum(units) + 1``, marks a node no path reaches.
     """
 
     def __init__(
@@ -663,7 +665,7 @@ class _Plan:
                 f"a chain is deeper than the recursion limit "
                 f"{sys.getrecursionlimit()} allows (n={ctx.n}, k={k}, variant={variant})"
             ) from None
-        sizes = (len(item[1]) if len(item) == 4 else 1 for item in items)
+        sizes = (hi - lo + 1 for _, lo, hi, _, _ in items)
         self.starts = [*accumulate(sizes, initial=0)]
         self.size = self.starts[-1]
         costs = model.costs if weighted and model.costs is not None else (1,) * model.n
@@ -674,16 +676,12 @@ class _Plan:
     @cached_property
     def _flat(self) -> tuple[list[tuple[int, ...]], bytearray]:
         """The per-id lists ``seqs`` and ``roles``, built from the items."""
-        seqs: list[tuple[int, ...]] = []
-        roles = bytearray()
-        for item in self.items:
-            if len(item) == 2:
-                seqs.append(item[0])
-                roles.append(item[1])
-            else:
-                t, xs, head, tail = item
-                seqs.extend([t + (x,) for x in xs])
-                roles.extend([_BIG | (x <= head) | (x <= tail) << 1 for x in xs])
+        items, big_len = self.items, 2 * self.ctx.k - 1
+        seqs = [t + (x,) for t, lo, hi, _, _ in items for x in range(lo, hi + 1)]
+        roles = bytearray([
+            (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
+            for t, lo, hi, head, tail in items for x in range(lo, hi + 1)
+        ])
         return seqs, roles
 
     @property
@@ -720,16 +718,14 @@ class _Plan:
         the sink is unreachable, and gives the infeasible answer and None."""
         if path is None:
             return infeasible_solution(engine, stats), None
-        items, starts = self.items, self.starts
+        items, starts, big_len = self.items, self.starts, 2 * self.ctx.k - 1
         node_path = []
         for i in path:
             j = bisect.bisect_right(starts, i) - 1
-            item = items[j]
-            if len(item) == 2:
-                node_path.append(DagNode(i, _KIND_OF_ROLE[item[1]], item[0]))
-            else:
-                x = item[1][i - starts[j]]
-                node_path.append(DagNode(i, KIND_BIG, item[0] + (x,)))
+            t, lo, _, head, tail = items[j]
+            x = lo + i - starts[j]
+            role = (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
+            node_path.append(DagNode(i, _KIND_OF_ROLE[role], t + (x,)))
         vset = path_to_vertex_set(node_path, self.model)
         cost = Fraction(length, self.scale)
         return Solution(vset, cost, True, engine, stats), node_path
@@ -757,11 +753,11 @@ class _Plan:
         id and its range of last indices; the jump-arc heads, as ``(id, seq,
         charge)`` in id order and so by lo, which are the ids with the head
         bit, each charged once; and their los."""
-        units = self.units
+        units, big_len = self.units, 2 * self.ctx.k - 1
         runs = {
-            item[0]: (start, item[1])
-            for item, start in zip(self.items, self.starts)
-            if len(item) == 4
+            t: (start, range(lo, hi + 1))
+            for (t, lo, hi, _, _), start in zip(self.items, self.starts)
+            if len(t) == big_len
         }
         by_lo = [
             (i, s, sum(map(units.__getitem__, s)))

@@ -73,3 +73,21 @@ def test_benchmark_names_resolve_on_the_package():
                 break
             obj = getattr(obj, name)
     assert missing == []
+
+
+def test_readme_library_examples_run(capsys):
+    # The README's Library section, run as a reader would: its python
+    # blocks in order, in one namespace, the second reading the first's
+    # model.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    sol, naive_sol = namespace["sol"], namespace["naive_sol"]
+    assert sol.feasible and naive_sol.cost == sol.cost
+    assert capsys.readouterr().out == f"True {sol.cost} {list(sol.vertices)}\n"
+    assert namespace["text"].startswith("0 source 0\n")
+    path = namespace["path"]
+    assert (path[0].kind, path[-1].kind) == ("source", "sink")

@@ -516,9 +516,9 @@ def test_plan_flags_match_literal_checks():
 
 
 def test_plan_starts_are_first_ids():
-    # starts[j] is the id of item j's first node, so a run's nodes take the
-    # ids from starts[j] to starts[j + 1] - 1, and starts[-1] is the node
-    # count.  Corpus of test_plan_flags_match_literal_checks.
+    # starts[j] is the id of item j's first node, so item j's nodes take
+    # the ids from starts[j] to starts[j + 1] - 1, and starts[-1] is the
+    # node count.  Corpus of test_plan_flags_match_literal_checks.
     runs = 0
     for n in range(1, 40):
         for seed in range(3):
@@ -533,12 +533,9 @@ def test_plan_starts_are_first_ids():
                         label = (n, seed, stretch, k, variant)
                         assert len(starts) == len(plan.items) + 1, label
                         assert plan.size == starts[-1] == len(plan.seqs), label
-                        for j, item in enumerate(plan.items):
-                            if len(item) == 2:
-                                want = [item[0]]
-                            else:
-                                want = [item[0] + (x,) for x in item[1]]
-                                runs += 1
+                        for j, (t, lo, hi, _, _) in enumerate(plan.items):
+                            want = [t + (x,) for x in range(lo, hi + 1)]
+                            runs += len(t) == 2 * k - 1
                             got = nodes[starts[j]:starts[j + 1]]
                             assert [nd.seq for nd in got] == want, (label, j)
                             assert got[0].id == starts[j], (label, j)
@@ -736,12 +733,15 @@ def test_flat_plan_matches_node_view():
 
 
 def test_runs_hold_their_invariants():
-    # The plan keeps big nodes as runs (t, xs, head, tail): the nodes t + (x,)
-    # for x in xs, with the head bit iff x <= head and the tail bit iff
-    # x <= tail.  On mid-scale instances, with and without costs: a run's
-    # ids are consecutive with x rising by one, its head bits and its tail
-    # bits each form a prefix of it, and at x = bound and x = bound + 1,
-    # where they lie in the run, the literal checks agree with the bits.
+    # Every plan item is (t, lo, hi, head, tail): the nodes t + (x,) for
+    # lo <= x <= hi, with the head bit iff x <= head, the tail bit iff
+    # x <= tail, and the big bit iff t has 2k-1 members.  A run of big
+    # nodes starts one past t[-1]; every other item is one node, with the
+    # source's role byte (2), a small node's (3) or the sink's (1).  On
+    # mid-scale instances, with and without costs: a run's head bits and
+    # its tail bits each form a prefix of it, and at x = bound and
+    # x = bound + 1, where they lie in the run, the literal checks agree
+    # with the bits.
     counts = collections.Counter()
     rng = random.Random(28)
     for k, ns, stretches in (
@@ -758,15 +758,18 @@ def test_runs_hold_their_invariants():
                     ctx, seqs, roles = plan.ctx, plan.seqs, plan.roles
                     start = 0
                     for item in plan.items:
-                        if len(item) == 2:
-                            assert (seqs[start], roles[start]) == item
-                            start += 1
-                            continue
-                        t, xs, head, tail = item
-                        assert len(t) == 2 * k - 1 and len(xs) > 0
-                        assert xs.step == 1 and xs.start == t[-1] + 1, item
+                        t, lo, hi, head, tail = item
+                        xs = range(lo, hi + 1)
                         ids = range(start, start + len(xs))
+                        assert len(xs) > 0, item
                         assert [seqs[i] for i in ids] == [t + (x,) for x in xs]
+                        start += len(xs)
+                        if len(t) != 2 * k - 1:
+                            # The source, a small node or the sink.
+                            want = 2 if ids[0] == 0 else 1 if start == plan.size else 3
+                            assert lo == hi and roles[ids[0]] == want, item
+                            continue
+                        assert lo == t[-1] + 1, item
                         for bit, bound, literal in ((1, head, _head_ok), (2, tail, _tail_ok)):
                             bits = [bool(roles[i] & bit) for i in ids]
                             assert bits == sorted(bits, reverse=True), item
@@ -775,8 +778,8 @@ def test_runs_hold_their_invariants():
                                 if x in xs:
                                     assert literal(ctx, t + (x,)) == (x <= bound), item
                                     counts[bit, x - bound] += 1
+                        assert all(roles[i] & 4 for i in ids), item
                         counts["runs"] += 1
-                        start += len(xs)
                     assert start == plan.size == len(seqs)
     assert counts["runs"] > 5000, counts
     assert min(counts[bit, off] for bit in (1, 2) for off in (0, 1)) > 1000, counts
