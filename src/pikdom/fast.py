@@ -27,7 +27,9 @@ meet one of the two end sets; the last position that misses ``s.lo`` would
 otherwise be a gap vertex no end set meets.  Together these pin ``t.hi`` to
 about one clique's width (``reduction._e0_window`` gives the bounds and
 their derivation), so the probes per prefix class are bounded by the
-classes ending in one clique rather than by all classes.
+classes ending in one clique rather than by all classes.  The probe reads
+the head side of that window in place, ``reach_l[g] <= t.hi <= g`` with
+``g = reach_l[s.lo] - 1``, two list reads instead of a call per probe.
 
 A probe (``_best_class``) compares the class key against per-head
 thresholds instead of running the literal jump-arc test.  Of the test's
@@ -145,7 +147,6 @@ from .reduction import (
     KIND_BIG,
     KIND_SMALL,
     _Ctx,
-    _e0_window,
     _HEAD,
     _Plan,
     _TAIL,
@@ -242,22 +243,29 @@ def _best_class(ctx: _Ctx, by_hi, prefix: tuple, unreachable: int) -> tuple[list
     in the window ends before ``prefix[0]``, so all its members have lower
     ids and have joined it.
 
-    One loop walks the window from its top ``hi`` down: the gap vertices
-    above ``hi`` fold into ``floors``, where ``floors[r-1]`` is the least
-    value ``key[-r]`` may take, and the classes ending at ``hi`` are tested
-    against them.  The module docstring derives the rule."""
+    The window is the head side of ``_e0_window(ctx,
+    head_lo=prefix[0])``, read in place.  One loop walks it from its top
+    ``hi`` down: the gap vertices above ``hi`` fold into ``floors``, where
+    ``floors[r-1]`` is the least value ``key[-r]`` may take, and the classes
+    ending at ``hi`` are tested against them.  ``floors`` grows only when a
+    gap vertex raises its depth, which is kept in ``depth``.  The module
+    docstring derives the rule."""
     k, reach_l, reach_r = ctx.k, ctx.reach_l, ctx.reach_r
-    hi_min, hi_max = _e0_window(ctx, head_lo=prefix[0])
-    floors: list[int] = []
+    hi_max = reach_l[prefix[0]] - 1
+    hi_min = reach_l[hi_max]
     m = prefix[0] - 1  # the next gap vertex to fold in
+    floors: list[int] = []
+    depth = 0  # len(floors)
     hit, hit_best, hit_key = None, unreachable, ()
     tests = 0
     for hi in range(hi_max, hi_min - 1, -1):
         # Once k floors are set, no lower gap vertex can raise one.
-        while m > hi and len(floors) < k:
-            floors += [reach_l[m]] * (k - bisect_right(prefix, reach_r[m]) - len(floors))
+        while m > hi and depth < k:
+            need = k - bisect_right(prefix, reach_r[m])
+            if need > depth:
+                floors += [reach_l[m]] * (need - depth)
+                depth = need
             m -= 1
-        depth = len(floors)
         for entry in by_hi[hi].values():
             best, _, key = entry
             if best >= unreachable:
@@ -337,7 +345,9 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
                 e1_arcs += tails[2] * (hi - lo + 1)
                 if tails[0] < unreachable:
                     sd, sp = tails[0], tails[1]
-            slides = slide_best.setdefault(t[1:], {})  # the children's classes
+            slides = slide_best.get(t[1:])  # the children's classes
+            if slides is None:
+                slides = slide_best[t[1:]] = {}
         # The best arc into the item's heads, x <= head, less units[x]: a
         # jump first, a slide only at a strictly lower cost.
         hd, hp = sd, sp
@@ -349,10 +359,13 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
                 prefix_classes += 1
                 repr_tests += tests
             if hit is not None:
-                jd = hit[0] + sum(map(units.__getitem__, t))
+                jd = hit[0]
+                for pos in t:  # the charge of every position but x
+                    jd += units[pos]
                 if jd <= sd:
                     hd, hp = jd, hit[1]
-        suffix = t[cut]  # each node's class key less its last index, x
+        if tail >= lo:
+            suffix = t[cut]  # each node's class key less its last index, x
         for x in range(lo, hi + 1):
             if x <= head:
                 d, p = hd, hp

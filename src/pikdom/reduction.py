@@ -209,7 +209,8 @@ def _chain_count(ctx: _Ctx, cap: int) -> int:
 def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
     """How many members of the sorted sequence ``seq`` meet position m, m
     itself included when it is a member: they are the members inside m's
-    reach range."""
+    reach range.  The window walks (``_dominated``, ``_caps``) count hits
+    the same way in place; this is the reference the tests hold them to."""
     lo, hi = ctx.reach_l[m], ctx.reach_r[m]
     return bisect.bisect_right(seq, hi) - bisect.bisect_left(seq, lo)
 
@@ -220,14 +221,17 @@ def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | 
 
     Total variant: every position needs cover, and a member, which meets
     itself, needs k + 1 hits.  Plain k-domination: members dominate
-    themselves and are skipped.
+    themselves and are skipped.  Each position's hits are counted in place
+    as ``_hits`` counts them, by two binary searches over ``seq``.
     """
     k, total = ctx.k, ctx.variant == VARIANT_TOTAL
+    reach_l, reach_r = ctx.reach_l, ctx.reach_r
+    right, left = bisect.bisect_right, bisect.bisect_left
     for m in range(first, last + 1):
         member = m in seq
         if member and not total:
             continue
-        if _hits(ctx, seq, m) < k + member:
+        if right(seq, reach_r[m]) - left(seq, reach_l[m]) < k + member:
             return m
     return None
 
@@ -250,9 +254,12 @@ def _caps(
     over the positions with ``d(m) >= j``, which is the first such
     position's, as ``reach_r`` rises with m; nothing passes when some
     ``d(m) > ranks``, or when a cap at or before ``t[-1]`` leaves no room.
-    ``fast._best_class`` makes the same argument for the gap cover.
+    ``fast._best_class`` makes the same argument for the gap cover.  Each
+    position's hits in ``t`` are counted in place as ``_hits`` counts them.
     """
-    k, total, reach_r = ctx.k, ctx.variant == VARIANT_TOTAL, ctx.reach_r
+    k, total = ctx.k, ctx.variant == VARIANT_TOTAL
+    reach_l, reach_r = ctx.reach_l, ctx.reach_r
+    right, left = bisect.bisect_right, bisect.bisect_left
     floor = t[-1]
     caps = [ctx.n] * ranks
     short = 0  # caps[:short] are set
@@ -260,7 +267,7 @@ def _caps(
         member = m in t
         if member and not total:
             continue
-        deficit = k + member - _hits(ctx, t, m)
+        deficit = k + member - (right(t, reach_r[m]) - left(t, reach_l[m]))
         if deficit > short:
             if deficit > ranks or reach_r[m] <= floor:
                 return None
@@ -270,10 +277,11 @@ def _caps(
 
 
 def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
-    """For a chain ``t`` of 2k-1 members: the bound such that the big node
-    ``t + (x,)`` passes condition (3) iff x is at most it.  Every position
-    of ``t``'s span before ``clean`` meets as many members of ``t`` as it
-    needs (the small checks apply the same rule), so the walk starts there.
+    """For a chain ``t`` of 2k-1 members, in plain k-domination at k >= 3:
+    the bound such that the big node ``t + (x,)`` passes condition (3) iff x
+    is at most it.  Every position of ``t``'s span before ``clean`` meets as
+    many members of ``t`` as it needs (the small checks apply the same
+    rule), so the walk starts there.
 
     The tail range ``t[k]..x`` lies in ``t`` up to ``t[-1]``, with x its one
     later member (``_caps``).  Past ``t[-1]``, each position m before x
@@ -282,15 +290,13 @@ def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
     ``t[k:]``, so x may be at most the first such m that fails, ``max(
     reach_r[t[k]], t[-1]) + 1``.
 
-    Total variant: (3) reads no window (``_tail_ok``).  Plain k-domination
-    at k <= 2: it passes, since each position inside a chain's span meets
-    its two flanking members, and one past ``t[-1]`` meets ``t[-1]`` and x.
+    The other bounds read no window, and the enumeration's ``grow`` reads
+    them in place.  Total variant: (3) is ``x <= reach_r[t[k-1]]``
+    (``_tail_ok``).  Plain k-domination at k <= 2: every x passes, so the
+    bound is n, since each position inside a chain's span meets its two
+    flanking members, and one past ``t[-1]`` meets ``t[-1]`` and x.
     """
-    n, k, reach_r = ctx.n, ctx.k, ctx.reach_r
-    if ctx.variant == VARIANT_TOTAL:
-        return reach_r[t[k - 1]]
-    if k <= 2:
-        return n
+    k, reach_r = ctx.k, ctx.reach_r
     caps = _caps(ctx, t, t[k] if t[k] > clean else clean, t[-1], 1)
     if caps is None:
         return 0
@@ -369,8 +375,9 @@ def enumerate_nodes(
     return _Plan(model, k, variant, False, cap_nodes).nodes
 
 
-def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
-    """The enumeration in id order, as runs ``(t, lo, hi, head, tail)``.
+def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
+    """The enumeration in id order, as runs ``(t, lo, hi, head, tail)``, and
+    the node count, summed as the runs are kept.
 
     A run is the nodes ``t + (x,)`` for ``lo <= x <= hi``, which take
     consecutive ids; the one with last index x has the head bit iff ``x <=
@@ -390,6 +397,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
     caps_len = k + 1 if k >= 3 else 0  # at k <= 2 every chain passes the middle check
     heads_len = k if total or k >= 3 else 0  # at k <= 2 every plain head passes
     items: list[tuple] = [((), 0, 0, -1, 0)]  # the source
+    size = 2  # the source and the sink
 
     def grow(
         parent: tuple[int, ...],
@@ -404,6 +412,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
         # subtree (the middle caps), or None when the subtree has no big
         # node.  heads[i] bounds member i of every big node in the subtree
         # that passes condition (4), or None when none does.
+        nonlocal size
         t = parent + (last,)
         q = len(t)
         if check_small and q in smalls:
@@ -411,6 +420,7 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
             clean = last + 1 if m is None else m
             if m is None:
                 items.append((parent, last, last, last, last))
+                size += 1
             elif m < reach_l[last + 1]:
                 # No later member meets m, so every extension fails at m.
                 check_small = False
@@ -441,14 +451,21 @@ def _enumerate_with_ctx(ctx: _Ctx) -> list[tuple]:
             top = cap
         if top <= last:
             return
-        items.append((t, last + 1, top, head, _tail_bound(ctx, t, clean)))
+        if total:
+            tail = reach_r[t[k - 1]]
+        elif k <= 2:
+            tail = n
+        else:
+            tail = _tail_bound(ctx, t, clean)
+        items.append((t, last + 1, top, head, tail))
+        size += top - last
 
     no_caps = (n,) * (2 * k)
     for start in range(1, n + 1):
         grow((), start, True, start, no_caps, no_caps)
 
     items.append(((), n + 1, n + 1, n + 1, n))  # the sink
-    return items
+    return items, size
 
 
 def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
@@ -613,21 +630,22 @@ class _Plan:
 
     The enumeration is kept in id order as ``items``, runs ``(t, lo, hi,
     head, tail)`` of the nodes ``t + (x,)`` for ``lo <= x <= hi``
-    (``_enumerate_with_ctx``).  ``starts[j]`` is the id of item j's first
-    node, and ``starts[-1]`` is ``size``, the node count.  A role byte says
-    what a node can be in the search.  Bit 0 (``_HEAD``) says it can head a
-    jump arc: every small node, the sink, and a big node that passes
-    condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's tail:
-    every small node, the source, and a big node that passes condition (3).
-    Bit 2 (``_BIG``) says it is big, so it takes part in slide arcs.  Every
-    bit comes from the node's run: bit 0 iff ``x <= head``, bit 1 iff ``x <=
-    tail`` and bit 2 iff ``t`` has 2k-1 members, which gives the sink 1, the
-    source 2 and a small node 3.  Kind strings are built only where a
-    ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow lexicographic order, so
-    they are a topological order and sort the nodes by ``lo``.
-    ``fast._sweep`` reads the items; the per-id lists ``seqs`` and ``roles``
+    (``_enumerate_with_ctx``), and ``size`` is the node count.  A role
+    byte says what a node can be in the search.  Bit 0 (``_HEAD``) says it
+    can head a jump arc: every small node, the sink, and a big node that
+    passes condition (4).  Bit 1 (``_TAIL``) says it can be a jump arc's
+    tail: every small node, the source, and a big node that passes
+    condition (3).  Bit 2 (``_BIG``) says it is big, so it takes part in
+    slide arcs.  Every bit comes from the node's run: bit 0 iff ``x <=
+    head``, bit 1 iff ``x <= tail`` and bit 2 iff ``t`` has 2k-1 members,
+    which gives the sink 1, the source 2 and a small node 3.  Kind strings
+    are built only where a ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow
+    lexicographic order, so they are a topological order and sort the nodes
+    by ``lo``.  ``fast._sweep`` reads the items and ``size``; the per-id lists ``seqs`` and ``roles``
     (a ``bytearray``), which the naive engine, ``nodes`` and the tests read,
-    and the naive engine's arc index are cached properties, built from the
+    and the naive engine's arc index, with the per-item list ``starts`` it
+    reads (``starts[j]`` is the id of item j's first node, and
+    ``starts[-1]`` is ``size``), are cached properties, built from the
     items when first read.  Both engines hand ``solution`` the id path they
     find, or None, which builds a ``DagNode`` only for the nodes on it.
 
@@ -658,20 +676,22 @@ class _Plan:
             )
         self.model = model
         try:
-            items = self.items = _enumerate_with_ctx(ctx)
+            self.items, self.size = _enumerate_with_ctx(ctx)
         except RecursionError:
             # grow recurses once per member of a chain, up to 2k-1 deep.
             raise BudgetError(
                 f"a chain is deeper than the recursion limit "
                 f"{sys.getrecursionlimit()} allows (n={ctx.n}, k={k}, variant={variant})"
             ) from None
-        sizes = (hi - lo + 1 for _, lo, hi, _, _ in items)
-        self.starts = [*accumulate(sizes, initial=0)]
-        self.size = self.starts[-1]
         costs = model.costs if weighted and model.costs is not None else (1,) * model.n
         scale = self.scale = lcm(*(c.denominator for c in costs))
         self.units = [0, *(c.numerator * (scale // c.denominator) for c in costs), 0]
         self.unreachable = sum(self.units) + 1
+
+    @cached_property
+    def starts(self) -> list[int]:
+        """Each item's first id, by item, and then ``size``."""
+        return [*accumulate((hi - lo + 1 for _, lo, hi, _, _ in self.items), initial=0)]
 
     @cached_property
     def _flat(self) -> tuple[list[tuple[int, ...]], bytearray]:
@@ -713,19 +733,26 @@ class _Plan:
     ) -> tuple[Solution, list[DagNode] | None]:
         """The feasible answer for a source-to-sink path given by node ids,
         of ``length`` in the plan's units, and the path as ``DagNode``s:
-        the only ones a search builds.  Each id is found among the items by
-        their first ids, so no per-id list is read.  A ``path`` of None says
-        the sink is unreachable, and gives the infeasible answer and None."""
+        the only ones a search builds.  A path's ids rise, so one walk over
+        the items, counting their first ids as it goes, finds each id's
+        item, and no per-id or per-item list is read.  A ``path`` of None
+        says the sink is unreachable, and gives the infeasible answer and
+        None."""
         if path is None:
             return infeasible_solution(engine, stats), None
-        items, starts, big_len = self.items, self.starts, 2 * self.ctx.k - 1
+        size, big_len = self.size, 2 * self.ctx.k - 1
         node_path = []
-        for i in path:
-            j = bisect.bisect_right(starts, i) - 1
-            t, lo, _, head, tail = items[j]
-            x = lo + i - starts[j]
-            role = (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
-            node_path.append(DagNode(i, _KIND_OF_ROLE[role], t + (x,)))
+        ids = iter(path)
+        i = next(ids)
+        start = 0  # the item's first id
+        for t, lo, hi, head, tail in self.items:
+            end = start + hi - lo + 1
+            while i < end:
+                x = lo + i - start
+                role = (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
+                node_path.append(DagNode(i, _KIND_OF_ROLE[role], t + (x,)))
+                i = next(ids, size)  # size: no id left
+            start = end
         vset = path_to_vertex_set(node_path, self.model)
         cost = Fraction(length, self.scale)
         return Solution(vset, cost, True, engine, stats), node_path

@@ -38,6 +38,7 @@ from pikdom.reduction import (
     _Plan,
     _e0_arc,
     _e0_window,
+    _gap_covered,
     _head_ok,
     _tail_ok,
     arc_length,
@@ -262,8 +263,9 @@ def test_naive_runs_no_literal_window_check(monkeypatch):
 
 def test_fast_builds_no_per_id_lists(monkeypatch):
     # The sweep decides each run of big nodes once and never builds the
-    # plan's per-id sequence and role lists; naive and plan.nodes build
-    # them, and still list every node in id order.
+    # plan's per-id sequence and role lists, nor its per-item first ids;
+    # naive and plan.nodes build them, and still list every node in id
+    # order.
     m = generate_random(30, 1, 8)
     costs = [Fraction(1 + i % 4, 1 + i % 3) for i in range(m.n)]
     for model, weighted in ((m, False), (with_costs(m, costs), True)):
@@ -275,6 +277,7 @@ def test_fast_builds_no_per_id_lists(monkeypatch):
                     raise AssertionError("solve_fast built the per-id lists")
 
                 mp.setattr(_Plan, "_flat", property(no_lists))
+                mp.setattr(_Plan, "starts", property(no_lists))
                 sol, path = search_fast(plan)
                 assert sol == solve_fast(model, 3, variant, weighted)
             assert sol.feasible and sol.stats["big_nodes"] > 1000
@@ -618,6 +621,64 @@ def test_threshold_probe_ties_go_to_the_lesser_key(first, second, winner):
     hit, tests = _best_class(ctx, table, sink.seq[:k], 1)
     assert tests == 2
     assert hit == [0, reps[winner], winner]
+
+
+def test_every_probe_of_a_sweep_matches_a_literal_scan(monkeypatch):
+    # Each probe a real sweep makes, against a scan of the table as the
+    # sweep holds it then.  The probe counts exactly the reached classes
+    # whose hi lies in the head's window (_e0_window), and returns the least
+    # by (cost, key) of those whose representative, the member whose cost
+    # the class keeps, passes condition (1) and the literal gap cover into
+    # the prefix (_gap_covered).  The heads pass (4) and every class member
+    # (3), so those are the jump arcs.  The corpus is perfbench's shapes and
+    # random instances, unit and weighted.
+    real = fast_module._best_class
+    many = 0  # probes that see two or more reached classes
+    seqs = []
+
+    def probe(ctx, by_hi, prefix, unreachable):
+        nonlocal many
+        hit, tests = real(ctx, by_hi, prefix, unreachable)
+        hi_min, hi_max = _e0_window(ctx, head_lo=prefix[0])
+        reached = [
+            entry
+            for hi in range(hi_min, hi_max + 1)
+            for entry in by_hi[hi].values()
+            if entry[0] < unreachable
+        ]
+        arcs = []
+        for entry in reached:
+            rep = seqs[entry[1]]
+            assert rep[-ctx.k:] == entry[2], (rep, entry)
+            if (ctx.reach_r[rep[-1]] < prefix[0]
+                    and _gap_covered(ctx, rep, [(entry[1], prefix)])):
+                arcs.append(entry)
+        want = min(arcs, key=lambda entry: (entry[0], entry[2]), default=None)
+        assert tests == len(reached), (prefix, tests, reached)
+        assert hit is want, (prefix, hit, want)
+        many += len(reached) >= 2
+        return hit, tests
+
+    monkeypatch.setattr(fast_module, "_best_class", probe)
+    cases = []
+    run = bench_run()
+    for name, workload in sorted(run.WORKLOADS.items()):
+        for i, spec in enumerate(workload.specs):
+            m = parse_model(run.generate(spec, 1000 + i, f"{name}-{i:02d}").text)
+            cases.append((m, spec.k, spec.variant, m.weighted))
+    for n in range(5, 31):
+        m = generate_random(n, 4100 + n, [2, 3, 5, 8][n % 4])
+        mw = with_costs(m, [Fraction(1 + (i * 5) % 7, 1 + i % 3) for i in range(n)])
+        for k in (1, 2, 3):
+            for variant in ("kdom", "total"):
+                cases += [(m, k, variant, False), (mw, k, variant, True)]
+    for model, k, variant, weighted in cases:
+        plan = engine_plan(model, k, variant, weighted)
+        if plan is None:
+            continue
+        seqs[:] = plan.seqs
+        search_fast(plan)
+    assert many > 1000, many
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

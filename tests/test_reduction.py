@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 from math import comb, lcm
 
@@ -634,27 +635,31 @@ def test_middle_caps_halve_the_plans_hits(monkeypatch):
     # chain of 2k-1 walks the middle and each small check resumes where its
     # parent's stopped: the k=3 plan below took 150,980 hit counts when
     # every chain of 2k-1 walked it.  Total-variant head and tail bounds
-    # read no window, so a total plan calls _caps only for middles.
+    # read no window, so a total plan calls _caps only for middles.  The
+    # walks count each position's hits in place, as _hits does, with one
+    # bisect_right each, and nothing else in the plan's build bisects
+    # right, so a counting stand-in for the module's bisect counts hits.
     calls = collections.Counter()
-    real_hits, real_caps = reduction_module._hits, reduction_module._caps
+    real_caps = reduction_module._caps
 
-    def hits(*args):
-        calls["_hits"] += 1
-        return real_hits(*args)
+    def bisect_right(*args):
+        calls["hits"] += 1
+        return bisect.bisect_right(*args)
 
     def caps(ctx, t, first, last, ranks):
         calls["middle" if len(t) == ctx.k + 1 else "other"] += 1
         return real_caps(ctx, t, first, last, ranks)
 
-    monkeypatch.setattr(reduction_module, "_hits", hits)
+    counting = types.SimpleNamespace(bisect_left=bisect.bisect_left, bisect_right=bisect_right)
+    monkeypatch.setattr(reduction_module, "bisect", counting)
     monkeypatch.setattr(reduction_module, "_caps", caps)
     m = generate_random(100, 1, 12)
     plan = _Plan(m, 3, "kdom", False, 10**18)
-    assert calls["_hits"] < 100_000 and len(plan.seqs) > 100_000, calls
+    assert calls["hits"] < 100_000 and len(plan.seqs) > 100_000, calls
     calls.clear()
     plan = _Plan(m, 3, "total", False, 10**18)
     assert calls["other"] == 0 and calls["middle"] > 0, calls
-    assert calls["_hits"] > 0 and len(plan.seqs) > 50_000, calls
+    assert calls["hits"] > 0 and len(plan.seqs) > 50_000, calls
 
 
 def test_head_checks_once_per_chain_of_k(monkeypatch):
