@@ -79,12 +79,14 @@ def solve_frontier(
     position are kept in the order of their strings, so two strings that
     end in the same decision compare as their predecessors' places do.
 
-    Back-pointers are two integer arrays per position, each state's
-    predecessor and its in/out bit.  ``stats`` has ``states_peak``, the
-    most states kept after any one vertex, and ``states_total``, the sum
-    over the vertices.  More than ``cap_states`` states after one vertex
-    raise ``TooLargeError``.  k is clamped to n + 1, as in ``_Ctx``: no
-    vertex has n neighbours, so a larger k asks what n + 1 asks.
+    Back-pointers are one integer array per position, each state's
+    predecessor code: the predecessor's place among the states before the
+    vertex, plus their count when the vertex is in.  ``stats`` has
+    ``states_peak``, the most states kept after any one vertex, and
+    ``states_total``, the sum over the vertices.  More than ``cap_states``
+    states after one vertex raise ``TooLargeError``.  k is clamped to n +
+    1, as in ``_Ctx``: no vertex has n neighbours, so a larger k asks what
+    n + 1 asks.
     """
     check_k(k)
     check_variant(variant)
@@ -95,7 +97,7 @@ def solve_frontier(
     units = [c.numerator * (scale // c.denominator) for c in costs]
     total = variant == VARIANT_TOTAL
     states, dist = [((), ())], [0]  # at the current position, in string order
-    back: list[tuple[array, bytearray]] = []
+    back: list[array] = []  # each state's predecessor code, by position
     peak = count = 0
     for i in range(n):
         cover_from = reach_l[i + 1] if i + 1 < n else n  # no later vertex
@@ -134,9 +136,7 @@ def solve_frontier(
         # Each predecessor code gives one state, so sorting by code never
         # compares two states.
         order = sorted((code, state, c) for state, (c, code) in found.items())
-        prev = len(states)
-        back.append((array("q", [code % prev for code, _, _ in order]),
-                     bytearray(code >= prev for code, _, _ in order)))
+        back.append(array("q", [code for code, _, _ in order]))
         states, dist = [state for _, state, _ in order], [c for _, _, c in order]
         peak, count = max(peak, len(states)), count + len(states)
         if not states:
@@ -147,10 +147,10 @@ def solve_frontier(
     chosen = []
     at = 0  # the one final state, ((), ())
     for i in range(n - 1, -1, -1):
-        preds, bits = back[i]
-        if bits[at]:
+        code, prev = back[i][at], len(back[i - 1]) if i else 1  # states before i
+        if code >= prev:  # i is in
             chosen.append(i + 1)
-        at = preds[at]
+        at = code % prev
     return Solution(
         VertexSet.of(model.to_original(chosen)),
         Fraction(dist[0], scale),

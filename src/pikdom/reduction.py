@@ -35,9 +35,10 @@ either check.
 Both DAG engines search one ``_Plan`` from ``engine_plan``, which first
 answers the total variant's min-degree shortcut.  The plan works out each
 of its tables once: when built, the context, the budget check, the nodes
-in id order as runs of one shape with each run's first id, and the
-per-position costs in integer units; when first read, the per-id lists
-and naive's arc index.  The engines differ only in the search:
+in id order as runs of one shape, the node count and the per-position
+costs in integer units; when first read, the per-id lists and naive's arc
+index, whose one pass over the runs counts each run's first id.  ``fast``
+reads only the runs.  The engines differ only in the search:
 ``search_naive`` tests every arc and keeps none, searching the tails in
 reverse id order and relaxing each tail's out-arcs as it finds them, so
 it keeps each node's lowest-id optimal successor; ``fast.search_fast``
@@ -641,13 +642,14 @@ class _Plan:
     which gives the sink 1, the source 2 and a small node 3.  Kind strings
     are built only where a ``DagNode`` is (``_KIND_OF_ROLE``).  Ids follow
     lexicographic order, so they are a topological order and sort the nodes
-    by ``lo``.  ``fast._sweep`` reads the items and ``size``; the per-id lists ``seqs`` and ``roles``
-    (a ``bytearray``), which the naive engine, ``nodes`` and the tests read,
-    and the naive engine's arc index, with the per-item list ``starts`` it
-    reads (``starts[j]`` is the id of item j's first node, and
-    ``starts[-1]`` is ``size``), are cached properties, built from the
-    items when first read.  Both engines hand ``solution`` the id path they
-    find, or None, which builds a ``DagNode`` only for the nodes on it.
+    by ``lo``.  ``fast._sweep`` reads the items and ``size``, and no per-id
+    or per-item table.  The per-id lists ``seqs`` and ``roles`` (a
+    ``bytearray``), which the naive engine, ``nodes`` and the tests read,
+    and the naive engine's arc index (``_arc_index``) are cached
+    properties, built from the items when first read; no table keeps a
+    run's first id, which the index and ``solution`` count as they walk
+    the runs.  Both engines hand ``solution`` the id path they find, or
+    None, which builds a ``DagNode`` only for the nodes on it.
 
     The searches run in integer units: ``scale`` is the least common
     multiple of the cost denominators, a cost ``c`` is the integer ``c *
@@ -657,11 +659,12 @@ class _Plan:
     position p in units, 0 at the dummies' positions 0 and n+1, and it is
     the plan's one cost table: a slide arc into big node i pays
     ``units[seqs[i][-1]]``, and a jump arc into node i pays the sum of
-    ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums a
-    head's jump charge where it reads it: ``_out_arcs`` once per head in its
-    index, ``fast._sweep`` once per run whose heads some class reaches.  A
-    path pays each vertex once, so a length at or above ``unreachable``,
-    ``sum(units) + 1``, marks a node no path reaches.
+    ``units`` over ``seqs[i]``, which is 0 for the sink.  Each search sums
+    a run's jump charge over ``t`` once, and each head adds the units of
+    its own ``x``: ``_arc_index`` for every run with a head, ``fast._sweep``
+    for each run whose heads some class reaches.  A path pays each vertex
+    once, so a length at or above ``unreachable``, ``sum(units) + 1``, marks
+    a node no path reaches.
     """
 
     def __init__(
@@ -689,30 +692,18 @@ class _Plan:
         self.unreachable = sum(self.units) + 1
 
     @cached_property
-    def starts(self) -> list[int]:
-        """Each item's first id, by item, and then ``size``."""
-        return [*accumulate((hi - lo + 1 for _, lo, hi, _, _ in self.items), initial=0)]
-
-    @cached_property
-    def _flat(self) -> tuple[list[tuple[int, ...]], bytearray]:
-        """The per-id lists ``seqs`` and ``roles``, built from the items."""
-        items, big_len = self.items, 2 * self.ctx.k - 1
-        seqs = [t + (x,) for t, lo, hi, _, _ in items for x in range(lo, hi + 1)]
-        roles = bytearray([
-            (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
-            for t, lo, hi, head, tail in items for x in range(lo, hi + 1)
-        ])
-        return seqs, roles
-
-    @property
     def seqs(self) -> list[tuple[int, ...]]:
         """Each node's sequence, by id."""
-        return self._flat[0]
+        return [t + (x,) for t, lo, hi, _, _ in self.items for x in range(lo, hi + 1)]
 
-    @property
+    @cached_property
     def roles(self) -> bytearray:
         """Each node's role byte, by id."""
-        return self._flat[1]
+        big_len = 2 * self.ctx.k - 1
+        return bytearray([
+            (_BIG if len(t) == big_len else 0) | (x <= head) | (x <= tail) << 1
+            for t, lo, hi, head, tail in self.items for x in range(lo, hi + 1)
+        ])
 
     @property
     def nodes(self) -> list[DagNode]:
@@ -776,21 +767,25 @@ class _Plan:
 
     @cached_property
     def _arc_index(self) -> tuple[dict, list, list[int]]:
-        """What ``_out_arcs`` looks up: each run by its chain, as its first
+        """What ``_out_arcs`` looks up, from one pass over the items that
+        counts each run's first id: each big run by its chain, as its first
         id and its range of last indices; the jump-arc heads, as ``(id, seq,
         charge)`` in id order and so by lo, which are the ids with the head
-        bit, each charged once; and their los."""
-        units, big_len = self.units, 2 * self.ctx.k - 1
-        runs = {
-            t: (start, range(lo, hi + 1))
-            for (t, lo, hi, _, _), start in zip(self.items, self.starts)
-            if len(t) == big_len
-        }
-        by_lo = [
-            (i, s, sum(map(units.__getitem__, s)))
-            for i, (s, r) in enumerate(zip(self.seqs, self.roles))
-            if r & _HEAD
-        ]
+        bit, a prefix of each run, whose chain is charged once; and their
+        los.  A head's ``seq`` is its tuple in ``seqs``, not a copy."""
+        units, seqs, big_len = self.units, self.seqs, 2 * self.ctx.k - 1
+        runs: dict = {}
+        by_lo: list = []
+        i = 0  # the run's first id
+        for t, lo, hi, head, _ in self.items:
+            if len(t) == big_len:
+                runs[t] = (i, range(lo, hi + 1))
+            if head >= lo:
+                charge = sum(map(units.__getitem__, t))
+                last = head if head < hi else hi
+                by_lo += [(j, seqs[j], charge + units[x])
+                          for j, x in enumerate(range(lo, last + 1), i)]
+            i += hi - lo + 1
         return runs, by_lo, [s[0] for _, s, _ in by_lo]
 
     def _out_arcs(self, seq: tuple[int, ...], role: int) -> tuple[int, range, list]:

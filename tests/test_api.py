@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -91,3 +92,28 @@ def test_readme_library_examples_run(capsys):
     assert namespace["text"].startswith("0 source 0\n")
     path = namespace["path"]
     assert (path[0].kind, path[-1].kind) == ("source", "sink")
+
+
+def test_readme_cli_synopsis_matches_parser():
+    # The README's CLI block gives each subcommand one line, continued by
+    # indented lines, and names exactly the long flags the parser accepts
+    # for it; --help goes without saying.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```$", text, re.M | re.S).group(1)
+    readme: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("pikdom "):
+            command = readme.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parser = {
+        name: {
+            flag for action in sub._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert readme == parser

@@ -263,9 +263,8 @@ def test_naive_runs_no_literal_window_check(monkeypatch):
 
 def test_fast_builds_no_per_id_lists(monkeypatch):
     # The sweep decides each run of big nodes once and never builds the
-    # plan's per-id sequence and role lists, nor its per-item first ids;
-    # naive and plan.nodes build them, and still list every node in id
-    # order.
+    # plan's per-id sequence and role lists, nor naive's arc index; naive
+    # and plan.nodes build them, and still list every node in id order.
     m = generate_random(30, 1, 8)
     costs = [Fraction(1 + i % 4, 1 + i % 3) for i in range(m.n)]
     for model, weighted in ((m, False), (with_costs(m, costs), True)):
@@ -276,8 +275,8 @@ def test_fast_builds_no_per_id_lists(monkeypatch):
                 def no_lists(self):
                     raise AssertionError("solve_fast built the per-id lists")
 
-                mp.setattr(_Plan, "_flat", property(no_lists))
-                mp.setattr(_Plan, "starts", property(no_lists))
+                for name in ("seqs", "roles", "_arc_index"):
+                    mp.setattr(_Plan, name, property(no_lists))
                 sol, path = search_fast(plan)
                 assert sol == solve_fast(model, 3, variant, weighted)
             assert sol.feasible and sol.stats["big_nodes"] > 1000

@@ -31,6 +31,7 @@ from pikdom.reduction import (
     DEFAULT_NODE_CAP,
     DagNode,
     _Ctx,
+    _HEAD,
     _Plan,
     _chain_count,
     _dominated,
@@ -52,7 +53,7 @@ from pikdom.reduction import (
     solve_naive,
 )
 
-from conftest import chain_model, complete_model, disjoint_model, make_model
+from conftest import bench_run, chain_model, complete_model, disjoint_model, make_model
 from test_acceptance import CORPUS_SIZE as ACCEPTANCE_SIZE, _entry as acceptance_entry
 
 
@@ -516,10 +517,38 @@ def test_plan_flags_match_literal_checks():
     assert min(counts[2, "total", want] for want in range(4)) > 5000, counts
 
 
+def _check_first_ids(plan, k, label):
+    # Item j's nodes take consecutive ids from its first id, a running sum
+    # of the run lengths before it.  Naive's arc index keeps each big run's
+    # first id with its chain, and its heads and their los are the literal
+    # per-id formula's.
+    nodes, runs_by_chain = plan.nodes, plan._arc_index[0]
+    first = 0
+    for j, (t, lo, hi, _, _) in enumerate(plan.items):
+        got = nodes[first:first + hi - lo + 1]
+        assert [nd.id for nd in got] == list(range(first, first + hi - lo + 1)), (label, j)
+        assert [nd.seq for nd in got] == [t + (x,) for x in range(lo, hi + 1)], (label, j)
+        if len(t) == 2 * k - 1:
+            assert runs_by_chain[t] == (first, range(lo, hi + 1)), (label, j)
+        first += hi - lo + 1
+    assert first == plan.size == len(plan.seqs), label
+    assert len(runs_by_chain) == sum(len(t) == 2 * k - 1 for t, *_ in plan.items), label
+    units = plan.units
+    want = [
+        (i, s, sum(units[p] for p in s))
+        for i, (s, r) in enumerate(zip(plan.seqs, plan.roles))
+        if r & _HEAD
+    ]
+    _, by_lo, los = plan._arc_index
+    assert by_lo == want and los == [s[0] for _, s, _ in want], label
+    return len(runs_by_chain)  # the big runs
+
+
 def test_plan_starts_are_first_ids():
-    # starts[j] is the id of item j's first node, so item j's nodes take
-    # the ids from starts[j] to starts[j + 1] - 1, and starts[-1] is the
-    # node count.  Corpus of test_plan_flags_match_literal_checks.
+    # Each item's nodes start at its first id, counted as the runs are
+    # walked, and naive's arc index is the literal per-id one.  Corpus of
+    # test_plan_flags_match_literal_checks, then perfbench's shapes, whose
+    # rational costs make the jump charges differ from plain lengths.
     runs = 0
     for n in range(1, 40):
         for seed in range(3):
@@ -530,17 +559,18 @@ def test_plan_starts_are_first_ids():
                         continue
                     for variant in ("kdom", "total"):
                         plan = _Plan(m, k, variant, False, 10**18)
-                        nodes, starts = plan.nodes, plan.starts
-                        label = (n, seed, stretch, k, variant)
-                        assert len(starts) == len(plan.items) + 1, label
-                        assert plan.size == starts[-1] == len(plan.seqs), label
-                        for j, (t, lo, hi, _, _) in enumerate(plan.items):
-                            want = [t + (x,) for x in range(lo, hi + 1)]
-                            runs += len(t) == 2 * k - 1
-                            got = nodes[starts[j]:starts[j + 1]]
-                            assert [nd.seq for nd in got] == want, (label, j)
-                            assert got[0].id == starts[j], (label, j)
+                        runs += _check_first_ids(plan, k, (n, seed, stretch, k, variant))
     assert runs > 10_000, runs
+    run = bench_run()
+    weighted = 0
+    for name, workload in sorted(run.WORKLOADS.items()):
+        for i, spec in enumerate(workload.specs):
+            m = parse_model(run.generate(spec, 1000 + i, f"{name}-{i:02d}").text)
+            plan = engine_plan(m, spec.k, spec.variant, m.weighted)
+            if plan is not None:
+                _check_first_ids(plan, spec.k, (name, i))
+                weighted += plan.scale > 1
+    assert weighted > 0, weighted
 
 
 def test_enumeration_cuts_lose_no_node():
