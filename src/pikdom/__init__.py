@@ -37,6 +37,8 @@ from .model import (
     model_min_degree,
     parse_model,
     serialize_model,
+    staircase_model,
+    staircases,
     with_costs,
 )
 from .oracle import (

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pikdom.model as model_module
 from pikdom.errors import (
@@ -149,6 +149,77 @@ def test_weighted_parse_costs_follow_sort():
     assert m.original_ids == (2, 1)
     assert m.costs == (Fraction(1), Fraction(7))
     assert m.cost_by_original() == (Fraction(7), Fraction(1))
+
+
+_NON_ASCII_DIGITS = (str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),
+                     str.maketrans("0123456789", "０１２３４５６７８９"))
+
+
+def _spellings(x):
+    """Spellings ``parse_rational`` reads as x: p/q, unreduced too; an
+    integer, signed with ``+`` too; exact decimals, with trailing zeros and
+    in exponent form; each also in two sets of non-ASCII digits."""
+    num, den = x.numerator, x.denominator
+    out = [f"{num}/{den}", f"{3 * num}/{3 * den}"]
+    if den == 1:
+        out += [str(num), f"{num}0e-1"]
+        if num >= 0:
+            out.append(f"+{num}")
+    for exp in range(1, 4):
+        if 10**exp % den == 0:
+            digits = str(abs(num) * (10**exp // den)).rjust(exp + 1, "0")
+            sign = "-" if num < 0 else ""
+            out += [f"{sign}{digits[:-exp]}.{digits[-exp:]}", f"{sign}{digits}e-{exp}"]
+    return out + [t.translate(table) for t in out for table in _NON_ASCII_DIGITS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    start=st.fractions(min_value=-20, max_value=20, max_denominator=10),
+    length=st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8),
+    steps=st.lists(st.sampled_from([Fraction(p, q) for p in (1, 2, 3, 7) for q in (1, 2, 4, 5, 3)]),
+                   min_size=1, max_size=12),
+    weighted=st.booleans(),
+)
+def test_parse_reads_every_spelling_as_parse_rational_does(data, start, length, steps, weighted):
+    # Equal lengths keep the family proper; every field takes one of its
+    # spellings and every gap one of the separators str.split splits on.
+    lefts = [start + sum(steps[:i]) for i in range(len(steps))]
+    fields = [[left, left + length] for left in lefts]
+    if weighted:
+        for row in fields:
+            row.append(data.draw(st.fractions(min_value=0, max_value=9, max_denominator=4)))
+    order = data.draw(st.permutations(range(len(fields))))
+    seps = st.sampled_from([" ", "\t", "  ", " \t ", "\f", "\xa0", "\t\xa0"])
+    rows = [[data.draw(st.sampled_from(_spellings(x))) for x in fields[t]] for t in order]
+    lines = [row[0] + "".join(data.draw(seps) + tok for tok in row[1:]) for row in rows]
+    header = f"{len(rows)} weighted" if weighted else f"{len(rows)}"
+    m = parse_model("\n".join([header] + lines) + "\n")
+    want = build_model(
+        [Interval(parse_rational(row[0]), parse_rational(row[1])) for row in rows],
+        [parse_rational(row[2]) for row in rows] if weighted else None,
+    )
+    assert m == want
+    assert (m.original_ids, m.reach_l, m.reach_r) == (want.original_ids, want.reach_l, want.reach_r)
+    # A fault on a plainly spelled row keeps its exact line-numbered message.
+    at = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    cost = " 1" if weighted else ""
+    faults = [
+        ("1 x" + cost, ParseError, "bad rational literal 'x'"),
+        ("1/0 3" + cost, ParseError, "bad rational literal '1/0'"),
+        ("3 2" + cost, ParseError, "interval needs left < right, got [3, 2]"),
+        ("5/2 2.5" + cost, ParseError, "interval needs left < right, got [5/2, 5/2]"),
+    ]
+    if weighted:
+        faults += [("0 1 -2", NegativeCostError, "negative cost -2"),
+                   ("0 1 -1/2", NegativeCostError, "negative cost -1/2"),
+                   ("0 1 1/0", ParseError, "bad rational literal '1/0'")]
+    for row, error, message in faults:
+        bad = [header] + lines[:at] + [row] + lines[at + 1:]
+        with pytest.raises(error) as caught:
+            parse_model("\n".join(bad) + "\n")
+        assert str(caught.value) == f"line {at + 2}: {message}"
 
 
 # ---------------------------------------------------------- serialization
@@ -343,6 +414,46 @@ def test_validation_decides_tied_keys_on_the_fraction():
     assert (m.reach_l, m.reach_r) == ((0, 0), (1, 1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    unit_den=st.sampled_from((1, 3, 7)),
+    rows=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=16
+    ),
+    cluster=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(unit_den=3, rows=[(1, 0, 2), (1, 3, 0), (1, 1, 0), (1, 0, 0)], cluster=False, seed=0)
+def test_parse_orders_tied_keys_exactly(unit_den, rows, cluster, seed):
+    # Interval i is [i + a*u, R + c*u], u = 2^-40/unit_den, where R is an
+    # integer past i and past the previous R.  Each left shares its floor
+    # with the right that ends on the same integer, and the left lies before
+    # that right, on it or past it as a and c fall; with a = c = 0 the two
+    # touch on the grid.  A cluster of endpoints within 2^-32 of each other,
+    # so also sharing floors on each side, may follow.
+    unit = Fraction(1, 2**40 * unit_den)
+    pairs, reach = [], 0
+    for i, (length, a, c) in enumerate(rows):
+        reach = max(i + length, reach + 1)
+        pairs.append((i + a * unit, reach + c * unit))
+    if cluster:
+        base = reach + 1 + Fraction(1, 7)
+        pairs += [(base + j * unit, base + (9 + 2 * j) * unit) for j in range(4)]
+    shuffled = list(range(len(pairs)))
+    random.Random(seed).shuffle(shuffled)
+    lines = [f"{format_rational(pairs[t][0])} {format_rational(pairs[t][1])}" for t in shuffled]
+    m = parse_model("\n".join([str(len(pairs))] + lines) + "\n")
+    want = build_model([Interval(*pairs[t]) for t in shuffled])
+    assert [(iv.left, iv.right) for iv in m.intervals] == pairs
+    row_of = {t: r + 1 for r, t in enumerate(shuffled)}
+    assert m.original_ids == want.original_ids == tuple(row_of[t] for t in range(len(pairs)))
+    assert (m.reach_l, m.reach_r) == (want.reach_l, want.reach_r)
+    n = m.n
+    for i in range(1, n + 1):
+        meets = [j for j in range(1, n + 1) if intersects(m, i, j)]
+        assert (m.reach_l[i - 1] + 1, m.reach_r[i - 1] + 1) == (meets[0], meets[-1])
+
+
 def test_model_sorts_its_rows_and_carries_costs_and_ids():
     rows = [Interval(Fraction(2), Fraction(4)), Interval(Fraction(0), Fraction(3))]
     costs = (Fraction(5), Fraction(1, 2))
@@ -468,8 +579,10 @@ def test_reading_a_built_model_keys_no_endpoint(monkeypatch):
     text = serialize_model(mw)
     models = [parse_model(serialize_model(m)), parse_model(text)]
     calls = []
-    real = model_module._key
-    monkeypatch.setattr(model_module, "_key", lambda x: calls.append(x) or real(x))
+    for name in ("_floor_keys", "_exact_keys"):
+        real = getattr(model_module, name)
+        spy = lambda ends, *rest, real=real: calls.append(2 * len(ends)) or real(ends, *rest)
+        monkeypatch.setattr(model_module, name, spy)
     for model in models:
         derive_graph(model)
         model_min_degree(model)
@@ -478,7 +591,7 @@ def test_reading_a_built_model_keys_no_endpoint(monkeypatch):
             assert solve_naive(model, k, variant, model.weighted).cost == fast.cost
     assert calls == []
     parse_model(text)  # building a model keys each endpoint once
-    assert len(calls) == 2 * 30
+    assert calls == [2 * 30]
     calls.clear()
     mc = with_costs(m, [Fraction(i % 4, 3) for i in range(30)])  # keys nothing
     assert calls == []
