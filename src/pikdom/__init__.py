@@ -16,15 +16,20 @@ from .errors import (
     TooLargeError,
     VertexIndexError,
 )
-from .fast import (
+from .fast import search_fast, solve_fast
+from .frontier import solve_frontier
+from .literal import (
+    arc_length,
+    eligible_tail_bigs,
+    enumerate_nodes,
+    is_e0_arc,
+    is_e1_arc,
+    projected_node_count,
     representative_independence_check,
-    search_fast,
-    solve_fast,
     suffix_key,
     suffix_partition,
     topo_order,
 )
-from .frontier import solve_frontier
 from .model import (
     DerivedGraph,
     Interval,
@@ -58,16 +63,10 @@ from .reduction import (
     DagArc,
     DagNode,
     DerivedDigraph,
-    arc_length,
     build_digraph,
     dump_digraph,
-    eligible_tail_bigs,
     engine_plan,
-    enumerate_nodes,
-    is_e0_arc,
-    is_e1_arc,
     path_to_vertex_set,
-    projected_node_count,
     search_naive,
     solve_naive,
 )

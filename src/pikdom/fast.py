@@ -21,15 +21,12 @@ probes once per prefix class, keeps the answer for the class's later heads,
 and probes nothing for heads that fail (4).
 
 Only classes whose shared last index ``key[-1]`` (the ``hi`` of every
-member) lies in a window set by the node's ``lo`` are probed.  A jump arc
-``t -> s`` needs ``t.hi`` disjoint from ``s.lo``, and every gap vertex must
-meet one of the two end sets; the last position that misses ``s.lo`` would
-otherwise be a gap vertex no end set meets.  Together these pin ``t.hi`` to
-about one clique's width (``reduction._e0_window`` gives the bounds and
-their derivation), so the probes per prefix class are bounded by the
-classes ending in one clique rather than by all classes.  The probe reads
-the head side of that window in place, ``reach_l[g] <= t.hi <= g`` with
-``g = reach_l[s.lo] - 1``, two list reads instead of a call per probe.
+member) lies in the head side of the jump-arc window are probed:
+``reach_l[g] <= t.hi <= g`` with ``g = reach_l[s.lo] - 1``, about one
+clique wide (``reduction._e0_window`` derives it).  So the probes per
+prefix class are bounded by the classes ending in one clique rather than
+by all classes.  The probe reads the window in place, two list reads
+instead of a call per probe.
 
 A probe (``_best_class``) compares the class key against per-head
 thresholds instead of running the literal jump-arc test.  Of the test's
@@ -42,7 +39,7 @@ four conditions:
   plan before any probe;
 * (2), the gap cover, reduces to thresholds.  A gap vertex ``m``
   (``t.hi < m < s.lo``) meets the members of each end set inside its reach
-  range ``reach_l[m]..reach_r[m]``, as ``reduction._hits`` counts them:
+  range ``reach_l[m]..reach_r[m]``, as ``literal._hits`` counts them:
   every head member lies right of ``m``, so it meets the ``c(m)`` of them
   ``<= reach_r[m]``, one binary search over the head's first ``k``
   indices.  So it needs ``r(m) = k - c(m)`` tail members
@@ -119,11 +116,11 @@ each range is fixed: (4) once per chain of k members (``reduction._caps``)
 and (3) once per chain of 2k-1 (``reduction._tail_bound``), so the sweep
 runs no window check.  The naive engine reads the same bits, so the
 fast/naive differential cannot see a wrong head or tail bit; the tests
-hold each big node's bits to the literal ``reduction._head_ok`` and
-``_tail_ok``.  The stats' small and big node counts come from the run
-lengths, and ``tail_eligible_bigs`` counts the big nodes as they join
-their suffix classes, in the node loop's tail branch.  The sweep keeps the
-best path into each node and the node before it on that path in two lists
+hold each big node's bits to ``literal._head_ok`` and ``_tail_ok``.
+The stats' small and big node counts come from the run lengths, and
+``tail_eligible_bigs`` counts the big nodes as they join their suffix
+classes, in the node loop's tail branch.  The sweep keeps the best path
+into each node and the node before it on that path in two lists
 by node id.  Path lengths are plain ints in the plan's units; one at or
 above the plan's ``unreachable`` is unreached, and has no predecessor.
 The plan turns the optimal id path into the answer
@@ -136,76 +133,10 @@ path of None when the sink is unreachable.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .model import ProperIntervalModel
 from .oracle import Solution, infeasible_solution
-from .reduction import (
-    ARC_E0,
-    DEFAULT_NODE_CAP,
-    DagNode,
-    KIND_BIG,
-    KIND_SMALL,
-    _Ctx,
-    _HEAD,
-    _Plan,
-    _TAIL,
-    engine_plan,
-)
-
-
-def suffix_key(seq: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Class key: the last k indices, or the whole sequence when shorter.
-
-    Short sequences only occur for plain k-domination (small nodes may have
-    fewer than k vertices); using the full sequence makes those classes
-    singletons, which is trivially safe.
-    """
-    return seq[-k:]
-
-
-@dataclass
-class SuffixClass:
-    """One class of ``suffix_partition``: its key and its member ids.  No
-    engine or diagnostic builds one; it is kept for ``perfbench/run.py``'s
-    breakdown and its tests."""
-
-    key: tuple[int, ...]
-    members: tuple[int, ...]
-
-
-def suffix_partition(nodes, k: int, eligible) -> list[SuffixClass]:
-    """Partition of small nodes plus tail-eligible big nodes by suffix key.
-
-    Classes come out sorted by key; members keep enumeration (id) order, so
-    ``members[0]`` is the lexicographically smallest member and serves as
-    the class representative.  No engine or diagnostic calls it (the sweep
-    and ``representative_independence_check`` group the plan's lists
-    themselves); it is kept for ``perfbench/run.py``'s breakdown and its
-    tests.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for nd in sorted(nodes, key=lambda nd: nd.id):
-        if nd.kind == KIND_SMALL or (nd.kind == KIND_BIG and nd.id in eligible):
-            groups.setdefault(suffix_key(nd.seq, k), []).append(nd.id)
-    return [SuffixClass(key, tuple(members)) for key, members in sorted(groups.items())]
-
-
-def topo_order(nodes, k: int) -> list[int]:
-    """Node ids grouped by ``hi`` (their last index) ascending, id order
-    inside each group; ``nodes`` is an enumeration, sink last.
-
-    Every arc strictly raises ``hi``: a jump arc has ``t.hi < s.lo <= s.hi``
-    and a slide arc appends an index past ``t.hi``.  So this is a
-    topological order of the digraph, with the source (``hi`` 0) first and
-    the sink (``hi`` n+1) last.  The order does not depend on ``k``.  No
-    engine uses it (the sweep runs in id order); it is kept for
-    ``perfbench/run.py``'s breakdown and its tests.
-    """
-    buckets: list[list[int]] = [[] for _ in range(nodes[-1].seq[-1] + 1)]
-    for i, nd in enumerate(nodes):
-        buckets[nd.seq[-1]].append(i)
-    return [i for bucket in buckets for i in bucket]
+from .reduction import DEFAULT_NODE_CAP, DagNode, _Ctx, _Plan, engine_plan
 
 
 def solve_fast(
@@ -243,8 +174,8 @@ def _best_class(ctx: _Ctx, by_hi, prefix: tuple, unreachable: int) -> tuple[list
     in the window ends before ``prefix[0]``, so all its members have lower
     ids and have joined it.
 
-    The window is the head side of ``_e0_window(ctx,
-    head_lo=prefix[0])``, read in place.  One loop walks it from its top
+    The window is the head side of ``reduction._e0_window``, read in
+    place.  One loop walks it from its top
     ``hi`` down: the gap vertices above ``hi`` fold into ``floors``, where
     ``floors[r-1]`` is the least value ``key[-r]`` may take, and the classes
     ending at ``hi`` are tested against them.  ``floors`` grows only when a
@@ -406,39 +337,3 @@ def _sweep(plan: _Plan) -> tuple[list[int], list[int | None], dict[str, int]]:
         "e1_arcs": e1_arcs,
     }
 
-
-def representative_independence_check(
-    model: ProperIntervalModel,
-    k: int,
-    variant: str,
-) -> bool:
-    """Diagnostic: within each suffix class, the jump-arc successors are the
-    same for every member; within each prefix class (middle heads sharing
-    their first k indices and their answer to condition (4)), the jump-arc
-    predecessors are the same for every member.  These are the properties
-    the DP's shared probes rely on.
-
-    It reads the plan both engines search (``_Plan``): the classes come
-    from its sequences and role bytes, as ``_sweep`` forms them, and the
-    arcs from ``_Plan.arcs``, the ones the naive engine searches.  Those take
-    conditions (3) and (4) from the same role bytes and run the literal gap
-    cover, so this checks the sharing of the gap cover, not the bits.  The
-    source and the sink each form classes of their own, which hold
-    trivially.
-    """
-    plan = _Plan(model, k, variant, False, DEFAULT_NODE_CAP)
-    seqs = plan.seqs
-    succ: list[set[int]] = [set() for _ in seqs]
-    pred: list[set[int]] = [set() for _ in seqs]
-    for tail, head, cls, _ in plan.arcs():
-        if cls == ARC_E0:
-            succ[tail].add(head)
-            pred[head].add(tail)
-    tails: dict[tuple[int, ...], list[set[int]]] = {}
-    heads: dict[tuple, list[set[int]]] = {}
-    for seq, role, out, into in zip(seqs, plan.roles, succ, pred):
-        if role & _TAIL:
-            tails.setdefault(suffix_key(seq, k), []).append(out)
-        heads.setdefault((seq[:k], role & _HEAD), []).append(into)
-    groups = [*tails.values(), *heads.values()]
-    return all(all(s == group[0] for s in group) for group in groups)

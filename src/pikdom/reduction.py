@@ -18,19 +18,13 @@ All index arithmetic runs in the model's sorted numbering extended by the
 two dummies: position 0 is the source interval, 1..n the model, n+1 the
 sink interval.  Every intersection count reads reach ranges: the members of
 a sorted sequence that meet position m are the ones inside
-``reach_l[m]..reach_r[m]``, found by two binary searches (``_hits``).
+``reach_l[m]..reach_r[m]``, found by two binary searches.
 
 Enumeration grows the chains index by index and builds only those its
-window checks can keep (``enumerate_nodes`` gives the three cuts and their
-proofs): a chain of k+1 members caps each later member of the big nodes in
-its subtree from one walk of their fixed middle, a chain one short of a big
-node keeps the big nodes it is the parent of as one run, every last
-index within its cap, and a chain whose small check fails at a position no
-later member can meet checks no small node in its subtree.  The head and
-tail conditions are decided the same way where their ranges are fixed, the
-head at k members and the tail at 2k-1, so each run keeps two bounds on
-its last index that give its nodes' answers, and neither engine runs
-either check.
+window checks can keep, each run of big nodes with two bounds on its last
+index that give its nodes' answers to the head and tail conditions, so
+neither engine runs either check (``_enumerate_with_ctx`` gives the cuts
+and their proofs).
 
 Both DAG engines search one ``_Plan`` from ``engine_plan``, which first
 answers the total variant's min-degree shortcut.  The plan works out each
@@ -48,18 +42,13 @@ Both read conditions (3) and (4) from the role bits, walk their pointers
 to an id path, and hand it to the plan, which builds a ``DagNode`` only
 for the nodes on it; both return ``(Solution, path)``, the path None when
 the sink is unreachable (``_Plan.solution``).
-``enumerate_nodes`` and ``build_digraph`` read the same plan.  One
-per-tail arc finder, ``_Plan._out_arcs``, serves ``naive`` and
-``_Plan.arcs``, which builds the sorted arc list on each call and keeps
-none: it takes a big tail's slide arcs from the run whose chain is the
-tail's last 2k-1 indices, and finds the jump arcs among the heads and
-tails the role bytes allow with the literal gap cover, once per tail, at
-the gap vertices it leaves short and what each needs; each head is
-checked at those (``_gap_covered``, which ``_e0_arc`` also calls).
-``naive`` uses no key thresholds and no class sharing, so the differential
-tests check the fast engine's derivation of both.  The literal (3) and (4),
-``_tail_ok`` and ``_head_ok``, stay as the reference the role bytes are
-tested against, with ``_e0_arc`` and ``eligible_tail_bigs``.
+``build_digraph`` reads the same plan.  One per-tail arc finder,
+``_Plan._out_arcs``, serves ``naive`` and ``_Plan.arcs``, which builds
+the sorted arc list on each call and keeps none.  ``naive`` uses no key
+thresholds and no class sharing, so the differential tests check the
+fast engine's derivation of both.  The literal (3) and (4), the arc
+predicates and the node-list helpers are in ``pikdom.literal``, the
+reference the role bytes and arcs are tested against.
 """
 
 from __future__ import annotations
@@ -70,9 +59,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb, lcm
+from math import lcm
 
-from .errors import BudgetError, NotArcError, NotPathError
+from .errors import BudgetError, NotPathError
 from .model import ProperIntervalModel, format_rational, model_min_degree
 from .oracle import (
     Solution,
@@ -167,17 +156,6 @@ def _small_lengths(k: int, variant: str) -> range:
     return range(1, 2 * k)
 
 
-def projected_node_count(n: int, k: int, variant: str) -> int:
-    """Upper bound on node count before enumeration (binomial projection).
-
-    Node lengths run from the shortest small length up to the big length
-    2k; only lengths up to n have sequences, so the sum stops there and
-    costs O(min(n, k)) whatever k is.  It ignores the chain condition; the
-    plan's budget check counts the chains (``_chain_count``) instead."""
-    first = _small_lengths(k, variant).start
-    return 2 + sum(comb(n, q) for q in range(first, min(n, 2 * k) + 1))
-
-
 def _chain_count(ctx: _Ctx, cap: int) -> int:
     """The consecutively-intersecting chains of every node length, plus the
     two dummies: what the enumeration can build at most, since it grows
@@ -207,15 +185,6 @@ def _chain_count(ctx: _Ctx, cap: int) -> int:
     return count
 
 
-def _hits(ctx: _Ctx, seq: tuple[int, ...], m: int) -> int:
-    """How many members of the sorted sequence ``seq`` meet position m, m
-    itself included when it is a member: they are the members inside m's
-    reach range.  The window walks (``_dominated``, ``_caps``) count hits
-    the same way in place; this is the reference the tests hold them to."""
-    lo, hi = ctx.reach_l[m], ctx.reach_r[m]
-    return bisect.bisect_right(seq, hi) - bisect.bisect_left(seq, lo)
-
-
 def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | None:
     """The first position in ``first..last`` that needs cover and meets
     fewer than k members of ``seq``, or None when there is none.
@@ -223,7 +192,7 @@ def _dominated(ctx: _Ctx, seq: tuple[int, ...], first: int, last: int) -> int | 
     Total variant: every position needs cover, and a member, which meets
     itself, needs k + 1 hits.  Plain k-domination: members dominate
     themselves and are skipped.  Each position's hits are counted in place
-    as ``_hits`` counts them, by two binary searches over ``seq``.
+    as ``literal._hits`` counts them, by two binary searches over ``seq``.
     """
     k, total = ctx.k, ctx.variant == VARIANT_TOTAL
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
@@ -256,7 +225,8 @@ def _caps(
     position's, as ``reach_r`` rises with m; nothing passes when some
     ``d(m) > ranks``, or when a cap at or before ``t[-1]`` leaves no room.
     ``fast._best_class`` makes the same argument for the gap cover.  Each
-    position's hits in ``t`` are counted in place as ``_hits`` counts them.
+    position's hits in ``t`` are counted in place as ``literal._hits``
+    counts them.
     """
     k, total = ctx.k, ctx.variant == VARIANT_TOTAL
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
@@ -293,9 +263,9 @@ def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
 
     The other bounds read no window, and the enumeration's ``grow`` reads
     them in place.  Total variant: (3) is ``x <= reach_r[t[k-1]]``
-    (``_tail_ok``).  Plain k-domination at k <= 2: every x passes, so the
-    bound is n, since each position inside a chain's span meets its two
-    flanking members, and one past ``t[-1]`` meets ``t[-1]`` and x.
+    (``literal._tail_ok``).  Plain k-domination at k <= 2: every x passes,
+    so the bound is n, since each position inside a chain's span meets its
+    two flanking members, and one past ``t[-1]`` meets ``t[-1]`` and x.
     """
     k, reach_r = ctx.k, ctx.reach_r
     caps = _caps(ctx, t, t[k] if t[k] > clean else clean, t[-1], 1)
@@ -305,38 +275,23 @@ def _tail_bound(ctx: _Ctx, t: tuple[int, ...], clean: int) -> int:
     return caps[0] if caps[0] < bound else bound
 
 
-def _tail_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
-    """Condition (3): can big node ``seq`` end a component, i.e. be the tail
-    of a jump arc?  The answer depends on the node alone."""
-    k = ctx.k
-    if ctx.variant == VARIANT_TOTAL:
-        return seq[-1] <= ctx.reach_r[seq[-k - 1]]
-    return _dominated(ctx, seq, seq[k], seq[-1]) is None
+def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
+    """The enumeration in id order, as runs ``(t, lo, hi, head, tail)``, and
+    the node count, summed as the runs are kept.
 
-
-def _head_ok(ctx: _Ctx, seq: tuple[int, ...]) -> bool:
-    """Condition (4): can big node ``seq`` start a component, i.e. be the
-    head of a jump arc?"""
-    k = ctx.k
-    if ctx.variant == VARIANT_TOTAL:
-        return seq[k] <= ctx.reach_r[seq[0]]
-    return _dominated(ctx, seq, seq[0], seq[k - 1]) is None
-
-
-def enumerate_nodes(
-    model: ProperIntervalModel,
-    k: int,
-    variant: str,
-    *,
-    cap_nodes: int = DEFAULT_NODE_CAP,
-) -> list[DagNode]:
-    """All DAG nodes in deterministic order: source, sequences in
-    lexicographic order, sink.
+    A run is the nodes ``t + (x,)`` for ``lo <= x <= hi``, which take
+    consecutive ids; the one with last index x has the head bit iff ``x <=
+    head`` and the tail bit iff ``x <= tail``, and the big bit iff ``t`` has
+    2k-1 members (``_Plan``).  So the head bits of a run are a prefix of
+    it, and so are its tail bits.  A chain ``t`` of 2k-1 members keeps its
+    big nodes as one run from ``t[-1] + 1``; every other run is one node:
+    the source ``((), 0, 0, -1, 0)`` first, each small node ``(parent, x,
+    x, x, x)`` and the sink ``((), n+1, n+1, n+1, n)`` last.  No per-node
+    tuple or ``DagNode`` is built (``_Plan`` builds them).
 
     Sequences are grown by extending consecutively-intersecting chains, so
     the chain condition prunes before the per-window domination conditions
-    are evaluated.  Lexicographic order is topological here: every arc
-    strictly increases the leftmost index.
+    are evaluated.
 
     Three cuts skip chains whose checks cannot pass; none drops a node:
 
@@ -368,27 +323,9 @@ def enumerate_nodes(
     nodes that pass (4); a member past its cap clears (4) for its subtree,
     whose big nodes are still built.  A chain of 2k-1 bounds the last index
     x that passes (3) (``_tail_bound``).  The total variant's head cap is
-    ``_head_ok``'s own rule on member k, and plain k-domination at k <= 2
-    passes both.  Each run keeps its head cap and tail bound, which give
-    its nodes' role bits (see ``_Plan``), and both engines read them there;
-    only ``_e0_arc`` and ``eligible_tail_bigs`` run the literal checks.
-    """
-    return _Plan(model, k, variant, False, cap_nodes).nodes
-
-
-def _enumerate_with_ctx(ctx: _Ctx) -> tuple[list[tuple], int]:
-    """The enumeration in id order, as runs ``(t, lo, hi, head, tail)``, and
-    the node count, summed as the runs are kept.
-
-    A run is the nodes ``t + (x,)`` for ``lo <= x <= hi``, which take
-    consecutive ids; the one with last index x has the head bit iff ``x <=
-    head`` and the tail bit iff ``x <= tail``, and the big bit iff ``t`` has
-    2k-1 members (``_Plan``).  So the head bits of a run are a prefix of
-    it, and so are its tail bits.  A chain ``t`` of 2k-1 members keeps its
-    big nodes as one run from ``t[-1] + 1``; every other run is one node:
-    the source ``((), 0, 0, -1, 0)`` first, each small node ``(parent, x,
-    x, x, x)`` and the sink ``((), n+1, n+1, n+1, n)`` last.  No per-node
-    tuple or ``DagNode`` is built (``_Plan`` builds them).
+    the literal (4)'s own rule on member k, and plain k-domination at k <= 2
+    passes both.  Each run keeps its head cap and tail bound, so neither
+    engine runs the literal (3) or (4) (``pikdom.literal``).
     """
     n, k, variant = ctx.n, ctx.k, ctx.variant
     reach_l, reach_r = ctx.reach_l, ctx.reach_r
@@ -477,10 +414,10 @@ def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
     kept in the order given; every head must start right of the tail, so
     its gap is ``tail[-1] + 1 .. seq[0] - 1``.  Each end set lies on its
     own side of the gap: the tail members that meet a gap vertex m are the
-    ones from ``reach_l[m]`` on (one binary search, as in ``_hits``), and
-    the head members that meet it are the ones up to ``reach_r[m]``.  The
-    dummies' positions 0 and n+1 lie outside every gap vertex's reach
-    range, so they count no hit.
+    ones from ``reach_l[m]`` on (one binary search, as in
+    ``literal._hits``), and the head members that meet it are the ones up
+    to ``reach_r[m]``.  The dummies' positions 0 and n+1 lie outside every
+    gap vertex's reach range, so they count no hit.
 
     The gap vertices are walked once per tail, left to right, as far as
     the heads' gaps reach, and only the ones the tail leaves short are
@@ -515,114 +452,25 @@ def _gap_covered(ctx: _Ctx, tail: tuple[int, ...], heads) -> list:
     return covered
 
 
-def _e0_arc(ctx: _Ctx, s: DagNode, s2: DagNode) -> bool:
-    if s.kind == KIND_SINK or s2.kind == KIND_SOURCE:
-        return False
-    hi, lo2 = s.hi, s2.lo
-    # (1) strictly ordered and disjoint boundary intervals
-    if not (hi < lo2 and ctx.reach_r[hi] < lo2):
-        return False
-    # (2) everything in the gap is covered by the two end sets
-    if not _gap_covered(ctx, s.seq, [(s2.id, s2.seq)]):
-        return False
-    # (3)/(4) window conditions on big endpoints
-    if s.kind == KIND_BIG and not _tail_ok(ctx, s.seq):
-        return False
-    return s2.kind != KIND_BIG or _head_ok(ctx, s2.seq)
-
-
-def _e0_window(
-    ctx: _Ctx, *, head_lo: int | None = None, tail_hi: int | None = None
-) -> tuple[int, int]:
-    """Inclusive bounds on the far end of any jump arc with one end fixed.
-
-    Given ``head_lo`` (``s.lo`` of a head ``s``) return the range of every
-    ``t.hi`` with ``t -> s`` a jump arc; given ``tail_hi`` (``t.hi``) return
-    the range of every ``s.lo``.  The fixed end must be one a jump arc can
-    have: never the source as a head, nor the sink as a tail.  The arc's two
+def _e0_window(ctx: _Ctx, tail_hi: int) -> tuple[int, int]:
+    """Inclusive bounds on the ``lo`` of every head of a jump arc out of a
+    tail whose last index is ``tail_hi``, never the sink.  The arc's two
     conditions pin the window:
 
-    * the ends are disjoint, so ``t.hi <= g`` with ``g = reach_l[s.lo] - 1``,
-      the last position that misses ``s.lo``;
+    * the ends are disjoint, so ``s.lo >= g`` with ``g = reach_r[t.hi] + 1``,
+      the first position that misses ``t.hi``;
     * every gap vertex hits ``k >= 1`` members of the two end sets.  If
-      ``t.hi < g`` then ``g`` is a gap vertex that misses all of ``s`` (it
-      misses ``s.lo`` and the rest of ``s`` lies further right), so it must
-      hit ``t``, which needs ``t.hi >= reach_l[g]``.
+      ``s.lo > g`` then ``g`` is a gap vertex that misses all of ``t`` (it
+      misses ``t.hi`` and the rest of ``t`` lies further left), so it must
+      hit ``s``, which needs ``s.lo <= reach_r[g]``.
 
-    Hence ``reach_l[g] <= t.hi <= g``, and mirrored, with
-    ``g = reach_r[t.hi] + 1``, ``g <= s.lo <= reach_r[g]``.  Probing only
-    inside the window never skips an arc, and the window is about one clique
-    wide.
+    Hence ``g <= s.lo <= reach_r[g]``, and mirrored, with ``g =
+    reach_l[s.lo] - 1``, ``reach_l[g] <= t.hi <= g``: ``fast._best_class``
+    reads that head side in place.  Probing only inside the window never
+    skips an arc, and the window is about one clique wide.
     """
-    if tail_hi is None:
-        g = ctx.reach_l[head_lo] - 1
-        return ctx.reach_l[g], g
     g = ctx.reach_r[tail_hi] + 1
     return g, ctx.reach_r[g]
-
-
-def is_e0_arc(
-    model: ProperIntervalModel,
-    k: int,
-    variant: str,
-    s: DagNode,
-    s2: DagNode,
-) -> bool:
-    """Jump-arc predicate between two nodes of the same derived digraph."""
-    return _e0_arc(_Ctx(model, k, variant), s, s2)
-
-
-def is_e1_arc(k: int, s: DagNode, s2: DagNode) -> bool:
-    """Slide-arc predicate: both big, head = tail shifted right by one."""
-    check_k(k)
-    if s.kind != KIND_BIG or s2.kind != KIND_BIG:
-        return False
-    if len(s.seq) != 2 * k or len(s2.seq) != 2 * k:
-        return False
-    return s.seq[1:] == s2.seq[:-1]
-
-
-def eligible_tail_bigs(
-    nodes,
-    model: ProperIntervalModel,
-    k: int,
-    variant: str,
-) -> frozenset[int]:
-    """Big nodes that can start a jump arc (the per-node tail condition).
-
-    Membership depends only on the node itself, which is what lets the fast
-    engine treat one member of a suffix class as a representative for all.
-    No engine or diagnostic calls it (they read the tail bit, ``_Plan``);
-    it is kept as the literal cross-check of that bit for
-    ``perfbench/run.py``'s breakdown and its tests.
-    """
-    ctx = _Ctx(model, k, variant)
-    return frozenset(
-        nd.id for nd in nodes if nd.kind == KIND_BIG and _tail_ok(ctx, nd.seq)
-    )
-
-
-def arc_length(s: DagNode, s2: DagNode, cls: str, costs=None) -> Fraction:
-    """Length of an arc of the stated class.
-
-    Unweighted: a jump arc pays the full head sequence, a slide arc pays 1
-    for the single new vertex, and arcs into the sink are free.  Weighted:
-    the same shape with per-vertex costs; the slide arc pays the cost of the
-    vertex it appends.  ``costs`` is a per-vertex sequence (exact rationals
-    or integer units) or None for unit costs.  This is the reference the
-    tests hold ``_Plan.arcs``'s lengths to.
-    """
-    if cls == ARC_E1:
-        k2 = len(s.seq)
-        if k2 % 2 or not is_e1_arc(k2 // 2, s, s2):
-            raise NotArcError("not a slide arc")
-        return Fraction(1 if costs is None else costs[s2.seq[-1] - 1])
-    if cls == ARC_E0:
-        if s.kind == KIND_SINK or s2.kind == KIND_SOURCE or not s.hi < s2.lo:
-            raise NotArcError("not a jump arc")
-        seq = s2.real_seq  # empty for the sink
-        return Fraction(len(seq) if costs is None else sum(costs[i - 1] for i in seq))
-    raise NotArcError(f"unknown arc class {cls!r}")
 
 
 class _Plan:
@@ -813,12 +661,7 @@ class _Plan:
         start, xs = (role & _BIG and runs.get(seq[1:])) or _NO_SLIDES
         if not role & _TAIL:  # the sink, or a big node that fails (3)
             return start, xs, []
-        # A head's lo lies past the tail's reach, and no further than the
-        # reach of the first position past it, or that position would be a
-        # gap vertex no end set hits (see _e0_window).  Since lo_min =
-        # reach_r[seq[-1]] + 1, condition (1) holds for every head in the
-        # window.
-        lo_min, lo_max = _e0_window(self.ctx, tail_hi=seq[-1])
+        lo_min, lo_max = _e0_window(self.ctx, seq[-1])
         first = bisect.bisect_left(los, lo_min)
         last = bisect.bisect_right(los, lo_max, first)
         return start, xs, _gap_covered(self.ctx, seq, by_lo[first:last])

@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .fast import representative_independence_check, solve_fast
+from .fast import solve_fast
 from .frontier import solve_frontier
+from .literal import representative_independence_check
 from .model import derive_graph, generate_random, serialize_model, with_costs
 from .oracle import (
     VARIANT_KDOM,

@@ -14,13 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from pikdom.fast import (
-    representative_independence_check,
-    search_fast,
-    solve_fast,
-    topo_order,
-)
+from pikdom.fast import search_fast, solve_fast
 from pikdom.frontier import solve_frontier
+from pikdom.literal import representative_independence_check, topo_order
 from pikdom.model import derive_graph, generate_random, min_degree, with_costs
 from pikdom.oracle import (
     Solution,

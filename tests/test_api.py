@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pikdom
-from pikdom import cli
+from pikdom import cli, fast, literal, reduction
 
 
 def _public_callables():
@@ -55,6 +55,55 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and (node.level or node.module.startswith("pikdom"))
     ]
     assert private == []
+
+
+# The paper's literal definitions and the node-list helpers no solve runs.
+LITERAL_NAMES = (
+    "_hits", "_tail_ok", "_head_ok", "_e0_arc", "_e0_head_window", "is_e0_arc",
+    "is_e1_arc", "arc_length", "eligible_tail_bigs", "projected_node_count",
+    "enumerate_nodes", "suffix_key", "SuffixClass", "suffix_partition",
+    "topo_order", "representative_independence_check",
+)
+SOLVE_MODULES = ("reduction", "fast", "frontier", "model", "oracle", "cli", "errors")
+
+
+def _imported_modules(tree):
+    """Every dotted name a module's imports bind or read from, its relative
+    imports resolved against the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pikdom" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_literal_definitions_live_in_one_module():
+    # pikdom.literal is the one home of the paper's literal checks: each is
+    # defined there and nowhere else, the solve modules neither import it
+    # nor keep an alias, and every name the package exported (all public
+    # ones but SuffixClass) still resolves on it.
+    src = Path(pikdom.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    assert set(SOLVE_MODULES) <= set(trees)
+    for name in SOLVE_MODULES:
+        bad = [m for m in _imported_modules(trees[name])
+               if m == "pikdom.literal" or m.startswith("pikdom.literal.")]
+        assert bad == [], name
+    defined = {
+        name: sorted(
+            stem for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        )
+        for name in LITERAL_NAMES
+    }
+    assert defined == {name: ["literal"] for name in LITERAL_NAMES}
+    for name in LITERAL_NAMES:
+        assert getattr(literal, name).__module__ == "pikdom.literal", name
+        assert not hasattr(reduction, name) and not hasattr(fast, name), name
+        if not name.startswith("_") and name != "SuffixClass":
+            assert getattr(pikdom, name) is getattr(literal, name), name
 
 
 def test_benchmark_names_resolve_on_the_package():

@@ -8,19 +8,25 @@ from hypothesis import given, settings, strategies as st
 
 import pikdom.fast as fast_module
 import pikdom.reduction as reduction_module
-from pikdom.fast import (
+from pikdom.fast import _best_class, _sweep, search_fast, solve_fast
+from pikdom.cli import main
+from pikdom.frontier import solve_frontier
+from pikdom.literal import (
     SuffixClass,
-    _best_class,
-    _sweep,
+    _e0_arc,
+    _e0_head_window,
+    _head_ok,
+    _tail_ok,
+    arc_length,
+    eligible_tail_bigs,
+    enumerate_nodes,
+    is_e0_arc,
+    is_e1_arc,
     representative_independence_check,
-    search_fast,
-    solve_fast,
     suffix_key,
     suffix_partition,
     topo_order,
 )
-from pikdom.cli import main
-from pikdom.frontier import solve_frontier
 from pikdom.model import (
     derive_graph,
     generate_random,
@@ -36,19 +42,10 @@ from pikdom.reduction import (
     DagNode,
     _Ctx,
     _Plan,
-    _e0_arc,
-    _e0_window,
     _gap_covered,
-    _head_ok,
-    _tail_ok,
-    arc_length,
     build_digraph,
     dump_digraph,
-    eligible_tail_bigs,
     engine_plan,
-    enumerate_nodes,
-    is_e0_arc,
-    is_e1_arc,
     path_to_vertex_set,
     search_naive,
     solve_naive,
@@ -247,14 +244,14 @@ def test_sweep_runs_no_literal_window_check(monkeypatch):
 
 def test_naive_runs_no_literal_window_check(monkeypatch):
     # naive reads conditions (3) and (4) from the plan's role bytes too, as
-    # it finds each tail's arcs.
+    # it finds each tail's arcs; the literal checks live in pikdom.literal.
+    assert not hasattr(reduction_module, "_head_ok")
+    assert not hasattr(reduction_module, "_tail_ok")
     plan = engine_plan(generate_random(30, 3, 8), 3, "kdom")
     calls = []
-    for name in ("_head_ok", "_tail_ok", "_dominated"):
-        real = getattr(reduction_module, name)
-        monkeypatch.setattr(reduction_module, name,
-                            lambda *args, name=name, real=real:
-                            calls.append(name) or real(*args))
+    real = reduction_module._dominated
+    monkeypatch.setattr(reduction_module, "_dominated",
+                        lambda *args: calls.append(args) or real(*args))
     sol, path = search_naive(plan)
     assert sol.feasible and len(path) > 2
     assert set(plan.roles) == {1, 2, 3, 4, 5, 6, 7}
@@ -291,16 +288,12 @@ def test_fast_builds_no_per_id_lists(monkeypatch):
             assert naive_path == [nodes[nd.id] for nd in naive_path]
 
 
-def test_prefix_classes_are_id_runs(monkeypatch):
+def test_prefix_classes_are_id_runs():
     # The sweep runs in id order and keeps only the last prefix class it
     # probed, so the heads sharing their first k indices must have
     # consecutive ids.  Corpus of test_plan_flags_match_literal_checks.
     assert not hasattr(fast_module, "_hi_order")
-
-    def no_topo_order(*args):
-        raise AssertionError("the sweep must not call topo_order")
-
-    monkeypatch.setattr(fast_module, "topo_order", no_topo_order)
+    assert not hasattr(fast_module, "topo_order")  # the hi order is literal's
     runs = 0
     for n in range(1, 40):
         for seed in range(3):
@@ -567,7 +560,7 @@ def test_threshold_probe_matches_jump_arc_test():
                     classes = [SuffixClass((0,), (nodes[0].id,)),
                                *suffix_partition(middle, k, eligible)]
                     for nd in middle + [nodes[-1]]:
-                        hi_min, hi_max = _e0_window(ctx, head_lo=nd.lo)
+                        hi_min, hi_max = _e0_head_window(ctx, nd.lo)
                         if nd.kind == KIND_BIG and not _head_ok(ctx, nd.seq):
                             for cl in classes:
                                 if hi_min <= cl.key[-1] <= hi_max:
@@ -625,8 +618,8 @@ def test_threshold_probe_ties_go_to_the_lesser_key(first, second, winner):
 def test_every_probe_of_a_sweep_matches_a_literal_scan(monkeypatch):
     # Each probe a real sweep makes, against a scan of the table as the
     # sweep holds it then.  The probe counts exactly the reached classes
-    # whose hi lies in the head's window (_e0_window), and returns the least
-    # by (cost, key) of those whose representative, the member whose cost
+    # whose hi lies in the head's window (_e0_head_window), and returns the
+    # least by (cost, key) of those whose representative, the member whose cost
     # the class keeps, passes condition (1) and the literal gap cover into
     # the prefix (_gap_covered).  The heads pass (4) and every class member
     # (3), so those are the jump arcs.  The corpus is perfbench's shapes and
@@ -638,7 +631,7 @@ def test_every_probe_of_a_sweep_matches_a_literal_scan(monkeypatch):
     def probe(ctx, by_hi, prefix, unreachable):
         nonlocal many
         hit, tests = real(ctx, by_hi, prefix, unreachable)
-        hi_min, hi_max = _e0_window(ctx, head_lo=prefix[0])
+        hi_min, hi_max = _e0_head_window(ctx, prefix[0])
         reached = [
             entry
             for hi in range(hi_min, hi_max + 1)

@@ -14,6 +14,18 @@ import pikdom.reduction as reduction_module
 from pikdom.errors import BudgetError, NotArcError, NotPathError, ParamError
 from pikdom.fast import search_fast, solve_fast
 from pikdom.frontier import solve_frontier
+from pikdom.literal import (
+    _e0_arc,
+    _e0_head_window,
+    _head_ok,
+    _hits,
+    _tail_ok,
+    arc_length,
+    enumerate_nodes,
+    is_e0_arc,
+    is_e1_arc,
+    projected_node_count,
+)
 from pikdom.model import (
     Interval,
     ProperIntervalModel,
@@ -35,20 +47,11 @@ from pikdom.reduction import (
     _Plan,
     _chain_count,
     _dominated,
-    _e0_arc,
     _e0_window,
-    _head_ok,
-    _hits,
-    _tail_ok,
-    arc_length,
     build_digraph,
     dump_digraph,
     engine_plan,
-    enumerate_nodes,
-    is_e0_arc,
-    is_e1_arc,
     path_to_vertex_set,
-    projected_node_count,
     search_naive,
     solve_naive,
 )
@@ -321,7 +324,7 @@ def test_e0_arcs_lie_in_windows():
                         continue
                     arcs += 1
                     lo_min, lo_max = _e0_window(ctx, tail_hi=t.hi)
-                    hi_min, hi_max = _e0_window(ctx, head_lo=s.lo)
+                    hi_min, hi_max = _e0_head_window(ctx, s.lo)
                     assert hi_min <= t.hi <= hi_max, (seed, k, variant, t, s)
                     assert lo_min <= s.lo <= lo_max, (seed, k, variant, t, s)
     assert arcs > 1000
